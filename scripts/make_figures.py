@@ -20,17 +20,13 @@ from bmgon import (
     argmin_orbit,
     bm_distance,
     circum_ratio,
-    gauge,
+    contacts,
     hex_build,
     hex_critical_b,
     regular_polygon,
 )
 from bmgon.cli import main as cli_main
 from bmgon.cli import render_svg
-
-
-def contacts(p, c, lam):
-    return tuple(v for v in c.vertices if abs(gauge(p, v) - lam) <= 1e-9)
 
 
 def write_member_figure(path: Path, b: float) -> None:

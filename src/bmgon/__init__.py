@@ -1,108 +1,29 @@
 """Banach-Mazur distances from the parallelogram to centrally symmetric
 convex polygons: exact values for the families where they are known,
-closed-form candidate positions, and a brute-force search oracle."""
+closed-form candidate positions, and a brute-force search oracle.
 
-from .geom import (
-    CentralPolygon,
-    Strip,
-    Vec2,
-    boundary_point,
-    parse_polygon,
-    format_polygon,
-    polygon_symmetries,
-    regular_polygon,
-    support,
-    strip_of,
-    transversal_ratio,
-)
-from .pgram import (
-    BalanceReport,
-    Parallelogram,
-    balance_inscribed,
-    circum_ratio,
-    gauge,
-    is_circumscribed,
-    is_inscribed,
-    vertex_hausdorff,
-)
-from .hexagon import (
-    HEXAGON,
-    HexFamilyPoint,
-    hex_build,
-    hex_c,
-    hex_critical_b,
-    hex_h,
-    hex_h_derivative,
-    hex_optimal_positions,
-    hex_regime_boundary,
-    hex_symmetry_orbit,
-)
-from .evengon import (
-    EvenGonValue,
-    axis_parallelogram,
-    beta_critical,
-    beta_h,
-    beta_k,
-    beta_square,
-    dist_pn_phn,
-    theorem2_value,
-)
-from .oracle import (
-    BMResult,
-    ClaimReport,
-    SearchSettings,
-    argmin_orbit,
-    bm_distance,
-    grid_scan,
-    verify_claim,
-)
+The package root exports what the scripts and the README examples use;
+everything else is imported from its module (``bmgon.geom``,
+``bmgon.pgram``, ``bmgon.hexagon``, ``bmgon.evengon``, ``bmgon.oracle``).
+"""
+
+from .evengon import theorem2_value
+from .geom import regular_polygon
+from .hexagon import HEXAGON, hex_build, hex_critical_b
+from .oracle import argmin_orbit, bm_distance
+from .pgram import circum_ratio, contacts
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Vec2",
-    "CentralPolygon",
-    "Strip",
-    "regular_polygon",
-    "support",
-    "strip_of",
-    "boundary_point",
-    "transversal_ratio",
-    "polygon_symmetries",
-    "parse_polygon",
-    "format_polygon",
-    "Parallelogram",
-    "BalanceReport",
-    "gauge",
-    "circum_ratio",
-    "is_inscribed",
-    "is_circumscribed",
-    "balance_inscribed",
-    "vertex_hausdorff",
     "HEXAGON",
-    "HexFamilyPoint",
-    "hex_c",
-    "hex_h",
-    "hex_h_derivative",
-    "hex_critical_b",
-    "hex_regime_boundary",
-    "hex_build",
-    "hex_optimal_positions",
-    "hex_symmetry_orbit",
-    "EvenGonValue",
-    "theorem2_value",
-    "axis_parallelogram",
-    "beta_k",
-    "beta_h",
-    "beta_critical",
-    "beta_square",
-    "dist_pn_phn",
-    "SearchSettings",
-    "BMResult",
-    "ClaimReport",
-    "grid_scan",
-    "bm_distance",
     "argmin_orbit",
-    "verify_claim",
+    "bm_distance",
+    "circum_ratio",
+    "contacts",
+    "hex_build",
+    "hex_critical_b",
+    "regular_polygon",
+    "theorem2_value",
     "__version__",
 ]

@@ -36,6 +36,7 @@ from .geom import (
     format_polygon,
     linear_image,
     parse_polygon,
+    polygon_symmetries,
     regular_polygon,
     transversal_ratio,
 )
@@ -46,35 +47,70 @@ from .hexagon import (
     hex_critical_b,
     hex_h,
     hex_optimal_positions,
-    hex_symmetry_orbit,
 )
 from .oracle import BMResult, SearchSettings, argmin_orbit, bm_distance, grid_scan
-from .pgram import Parallelogram, circum_ratio, gauge, vertex_hausdorff
+from .pgram import Parallelogram, circum_ratio, contacts, symmetry_orbit, vertex_hausdorff
 
-__all__ = ["CheckRow", "RunReport", "main", "render_svg"]
+__all__ = ["Claim", "RunReport", "main", "render_svg"]
 
 _SQRT2 = math.sqrt(2.0)
 _SHORTHAND = re.compile(r"[Pp]([0-9]+)$")
 
+# the kinds of claim and the note each carries in the output
+_NOTES = {
+    "exact": "",
+    "at_least": "one-sided",
+    "above": "strict",
+    "upper_bound": "conjecture support",
+}
+
 
 @dataclass(frozen=True)
-class CheckRow:
+class Claim:
     """One verification result: a claimed value, the computed value, the
-    tolerance the comparison used, and the verdict."""
+    tolerance, and the kind of claim, which decides the verdict:
+
+    - "exact": passes when |claimed - computed| <= tolerance;
+    - "at_least": passes when computed >= claimed - tolerance;
+    - "above": passes when computed > claimed;
+    - "upper_bound" (a conjectured-sharp bound): passes when
+      computed <= claimed + 1e-6 and |claimed - computed| < tolerance.
+    """
 
     label: str
     claimed: float
     computed: float
     tolerance: float
-    passed: bool
-    note: str = ""
+    kind: str = "exact"
+
+    def __post_init__(self) -> None:
+        if self.kind not in _NOTES:
+            raise ValueError(f"claim kind must be one of {sorted(_NOTES)}, got {self.kind!r}")
+
+    @property
+    def gap(self) -> float:
+        return self.claimed - self.computed
+
+    @property
+    def passed(self) -> bool:
+        if self.kind == "exact":
+            return abs(self.gap) <= self.tolerance
+        if self.kind == "at_least":
+            return self.computed >= self.claimed - self.tolerance
+        if self.kind == "above":
+            return self.computed > self.claimed
+        return self.computed <= self.claimed + 1e-6 and abs(self.gap) < self.tolerance
+
+    @property
+    def note(self) -> str:
+        return _NOTES[self.kind]
 
 
 @dataclass(frozen=True)
 class RunReport:
     command: str
     inputs: dict[str, str]
-    results: list[CheckRow]
+    results: list[Claim]
     runtime_ms: int
 
     @property
@@ -88,19 +124,6 @@ def _nine(x: float) -> str:
 
 def _vec(v: Vec2) -> str:
     return f"{_nine(v.x)},{_nine(v.y)}"
-
-
-def _row(
-    label: str,
-    claimed: float,
-    computed: float,
-    tol: float,
-    passed: bool | None = None,
-    note: str = "",
-) -> CheckRow:
-    if passed is None:
-        passed = abs(claimed - computed) <= tol
-    return CheckRow(label, claimed, computed, tol, passed, note)
 
 
 def _load_polygon(arg: str) -> tuple[CentralPolygon, str]:
@@ -118,107 +141,64 @@ def _load_polygon(arg: str) -> tuple[CentralPolygon, str]:
     return parse_polygon(text), str(path)
 
 
-def _contacts(p: Parallelogram, c: CentralPolygon, lam: float) -> tuple[Vec2, ...]:
-    return tuple(v for v in c.vertices if abs(gauge(p, v) - lam) <= 1e-9)
-
-
 # ---------------------------------------------------------------------------
 # verification suites
 
 
-def suite_theorem1() -> list[CheckRow]:
+def suite_theorem1() -> list[Claim]:
     """Hexagon distance 3/2 and the ratio curve of the balanced family."""
     rows = []
     result = bm_distance(HEXAGON, grid=360)
-    rows.append(_row("P6 distance equals 3/2", 1.5, result.lam, 1e-5))
+    rows.append(Claim("P6 distance equals 3/2", 1.5, result.lam, 1e-5))
     _, _, f = grid_scan(HEXAGON, 360)
     floor = float(np.min(f[np.isfinite(f)]))
-    rows.append(
-        _row(
-            "P6 grid objective never below 3/2",
-            1.5,
-            floor,
-            1e-6,
-            passed=floor >= 1.5 - 1e-6,
-            note="one-sided",
-        )
-    )
-    rows.append(_row("hex family ratio at b=0", 1.5, hex_h(0.0), 1e-12))
-    rows.append(_row("hex family ratio at b=sqrt(3)/5", 1.5, hex_h(B_REGIME_MAX), 1e-12))
+    rows.append(Claim("P6 grid objective never below 3/2", 1.5, floor, 1e-6, "at_least"))
+    rows.append(Claim("hex family ratio at b=0", 1.5, hex_h(0.0), 1e-12))
+    rows.append(Claim("hex family ratio at b=sqrt(3)/5", 1.5, hex_h(B_REGIME_MAX), 1e-12))
     closed = (-10.0 * math.sqrt(3.0) + math.sqrt(384.0)) / 14.0
-    rows.append(_row("hex critical slope closed form", closed, hex_critical_b(), 1e-12))
-    rows.append(_row("hex ratio at critical slope", 1.5224, hex_h(hex_critical_b()), 5e-4))
+    rows.append(Claim("hex critical slope closed form", closed, hex_critical_b(), 1e-12))
+    rows.append(Claim("hex ratio at critical slope", 1.5224, hex_h(hex_critical_b()), 5e-4))
     dev = max(
         abs(hex_h(b) - circum_ratio(hex_build(b).parallelogram, HEXAGON))
         for b in (B_REGIME_MAX * (i / 100.0) for i in range(101))
     )
-    rows.append(_row("hex closed form vs construction, 101 samples", 0.0, dev, 1e-9))
+    rows.append(Claim("hex closed form vs construction, 101 samples", 0.0, dev, 1e-9))
     return rows
 
 
 def _orbit_match(reps: list[Parallelogram], canon: list[Parallelogram]) -> float:
-    """Two-sided matching distance between symmetry classes: every
-    representative must sit near the orbit of some canonical position and
-    vice versa."""
-    orbits = [hex_symmetry_orbit(p) for p in canon]
-
-    def to_orbits(p: Parallelogram) -> float:
-        return min(vertex_hausdorff(p, img) for orbit in orbits for img in orbit)
-
-    d1 = max(to_orbits(r) for r in reps) if reps else math.inf
-    d2 = max(
-        min(
-            vertex_hausdorff(img, r)
-            for img in hex_symmetry_orbit(c_pos)
-            for r in reps
-        )
-        if reps
-        else math.inf
-        for c_pos in canon
-    )
+    """Two-sided matching distance between symmetry classes of the
+    hexagon: every representative must sit near the orbit of some
+    canonical position and vice versa."""
+    if not reps:
+        return math.inf
+    maps = polygon_symmetries(HEXAGON)
+    orbits = [symmetry_orbit(p, maps) for p in canon]
+    d1 = max(min(vertex_hausdorff(r, img) for orbit in orbits for img in orbit) for r in reps)
+    d2 = max(min(vertex_hausdorff(img, r) for img in orbit for r in reps) for orbit in orbits)
     return max(d1, d2)
 
 
-def suite_remark() -> list[CheckRow]:
+def suite_remark() -> list[Claim]:
     """The two known optimal positions and the search's symmetry classes."""
     rows = []
     positions = hex_optimal_positions()
     for i, p in enumerate(positions, start=1):
         dist = max(boundary_distance(HEXAGON, p.u), boundary_distance(HEXAGON, p.v))
+        rows.append(Claim(f"known position {i} inscribed", 0.0, dist, 1e-9))
         rows.append(
-            _row(
-                f"known position {i} inscribed",
-                0.0,
-                dist,
-                1e-9,
-            )
-        )
-        rows.append(
-            _row(f"known position {i} ratio 3/2", 1.5, circum_ratio(p, HEXAGON), 1e-12)
+            Claim(f"known position {i} ratio 3/2", 1.5, circum_ratio(p, HEXAGON), 1e-12)
         )
     result = bm_distance(HEXAGON, grid=360)
     reps = argmin_orbit(HEXAGON, result, tol=1e-4)
+    rows.append(Claim("P6 optimal symmetry classes", 2.0, float(len(reps)), 0.0))
     rows.append(
-        _row(
-            "P6 optimal symmetry classes",
-            2.0,
-            float(len(reps)),
-            0.0,
-            passed=len(reps) == 2,
-        )
-    )
-    rows.append(
-        _row(
-            "P6 optimal classes match known positions",
-            0.0,
-            _orbit_match(reps, positions),
-            1e-3,
-        )
+        Claim("P6 optimal classes match known positions", 0.0, _orbit_match(reps, positions), 1e-3)
     )
     return rows
 
 
-def suite_theorem2() -> list[CheckRow]:
+def suite_theorem2() -> list[Claim]:
     """Even-gon family values: exact distances, the witnessing axis
     construction, probes of the conjectured bounds, and consistency
     identities across the families."""
@@ -230,63 +210,46 @@ def suite_theorem2() -> list[CheckRow]:
         (20, _SQRT2 * math.cos(math.pi / 20.0), "sqrt(2)cos(pi/20)"),
     ):
         result = bm_distance(regular_polygon(n), grid=360)
-        rows.append(_row(f"P{n} distance equals {desc}", claimed, result.lam, 1e-5))
+        rows.append(Claim(f"P{n} distance equals {desc}", claimed, result.lam, 1e-5))
     for n in range(8, 22, 2):
         gon = regular_polygon(n)
         built = circum_ratio(axis_parallelogram(gon), gon)
         rows.append(
-            _row(f"axis parallelogram value, P{n}", theorem2_value(n).value, built, 1e-12)
+            Claim(f"axis parallelogram value, P{n}", theorem2_value(n).value, built, 1e-12)
         )
     for n, claimed in ((10, 1.4270510), (14, 1.4254273)):
         result = bm_distance(regular_polygon(n), grid=720)
-        ok = result.lam <= claimed + 1e-6 and abs(result.lam - claimed) < 1e-4
         rows.append(
-            _row(
-                f"P{n} probe of conjectured bound",
-                claimed,
-                result.lam,
-                1e-4,
-                passed=ok,
-                note="conjecture support",
-            )
+            Claim(f"P{n} probe of conjectured bound", claimed, result.lam, 1e-4, "upper_bound")
         )
-    rows.append(_row("family value at n=6 equals 3/2", 1.5, theorem2_value(6).value, 1e-12))
+    rows.append(Claim("family value at n=6 equals 3/2", 1.5, theorem2_value(6).value, 1e-12))
     dev = max(
         abs(dist_pn_phn(4, 2 * j + 1) - theorem2_value(8 * j + 4).value)
         for j in range(1, 9)
     )
-    rows.append(_row("square vs (8j+4)-gon identity, j=1..8", 0.0, dev, 1e-12))
+    rows.append(Claim("square vs (8j+4)-gon identity, j=1..8", 0.0, dev, 1e-12))
     return rows
 
 
-def suite_beta() -> list[CheckRow]:
+def suite_beta() -> list[Claim]:
     """The square family of the 8j-gon: endpoint ratio sqrt(2), strict
     interior excess, and squareness of the search optimum."""
     rows = []
     for j in range(1, 5):
         hi = math.tan(math.pi / (8.0 * j))
         dev = max(abs(beta_h(j, 0.0) - _SQRT2), abs(beta_h(j, hi) - _SQRT2))
-        rows.append(_row(f"beta endpoints at sqrt(2), j={j}", 0.0, dev, 1e-12))
+        rows.append(Claim(f"beta endpoints at sqrt(2), j={j}", 0.0, dev, 1e-12))
         interior = min(beta_h(j, hi * (i / 10001.0)) for i in range(1, 10001))
-        rows.append(
-            _row(
-                f"beta interior exceeds sqrt(2), j={j}",
-                _SQRT2,
-                interior,
-                0.0,
-                passed=interior > _SQRT2,
-                note="strict",
-            )
-        )
+        rows.append(Claim(f"beta interior exceeds sqrt(2), j={j}", _SQRT2, interior, 0.0, "above"))
     for n in (8, 16):
         result = bm_distance(regular_polygon(n), grid=360)
         u, v = result.parallelogram.u, result.parallelogram.v
         square_defect = max(abs(u.norm() - v.norm()), abs(u.dot(v)))
-        rows.append(_row(f"P{n} optimum is a square", 0.0, square_defect, 1e-4))
+        rows.append(Claim(f"P{n} optimum is a square", 0.0, square_defect, 1e-4))
     return rows
 
 
-def suite_lemma(seed: int) -> list[CheckRow]:
+def suite_lemma(seed: int) -> list[Claim]:
     """Randomized check that nested parallel strips cut every transversal
     through the origin in the ratio of their widths."""
     rng = np.random.default_rng(seed)
@@ -305,7 +268,7 @@ def suite_lemma(seed: int) -> list[CheckRow]:
             Strip(normal, inner_hw), Strip(normal, outer_hw), direction
         )
         worst = max(worst, abs(wr - cr))
-    return [_row("strip ratio identity, 1000 seeded instances", 0.0, worst, 1e-10)]
+    return [Claim("strip ratio identity, 1000 seeded instances", 0.0, worst, 1e-10)]
 
 
 def _random_map(rng: np.random.Generator, max_cond: float = 20.0) -> list[list[float]]:
@@ -316,7 +279,7 @@ def _random_map(rng: np.random.Generator, max_cond: float = 20.0) -> list[list[f
             return mat.tolist()
 
 
-def suite_affine(seed: int) -> list[CheckRow]:
+def suite_affine(seed: int) -> list[Claim]:
     """Distance invariance under random well-conditioned linear maps."""
     rng = np.random.default_rng(seed)
     rows = []
@@ -327,10 +290,11 @@ def suite_affine(seed: int) -> list[CheckRow]:
         for _ in range(10):
             image = linear_image(gon, _random_map(rng))
             dev = max(dev, abs(bm_distance(image, grid=720).lam - base))
-        rows.append(_row(f"affine invariance of P{n} distance, 10 maps", 0.0, dev, 2e-4))
+        rows.append(Claim(f"affine invariance of P{n} distance, 10 maps", 0.0, dev, 2e-4))
     return rows
 
 
+# in the order `verify all` runs them
 _SUITES = {
     "theorem1": lambda seed: suite_theorem1(),
     "remark": lambda seed: suite_remark(),
@@ -339,7 +303,6 @@ _SUITES = {
     "lemma": suite_lemma,
     "affine": suite_affine,
 }
-_ALL_ORDER = ["theorem1", "remark", "theorem2", "beta", "lemma", "affine"]
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +346,7 @@ def _emit_report(report: RunReport, as_json: bool) -> None:
         line = (
             f"check: {row.label} | claimed={_nine(row.claimed)}"
             f" computed={_nine(row.computed)} tol={_nine(row.tolerance)}"
-            f" gap={_nine(row.claimed - row.computed)} | {verdict}"
+            f" gap={_nine(row.gap)} | {verdict}"
         )
         if row.note:
             line += f" | {row.note}"
@@ -425,15 +388,12 @@ def _distance_record(name: str, result: BMResult) -> tuple[dict, str]:
     note = ""
     match = _SHORTHAND.fullmatch(name)
     if match and int(match.group(1)) >= 6:
-        n = int(match.group(1))
-        family = theorem2_value(n)
-        # the hexagon value is proven on its own, outside the family split
-        kind = "exact" if n == 6 else family.kind
+        family = theorem2_value(int(match.group(1)))
         record["claimed"] = family.value
-        record["claim_kind"] = kind
+        record["claim_kind"] = family.kind
         record["gap"] = family.value - result.lam
-        if kind == "upper_bound":
-            note = "conjecture support"
+        note = _NOTES[family.kind]
+        if note:
             record["note"] = note
     return record, note
 
@@ -469,9 +429,9 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    names = _ALL_ORDER if args.suite == "all" else [args.suite]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     start = time.perf_counter()
-    rows: list[CheckRow] = []
+    rows: list[Claim] = []
     for name in names:
         rows.extend(_SUITES[name](args.seed))
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
@@ -569,7 +529,7 @@ def _render_configs(
     if b_arg == "optimal":
         result = bm_distance(gon, grid=grid, refine=refine)
         reps = argmin_orbit(gon, result)
-        return [(p, circum_ratio(p, gon), _contacts(p, gon, circum_ratio(p, gon))) for p in reps]
+        return [(p, circum_ratio(p, gon), contacts(p, gon, circum_ratio(p, gon))) for p in reps]
     try:
         b = float(b_arg)
     except ValueError:
@@ -585,7 +545,7 @@ def _render_configs(
             "numeric --b draws a family member and needs P6 or a regular 8j-gon"
         )
     lam = circum_ratio(p, gon)
-    return [(p, lam, _contacts(p, gon, lam))]
+    return [(p, lam, contacts(p, gon, lam))]
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
@@ -626,9 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--json", action="store_true", help="machine-readable output")
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument(
-        "suite", choices=["theorem1", "theorem2", "lemma", "remark", "beta", "all"]
-    )
+    verify.add_argument("suite", choices=[*_SUITES, "all"])
     verify.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     verify.add_argument("--json", action="store_true", help="machine-readable output")
 

@@ -3,7 +3,8 @@
 The distance from the parallelogram class to the regular n-gon falls
 into four families by n mod 8.  For n = 8j and n = 8j + 4 the value is
 exact; for n = 8j + 2 and n = 8j + 6 the formula is a proven upper bound
-conjectured to be sharp.  The bound is witnessed in every case by the
+conjectured to be sharp, except at n = 6, where the hexagon theorem
+makes it exact.  The bound is witnessed in every case by the
 parallelogram through the boundary crossings with the coordinate axes.
 
 For the n = 8j family the inscribed squares form a one-parameter family
@@ -41,7 +42,8 @@ _SQRT2 = math.sqrt(2.0)
 @dataclass(frozen=True)
 class EvenGonValue:
     """Distance value for the regular n-gon: ``kind`` is "exact" for the
-    n = 8j and 8j + 4 families and "upper_bound" for the other two."""
+    n = 8j and 8j + 4 families and for the hexagon, and "upper_bound"
+    for the other n = 8j + 2 and 8j + 6."""
 
     n: int
     kind: str
@@ -72,7 +74,7 @@ def theorem2_value(n: int) -> EvenGonValue:
     b = (4.0 * j + 2.0) * math.pi / n
     return EvenGonValue(
         n=n,
-        kind="upper_bound",
+        kind="exact" if n == 6 else "upper_bound",
         value=math.sin(a) / math.sin(b) + math.cos(a),
         family="8j+6",
     )

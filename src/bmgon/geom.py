@@ -18,7 +18,6 @@ __all__ = [
     "Strip",
     "regular_polygon",
     "support",
-    "strip_of",
     "boundary_point",
     "transversal_ratio",
     "polygon_gauge",
@@ -178,13 +177,6 @@ def support(polygon: CentralPolygon, direction: Vec2) -> float:
     return max(v.dot(direction) for v in polygon.vertices)
 
 
-def strip_of(polygon: CentralPolygon, normal: Vec2) -> Strip:
-    """Narrowest strip with the given normal direction containing the
-    polygon: the half-width equals the support in the unit normal."""
-    unit = normal.normalized()
-    return Strip(unit, support(polygon, unit))
-
-
 def boundary_point(polygon: CentralPolygon, t: float) -> Vec2:
     """Boundary parametrization: t = i + f maps to the point a fraction f
     along the edge from vertex i to vertex i+1, with period 2m.
@@ -193,15 +185,21 @@ def boundary_point(polygon: CentralPolygon, t: float) -> Vec2:
     boundary_point(t + m) == -boundary_point(t) holds up to the rounding
     of t + m itself.
     """
-    n = len(polygon.vertices)
+    return Vec2(*_boundary_xy(polygon.vertices, t))
+
+
+def _boundary_xy(pts: Sequence[Iterable[float]], t: float) -> tuple[float, float]:
+    """Coordinates of boundary_point(t) on a vertex cycle of points or
+    (x, y) pairs; the search objective calls this on raw floats."""
+    n = len(pts)
     t = t % n
     if t >= n:  # float mod can round up to the period itself
         t = 0.0
     i = int(t)
     f = t - i
-    a = polygon.vertices[i]
-    b = polygon.vertices[(i + 1) % n]
-    return Vec2(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+    ax, ay = pts[i]
+    bx, by = pts[(i + 1) % n]
+    return ax + f * (bx - ax), ay + f * (by - ay)
 
 
 def transversal_ratio(inner: Strip, outer: Strip, line_dir: Vec2) -> tuple[float, float]:

@@ -19,15 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geom import (
-    CentralPolygon,
-    Vec2,
-    apply_linear,
-    line_intersection,
-    polygon_symmetries,
-    regular_polygon,
-)
-from .pgram import Parallelogram, vertex_hausdorff
+from .geom import CentralPolygon, Vec2, line_intersection, regular_polygon
+from .pgram import Parallelogram
 
 __all__ = [
     "HEXAGON",
@@ -36,12 +29,8 @@ __all__ = [
     "hex_h",
     "hex_h_derivative",
     "hex_critical_b",
-    "hex_regime_boundary",
-    "hex_side_slope_pq",
-    "hex_side_slope_sp",
     "hex_build",
     "hex_optimal_positions",
-    "hex_symmetry_orbit",
 ]
 
 _SQRT3 = math.sqrt(3.0)
@@ -90,31 +79,6 @@ def hex_critical_b() -> float:
     return (-10.0 * _SQRT3 + 8.0 * math.sqrt(6.0)) / 14.0
 
 
-def hex_regime_boundary() -> float:
-    """Largest b for which the closed form hex_h is valid: sqrt(3)/5.
-
-    Beyond it the slope of the supporting side through -q(b) and p(b),
-    which is (3*sqrt(3)*b + 3) / (2*(sqrt(3) - b)), exceeds sqrt(3) and
-    the supporting contact leaves side v4-v5.
-    """
-    return B_REGIME_MAX
-
-
-def hex_side_slope_pq(b: float) -> float:
-    """Slope of the parallelogram side through p(b) and q(b)."""
-    _check_domain(b, B_COUPLING_MAX, "hex_side_slope_pq")
-    c = hex_c(b)
-    return (b - _SQRT3) / (2.0 - b * c - _SQRT3 * c)
-
-
-def hex_side_slope_sp(b: float) -> float:
-    """Slope of the parallelogram side through -q(b) and p(b); reduces to
-    (3*sqrt(3)*b + 3) / (2*(sqrt(3) - b))."""
-    _check_domain(b, B_COUPLING_MAX, "hex_side_slope_sp")
-    c = hex_c(b)
-    return (3.0 * b + _SQRT3) / (2.0 + b * c + _SQRT3 * c)
-
-
 @dataclass(frozen=True)
 class HexFamilyPoint:
     """One balanced family member: the slope b, the coupling c(b), the
@@ -150,16 +114,3 @@ def hex_optimal_positions() -> list[Parallelogram]:
         Parallelogram(Vec2(5.0 / 6.0, _SQRT3 / 6.0), Vec2(-1.0 / 6.0, _SQRT3 / 2.0)),
     ]
 
-
-def hex_symmetry_orbit(p: Parallelogram) -> list[Parallelogram]:
-    """Orbit of a parallelogram under the 12-element symmetry group of
-    the hexagon, with duplicates (equal as unordered generator sets,
-    tolerance 1e-9) removed."""
-    orbit: list[Parallelogram] = []
-    for mat in polygon_symmetries(HEXAGON):
-        image = Parallelogram.from_unordered(
-            apply_linear(mat, p.u), apply_linear(mat, p.v)
-        )
-        if all(vertex_hausdorff(image, seen) > 1e-9 for seen in orbit):
-            orbit.append(image)
-    return orbit

@@ -20,25 +20,21 @@ sheets, estimated by central differences of their gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .geom import CentralPolygon, Vec2, apply_linear, boundary_point, polygon_symmetries
-from .pgram import Parallelogram, circum_ratio, gauge, vertex_hausdorff
+from .geom import CentralPolygon, Vec2, _boundary_xy, boundary_point, polygon_symmetries
+from .pgram import Parallelogram, circum_ratio, contacts, symmetry_orbit, vertex_hausdorff
 
 __all__ = [
     "SearchSettings",
     "BMResult",
-    "ClaimReport",
     "grid_scan",
     "bm_distance",
     "argmin_orbit",
-    "verify_claim",
 ]
-
-CONTACT_TOL = 1e-9
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -126,24 +122,13 @@ def _make_objective(
 ) -> tuple[Callable[[float, float], float], Callable[[float, float], list[float]], int]:
     """Scalar objective and per-vertex sheet values on raw floats."""
     pts, _ = _vertex_arrays(c)
-    n = len(pts)
-    m = n // 2
+    m = len(pts) // 2
     lo, hi = margin, m - margin
-
-    def at(t: float) -> tuple[float, float]:
-        t = t % n
-        if t >= n:
-            t = 0.0
-        i = int(t)
-        f = t - i
-        ax, ay = pts[i]
-        bx, by = pts[(i + 1) % n]
-        return ax + f * (bx - ax), ay + f * (by - ay)
 
     def sheets(t1: float, s: float) -> list[float]:
         s = lo if s < lo else hi if s > hi else s
-        ux, uy = at(t1)
-        vx, vy = at(t1 + s)
+        ux, uy = _boundary_xy(pts, t1)
+        vx, vy = _boundary_xy(pts, t1 + s)
         den = ux * vy - uy * vx
         if not den > 1e-300:
             return [math.inf] * m
@@ -254,13 +239,12 @@ def bm_distance(
     v = boundary_point(c, t1 + s)
     witness = Parallelogram(u, v)
     lam = circum_ratio(witness, c)
-    contacts = tuple(w for w in c.vertices if abs(gauge(witness, w) - lam) <= CONTACT_TOL)
     return BMResult(
         lam=lam,
         parallelogram=witness,
         t_u=t1,
         t_v=t1 + s,
-        contacts=contacts,
+        contacts=contacts(witness, c, lam),
         grid_resolution=grid,
         refined=refine,
     )
@@ -335,10 +319,7 @@ def argmin_orbit(
     maps = polygon_symmetries(c)
     representatives: list[Parallelogram] = []
     for p in clusters:
-        images = [
-            Parallelogram.from_unordered(apply_linear(mat, p.u), apply_linear(mat, p.v))
-            for mat in maps
-        ]
+        images = symmetry_orbit(p, maps)
         if all(
             min(vertex_hausdorff(img, rep) for img in images) >= cluster_tol
             for rep in representatives
@@ -347,54 +328,3 @@ def argmin_orbit(
     representatives.sort(key=_canonical_key)
     return representatives
 
-
-@dataclass(frozen=True)
-class ClaimReport:
-    """Outcome of checking a claimed value against the search result.
-    ``gap`` is claimed minus computed; upper-bound checks of conjectured
-    values are labeled "conjecture support" rather than proof."""
-
-    claimed: float
-    computed: float
-    mode: str
-    tol: float
-    gap: float
-    passed: bool
-    note: str
-    result: BMResult = field(repr=False)
-
-
-def verify_claim(
-    c: CentralPolygon,
-    claimed: float,
-    mode: str,
-    tol: float,
-    grid: int = 360,
-    refine: bool = True,
-    settings: SearchSettings = DEFAULT_SETTINGS,
-) -> ClaimReport:
-    """Checks a claimed distance value: mode "exact" requires agreement
-    within tol, mode "upper_bound" requires the search not to beat the
-    claim by more than tol."""
-    if mode not in ("exact", "upper_bound"):
-        raise ValueError(f"mode must be 'exact' or 'upper_bound', got {mode!r}")
-    if not claimed > 1.0:
-        raise ValueError("claimed value must exceed 1")
-    result = bm_distance(c, grid=grid, refine=refine, settings=settings)
-    gap = claimed - result.lam
-    if mode == "exact":
-        passed = abs(gap) <= tol
-        note = ""
-    else:
-        passed = result.lam <= claimed + tol
-        note = "conjecture support"
-    return ClaimReport(
-        claimed=claimed,
-        computed=result.lam,
-        mode=mode,
-        tol=tol,
-        gap=gap,
-        passed=passed,
-        note=note,
-        result=result,
-    )

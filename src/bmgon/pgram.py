@@ -1,7 +1,7 @@
 """Origin-symmetric parallelograms measured against a centrally symmetric
-polygon: the Minkowski gauge, the circumscribed homothety ratio, the
-inscribed and circumscribed predicates, and strip-ratio balancing of an
-inscribed one-parameter family."""
+polygon: the Minkowski gauge, the circumscribed homothety ratio and its
+contact vertices, the inscribed predicate, strip-ratio balancing of an
+inscribed one-parameter family, and symmetry orbits."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ from dataclasses import dataclass
 
 from .geom import (
     CentralPolygon,
+    Mat2,
     Vec2,
+    apply_linear,
     boundary_distance,
     boundary_point,
     support,
@@ -20,10 +22,11 @@ __all__ = [
     "BalanceReport",
     "gauge",
     "circum_ratio",
+    "contacts",
     "is_inscribed",
-    "is_circumscribed",
     "balance_inscribed",
     "vertex_hausdorff",
+    "symmetry_orbit",
 ]
 
 DEGENERATE_TOL = 1e-12
@@ -71,6 +74,12 @@ def circum_ratio(p: Parallelogram, c: CentralPolygon) -> float:
     return max(gauge(p, w) for w in c.vertices)
 
 
+def contacts(p: Parallelogram, c: CentralPolygon, lam: float) -> tuple[Vec2, ...]:
+    """Vertices of the polygon on the boundary of lam times the
+    parallelogram: those whose gauge is lam within 1e-9."""
+    return tuple(w for w in c.vertices if abs(gauge(p, w) - lam) <= 1e-9)
+
+
 def is_inscribed(p: Parallelogram, c: CentralPolygon, tol: float = 1e-9) -> bool:
     """True iff all four vertices lie on the boundary of the polygon
     within Euclidean distance tol.  By central symmetry it suffices to
@@ -94,17 +103,6 @@ def _side_normals(u: Vec2, w: Vec2) -> tuple[tuple[Vec2, float], tuple[Vec2, flo
             n, offset = -n, -offset
         out.append((n, offset))
     return out[0], out[1]
-
-
-def is_circumscribed(p: Parallelogram, c: CentralPolygon, tol: float = 1e-9) -> bool:
-    """True iff the parallelogram contains the polygon and each of its two
-    side-line families supports the polygon (touches it) within tol."""
-    if any(gauge(p, w) > 1.0 + tol for w in c.vertices):
-        return False
-    for normal, offset in _side_normals(p.u, p.v):
-        if abs(support(c, normal) - offset) > tol:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -192,3 +190,15 @@ def vertex_hausdorff(p: Parallelogram, q: Parallelogram) -> float:
         return max(min((x - y).norm() for y in ys) for x in xs)
 
     return max(one_sided(pv, qv), one_sided(qv, pv))
+
+
+def symmetry_orbit(p: Parallelogram, maps: list[Mat2]) -> list[Parallelogram]:
+    """Images of the parallelogram under the linear maps (typically
+    ``polygon_symmetries`` of a polygon), in map order, with images
+    within vertex Hausdorff distance 1e-9 of an earlier one removed."""
+    orbit: list[Parallelogram] = []
+    for mat in maps:
+        image = Parallelogram.from_unordered(apply_linear(mat, p.u), apply_linear(mat, p.v))
+        if all(vertex_hausdorff(image, seen) > 1e-9 for seen in orbit):
+            orbit.append(image)
+    return orbit

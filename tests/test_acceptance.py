@@ -34,7 +34,8 @@ from bmgon.hexagon import (
     hex_h,
     hex_optimal_positions,
 )
-from bmgon.oracle import argmin_orbit, bm_distance, grid_scan, verify_claim
+from bmgon.cli import Claim
+from bmgon.oracle import argmin_orbit, bm_distance, grid_scan
 from bmgon.pgram import Parallelogram, circum_ratio, vertex_hausdorff
 
 SQRT2 = math.sqrt(2.0)
@@ -156,16 +157,9 @@ def test_criterion_5_axis_constructions(report):
 def test_criterion_6_conjecture_probes(dist, report):
     outcomes = []
     for n, claimed in ((10, 1.4270510), (14, 1.4254273)):
-        lam = dist(n, 720).lam
-        claim = verify_claim(
-            regular_polygon(n), claimed, "upper_bound", tol=1e-6, grid=720
-        )
-        outcomes.append(
-            lam <= claimed + 1e-6
-            and abs(lam - claimed) < 1e-4
-            and claim.note == "conjecture support"
-            and claim.passed
-        )
+        # the upper_bound rule: lam <= claimed + 1e-6 and |claimed - lam| < 1e-4
+        claim = Claim(f"P{n}", claimed, dist(n, 720).lam, 1e-4, "upper_bound")
+        outcomes.append(claim.passed and claim.note == "conjecture support")
     p10, p14 = dist(10, 720).lam, dist(14, 720).lam
     report(
         6,

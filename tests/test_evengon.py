@@ -47,6 +47,7 @@ class TestFamilyValues:
         v = theorem2_value(6)
         assert abs(v.value - 1.5) <= 1e-12
         assert v.family == "8j+6"
+        assert v.kind == "exact"
 
     def test_rejects_bad_n(self):
         for n in (5, 4, 0, -8):

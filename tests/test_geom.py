@@ -21,7 +21,6 @@ from bmgon.geom import (
     polygon_gauge,
     polygon_symmetries,
     regular_polygon,
-    strip_of,
     support,
     transversal_ratio,
 )
@@ -127,12 +126,6 @@ class TestSupportAndStrips:
     def test_support_rejects_zero(self, p4):
         with pytest.raises(ValueError):
             support(p4, Vec2(0.0, 0.0))
-
-    def test_strip_of(self, p6):
-        s = strip_of(p6, Vec2(0.0, 2.0))
-        assert abs(s.normal.norm() - 1.0) < 1e-15
-        assert abs(s.half_width - SQRT3 / 2.0) < 1e-15
-        assert abs(s.width - SQRT3) < 1e-15
 
     def test_strip_validation(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from bmgon.geom import boundary_distance
+from bmgon.geom import boundary_distance, polygon_symmetries
 from bmgon.hexagon import (
     B_REGIME_MAX,
     HEXAGON,
@@ -12,18 +12,18 @@ from bmgon.hexagon import (
     hex_h,
     hex_h_derivative,
     hex_optimal_positions,
-    hex_regime_boundary,
-    hex_side_slope_pq,
-    hex_side_slope_sp,
-    hex_symmetry_orbit,
 )
-from bmgon.pgram import circum_ratio, is_inscribed, vertex_hausdorff
+from bmgon.pgram import circum_ratio, is_inscribed, symmetry_orbit, vertex_hausdorff
 
 SQRT3 = math.sqrt(3.0)
 
 
 def _samples(count: int):
     return [B_REGIME_MAX * (i / (count - 1)) for i in range(count)]
+
+
+def _orbit(p):
+    return symmetry_orbit(p, polygon_symmetries(HEXAGON))
 
 
 class TestCurve:
@@ -57,10 +57,6 @@ class TestCurve:
             fd = (hex_h(b + step) - hex_h(b - step)) / (2.0 * step)
             assert abs(hex_h_derivative(b) - fd) <= 1e-6
 
-    def test_regime_boundary(self):
-        assert hex_regime_boundary() == B_REGIME_MAX
-        assert abs(hex_regime_boundary() - SQRT3 / 5.0) <= 1e-15
-
     def test_domain_errors(self):
         for bad in (-1e-9, B_REGIME_MAX + 1e-9, 1.0):
             with pytest.raises(ValueError):
@@ -83,15 +79,6 @@ class TestConstruction:
         )
         assert dev <= 1e-9
 
-    def test_side_slopes_match_geometry(self):
-        for b in _samples(21):
-            member = hex_build(b)
-            p, q = member.p, member.q
-            pq = q - p
-            sp = p + q  # direction of the side from -q to p
-            assert abs(hex_side_slope_pq(b) - pq.y / pq.x) <= 1e-9
-            assert abs(hex_side_slope_sp(b) - sp.y / sp.x) <= 1e-9
-
     def test_endpoints_reach_the_optimal_positions(self):
         first, second = hex_optimal_positions()
         assert vertex_hausdorff(hex_build(0.0).parallelogram, first) <= 1e-12
@@ -108,16 +95,16 @@ class TestOptimalPositions:
         first, second = hex_optimal_positions()
         assert all(
             vertex_hausdorff(second, image) > 1e-6
-            for image in hex_symmetry_orbit(first)
+            for image in _orbit(first)
         )
 
     def test_orbit_sizes(self):
         first, second = hex_optimal_positions()
-        assert len(hex_symmetry_orbit(first)) == 3
-        assert len(hex_symmetry_orbit(second)) == 3
+        assert len(_orbit(first)) == 3
+        assert len(_orbit(second)) == 3
 
     def test_orbit_members_keep_the_ratio(self):
         for p in hex_optimal_positions():
-            for image in hex_symmetry_orbit(p):
+            for image in _orbit(p):
                 assert abs(circum_ratio(image, HEXAGON) - 1.5) <= 1e-12
                 assert is_inscribed(image, HEXAGON)

@@ -5,13 +5,8 @@ import pytest
 
 from conftest import random_central_polygon, random_linear_map
 from bmgon.geom import linear_image, regular_polygon
-from bmgon.oracle import (
-    SearchSettings,
-    argmin_orbit,
-    bm_distance,
-    grid_scan,
-    verify_claim,
-)
+from bmgon.cli import Claim
+from bmgon.oracle import SearchSettings, argmin_orbit, bm_distance, grid_scan
 from bmgon.pgram import circum_ratio, gauge, vertex_hausdorff
 
 SQRT2 = math.sqrt(2.0)
@@ -144,29 +139,30 @@ class TestArgminOrbit:
 
 
 class TestVerifyClaim:
+    """Search results checked against claimed values by the verdict rule
+    of each kind of claim."""
+
     def test_exact_pass(self, p6):
-        report = verify_claim(p6, 1.5, "exact", tol=1e-5, grid=360)
-        assert report.passed
-        assert report.note == ""
-        assert abs(report.gap) <= 1e-5
+        claim = Claim("P6", 1.5, bm_distance(p6, grid=360).lam, 1e-5)
+        assert claim.passed
+        assert claim.note == ""
+        assert abs(claim.gap) <= 1e-5
 
     def test_exact_fail(self, p6):
-        report = verify_claim(p6, 1.49, "exact", tol=1e-5, grid=360)
-        assert not report.passed
+        assert not Claim("P6", 1.49, bm_distance(p6, grid=360).lam, 1e-5).passed
 
     def test_upper_bound_carries_the_support_note(self):
-        p10 = regular_polygon(10)
-        claimed = 1.4270509831248424
-        report = verify_claim(p10, claimed, "upper_bound", tol=1e-6, grid=360)
-        assert report.note == "conjecture support"
-        assert report.passed
+        lam = bm_distance(regular_polygon(10), grid=360).lam
+        claim = Claim("P10", 1.4270509831248424, lam, 1e-6, "upper_bound")
+        assert claim.note == "conjecture support"
+        assert claim.passed
 
     def test_upper_bound_fails_when_beaten(self, p6):
-        report = verify_claim(p6, 1.51, "exact", tol=1e-6, grid=360)
-        assert not report.passed
+        lam = bm_distance(p6, grid=360).lam
+        assert not Claim("P6", 1.51, lam, 1e-6, "exact").passed
+        assert not Claim("P6", 1.51, lam, 1e-6, "upper_bound").passed
+        assert not Claim("P6", 1.49, lam, 1e-6, "upper_bound").passed
 
-    def test_rejects_bad_arguments(self, p6):
+    def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            verify_claim(p6, 1.5, "lower_bound", tol=1e-6)
-        with pytest.raises(ValueError):
-            verify_claim(p6, 0.9, "exact", tol=1e-6)
+            Claim("P6", 1.5, 1.5, 1e-6, "lower_bound")

@@ -12,8 +12,8 @@ from bmgon.pgram import (
     Parallelogram,
     balance_inscribed,
     circum_ratio,
+    contacts,
     gauge,
-    is_circumscribed,
     is_inscribed,
     vertex_hausdorff,
 )
@@ -99,18 +99,13 @@ class TestContainmentPredicates:
         shrunk = Parallelogram(Vec2(0.5, 0.0), Vec2(0.0, 0.5))
         assert not is_inscribed(shrunk, p6)
 
-    def test_is_circumscribed(self, p4):
-        assert is_circumscribed(UNIT_SQUARE, p4)
-        loose = Parallelogram(Vec2(2.0, 0.0), Vec2(0.0, 2.0))
-        assert not is_circumscribed(loose, p4)
-        small = Parallelogram(Vec2(0.5, 0.0), Vec2(0.0, 0.5))
-        assert not is_circumscribed(small, p4)
-
     def test_scaled_optimum_circumscribes_hexagon(self, p6):
         p = Parallelogram(Vec2(1.0, 0.0), Vec2(0.0, SQRT3 / 2.0))
         lam = circum_ratio(p, p6)
         scaled = Parallelogram(lam * p.u, lam * p.v)
-        assert is_circumscribed(scaled, p6)
+        # contains the hexagon, with vertices on its boundary
+        assert abs(circum_ratio(scaled, p6) - 1.0) <= 1e-15
+        assert len(contacts(scaled, p6, 1.0)) == 4
 
 
 class TestBalanceInscribed:
