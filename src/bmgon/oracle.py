@@ -2,12 +2,17 @@
 origin-symmetric parallelograms of a centrally symmetric polygon.
 
 The search space is the pair of boundary parameters (t1, t2) of the two
-generators, reduced to t1 in [0, 2m) and t2 = t1 + s with s in (0, m) so
-that the generators are counterclockwise.  The objective, the maximal
-parallelogram gauge over the polygon's vertices, is evaluated on a full
-grid and then polished by a derivative-free local descent: alternating
-golden-section line searches along two orthogonal coordinates on a
-bracket that shrinks whenever a sweep stops improving.
+generators, with t2 = t1 + s and s in (0, m) so that the generators are
+counterclockwise.  Each parallelogram conv{+-u, +-v} has four such
+labellings, (u, v), (-u, -v), (v, -u) and (-v, u), so the objective
+satisfies F(t1, s) = F(t1 + m, s) = F(t1 + s, m - s) and is scanned on
+the fundamental domain t1 in [0, m), s in (0, m/2], a quarter of the
+parameter torus.  The objective, the maximal parallelogram gauge over
+the polygon's vertices, is evaluated on a grid of that domain and then
+polished by a derivative-free local descent: alternating golden-section
+line searches along two orthogonal coordinates on a bracket that
+shrinks whenever a sweep stops improving.  The descent itself may leave
+the domain; its result labels the same parallelogram either way.
 
 The objective is a maximum of smooth per-vertex sheets, so its valleys
 are creases where two sheets tie; fixed axis-aligned coordinates stall on
@@ -73,47 +78,59 @@ def _vertex_arrays(c: CentralPolygon) -> tuple[list[tuple[float, float]], np.nda
     return pts, np.asarray(pts, dtype=float)
 
 
-def _boundary_array(verts: np.ndarray, t: np.ndarray) -> np.ndarray:
-    n = len(verts)
-    t = np.asarray(t, dtype=float) % n
-    t = np.where(t >= n, 0.0, t)  # float mod can round up to the period
-    i = np.minimum(t.astype(int), n - 1)
+def _boundary_xy_arrays(verts: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary coordinates at parameters t in [0, n): the numpy form of
+    ``geom._boundary_xy``, gathered from 1-d vertex and edge-delta tables
+    with no reduction modulo n."""
+    x, y = verts[:, 0], verts[:, 1]
+    dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
+    i = t.astype(np.intp)
     f = t - i
-    a = verts[i]
-    b = verts[(i + 1) % n]
-    return a + f[..., None] * (b - a)
+    return x[i] + f * dx[i], y[i] + f * dy[i]
 
 
 def grid_scan(
     c: CentralPolygon, grid: int, margin: float = DEFAULT_SETTINGS.margin
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective on the grid x grid mesh of the reduced domain.
+    """Objective on the fundamental domain t1 in [0, m), s in (0, m/2].
 
-    Returns (t1 values, s values, F) where F[i, k] is the maximal vertex
-    gauge of the parallelogram with generators at boundary parameters
-    t1[i] and t1[i] + s[k]; infeasible cells hold +inf.
+    The cell width is that of a grid x grid mesh of t1 in [0, 2m) and
+    s in [margin, m - margin]; the scan keeps the ceil(grid/2) rows with
+    t1 = k * 2m / grid < m and the first ceil(grid/2) values of that s
+    mesh, which are the ones up to m/2 (an odd grid's middle value is
+    m/2 up to rounding).  Every other parameter pair labels the same
+    parallelogram as one of these, since F(t1, s) = F(t1 + m, s) =
+    F(t1 + s, m - s).
+
+    Returns (t1 values, s values, F) with shapes (h,), (h,) and (h, h),
+    h = ceil(grid/2), where F[i, k] is the maximal vertex gauge of the
+    parallelogram with generators at boundary parameters t1[i] and
+    t1[i] + s[k]; infeasible cells hold +inf.
     """
     if grid < 8:
         raise ValueError(f"grid must be at least 8, got {grid}")
     pts, verts = _vertex_arrays(c)
-    n = len(pts)
-    m = n // 2
-    t1 = np.arange(grid) * (2.0 * m / grid)
-    s = margin + np.arange(grid) * ((m - 2.0 * margin) / (grid - 1))
-    gen_u = _boundary_array(verts, t1)
-    gen_v = _boundary_array(verts, t1[:, None] + s[None, :])
-    ux = gen_u[:, 0][:, None]
-    uy = gen_u[:, 1][:, None]
-    vx = gen_v[..., 0]
-    vy = gen_v[..., 1]
+    m = len(pts) // 2
+    half = (grid + 1) // 2
+    t1 = np.arange(half) * (2.0 * m / grid)
+    s = margin + np.arange(half) * ((m - 2.0 * margin) / (grid - 1))
+    # t1 + s < 1.5 m < n, so no parameter needs reducing modulo n
+    ux, uy = _boundary_xy_arrays(verts, t1[:, None])
+    vx, vy = _boundary_xy_arrays(verts, t1[:, None] + s[None, :])
     den = ux * vy - uy * vx
-    best = None
+    best = np.zeros_like(den)
+    g = np.empty_like(den)
+    tmp = np.empty_like(den)
     for wx, wy in pts[:m]:  # antipodal vertices have equal gauge
-        g = np.abs(wx * vy - wy * vx) + np.abs(ux * wy - uy * wx)
-        best = g if best is None else np.maximum(best, g)
+        np.multiply(vy, wx, out=g)
+        np.multiply(vx, wy, out=tmp)
+        np.subtract(g, tmp, out=g)
+        np.abs(g, out=g)
+        g += np.abs(ux * wy - uy * wx)
+        np.maximum(best, g, out=best)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = best / den
-    f = np.where(np.isfinite(f) & (den > 0.0), f, np.inf)
+        f = np.divide(best, den, out=best)
+    f[~(np.isfinite(f) & (den > 0.0))] = np.inf
     return t1, s, f
 
 
@@ -251,8 +268,12 @@ def bm_distance(
 
 
 def _local_minima_mask(f: np.ndarray) -> np.ndarray:
-    """Cells not exceeded by any of their 8 neighbors; the t1 axis wraps,
-    the s axis is padded."""
+    """Cells not exceeded by any of their 8 neighbors.
+
+    The t1 axis wraps with period m, as F does.  The s axis is padded
+    with +inf at both ends; across the s = m/2 seam the true neighbors
+    lie in other rows (F(t1, s) = F(t1 + s, m - s)), so the padding can
+    only add candidates, never drop a minimum."""
     fp = np.where(np.isfinite(f), f, np.inf)
     rows = fp.shape[0]
     neighbors = np.full_like(fp, np.inf)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_central_polygon, random_linear_map
-from bmgon.geom import linear_image, regular_polygon
+from bmgon.geom import boundary_point, linear_image, regular_polygon
 from bmgon.cli import Claim
-from bmgon.oracle import SearchSettings, argmin_orbit, bm_distance, grid_scan
-from bmgon.pgram import circum_ratio, gauge, vertex_hausdorff
+from bmgon.oracle import SearchSettings, _make_objective, argmin_orbit, bm_distance, grid_scan
+from bmgon.pgram import Parallelogram, circum_ratio, gauge, vertex_hausdorff
 
 SQRT2 = math.sqrt(2.0)
 
@@ -15,7 +15,7 @@ SQRT2 = math.sqrt(2.0)
 class TestGridScan:
     def test_shape_and_feasibility(self, p6):
         t1, s, f = grid_scan(p6, 64)
-        assert t1.shape == (64,) and s.shape == (64,) and f.shape == (64, 64)
+        assert t1.shape == (32,) and s.shape == (32,) and f.shape == (32, 32)
         assert np.isfinite(f).any()
         finite = f[np.isfinite(f)]
         assert (finite >= 1.0).all()
@@ -32,6 +32,44 @@ class TestGridScan:
     def test_rejects_tiny_grid(self, p6):
         with pytest.raises(ValueError):
             grid_scan(p6, 7)
+
+    @pytest.mark.parametrize("grid", [64, 45])
+    def test_fundamental_domain_matches_the_scalar_objective(self, grid):
+        half = (grid + 1) // 2
+        rng = np.random.default_rng(grid)
+        for gon in (regular_polygon(6), regular_polygon(10), random_central_polygon(rng, m=5)):
+            m = len(gon.vertices) // 2
+            t1, s, f = grid_scan(gon, grid)
+            assert t1.shape == (half,) and s.shape == (half,) and f.shape == (half, half)
+            assert (t1 < m).all()
+            # an odd grid's middle s value is m/2 up to one rounding
+            assert (s <= np.nextafter(m / 2.0, np.inf)).all()
+            objective, _, _ = _make_objective(gon, SearchSettings().margin)
+            for i, k in zip(rng.integers(0, half, 50), rng.integers(0, half, 50)):
+                expected = objective(float(t1[i]), float(s[k]))
+                assert math.isclose(f[i, k], expected, rel_tol=1e-12), (i, k)
+
+
+class TestRelabelling:
+    """The scan covers only t1 in [0, m), s in (0, m/2] because the four
+    labellings of a parallelogram give F(t1, s) = F(t1 + m, s) =
+    F(t1 + s, m - s)."""
+
+    @staticmethod
+    def _ratio(gon, t1, s):
+        u, v = boundary_point(gon, t1), boundary_point(gon, t1 + s)
+        return circum_ratio(Parallelogram(u, v), gon)
+
+    def test_objective_is_invariant_under_relabelling(self):
+        rng = np.random.default_rng(2008)
+        gons = [regular_polygon(6), regular_polygon(10)]
+        gons += [random_central_polygon(rng) for _ in range(3)]
+        for gon in gons:
+            m = len(gon.vertices) // 2
+            for t1, s in zip(rng.uniform(0.0, 2.0 * m, 200), rng.uniform(0.02 * m, 0.98 * m, 200)):
+                base = self._ratio(gon, t1, s)
+                assert math.isclose(self._ratio(gon, t1 + m, s), base, rel_tol=1e-12)
+                assert math.isclose(self._ratio(gon, t1 + s, m - s), base, rel_tol=1e-12)
 
 
 class TestBMDistance:
@@ -122,6 +160,17 @@ class TestArgminOrbit:
         for p in reps:
             assert abs(p.u.norm() - p.v.norm()) <= 1e-6
             assert abs(p.u.dot(p.v)) <= 1e-6
+
+    def test_classes_across_the_seam_and_the_wrap(self):
+        # optima of P16 and of a linear image of P8 sit at s = m/2 and at
+        # t1 near m, where the scan's seam and period meet
+        rng = np.random.default_rng(16)
+        for gon in (regular_polygon(16), linear_image(regular_polygon(8), random_linear_map(rng))):
+            result = bm_distance(gon, grid=360)
+            reps = argmin_orbit(gon, result, tol=1e-4)
+            assert len(reps) == 2
+            for p in reps:
+                assert circum_ratio(p, gon) <= result.lam + 1e-4
 
     def test_representatives_are_distinct_classes(self, p6):
         from bmgon.geom import apply_linear, polygon_symmetries
