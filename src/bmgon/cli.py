@@ -384,6 +384,10 @@ def _distance_record(name: str, result: BMResult) -> tuple[dict, str]:
         "t_u": result.t_u,
         "t_v": result.t_v,
         "contacts": [[w.x, w.y] for w in result.contacts],
+        "starts": [
+            {"t1": r.t1, "s": r.s, "value": r.value, "sweeps": r.sweeps, "stop": r.stop}
+            for r in result.starts
+        ],
     }
     note = ""
     match = _SHORTHAND.fullmatch(name)
@@ -399,8 +403,8 @@ def _distance_record(name: str, result: BMResult) -> tuple[dict, str]:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    gon, name = _load_polygon(args.polygon)
     settings = SearchSettings(starts=args.starts, shrink=args.shrink)
+    gon, name = _load_polygon(args.polygon)
     start = time.perf_counter()
     result = bm_distance(gon, grid=args.grid, refine=not args.no_refine, settings=settings)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
@@ -579,7 +583,13 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("polygon", help="polygon file path or Pn shorthand")
     dist.add_argument("--grid", type=int, default=360, help="grid resolution (default 360)")
     dist.add_argument("--no-refine", action="store_true", help="skip local refinement")
-    dist.add_argument("--starts", type=int, default=5, help="refinement starts (default 5)")
+    dist.add_argument(
+        "--starts",
+        type=int,
+        default=5,
+        metavar="N",
+        help="at most N descents; rotated copies are skipped (default 5)",
+    )
     dist.add_argument(
         "--shrink", type=float, default=0.5, help="bracket shrink factor (default 0.5)"
     )

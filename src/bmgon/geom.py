@@ -185,21 +185,15 @@ def boundary_point(polygon: CentralPolygon, t: float) -> Vec2:
     boundary_point(t + m) == -boundary_point(t) holds up to the rounding
     of t + m itself.
     """
-    return Vec2(*_boundary_xy(polygon.vertices, t))
-
-
-def _boundary_xy(pts: Sequence[Iterable[float]], t: float) -> tuple[float, float]:
-    """Coordinates of boundary_point(t) on a vertex cycle of points or
-    (x, y) pairs; the search objective calls this on raw floats."""
-    n = len(pts)
+    verts = polygon.vertices
+    n = len(verts)
     t = t % n
     if t >= n:  # float mod can round up to the period itself
         t = 0.0
     i = int(t)
     f = t - i
-    ax, ay = pts[i]
-    bx, by = pts[(i + 1) % n]
-    return ax + f * (bx - ax), ay + f * (by - ay)
+    a, b = verts[i], verts[(i + 1) % n]
+    return Vec2(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
 
 
 def transversal_ratio(inner: Strip, outer: Strip, line_dir: Vec2) -> tuple[float, float]:

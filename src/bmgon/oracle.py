@@ -14,6 +14,14 @@ line searches along two orthogonal coordinates on a bracket that
 shrinks whenever a sweep stops improving.  The descent itself may leave
 the domain; its result labels the same parallelogram either way.
 
+The descents start from the lowest grid cells.  A rotation of the
+polygon that sends vertex 0 to vertex k sends boundary parameter t to
+t + k, so F(t1 + k, s) = F(t1, s); a cell whose t1 differs from that of
+an earlier start in the same s column by such a shift, modulo m, is an
+exact rotated copy and is skipped, not replaced by the next cell.  On a
+regular polygon the lowest cells are mostly copies of one or two, so
+fewer descents run; a polygon without rotations runs them all.
+
 The objective is a maximum of smooth per-vertex sheets, so its valleys
 are creases where two sheets tie; fixed axis-aligned coordinates stall on
 a diagonal crease, because each 1-d slice then has its minimum exactly at
@@ -24,18 +32,20 @@ sheets, estimated by central differences of their gap.
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .geom import CentralPolygon, Vec2, _boundary_xy, boundary_point, polygon_symmetries
+from .geom import CentralPolygon, Vec2, apply_linear, boundary_point, polygon_symmetries
 from .pgram import Parallelogram, circum_ratio, contacts, symmetry_orbit, vertex_hausdorff
 
 __all__ = [
     "SearchSettings",
     "BMResult",
+    "StartRecord",
     "grid_scan",
     "bm_distance",
     "argmin_orbit",
@@ -55,14 +65,40 @@ class SearchSettings:
     margin: float = 1e-6       # keeps s = t2 - t1 inside (margin, m - margin)
     max_sweeps: int = 3000
 
+    def __post_init__(self) -> None:
+        checks = (
+            ("starts", self.starts >= 1, "at least 1"),
+            ("shrink", 0.0 < self.shrink < 1.0, "in (0, 1)"),
+            ("step_tol", self.step_tol > 0.0, "positive"),
+            ("objective_tol", self.objective_tol >= 0.0, "non-negative"),
+            ("margin", self.margin > 0.0, "positive"),
+            ("max_sweeps", self.max_sweeps >= 1, "at least 1"),
+        )
+        for name, ok, want in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
+
 
 DEFAULT_SETTINGS = SearchSettings()
 
 
 @dataclass(frozen=True)
+class StartRecord:
+    """One descent: its start cell (t1, s), final objective value, sweeps
+    run and stop reason (``step_tol`` or ``max_sweeps``)."""
+
+    t1: float
+    s: float
+    value: float
+    sweeps: int
+    stop: str
+
+
+@dataclass(frozen=True)
 class BMResult:
     """Minimal ratio found, its witness parallelogram and boundary
-    parameters, and the polygon vertices realizing the ratio."""
+    parameters, the polygon vertices realizing the ratio, and a record of
+    each descent (empty without refinement)."""
 
     lam: float
     parallelogram: Parallelogram
@@ -71,6 +107,7 @@ class BMResult:
     contacts: tuple[Vec2, ...]
     grid_resolution: int
     refined: bool
+    starts: tuple[StartRecord, ...] = field(default=(), compare=False)
 
 
 def _vertex_arrays(c: CentralPolygon) -> tuple[list[tuple[float, float]], np.ndarray]:
@@ -78,12 +115,18 @@ def _vertex_arrays(c: CentralPolygon) -> tuple[list[tuple[float, float]], np.nda
     return pts, np.asarray(pts, dtype=float)
 
 
-def _boundary_xy_arrays(verts: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary coordinates at parameters t in [0, n): the numpy form of
-    ``geom._boundary_xy``, gathered from 1-d vertex and edge-delta tables
-    with no reduction modulo n."""
+def _edge_tables(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Vertex coordinates x, y and edge deltas dx, dy: the boundary point
+    at parameter t = i + f is (x[i] + f * dx[i], y[i] + f * dy[i]), as in
+    ``geom.boundary_point``."""
     x, y = verts[:, 0], verts[:, 1]
-    dx, dy = np.roll(x, -1) - x, np.roll(y, -1) - y
+    return x, y, np.roll(x, -1) - x, np.roll(y, -1) - y
+
+
+def _boundary_xy_arrays(verts: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boundary coordinates at parameters t in [0, n), gathered from the
+    edge tables with no reduction modulo n."""
+    x, y, dx, dy = _edge_tables(verts)
     i = t.astype(np.intp)
     f = t - i
     return x[i] + f * dx[i], y[i] + f * dy[i]
@@ -136,30 +179,67 @@ def grid_scan(
 
 def _make_objective(
     c: CentralPolygon, margin: float
-) -> tuple[Callable[[float, float], float], Callable[[float, float], list[float]], int]:
-    """Scalar objective and per-vertex sheet values on raw floats."""
-    pts, _ = _vertex_arrays(c)
-    m = len(pts) // 2
-    lo, hi = margin, m - margin
+) -> tuple[Callable[[float, float], float], Callable[..., list[float]], int]:
+    """Scalar objective and per-vertex sheet values on raw floats.
 
-    def sheets(t1: float, s: float) -> list[float]:
+    Both read the boundary from the edge tables as lists, reducing the
+    parameters modulo n as ``geom.boundary_point`` does, since a descent
+    may leave [0, n).  The objective divides the largest sheet
+    numerator by the common positive denominator, which equals the
+    largest sheet bit for bit since correctly rounded division by a
+    positive number is monotone.  ``sheets(t1, s, which)`` evaluates
+    only the sheets of the vertex indices in ``which``.
+    """
+    pts, verts = _vertex_arrays(c)
+    n = len(pts)
+    m = n // 2
+    lo, hi = margin, m - margin
+    xs, ys, dxs, dys = (a.tolist() for a in _edge_tables(verts))
+    half = pts[:m]  # antipodal vertices have equal gauge
+
+    def ends(t1: float, s: float) -> tuple[float, float, float, float, float]:
         s = lo if s < lo else hi if s > hi else s
-        ux, uy = _boundary_xy(pts, t1)
-        vx, vy = _boundary_xy(pts, t1 + s)
-        den = ux * vy - uy * vx
+        t = t1 % n
+        if t >= n:  # float mod can round up to the period itself
+            t = 0.0
+        i = int(t)
+        f = t - i
+        ux, uy = xs[i] + f * dxs[i], ys[i] + f * dys[i]
+        t = (t1 + s) % n
+        if t >= n:
+            t = 0.0
+        i = int(t)
+        f = t - i
+        vx, vy = xs[i] + f * dxs[i], ys[i] + f * dys[i]
+        return ux, uy, vx, vy, ux * vy - uy * vx
+
+    def sheets(t1: float, s: float, which: range | tuple[int, ...] = range(m)) -> list[float]:
+        ux, uy, vx, vy, den = ends(t1, s)
         if not den > 1e-300:
-            return [math.inf] * m
+            return [math.inf] * len(which)
         return [
-            (abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)) / den for wx, wy in pts[:m]
+            (abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)) / den
+            for wx, wy in (half[i] for i in which)
         ]
 
     def objective(t1: float, s: float) -> float:
-        return max(sheets(t1, s))
+        ux, uy, vx, vy, den = ends(t1, s)
+        if not den > 1e-300:
+            return math.inf
+        top = 0.0
+        for wx, wy in half:
+            g = abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)
+            if g > top:
+                top = g
+        return top / den
 
     return objective, sheets, m
 
 
-def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float) -> float:
+def _golden_min(
+    f: Callable[[float], float], lo: float, hi: float, tol: float
+) -> tuple[float, float]:
+    """Golden-section minimizer on [lo, hi]: the best probe and its value."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = f(x1), f(x2)
@@ -172,34 +252,38 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float) -
             lo, x1, f1 = x1, x2, f2
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = f(x2)
-    return x1 if f1 <= f2 else x2
+    return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
 def _descend(
     objective: Callable[[float, float], float],
-    sheets: Callable[[float, float], list[float]],
+    sheets: Callable[..., list[float]],
     t1: float,
     s: float,
     radius: float,
     m: int,
     settings: SearchSettings,
-) -> tuple[float, float, float]:
+) -> tuple[float, float, float, int, str]:
+    """Local descent from (t1, s).  Returns the final point and value,
+    the sweeps run, and the stop reason: ``step_tol`` when the bracket
+    radius fell below ``settings.step_tol``, ``max_sweeps`` when the
+    sweeps ran out first."""
     lo, hi = settings.margin, m - settings.margin
-    f0 = objective(t1, s)
+    fcur = objective(t1, s)
+    f0 = fcur
     r = radius
-    for _ in range(settings.max_sweeps):
+    for sweep in range(1, settings.max_sweeps + 1):
         # coordinate frame aligned with the tie direction of the two
         # leading gauge sheets; falls back to the axes when flat
         values = sheets(t1, s)
-        order = sorted(range(len(values)), key=lambda i: -values[i])
         e1 = (1.0, 0.0)
-        if len(order) >= 2:
-            i1, i2 = order[0], order[1]
+        if len(values) >= 2:
+            pair = tuple(heapq.nlargest(2, range(len(values)), key=values.__getitem__))
             d = max(r * 1e-3, 1e-9)
 
             def sheet_gap(a: float, b: float) -> float:
-                vals = sheets(a, b)
-                return vals[i1] - vals[i2]
+                v1, v2 = sheets(a, b, pair)
+                return v1 - v2
 
             gx = (sheet_gap(t1 + d, s) - sheet_gap(t1 - d, s)) / (2.0 * d)
             gy = (sheet_gap(t1, s + d) - sheet_gap(t1, s - d)) / (2.0 * d)
@@ -208,17 +292,41 @@ def _descend(
                 e1 = (-gy / norm, gx / norm)
         for ex, ey in (e1, (-e1[1], e1[0])):
             tol = max(r * 1e-3, 1e-12)
-            tau = _golden_min(lambda t: objective(t1 + t * ex, s + t * ey), -r, r, tol)
-            if objective(t1 + tau * ex, s + tau * ey) <= objective(t1, s):
+            tau, ftau = _golden_min(lambda t: objective(t1 + t * ex, s + t * ey), -r, r, tol)
+            if ftau <= fcur:
                 t1 = t1 + tau * ex
                 s = min(max(s + tau * ey, lo), hi)
-        f1 = objective(t1, s)
-        if f0 - f1 < settings.objective_tol:
+                fcur = ftau
+        if f0 - fcur < settings.objective_tol:
             r *= settings.shrink
             if r < settings.step_tol:
-                break
-        f0 = f1
-    return t1, s, objective(t1, s)
+                return t1, s, fcur, sweep, "step_tol"
+        f0 = fcur
+    return t1, s, fcur, settings.max_sweeps, "max_sweeps"
+
+
+def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
+    """Row and column of the ``count`` lowest cells of F, lowest first."""
+    flat = f.ravel()
+    count = min(count, flat.size)
+    idx = np.argpartition(flat, count - 1)[:count]
+    idx = idx[np.argsort(flat[idx], kind="stable")]
+    return [divmod(int(j), f.shape[1]) for j in idx]
+
+
+def _rotation_shifts(c: CentralPolygon) -> list[int]:
+    """Vertex-index shift k of each rotation of the polygon, that is each
+    map in ``polygon_symmetries`` with positive determinant: the map
+    sends vertex 0 to vertex k and boundary parameter t to t + k, so
+    F(t1 + k, s) = F(t1, s)."""
+    verts = c.vertices
+    shifts = []
+    for mat in polygon_symmetries(c):
+        (a, b), (cc, d) = mat
+        if a * d - b * cc > 0.0:
+            image = apply_linear(mat, verts[0])
+            shifts.append(min(range(len(verts)), key=lambda j: (verts[j] - image).norm()))
+    return shifts
 
 
 def bm_distance(
@@ -230,24 +338,43 @@ def bm_distance(
     """Minimal circumscribed ratio over inscribed parallelograms of the
     polygon, by grid search plus optional local refinement.
 
+    The candidate starts are the ``settings.starts`` lowest grid cells,
+    lowest first.  A candidate is descended from unless it is an exact
+    rotated copy of a start already descended: same s column, and t1
+    values that differ by the vertex-index shift k of a rotation of the
+    polygon modulo the t1 period m, tested in integers on the row
+    indices.  A skipped candidate is not replaced, so at most
+    ``settings.starts`` descents run; a polygon with no rotation besides
+    the identity and the point reflection runs them all.
+
     The result is deterministic for fixed arguments.  The returned ratio
     is recomputed from the witness, so ``circum_ratio(parallelogram, c)``
     reproduces ``lam`` exactly.
     """
     t1s, ss, f = grid_scan(c, grid, settings.margin)
-    flat = f.ravel()
-    if not np.isfinite(flat).any():
+    if not np.isfinite(f).any():
         raise RuntimeError("no feasible parallelogram cell on the grid")
     objective, sheets, m = _make_objective(c, settings.margin)
-    count = min(settings.starts, flat.size)
-    idx = np.argpartition(flat, count - 1)[:count]
-    idx = idx[np.argsort(flat[idx], kind="stable")]
+    shifts = _rotation_shifts(c)
     best: tuple[float, float, float] | None = None
-    for flat_index in idx:
-        i, k = divmod(int(flat_index), f.shape[1])
+    seen: list[tuple[int, int]] = []
+    starts: list[StartRecord] = []
+    for i, k in _lowest_cells(f, settings.starts):
+        # t1 rows i and j hold rotated copies when (i - j) * 2m / grid is
+        # congruent to a shift modulo m
+        if any(
+            k == k2 and ((i - j) * 2 * m - shift * grid) % (m * grid) == 0
+            for j, k2 in seen
+            for shift in shifts
+        ):
+            continue
+        seen.append((i, k))
         t1, s, val = float(t1s[i]), float(ss[k]), float(f[i, k])
         if refine:
-            t1, s, val = _descend(objective, sheets, t1, s, 2.0 * m / grid, m, settings)
+            t1, s, val, sweeps, stop = _descend(
+                objective, sheets, t1, s, 2.0 * m / grid, m, settings
+            )
+            starts.append(StartRecord(float(t1s[i]), float(ss[k]), val, sweeps, stop))
         if best is None or val < best[2]:
             best = (t1, s, val)
     t1, s, _ = best
@@ -264,6 +391,7 @@ def bm_distance(
         contacts=contacts(witness, c, lam),
         grid_resolution=grid,
         refined=refine,
+        starts=tuple(starts),
     )
 
 
@@ -324,7 +452,7 @@ def argmin_orbit(
 
     candidates: list[tuple[float, Parallelogram]] = []
     for i, k in np.argwhere(mask):
-        t1, s, val = _descend(
+        t1, s, val, _, _ = _descend(
             objective, sheets, float(t1s[i]), float(ss[k]), 2.0 * m / result.grid_resolution, m, settings
         )
         if val <= result.lam + tol:

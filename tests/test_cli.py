@@ -127,6 +127,30 @@ class TestDistance:
         assert record["refined"] is True
         assert len(record["contacts"]) >= 4
 
+    def test_json_reports_each_descent(self, capsys):
+        code, out, _ = run(capsys, "distance", "P10", "--grid", "720", "--json")
+        assert code == 0
+        record = json.loads(out)
+        # the lowest cells of the regular 10-gon are rotated copies of one
+        assert len(record["starts"]) == 1
+        (start,) = record["starts"]
+        assert set(start) == {"t1", "s", "value", "sweeps", "stop"}
+        assert start["stop"] == "step_tol" and start["sweeps"] >= 1
+        assert start["value"] >= record["lambda"] - 1e-12
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--starts", "0"), ("--starts", "-1"), ("--shrink", "0"), ("--shrink", "1")]
+    )
+    def test_invalid_search_settings_exit_before_scanning(self, capsys, monkeypatch, flag, value):
+        def fail(*args, **kwargs):
+            raise AssertionError("bm_distance must not run")
+
+        monkeypatch.setattr("bmgon.cli.bm_distance", fail)
+        code, out, err = run(capsys, "distance", "P6", flag, value)
+        assert code == 2
+        assert out == ""
+        assert flag.lstrip("-") in err
+
     def test_no_refine_flag(self, capsys):
         code, out, _ = run(capsys, "distance", "P6", "--no-refine", "--grid", "90")
         assert code == 0

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_central_polygon, random_linear_map
-from bmgon.geom import boundary_point, linear_image, regular_polygon
+from bmgon.geom import apply_linear, boundary_point, linear_image, polygon_symmetries, regular_polygon
 from bmgon.cli import Claim
-from bmgon.oracle import SearchSettings, _make_objective, argmin_orbit, bm_distance, grid_scan
+from bmgon.evengon import theorem2_value
+from bmgon.oracle import (
+    SearchSettings,
+    _lowest_cells,
+    _make_objective,
+    argmin_orbit,
+    bm_distance,
+    grid_scan,
+)
 from bmgon.pgram import Parallelogram, circum_ratio, gauge, vertex_hausdorff
 
 SQRT2 = math.sqrt(2.0)
@@ -48,6 +56,25 @@ class TestGridScan:
             for i, k in zip(rng.integers(0, half, 50), rng.integers(0, half, 50)):
                 expected = objective(float(t1[i]), float(s[k]))
                 assert math.isclose(f[i, k], expected, rel_tol=1e-12), (i, k)
+
+
+class TestObjective:
+    def test_fused_objective_is_the_largest_sheet_bit_for_bit(self):
+        rng = np.random.default_rng(2000)
+        margin = SearchSettings().margin
+        for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
+            m = len(gon.vertices) // 2
+            objective, sheets, _ = _make_objective(gon, margin)
+            # t1 well outside [0, 2m) and s outside [margin, m - margin]
+            t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000)
+            ss = rng.uniform(-0.5, m + 0.5, 2000)
+            assert (t1s < 0).any() and (t1s >= 2 * m).any()
+            assert (ss < margin).any() and (ss > m - margin).any()
+            for t1, s in zip(t1s.tolist(), ss.tolist()):
+                values = sheets(t1, s)
+                assert objective(t1, s) == max(values), (t1, s)
+                i, j = (int(x) for x in rng.integers(0, m, 2))
+                assert sheets(t1, s, (i, j)) == [values[i], values[j]]
 
 
 class TestRelabelling:
@@ -139,6 +166,108 @@ class TestBMDistance:
             gon = random_central_polygon(rng)
             result = bm_distance(gon, grid=120)
             assert 1.0 - 1e-9 <= result.lam <= 1.5 + 1e-6
+
+
+class TestStarts:
+    """The descents start from the lowest grid cells, skipping exact
+    rotated copies of an earlier start."""
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [("P6", 2), ("P10", 1), ("P14", 5), ("P18", 1), ("random", 5)],
+    )
+    def test_descents_at_grid_720(self, name, expected):
+        if name == "random":
+            gon = random_central_polygon(np.random.default_rng(720), m=6)
+        else:
+            gon = regular_polygon(int(name[1:]))
+        result = bm_distance(gon, grid=720)
+        assert len(result.starts) == expected
+        for record in result.starts:
+            assert record.stop == "step_tol" and record.sweeps >= 1
+            assert record.value >= result.lam - 1e-12
+
+    @pytest.mark.parametrize("grid", [45, 91, 360, 720])
+    def test_skipped_starts_are_rotated_copies(self, grid):
+        rng = np.random.default_rng(grid)
+        gons = [regular_polygon(6), regular_polygon(10), regular_polygon(12)]
+        gons.append(linear_image(regular_polygon(8), random_linear_map(rng)))
+        skipped_total = 0
+        for gon in gons:
+            t1s, ss, f = grid_scan(gon, grid)
+            result = bm_distance(gon, grid=grid)
+            rows, cols = t1s.tolist(), ss.tolist()
+            descended = [(rows.index(r.t1), cols.index(r.s)) for r in result.starts]
+            candidates = _lowest_cells(f, SearchSettings().starts)
+            assert descended == [cell for cell in candidates if cell in descended]
+            rotations = [
+                mat
+                for mat in polygon_symmetries(gon)
+                if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] > 0.0
+            ]
+            tol = 1e-9 * max(v.norm() for v in gon.vertices)
+
+            def pgram(cell):
+                t1, s = rows[cell[0]], cols[cell[1]]
+                return Parallelogram(boundary_point(gon, t1), boundary_point(gon, t1 + s))
+
+            def is_rotated_copy(a, b):
+                p, q = pgram(a), pgram(b)
+                return any(
+                    vertex_hausdorff(
+                        Parallelogram.from_unordered(apply_linear(mat, p.u), apply_linear(mat, p.v)), q
+                    )
+                    <= tol
+                    for mat in rotations
+                )
+
+            for cell in candidates:
+                if cell not in descended:
+                    skipped_total += 1
+                    assert any(is_rotated_copy(d, cell) for d in descended), cell
+            for x, a in enumerate(descended):
+                for b in descended[x + 1 :]:
+                    assert not is_rotated_copy(a, b), (a, b)
+        # a rotation moves t1 by a whole number of rows only if the grid
+        # shares a factor with m or is even; 91 is odd and prime to every
+        # m here, so nothing may be skipped there
+        assert (skipped_total > 0) == (grid != 91)
+
+    def test_lambda_matches_the_closed_form(self):
+        rng = np.random.default_rng(12)
+        for n in (6, 8, 12, 16, 20, 24):
+            claimed = theorem2_value(n).value
+            gon = regular_polygon(n)
+            for poly in (gon, linear_image(gon, random_linear_map(rng))):
+                for grid in (90, 360, 720):
+                    lam = bm_distance(poly, grid=grid).lam
+                    assert abs(lam - claimed) <= 1e-12, (n, grid, lam - claimed)
+
+    def test_running_out_of_sweeps_is_reported(self, p6):
+        result = bm_distance(p6, grid=90, settings=SearchSettings(max_sweeps=2))
+        assert result.starts
+        assert all(r.stop == "max_sweeps" and r.sweeps == 2 for r in result.starts)
+
+    def test_unrefined_result_has_no_descents(self, p6):
+        assert bm_distance(p6, grid=90, refine=False).starts == ()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("starts", 0),
+            ("starts", -1),
+            ("shrink", 0.0),
+            ("shrink", 1.0),
+            ("shrink", math.nan),
+            ("step_tol", 0.0),
+            ("objective_tol", -1e-12),
+            ("margin", 0.0),
+            ("max_sweeps", 0),
+        ],
+    )
+    def test_settings_reject_invalid_values(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchSettings(**{field: value})
 
 
 class TestArgminOrbit:
