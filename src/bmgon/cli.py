@@ -588,7 +588,10 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=5,
         metavar="N",
-        help="at most N descents; rotated copies are skipped (default 5)",
+        help=(
+            "lowest cells of one rotation period; a polygon with r rotations"
+            " descends ceil(N/r) (default 5)"
+        ),
     )
     dist.add_argument(
         "--shrink", type=float, default=0.5, help="bracket shrink factor (default 0.5)"

@@ -26,6 +26,7 @@ __all__ = [
     "line_intersection",
     "linear_image",
     "apply_linear",
+    "symmetry_map",
     "polygon_symmetries",
     "parse_polygon",
     "format_polygon",
@@ -293,32 +294,50 @@ def linear_image(polygon: CentralPolygon, mat: Mat2 | Sequence[Sequence[float]])
     return CentralPolygon(verts)
 
 
-def polygon_symmetries(polygon: CentralPolygon, tol: float = 1e-9) -> list[Mat2]:
-    """All linear maps that send the vertex cycle of the polygon onto
-    itself.
+def symmetry_map(polygon: CentralPolygon, k: int, step: int, tol: float = 1e-9) -> Mat2 | None:
+    """The linear map sending vertex i to vertex k + step * i (indices
+    modulo n), if it carries the vertex cycle onto itself; otherwise None.
 
-    For a regular n-gon this is the dihedral group of order 2n (rotations
-    and reflections); any valid polygon at least admits the identity and
-    the point reflection through the origin.
+    The map is fixed by the images of vertices 0 and 1.  Every vertex
+    image must match its target within ``tol`` times the largest vertex
+    norm, so the check does not depend on the scale of the polygon; the
+    first vertex that misses ends it.
     """
     verts = polygon.vertices
     n = len(verts)
     v0, v1 = verts[0], verts[1]
     det0 = v0.cross(v1)  # nonzero because the origin is strictly interior
+    w0, w1 = verts[k % n], verts[(k + step) % n]
+    a = (w0.x * v1.y - w1.x * v0.y) / det0
+    b = (w1.x * v0.x - w0.x * v1.x) / det0
+    c = (w0.y * v1.y - w1.y * v0.y) / det0
+    d = (w1.y * v0.x - w0.y * v1.x) / det0
+    bound = tol * max(map(Vec2.norm, verts[: n // 2]))  # antipodes have equal norms
+    if all(
+        abs(a * verts[i].x + b * verts[i].y - verts[(k + step * i) % n].x) <= bound
+        and abs(c * verts[i].x + d * verts[i].y - verts[(k + step * i) % n].y) <= bound
+        for i in range(n)
+    ):
+        return ((a, b), (c, d))
+    return None
+
+
+def polygon_symmetries(polygon: CentralPolygon, tol: float = 1e-9) -> list[Mat2]:
+    """All linear maps that send the vertex cycle of the polygon onto
+    itself, as decided by ``symmetry_map``: for each start vertex k in
+    order, the orientation-preserving map (step 1) before the reversing
+    one (step -1).
+
+    For a regular n-gon this is the dihedral group of order 2n (rotations
+    and reflections); any valid polygon at least admits the identity and
+    the point reflection through the origin.
+    """
     maps: list[Mat2] = []
-    for k in range(n):
+    for k in range(len(polygon.vertices)):
         for step in (1, -1):
-            w0, w1 = verts[k], verts[(k + step) % n]
-            a = (w0.x * v1.y - w1.x * v0.y) / det0
-            b = (w1.x * v0.x - w0.x * v1.x) / det0
-            c = (w0.y * v1.y - w1.y * v0.y) / det0
-            d = (w1.y * v0.x - w0.y * v1.x) / det0
-            if all(
-                abs(a * verts[i].x + b * verts[i].y - verts[(k + step * i) % n].x) <= tol
-                and abs(c * verts[i].x + d * verts[i].y - verts[(k + step * i) % n].y) <= tol
-                for i in range(n)
-            ):
-                maps.append(((a, b), (c, d)))
+            mat = symmetry_map(polygon, k, step, tol)
+            if mat is not None:
+                maps.append(mat)
     return maps
 
 

@@ -5,22 +5,24 @@ The search space is the pair of boundary parameters (t1, t2) of the two
 generators, with t2 = t1 + s and s in (0, m) so that the generators are
 counterclockwise.  Each parallelogram conv{+-u, +-v} has four such
 labellings, (u, v), (-u, -v), (v, -u) and (-v, u), so the objective
-satisfies F(t1, s) = F(t1 + m, s) = F(t1 + s, m - s) and is scanned on
-the fundamental domain t1 in [0, m), s in (0, m/2], a quarter of the
-parameter torus.  The objective, the maximal parallelogram gauge over
-the polygon's vertices, is evaluated on a grid of that domain and then
-polished by a derivative-free local descent: alternating golden-section
-line searches along two orthogonal coordinates on a bracket that
-shrinks whenever a sweep stops improving.  The descent itself may leave
-the domain; its result labels the same parallelogram either way.
+satisfies F(t1, s) = F(t1 + m, s) = F(t1 + s, m - s).  A rotation of the
+polygon that sends vertex i to vertex i + k sends boundary parameter t
+to t + k, so F(t1 + k, s) = F(t1, s) as well; the smallest such step k
+divides m, and k = m when the only rotations are the identity and the
+point reflection.  The objective is therefore scanned on one rotation
+period t1 in [0, k), s in (0, m/2]: a quarter of the parameter torus
+for a polygon without rotations, and m/k times less for one with them.
+The objective, the maximal parallelogram gauge over the polygon's
+vertices, is evaluated on a grid of that domain and then polished by a
+derivative-free local descent: alternating golden-section line searches
+along two orthogonal coordinates on a bracket that shrinks whenever a
+sweep stops improving.  The descent itself may leave the domain; its
+result labels the same parallelogram either way.
 
-The descents start from the lowest grid cells.  A rotation of the
-polygon that sends vertex 0 to vertex k sends boundary parameter t to
-t + k, so F(t1 + k, s) = F(t1, s); a cell whose t1 differs from that of
-an earlier start in the same s column by such a shift, modulo m, is an
-exact rotated copy and is skipped, not replaced by the next cell.  On a
-regular polygon the lowest cells are mostly copies of one or two, so
-fewer descents run; a polygon without rotations runs them all.
+The descents start from the lowest grid cells.  Each scanned cell stands
+for the r = m/k rotated copies of itself in [0, m), so ceil(starts / r)
+of the lowest cells are descended from; a polygon without rotations
+descends from ``starts`` cells.
 
 The objective is a maximum of smooth per-vertex sheets, so its valleys
 are creases where two sheets tie; fixed axis-aligned coordinates stall on
@@ -39,7 +41,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geom import CentralPolygon, Vec2, apply_linear, boundary_point, polygon_symmetries
+from .geom import CentralPolygon, Vec2, boundary_point, polygon_symmetries, symmetry_map
 from .pgram import Parallelogram, circum_ratio, contacts, symmetry_orbit, vertex_hausdorff
 
 __all__ = [
@@ -58,7 +60,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class SearchSettings:
     """Tunables of the refinement stage."""
 
-    starts: int = 5            # grid cells used as descent starts
+    # descents over t1 in [0, m); one rotation period of a polygon with
+    # r rotations descends from its ceil(starts / r) lowest cells
+    starts: int = 5
     shrink: float = 0.5        # bracket factor applied when a sweep stalls
     step_tol: float = 1e-9     # stop when the bracket radius drops below this
     objective_tol: float = 1e-12  # sweep improvement counted as progress
@@ -132,30 +136,47 @@ def _boundary_xy_arrays(verts: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, n
     return x[i] + f * dx[i], y[i] + f * dy[i]
 
 
+def _rotation_step(c: CentralPolygon) -> int:
+    """Smallest vertex-index step k of a rotation of the polygon, that is
+    of a symmetry sending vertex i to vertex i + k; m when the only
+    rotations are the identity and the point reflection.
+
+    The steps modulo m form a cyclic subgroup of Z_m, whose generator
+    divides m, so the divisors of m are tried in ascending order."""
+    m = c.m
+    for k in range(1, m):
+        if m % k == 0 and symmetry_map(c, k, 1) is not None:
+            return k
+    return m
+
+
 def grid_scan(
     c: CentralPolygon, grid: int, margin: float = DEFAULT_SETTINGS.margin
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective on the fundamental domain t1 in [0, m), s in (0, m/2].
+    """Objective on one rotation period t1 in [0, k), s in (0, m/2], where
+    k is the polygon's rotation step (m for a polygon without rotations).
 
     The cell width is that of a grid x grid mesh of t1 in [0, 2m) and
-    s in [margin, m - margin]; the scan keeps the ceil(grid/2) rows with
-    t1 = k * 2m / grid < m and the first ceil(grid/2) values of that s
-    mesh, which are the ones up to m/2 (an odd grid's middle value is
-    m/2 up to rounding).  Every other parameter pair labels the same
-    parallelogram as one of these, since F(t1, s) = F(t1 + m, s) =
-    F(t1 + s, m - s).
+    s in [margin, m - margin]; the scan keeps the ceil(k * grid / 2m)
+    rows with t1 = i * 2m / grid < k and the first ceil(grid/2) values
+    of that s mesh, which are the ones up to m/2 (an odd grid's middle
+    value is m/2 up to rounding).  Every other parameter pair labels the
+    same parallelogram as one of these, or a rotated copy of it, since
+    F(t1, s) = F(t1 + k, s) = F(t1 + m, s) = F(t1 + s, m - s).
 
-    Returns (t1 values, s values, F) with shapes (h,), (h,) and (h, h),
-    h = ceil(grid/2), where F[i, k] is the maximal vertex gauge of the
-    parallelogram with generators at boundary parameters t1[i] and
-    t1[i] + s[k]; infeasible cells hold +inf.
+    Returns (t1 values, s values, F) with shapes (r,), (h,) and (r, h),
+    r = ceil(k * grid / 2m) and h = ceil(grid/2), where F[i, j] is the
+    maximal vertex gauge of the parallelogram with generators at
+    boundary parameters t1[i] and t1[i] + s[j]; infeasible cells hold
+    +inf.
     """
     if grid < 8:
         raise ValueError(f"grid must be at least 8, got {grid}")
     pts, verts = _vertex_arrays(c)
     m = len(pts) // 2
+    rows = -(-_rotation_step(c) * grid // (2 * m))
     half = (grid + 1) // 2
-    t1 = np.arange(half) * (2.0 * m / grid)
+    t1 = np.arange(rows) * (2.0 * m / grid)
     s = margin + np.arange(half) * ((m - 2.0 * margin) / (grid - 1))
     # t1 + s < 1.5 m < n, so no parameter needs reducing modulo n
     ux, uy = _boundary_xy_arrays(verts, t1[:, None])
@@ -314,21 +335,6 @@ def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
     return [divmod(int(j), f.shape[1]) for j in idx]
 
 
-def _rotation_shifts(c: CentralPolygon) -> list[int]:
-    """Vertex-index shift k of each rotation of the polygon, that is each
-    map in ``polygon_symmetries`` with positive determinant: the map
-    sends vertex 0 to vertex k and boundary parameter t to t + k, so
-    F(t1 + k, s) = F(t1, s)."""
-    verts = c.vertices
-    shifts = []
-    for mat in polygon_symmetries(c):
-        (a, b), (cc, d) = mat
-        if a * d - b * cc > 0.0:
-            image = apply_linear(mat, verts[0])
-            shifts.append(min(range(len(verts)), key=lambda j: (verts[j] - image).norm()))
-    return shifts
-
-
 def bm_distance(
     c: CentralPolygon,
     grid: int = 360,
@@ -338,14 +344,12 @@ def bm_distance(
     """Minimal circumscribed ratio over inscribed parallelograms of the
     polygon, by grid search plus optional local refinement.
 
-    The candidate starts are the ``settings.starts`` lowest grid cells,
-    lowest first.  A candidate is descended from unless it is an exact
-    rotated copy of a start already descended: same s column, and t1
-    values that differ by the vertex-index shift k of a rotation of the
-    polygon modulo the t1 period m, tested in integers on the row
-    indices.  A skipped candidate is not replaced, so at most
-    ``settings.starts`` descents run; a polygon with no rotation besides
-    the identity and the point reflection runs them all.
+    The scan covers one rotation period t1 in [0, k), so each of its
+    cells stands for r = m/k rotated copies over [0, m).  The descents
+    start from the ceil(settings.starts / r) lowest cells, lowest first,
+    and from all of them; a polygon with no rotation besides the
+    identity and the point reflection (r = 1) descends from
+    ``settings.starts`` cells.
 
     The result is deterministic for fixed arguments.  The returned ratio
     is recomputed from the witness, so ``circum_ratio(parallelogram, c)``
@@ -355,20 +359,10 @@ def bm_distance(
     if not np.isfinite(f).any():
         raise RuntimeError("no feasible parallelogram cell on the grid")
     objective, sheets, m = _make_objective(c, settings.margin)
-    shifts = _rotation_shifts(c)
+    copies = m // _rotation_step(c)
     best: tuple[float, float, float] | None = None
-    seen: list[tuple[int, int]] = []
     starts: list[StartRecord] = []
-    for i, k in _lowest_cells(f, settings.starts):
-        # t1 rows i and j hold rotated copies when (i - j) * 2m / grid is
-        # congruent to a shift modulo m
-        if any(
-            k == k2 and ((i - j) * 2 * m - shift * grid) % (m * grid) == 0
-            for j, k2 in seen
-            for shift in shifts
-        ):
-            continue
-        seen.append((i, k))
+    for i, k in _lowest_cells(f, -(-settings.starts // copies)):
         t1, s, val = float(t1s[i]), float(ss[k]), float(f[i, k])
         if refine:
             t1, s, val, sweeps, stop = _descend(
@@ -398,10 +392,13 @@ def bm_distance(
 def _local_minima_mask(f: np.ndarray) -> np.ndarray:
     """Cells not exceeded by any of their 8 neighbors.
 
-    The t1 axis wraps with period m, as F does.  The s axis is padded
-    with +inf at both ends; across the s = m/2 seam the true neighbors
-    lie in other rows (F(t1, s) = F(t1 + s, m - s)), so the padding can
-    only add candidates, never drop a minimum."""
+    The t1 axis wraps with the rotation period k, as F does.  The wrap
+    is exact when k * grid / 2m is whole; otherwise the last row's
+    successor lies less than a cell past t1 = k, and the first row
+    stands in for it.  The s axis is padded with +inf at both ends;
+    across the s = m/2 seam the true neighbors lie in other rows
+    (F(t1, s) = F(t1 + s, m - s)), so the padding can only add
+    candidates, never drop a minimum."""
     fp = np.where(np.isfinite(f), f, np.inf)
     rows = fp.shape[0]
     neighbors = np.full_like(fp, np.inf)

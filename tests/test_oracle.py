@@ -4,13 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import random_central_polygon, random_linear_map
-from bmgon.geom import apply_linear, boundary_point, linear_image, polygon_symmetries, regular_polygon
+from bmgon.geom import (
+    CentralPolygon,
+    apply_linear,
+    boundary_point,
+    linear_image,
+    polygon_symmetries,
+    regular_polygon,
+)
 from bmgon.cli import Claim
 from bmgon.evengon import theorem2_value
 from bmgon.oracle import (
     SearchSettings,
     _lowest_cells,
     _make_objective,
+    _rotation_step,
     argmin_orbit,
     bm_distance,
     grid_scan,
@@ -22,8 +30,9 @@ SQRT2 = math.sqrt(2.0)
 
 class TestGridScan:
     def test_shape_and_feasibility(self, p6):
+        # one rotation period t1 in [0, 1): ceil(64 / 6) rows
         t1, s, f = grid_scan(p6, 64)
-        assert t1.shape == (32,) and s.shape == (32,) and f.shape == (32, 32)
+        assert t1.shape == (11,) and s.shape == (32,) and f.shape == (11, 32)
         assert np.isfinite(f).any()
         finite = f[np.isfinite(f)]
         assert (finite >= 1.0).all()
@@ -45,17 +54,22 @@ class TestGridScan:
     def test_fundamental_domain_matches_the_scalar_objective(self, grid):
         half = (grid + 1) // 2
         rng = np.random.default_rng(grid)
-        for gon in (regular_polygon(6), regular_polygon(10), random_central_polygon(rng, m=5)):
+        # (polygon, rotation step): regular polygons turn by one vertex,
+        # a random polygon only by the point reflection
+        cases = [(regular_polygon(6), 1), (regular_polygon(10), 1), (random_central_polygon(rng, m=5), 5)]
+        for gon, k in cases:
             m = len(gon.vertices) // 2
+            assert _rotation_step(gon) == k
+            rows = (k * grid + 2 * m - 1) // (2 * m)
             t1, s, f = grid_scan(gon, grid)
-            assert t1.shape == (half,) and s.shape == (half,) and f.shape == (half, half)
-            assert (t1 < m).all()
+            assert t1.shape == (rows,) and s.shape == (half,) and f.shape == (rows, half)
+            assert (t1 < k).all()
             # an odd grid's middle s value is m/2 up to one rounding
             assert (s <= np.nextafter(m / 2.0, np.inf)).all()
             objective, _, _ = _make_objective(gon, SearchSettings().margin)
-            for i, k in zip(rng.integers(0, half, 50), rng.integers(0, half, 50)):
-                expected = objective(float(t1[i]), float(s[k]))
-                assert math.isclose(f[i, k], expected, rel_tol=1e-12), (i, k)
+            for i, j in zip(rng.integers(0, rows, 50), rng.integers(0, half, 50)):
+                expected = objective(float(t1[i]), float(s[j]))
+                assert math.isclose(f[i, j], expected, rel_tol=1e-12), (i, j)
 
 
 class TestObjective:
@@ -169,12 +183,13 @@ class TestBMDistance:
 
 
 class TestStarts:
-    """The descents start from the lowest grid cells, skipping exact
-    rotated copies of an earlier start."""
+    """The descents start from the ceil(starts / r) lowest cells of one
+    rotation period, where r = m / k counts the rotated copies of a cell
+    over [0, m)."""
 
     @pytest.mark.parametrize(
         "name, expected",
-        [("P6", 2), ("P10", 1), ("P14", 5), ("P18", 1), ("random", 5)],
+        [("P6", 2), ("P10", 1), ("P14", 1), ("P18", 1), ("P22", 1), ("P26", 1), ("random", 5)],
     )
     def test_descents_at_grid_720(self, name, expected):
         if name == "random":
@@ -188,18 +203,24 @@ class TestStarts:
             assert record.value >= result.lam - 1e-12
 
     @pytest.mark.parametrize("grid", [45, 91, 360, 720])
-    def test_skipped_starts_are_rotated_copies(self, grid):
+    def test_descents_start_from_the_lowest_cells_of_one_period(self, grid):
         rng = np.random.default_rng(grid)
-        gons = [regular_polygon(6), regular_polygon(10), regular_polygon(12)]
-        gons.append(linear_image(regular_polygon(8), random_linear_map(rng)))
-        skipped_total = 0
-        for gon in gons:
+        # (polygon, rotation step k)
+        cases = [(regular_polygon(6), 1), (regular_polygon(10), 1), (regular_polygon(12), 1)]
+        cases.append((linear_image(regular_polygon(8), random_linear_map(rng)), 1))
+        cases.append((random_central_polygon(rng, m=5), 5))
+        starts = SearchSettings().starts
+        for gon, k in cases:
+            m = len(gon.vertices) // 2
+            assert _rotation_step(gon) == k
             t1s, ss, f = grid_scan(gon, grid)
             result = bm_distance(gon, grid=grid)
             rows, cols = t1s.tolist(), ss.tolist()
             descended = [(rows.index(r.t1), cols.index(r.s)) for r in result.starts]
-            candidates = _lowest_cells(f, SearchSettings().starts)
-            assert descended == [cell for cell in candidates if cell in descended]
+            # (a) every one of the ceil(starts / r) lowest cells, lowest first
+            assert descended == _lowest_cells(f, -(-starts // (m // k)))
+
+            # (b) none of them is a rotated copy of another
             rotations = [
                 mat
                 for mat in polygon_symmetries(gon)
@@ -221,17 +242,15 @@ class TestStarts:
                     for mat in rotations
                 )
 
-            for cell in candidates:
-                if cell not in descended:
-                    skipped_total += 1
-                    assert any(is_rotated_copy(d, cell) for d in descended), cell
             for x, a in enumerate(descended):
                 for b in descended[x + 1 :]:
                     assert not is_rotated_copy(a, b), (a, b)
-        # a rotation moves t1 by a whole number of rows only if the grid
-        # shares a factor with m or is even; 91 is odd and prime to every
-        # m here, so nothing may be skipped there
-        assert (skipped_total > 0) == (grid != 91)
+
+            # (c) the identity the cut to t1 in [0, k) relies on
+            objective, _, _ = _make_objective(gon, SearchSettings().margin)
+            for t1, s in zip(rng.uniform(0.0, 2.0 * m, 200), rng.uniform(0.02 * m, 0.98 * m, 200)):
+                base = objective(t1, s)
+                assert math.isclose(objective(t1 + k, s), base, rel_tol=1e-12), (t1, s)
 
     def test_lambda_matches_the_closed_form(self):
         rng = np.random.default_rng(12)
@@ -301,6 +320,22 @@ class TestArgminOrbit:
             for p in reps:
                 assert circum_ratio(p, gon) <= result.lam + 1e-4
 
+    def test_classes_when_the_period_is_not_whole_rows(self):
+        # k * grid / 2m is not whole, so the scan's t1 wrap is approximate
+        rng = np.random.default_rng(91)
+        cases = [
+            (regular_polygon(14), 360),
+            (linear_image(regular_polygon(10), random_linear_map(rng)), 91),
+        ]
+        for gon, grid in cases:
+            m = len(gon.vertices) // 2
+            assert (_rotation_step(gon) * grid) % (2 * m) != 0
+            result = bm_distance(gon, grid=grid)
+            reps = argmin_orbit(gon, result, tol=1e-4)
+            assert len(reps) == 2
+            for p in reps:
+                assert circum_ratio(p, gon) <= result.lam + 1e-4
+
     def test_representatives_are_distinct_classes(self, p6):
         from bmgon.geom import apply_linear, polygon_symmetries
         from bmgon.pgram import Parallelogram
@@ -314,6 +349,50 @@ class TestArgminOrbit:
             for m in maps
         ]
         assert all(vertex_hausdorff(b, img) > 1e-5 for img in images)
+
+
+class TestRotationStep:
+    """Symmetries are decided relative to the polygon's size, so a
+    scaled or linearly mapped regular polygon keeps its whole group and
+    its one-vertex rotation step, and a polygon that is only nearly
+    regular keeps none of the lost maps."""
+
+    @staticmethod
+    def _scaled(gon, factor):
+        # antipodal vertices stay exact negations under scaling
+        return CentralPolygon([v * factor for v in gon.vertices])
+
+    @pytest.mark.parametrize("exponent", [-5, 0, 5, 7, 8])
+    def test_scaled_regular_polygons_keep_their_group(self, exponent):
+        rng = np.random.default_rng(8)
+        image = linear_image(regular_polygon(8), random_linear_map(rng))
+        for gon, count in ((regular_polygon(6), 12), (regular_polygon(8), 16), (image, 16)):
+            scaled = self._scaled(gon, 10.0**exponent)
+            assert len(polygon_symmetries(scaled)) == count
+            assert _rotation_step(scaled) == 1
+
+    def test_large_hexagon_has_two_classes(self, p6):
+        gon = self._scaled(p6, 1e8)
+        result = bm_distance(gon, grid=360)
+        assert len(argmin_orbit(gon, result, tol=1e-4)) == 2
+
+    @pytest.mark.parametrize("factor", [1e-5, 1.0, 1e8])
+    def test_a_nearly_regular_hexagon_keeps_only_its_own_maps(self, p6, factor):
+        # push the antipodal pair v0, v3 outward by 1e-6 of its norm
+        verts = list(p6.vertices)
+        verts[0] = verts[0] * (1.0 + 1e-6)
+        verts[3] = -verts[0]
+        gon = self._scaled(CentralPolygon(verts), factor)
+        maps = polygon_symmetries(gon)
+        # identity, point reflection, and the reflections through the
+        # pushed pair's axis and its perpendicular: v_i -> v_(k + step*i)
+        assert len(maps) == 4
+        verts = gon.vertices
+        for mat, (k, step) in zip(maps, [(0, 1), (0, -1), (3, 1), (3, -1)]):
+            for i, v in enumerate(verts):
+                image = apply_linear(mat, v)
+                assert (image - verts[(k + step * i) % 6]).norm() <= 1e-12 * factor
+        assert _rotation_step(gon) == 3
 
 
 class TestVerifyClaim:
