@@ -46,9 +46,10 @@ from .hexagon import (
     hex_build,
     hex_critical_b,
     hex_h,
+    hex_h_derivative,
     hex_optimal_positions,
 )
-from .oracle import BMResult, SearchSettings, argmin_orbit, bm_distance, grid_scan
+from .oracle import BMResult, argmin_orbit, bm_distance, grid_scan
 from .pgram import Parallelogram, circum_ratio, contacts, symmetry_orbit, vertex_hausdorff
 
 __all__ = ["Claim", "RunReport", "main", "render_svg"]
@@ -145,6 +146,17 @@ def _load_polygon(arg: str) -> tuple[CentralPolygon, str]:
 # verification suites
 
 
+def _bisect_zero(f, lo: float, hi: float) -> float:
+    """Zero of f on [lo, hi], where f(lo) > 0 > f(hi), bisected until
+    the midpoint no longer lies strictly between the ends."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 def suite_theorem1() -> list[Claim]:
     """Hexagon distance 3/2 and the ratio curve of the balanced family."""
     rows = []
@@ -155,8 +167,8 @@ def suite_theorem1() -> list[Claim]:
     rows.append(Claim("P6 grid objective never below 3/2", 1.5, floor, 1e-6, "at_least"))
     rows.append(Claim("hex family ratio at b=0", 1.5, hex_h(0.0), 1e-12))
     rows.append(Claim("hex family ratio at b=sqrt(3)/5", 1.5, hex_h(B_REGIME_MAX), 1e-12))
-    closed = (-10.0 * math.sqrt(3.0) + math.sqrt(384.0)) / 14.0
-    rows.append(Claim("hex critical slope closed form", closed, hex_critical_b(), 1e-12))
+    root = _bisect_zero(hex_h_derivative, 0.0, B_REGIME_MAX)
+    rows.append(Claim("hex critical slope closed form", hex_critical_b(), root, 1e-12))
     rows.append(Claim("hex ratio at critical slope", 1.5224, hex_h(hex_critical_b()), 5e-4))
     dev = max(
         abs(hex_h(b) - circum_ratio(hex_build(b).parallelogram, HEXAGON))
@@ -190,7 +202,7 @@ def suite_remark() -> list[Claim]:
             Claim(f"known position {i} ratio 3/2", 1.5, circum_ratio(p, HEXAGON), 1e-12)
         )
     result = bm_distance(HEXAGON, grid=360)
-    reps = argmin_orbit(HEXAGON, result, tol=1e-4)
+    reps = argmin_orbit(HEXAGON, result)
     rows.append(Claim("P6 optimal symmetry classes", 2.0, float(len(reps)), 0.0))
     rows.append(
         Claim("P6 optimal classes match known positions", 0.0, _orbit_match(reps, positions), 1e-3)
@@ -203,24 +215,28 @@ def suite_theorem2() -> list[Claim]:
     construction, probes of the conjectured bounds, and consistency
     identities across the families."""
     rows = []
-    for n, claimed, desc in (
-        (8, _SQRT2, "sqrt(2)"),
-        (16, _SQRT2, "sqrt(2)"),
-        (12, _SQRT2 * math.cos(math.pi / 12.0), "sqrt(2)cos(pi/12)"),
-        (20, _SQRT2 * math.cos(math.pi / 20.0), "sqrt(2)cos(pi/20)"),
+    for n, desc in (
+        (8, "sqrt(2)"),
+        (16, "sqrt(2)"),
+        (12, "sqrt(2)cos(pi/12)"),
+        (20, "sqrt(2)cos(pi/20)"),
     ):
+        family = theorem2_value(n)
         result = bm_distance(regular_polygon(n), grid=360)
-        rows.append(Claim(f"P{n} distance equals {desc}", claimed, result.lam, 1e-5))
+        rows.append(
+            Claim(f"P{n} distance equals {desc}", family.value, result.lam, 1e-5, family.kind)
+        )
     for n in range(8, 22, 2):
         gon = regular_polygon(n)
         built = circum_ratio(axis_parallelogram(gon), gon)
         rows.append(
             Claim(f"axis parallelogram value, P{n}", theorem2_value(n).value, built, 1e-12)
         )
-    for n, claimed in ((10, 1.4270510), (14, 1.4254273)):
+    for n in (10, 14):
+        family = theorem2_value(n)
         result = bm_distance(regular_polygon(n), grid=720)
         rows.append(
-            Claim(f"P{n} probe of conjectured bound", claimed, result.lam, 1e-4, "upper_bound")
+            Claim(f"P{n} probe of conjectured bound", family.value, result.lam, 1e-4, family.kind)
         )
     rows.append(Claim("family value at n=6 equals 3/2", 1.5, theorem2_value(6).value, 1e-12))
     dev = max(
@@ -272,6 +288,8 @@ def suite_lemma(seed: int) -> list[Claim]:
 
 
 def _random_map(rng: np.random.Generator, max_cond: float = 20.0) -> list[list[float]]:
+    """Random nonsingular 2x2 matrix with condition number at most
+    ``max_cond``, by rejection."""
     while True:
         mat = rng.uniform(-2.0, 2.0, size=(2, 2))
         s = np.linalg.svd(mat, compute_uv=False)
@@ -403,10 +421,9 @@ def _distance_record(name: str, result: BMResult) -> tuple[dict, str]:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    settings = SearchSettings(starts=args.starts, shrink=args.shrink)
     gon, name = _load_polygon(args.polygon)
     start = time.perf_counter()
-    result = bm_distance(gon, grid=args.grid, refine=not args.no_refine, settings=settings)
+    result = bm_distance(gon, grid=args.grid, refine=not args.no_refine)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
     record, note = _distance_record(name, result)
     record["runtime_ms"] = runtime_ms
@@ -583,19 +600,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("polygon", help="polygon file path or Pn shorthand")
     dist.add_argument("--grid", type=int, default=360, help="grid resolution (default 360)")
     dist.add_argument("--no-refine", action="store_true", help="skip local refinement")
-    dist.add_argument(
-        "--starts",
-        type=int,
-        default=5,
-        metavar="N",
-        help=(
-            "lowest cells of one rotation period; a polygon with r rotations"
-            " descends ceil(N/r) (default 5)"
-        ),
-    )
-    dist.add_argument(
-        "--shrink", type=float, default=0.5, help="bracket shrink factor (default 0.5)"
-    )
     dist.add_argument("--json", action="store_true", help="machine-readable output")
 
     verify = sub.add_parser("verify", help="run a verification suite")

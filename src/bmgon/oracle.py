@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geom import CentralPolygon, Vec2, boundary_point, polygon_symmetries, symmetry_map
 from .pgram import Parallelogram, circum_ratio, contacts, symmetry_orbit, vertex_hausdorff
@@ -58,7 +59,8 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 @dataclass(frozen=True)
 class SearchSettings:
-    """Tunables of the refinement stage."""
+    """The search's constants, in one record; the search reads them from
+    ``DEFAULT_SETTINGS`` at call time."""
 
     # descents over t1 in [0, m); one rotation period of a polygon with
     # r rotations descends from its ceil(starts / r) lowest cells
@@ -69,21 +71,11 @@ class SearchSettings:
     margin: float = 1e-6       # keeps s = t2 - t1 inside (margin, m - margin)
     max_sweeps: int = 3000
 
-    def __post_init__(self) -> None:
-        checks = (
-            ("starts", self.starts >= 1, "at least 1"),
-            ("shrink", 0.0 < self.shrink < 1.0, "in (0, 1)"),
-            ("step_tol", self.step_tol > 0.0, "positive"),
-            ("objective_tol", self.objective_tol >= 0.0, "non-negative"),
-            ("margin", self.margin > 0.0, "positive"),
-            ("max_sweeps", self.max_sweeps >= 1, "at least 1"),
-        )
-        for name, ok, want in checks:
-            if not ok:
-                raise ValueError(f"{name} must be {want}, got {getattr(self, name)!r}")
-
 
 DEFAULT_SETTINGS = SearchSettings()
+
+# argmin_orbit keeps refined positions within this of the optimum
+ORBIT_TOL = 1e-4
 
 
 @dataclass(frozen=True)
@@ -150,17 +142,15 @@ def _rotation_step(c: CentralPolygon) -> int:
     return m
 
 
-def grid_scan(
-    c: CentralPolygon, grid: int, margin: float = DEFAULT_SETTINGS.margin
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Objective on one rotation period t1 in [0, k), s in (0, m/2], where
     k is the polygon's rotation step (m for a polygon without rotations).
 
     The cell width is that of a grid x grid mesh of t1 in [0, 2m) and
-    s in [margin, m - margin]; the scan keeps the ceil(k * grid / 2m)
-    rows with t1 = i * 2m / grid < k and the first ceil(grid/2) values
-    of that s mesh, which are the ones up to m/2 (an odd grid's middle
-    value is m/2 up to rounding).  Every other parameter pair labels the
+    s in [margin, m - margin], margin = ``DEFAULT_SETTINGS.margin``; the
+    scan keeps the ceil(k * grid / 2m) rows with t1 = i * 2m / grid < k
+    and the first ceil(grid/2) values of that s mesh, which are the ones
+    up to m/2 (an odd grid's middle value is m/2 up to rounding).  Every other parameter pair labels the
     same parallelogram as one of these, or a rotated copy of it, since
     F(t1, s) = F(t1 + k, s) = F(t1 + m, s) = F(t1 + s, m - s).
 
@@ -172,6 +162,7 @@ def grid_scan(
     """
     if grid < 8:
         raise ValueError(f"grid must be at least 8, got {grid}")
+    margin = DEFAULT_SETTINGS.margin
     pts, verts = _vertex_arrays(c)
     m = len(pts) // 2
     rows = -(-_rotation_step(c) * grid // (2 * m))
@@ -199,7 +190,7 @@ def grid_scan(
 
 
 def _make_objective(
-    c: CentralPolygon, margin: float
+    c: CentralPolygon,
 ) -> tuple[Callable[[float, float], float], Callable[..., list[float]], int]:
     """Scalar objective and per-vertex sheet values on raw floats.
 
@@ -214,7 +205,7 @@ def _make_objective(
     pts, verts = _vertex_arrays(c)
     n = len(pts)
     m = n // 2
-    lo, hi = margin, m - margin
+    lo, hi = DEFAULT_SETTINGS.margin, m - DEFAULT_SETTINGS.margin
     xs, ys, dxs, dys = (a.tolist() for a in _edge_tables(verts))
     half = pts[:m]  # antipodal vertices have equal gauge
 
@@ -283,12 +274,12 @@ def _descend(
     s: float,
     radius: float,
     m: int,
-    settings: SearchSettings,
 ) -> tuple[float, float, float, int, str]:
     """Local descent from (t1, s).  Returns the final point and value,
     the sweeps run, and the stop reason: ``step_tol`` when the bracket
-    radius fell below ``settings.step_tol``, ``max_sweeps`` when the
-    sweeps ran out first."""
+    radius fell below ``DEFAULT_SETTINGS.step_tol``, ``max_sweeps`` when
+    the sweeps ran out first."""
+    settings = DEFAULT_SETTINGS
     lo, hi = settings.margin, m - settings.margin
     fcur = objective(t1, s)
     f0 = fcur
@@ -335,39 +326,32 @@ def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
     return [divmod(int(j), f.shape[1]) for j in idx]
 
 
-def bm_distance(
-    c: CentralPolygon,
-    grid: int = 360,
-    refine: bool = True,
-    settings: SearchSettings = DEFAULT_SETTINGS,
-) -> BMResult:
+def bm_distance(c: CentralPolygon, grid: int = 360, refine: bool = True) -> BMResult:
     """Minimal circumscribed ratio over inscribed parallelograms of the
     polygon, by grid search plus optional local refinement.
 
     The scan covers one rotation period t1 in [0, k), so each of its
     cells stands for r = m/k rotated copies over [0, m).  The descents
-    start from the ceil(settings.starts / r) lowest cells, lowest first,
-    and from all of them; a polygon with no rotation besides the
+    start from the ceil(DEFAULT_SETTINGS.starts / r) lowest cells, lowest
+    first, and from all of them; a polygon with no rotation besides the
     identity and the point reflection (r = 1) descends from
-    ``settings.starts`` cells.
+    ``DEFAULT_SETTINGS.starts`` cells.
 
     The result is deterministic for fixed arguments.  The returned ratio
     is recomputed from the witness, so ``circum_ratio(parallelogram, c)``
     reproduces ``lam`` exactly.
     """
-    t1s, ss, f = grid_scan(c, grid, settings.margin)
+    t1s, ss, f = grid_scan(c, grid)
     if not np.isfinite(f).any():
         raise RuntimeError("no feasible parallelogram cell on the grid")
-    objective, sheets, m = _make_objective(c, settings.margin)
+    objective, sheets, m = _make_objective(c)
     copies = m // _rotation_step(c)
     best: tuple[float, float, float] | None = None
     starts: list[StartRecord] = []
-    for i, k in _lowest_cells(f, -(-settings.starts // copies)):
+    for i, k in _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies)):
         t1, s, val = float(t1s[i]), float(ss[k]), float(f[i, k])
         if refine:
-            t1, s, val, sweeps, stop = _descend(
-                objective, sheets, t1, s, 2.0 * m / grid, m, settings
-            )
+            t1, s, val, sweeps, stop = _descend(objective, sheets, t1, s, 2.0 * m / grid, m)
             starts.append(StartRecord(float(t1s[i]), float(ss[k]), val, sweeps, stop))
         if best is None or val < best[2]:
             best = (t1, s, val)
@@ -399,78 +383,51 @@ def _local_minima_mask(f: np.ndarray) -> np.ndarray:
     across the s = m/2 seam the true neighbors lie in other rows
     (F(t1, s) = F(t1 + s, m - s)), so the padding can only add
     candidates, never drop a minimum."""
-    fp = np.where(np.isfinite(f), f, np.inf)
-    rows = fp.shape[0]
-    neighbors = np.full_like(fp, np.inf)
-    for di in (-1, 0, 1):
-        for dk in (-1, 0, 1):
-            if di == 0 and dk == 0:
-                continue
-            shifted = np.roll(fp, di, axis=0)
-            if dk == -1:
-                shifted = np.concatenate(
-                    [shifted[:, 1:], np.full((rows, 1), np.inf)], axis=1
-                )
-            elif dk == 1:
-                shifted = np.concatenate(
-                    [np.full((rows, 1), np.inf), shifted[:, :-1]], axis=1
-                )
-            neighbors = np.minimum(neighbors, shifted)
-    return fp <= neighbors
+    padded = np.pad(f, ((1, 1), (0, 0)), mode="wrap")
+    padded = np.pad(padded, ((0, 0), (1, 1)), constant_values=np.inf)
+    return f <= sliding_window_view(padded, (3, 3)).min(axis=(2, 3))
 
 
 def _canonical_key(p: Parallelogram) -> tuple:
     return tuple(sorted((round(v.x, 9) + 0.0, round(v.y, 9) + 0.0) for v in p.vertices()))
 
 
-def argmin_orbit(
-    c: CentralPolygon,
-    result: BMResult,
-    tol: float = 1e-4,
-    settings: SearchSettings = DEFAULT_SETTINGS,
-) -> list[Parallelogram]:
+def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     """Representatives, one per symmetry class of the polygon, of all
     near-optimal parallelogram positions.
 
     Rescans the grid at the result's resolution, refines every local
     minimum cell near the optimum, keeps refined positions with objective
-    at most ``result.lam + tol``, clusters equal positions, and reduces
-    the clusters modulo the linear symmetries of the polygon.
+    at most ``result.lam + ORBIT_TOL``, and walks them from the lowest
+    up, keeping each one that lies near no image of a kept one under the
+    linear symmetries of the polygon (the identity among them).
     """
-    t1s, ss, f = grid_scan(c, result.grid_resolution, settings.margin)
-    objective, sheets, m = _make_objective(c, settings.margin)
+    t1s, ss, f = grid_scan(c, result.grid_resolution)
+    objective, sheets, m = _make_objective(c)
     mask = _local_minima_mask(f)
     # coarse cells sit above the refined optimum by up to a few cell
     # widths times the local slope, so keep a generous value slack
-    slack = max(10.0 * tol, 6.0 * m / result.grid_resolution)
-    mask &= np.where(np.isfinite(f), f, np.inf) <= result.lam + slack
+    slack = max(10.0 * ORBIT_TOL, 6.0 * m / result.grid_resolution)
+    mask &= f <= result.lam + slack
     scale = max(v.norm() for v in c.vertices)
     cluster_tol = 1e-5 * scale
 
     candidates: list[tuple[float, Parallelogram]] = []
     for i, k in np.argwhere(mask):
         t1, s, val, _, _ = _descend(
-            objective, sheets, float(t1s[i]), float(ss[k]), 2.0 * m / result.grid_resolution, m, settings
+            objective, sheets, float(t1s[i]), float(ss[k]), 2.0 * m / result.grid_resolution, m
         )
-        if val <= result.lam + tol:
+        if val <= result.lam + ORBIT_TOL:
             u = boundary_point(c, t1)
             v = boundary_point(c, t1 + s)
             candidates.append((val, Parallelogram(u, v)))
 
-    clusters: list[Parallelogram] = []
-    for _, p in sorted(candidates, key=lambda item: (item[0], _canonical_key(item[1]))):
-        if all(vertex_hausdorff(p, q) >= cluster_tol for q in clusters):
-            clusters.append(p)
-
     maps = polygon_symmetries(c)
     representatives: list[Parallelogram] = []
-    for p in clusters:
-        images = symmetry_orbit(p, maps)
-        if all(
-            min(vertex_hausdorff(img, rep) for img in images) >= cluster_tol
-            for rep in representatives
-        ):
+    images: list[Parallelogram] = []  # the symmetry orbits of the representatives
+    for _, p in sorted(candidates, key=lambda item: (item[0], _canonical_key(item[1]))):
+        if all(vertex_hausdorff(p, img) >= cluster_tol for img in images):
             representatives.append(p)
+            images.extend(symmetry_orbit(p, maps))
     representatives.sort(key=_canonical_key)
     return representatives
-

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from bmgon.cli import _random_map as random_linear_map  # noqa: F401
 from bmgon.geom import CentralPolygon, Vec2, regular_polygon
 
 settings.register_profile(
@@ -51,13 +52,3 @@ def random_central_polygon(rng: np.random.Generator, m: int | None = None) -> Ce
     half = list(verts)
     verts.extend(-v for v in half)
     return CentralPolygon(verts)
-
-
-def random_linear_map(rng: np.random.Generator, max_cond: float = 20.0) -> list[list[float]]:
-    """Random nonsingular 2x2 matrix with condition number at most
-    ``max_cond``, by rejection."""
-    while True:
-        mat = rng.uniform(-2.0, 2.0, size=(2, 2))
-        s = np.linalg.svd(mat, compute_uv=False)
-        if s[1] > 1e-6 and s[0] / s[1] <= max_cond:
-            return mat.tolist()

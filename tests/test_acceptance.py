@@ -19,7 +19,6 @@ from bmgon.evengon import (
 from bmgon.geom import (
     Strip,
     Vec2,
-    apply_linear,
     boundary_distance,
     linear_image,
     polygon_symmetries,
@@ -34,9 +33,9 @@ from bmgon.hexagon import (
     hex_h,
     hex_optimal_positions,
 )
-from bmgon.cli import Claim
+from bmgon.cli import Claim, _random_map
 from bmgon.oracle import argmin_orbit, bm_distance, grid_scan
-from bmgon.pgram import Parallelogram, circum_ratio, vertex_hausdorff
+from bmgon.pgram import circum_ratio, symmetry_orbit, vertex_hausdorff
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -98,14 +97,7 @@ def test_criterion_2_hexagon_curve(report):
 
 def _match_up_to_symmetry(reps, targets):
     maps = polygon_symmetries(HEXAGON)
-
-    def orbit(p):
-        return [
-            Parallelogram.from_unordered(apply_linear(m, p.u), apply_linear(m, p.v))
-            for m in maps
-        ]
-
-    target_orbits = [orbit(t) for t in targets]
+    target_orbits = [symmetry_orbit(t, maps) for t in targets]
     d_reps = max(
         min(vertex_hausdorff(r, img) for o in target_orbits for img in o) for r in reps
     )
@@ -122,7 +114,7 @@ def test_criterion_3_optimal_positions(dist, report):
         for p in positions
     )
     ratio_dev = max(abs(circum_ratio(p, HEXAGON) - 1.5) for p in positions)
-    reps = argmin_orbit(HEXAGON, dist(6, 360), tol=1e-4)
+    reps = argmin_orbit(HEXAGON, dist(6, 360))
     match = _match_up_to_symmetry(reps, positions) if len(reps) == 2 else math.inf
     ok = inscribed <= 1e-9 and ratio_dev <= 1e-12 and len(reps) == 2 and match <= 1e-3
     report(
@@ -156,15 +148,16 @@ def test_criterion_5_axis_constructions(report):
 
 def test_criterion_6_conjecture_probes(dist, report):
     outcomes = []
-    for n, claimed in ((10, 1.4270510), (14, 1.4254273)):
+    claimed = {n: theorem2_value(n).value for n in (10, 14)}
+    for n in (10, 14):
         # the upper_bound rule: lam <= claimed + 1e-6 and |claimed - lam| < 1e-4
-        claim = Claim(f"P{n}", claimed, dist(n, 720).lam, 1e-4, "upper_bound")
+        claim = Claim(f"P{n}", claimed[n], dist(n, 720).lam, 1e-4, "upper_bound")
         outcomes.append(claim.passed and claim.note == "conjecture support")
     p10, p14 = dist(10, 720).lam, dist(14, 720).lam
     report(
         6,
         all(outcomes),
-        f"P10 lambda={p10!r} vs 1.4270510, P14 lambda={p14!r} vs 1.4254273 "
+        f"P10 lambda={p10!r} vs {claimed[10]!r}, P14 lambda={p14!r} vs {claimed[14]!r} "
         "(within +1e-6, gap < 1e-4, labeled conjecture support)",
     )
 
@@ -243,12 +236,7 @@ def test_criterion_10_affine_invariance(dist, report):
         gon = regular_polygon(n)
         base = dist(n, 720).lam
         for _ in range(10):
-            while True:
-                mat = rng.uniform(-2.0, 2.0, size=(2, 2))
-                s = np.linalg.svd(mat, compute_uv=False)
-                if s[1] > 1e-6 and s[0] / s[1] <= 20.0:
-                    break
-            image = linear_image(gon, mat.tolist())
+            image = linear_image(gon, _random_map(rng))
             worst = max(worst, abs(bm_distance(image, grid=720).lam - base))
     ok = worst < 2e-4
     report(

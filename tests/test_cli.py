@@ -35,8 +35,8 @@ VERIFY_ALL_ROWS = [
     ("axis parallelogram value, P16", 1.4142135623730951, 1e-12, "PASS", ""),
     ("axis parallelogram value, P18", 1.4187480877851173, 1e-12, "PASS", ""),
     ("axis parallelogram value, P20", 1.3968022466674208, 1e-12, "PASS", ""),
-    ("P10 probe of conjectured bound", 1.427051, 0.0001, "PASS", "conjecture support"),
-    ("P14 probe of conjectured bound", 1.4254273, 0.0001, "PASS", "conjecture support"),
+    ("P10 probe of conjectured bound", 1.4270509831248424, 0.0001, "PASS", "conjecture support"),
+    ("P14 probe of conjectured bound", 1.4254275376635719, 0.0001, "PASS", "conjecture support"),
     ("family value at n=6 equals 3/2", 1.5, 1e-12, "PASS", ""),
     ("square vs (8j+4)-gon identity, j=1..8", 0.0, 1e-12, "PASS", ""),
     ("beta endpoints at sqrt(2), j=1", 0.0, 1e-12, "PASS", ""),
@@ -139,17 +139,28 @@ class TestDistance:
         assert start["value"] >= record["lambda"] - 1e-12
 
     @pytest.mark.parametrize(
-        "flag, value", [("--starts", "0"), ("--starts", "-1"), ("--shrink", "0"), ("--shrink", "1")]
+        "flag, value",
+        [
+            ("--starts", "0"),
+            ("--starts", "-1"),
+            ("--starts", "3"),
+            ("--shrink", "0"),
+            ("--shrink", "1"),
+            ("--shrink", "0.5"),
+        ],
     )
     def test_invalid_search_settings_exit_before_scanning(self, capsys, monkeypatch, flag, value):
+        # the search's settings are constants, so no value of them is accepted
         def fail(*args, **kwargs):
             raise AssertionError("bm_distance must not run")
 
         monkeypatch.setattr("bmgon.cli.bm_distance", fail)
-        code, out, err = run(capsys, "distance", "P6", flag, value)
-        assert code == 2
-        assert out == ""
-        assert flag.lstrip("-") in err
+        with pytest.raises(SystemExit) as stopped:
+            main(["distance", "P6", flag, value])
+        assert stopped.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
 
     def test_no_refine_flag(self, capsys):
         code, out, _ = run(capsys, "distance", "P6", "--no-refine", "--grid", "90")

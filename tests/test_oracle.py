@@ -14,8 +14,11 @@ from bmgon.geom import (
 )
 from bmgon.cli import Claim
 from bmgon.evengon import theorem2_value
+from bmgon import oracle
 from bmgon.oracle import (
+    DEFAULT_SETTINGS,
     SearchSettings,
+    _local_minima_mask,
     _lowest_cells,
     _make_objective,
     _rotation_step,
@@ -66,7 +69,7 @@ class TestGridScan:
             assert (t1 < k).all()
             # an odd grid's middle s value is m/2 up to one rounding
             assert (s <= np.nextafter(m / 2.0, np.inf)).all()
-            objective, _, _ = _make_objective(gon, SearchSettings().margin)
+            objective, _, _ = _make_objective(gon)
             for i, j in zip(rng.integers(0, rows, 50), rng.integers(0, half, 50)):
                 expected = objective(float(t1[i]), float(s[j]))
                 assert math.isclose(f[i, j], expected, rel_tol=1e-12), (i, j)
@@ -75,10 +78,10 @@ class TestGridScan:
 class TestObjective:
     def test_fused_objective_is_the_largest_sheet_bit_for_bit(self):
         rng = np.random.default_rng(2000)
-        margin = SearchSettings().margin
+        margin = DEFAULT_SETTINGS.margin
         for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
             m = len(gon.vertices) // 2
-            objective, sheets, _ = _make_objective(gon, margin)
+            objective, sheets, _ = _make_objective(gon)
             # t1 well outside [0, 2m) and s outside [margin, m - margin]
             t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000)
             ss = rng.uniform(-0.5, m + 0.5, 2000)
@@ -163,11 +166,6 @@ class TestBMDistance:
         assert result.refined is False
         assert result.grid_resolution == 90
 
-    def test_settings_override(self, p6):
-        settings = SearchSettings(starts=2)
-        result = bm_distance(p6, grid=180, settings=settings)
-        assert abs(result.lam - 1.5) <= 1e-6
-
     def test_affine_invariance_spot_check(self, p6):
         rng = np.random.default_rng(42)
         base = bm_distance(p6, grid=360).lam
@@ -209,7 +207,7 @@ class TestStarts:
         cases = [(regular_polygon(6), 1), (regular_polygon(10), 1), (regular_polygon(12), 1)]
         cases.append((linear_image(regular_polygon(8), random_linear_map(rng)), 1))
         cases.append((random_central_polygon(rng, m=5), 5))
-        starts = SearchSettings().starts
+        starts = DEFAULT_SETTINGS.starts
         for gon, k in cases:
             m = len(gon.vertices) // 2
             assert _rotation_step(gon) == k
@@ -247,7 +245,7 @@ class TestStarts:
                     assert not is_rotated_copy(a, b), (a, b)
 
             # (c) the identity the cut to t1 in [0, k) relies on
-            objective, _, _ = _make_objective(gon, SearchSettings().margin)
+            objective, _, _ = _make_objective(gon)
             for t1, s in zip(rng.uniform(0.0, 2.0 * m, 200), rng.uniform(0.02 * m, 0.98 * m, 200)):
                 base = objective(t1, s)
                 assert math.isclose(objective(t1 + k, s), base, rel_tol=1e-12), (t1, s)
@@ -262,31 +260,39 @@ class TestStarts:
                     lam = bm_distance(poly, grid=grid).lam
                     assert abs(lam - claimed) <= 1e-12, (n, grid, lam - claimed)
 
-    def test_running_out_of_sweeps_is_reported(self, p6):
-        result = bm_distance(p6, grid=90, settings=SearchSettings(max_sweeps=2))
+    def test_running_out_of_sweeps_is_reported(self, p6, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_SETTINGS", SearchSettings(max_sweeps=2))
+        result = bm_distance(p6, grid=90)
         assert result.starts
         assert all(r.stop == "max_sweeps" and r.sweeps == 2 for r in result.starts)
 
     def test_unrefined_result_has_no_descents(self, p6):
         assert bm_distance(p6, grid=90, refine=False).starts == ()
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("starts", 0),
-            ("starts", -1),
-            ("shrink", 0.0),
-            ("shrink", 1.0),
-            ("shrink", math.nan),
-            ("step_tol", 0.0),
-            ("objective_tol", -1e-12),
-            ("margin", 0.0),
-            ("max_sweeps", 0),
-        ],
-    )
-    def test_settings_reject_invalid_values(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SearchSettings(**{field: value})
+
+class TestLocalMinimaMask:
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_matches_a_brute_force_neighbor_check(self, rows):
+        # rows wrap around (one row is its own neighbor), columns do not
+        rng = np.random.default_rng(rows)
+        for _ in range(20):
+            f = rng.integers(0, 4, size=(rows, 7)).astype(float)
+            f[rng.random(f.shape) < 0.2] = np.inf
+            expected = np.array(
+                [
+                    [
+                        all(
+                            f[i, j] <= f[(i + di) % rows, j + dj]
+                            for di in (-1, 0, 1)
+                            for dj in (-1, 0, 1)
+                            if 0 <= j + dj < f.shape[1]
+                        )
+                        for j in range(f.shape[1])
+                    ]
+                    for i in range(rows)
+                ]
+            )
+            assert np.array_equal(_local_minima_mask(f), expected), f
 
 
 class TestArgminOrbit:
@@ -296,14 +302,14 @@ class TestArgminOrbit:
 
     def test_hexagon_has_two_classes(self, p6):
         result = bm_distance(p6, grid=360)
-        reps = argmin_orbit(p6, result, tol=1e-4)
+        reps = argmin_orbit(p6, result)
         assert len(reps) == 2
         for p in reps:
             assert abs(circum_ratio(p, p6) - 1.5) <= 1e-6
 
     def test_octagon_has_two_square_classes(self, p8):
         result = bm_distance(p8, grid=360)
-        reps = argmin_orbit(p8, result, tol=1e-4)
+        reps = argmin_orbit(p8, result)
         assert len(reps) == 2
         for p in reps:
             assert abs(p.u.norm() - p.v.norm()) <= 1e-6
@@ -315,7 +321,7 @@ class TestArgminOrbit:
         rng = np.random.default_rng(16)
         for gon in (regular_polygon(16), linear_image(regular_polygon(8), random_linear_map(rng))):
             result = bm_distance(gon, grid=360)
-            reps = argmin_orbit(gon, result, tol=1e-4)
+            reps = argmin_orbit(gon, result)
             assert len(reps) == 2
             for p in reps:
                 assert circum_ratio(p, gon) <= result.lam + 1e-4
@@ -331,7 +337,7 @@ class TestArgminOrbit:
             m = len(gon.vertices) // 2
             assert (_rotation_step(gon) * grid) % (2 * m) != 0
             result = bm_distance(gon, grid=grid)
-            reps = argmin_orbit(gon, result, tol=1e-4)
+            reps = argmin_orbit(gon, result)
             assert len(reps) == 2
             for p in reps:
                 assert circum_ratio(p, gon) <= result.lam + 1e-4
@@ -341,7 +347,7 @@ class TestArgminOrbit:
         from bmgon.pgram import Parallelogram
 
         result = bm_distance(p6, grid=360)
-        reps = argmin_orbit(p6, result, tol=1e-4)
+        reps = argmin_orbit(p6, result)
         maps = polygon_symmetries(p6)
         a, b = reps
         images = [
@@ -374,7 +380,7 @@ class TestRotationStep:
     def test_large_hexagon_has_two_classes(self, p6):
         gon = self._scaled(p6, 1e8)
         result = bm_distance(gon, grid=360)
-        assert len(argmin_orbit(gon, result, tol=1e-4)) == 2
+        assert len(argmin_orbit(gon, result)) == 2
 
     @pytest.mark.parametrize("factor", [1e-5, 1.0, 1e8])
     def test_a_nearly_regular_hexagon_keeps_only_its_own_maps(self, p6, factor):

@@ -1,9 +1,14 @@
-"""Smoke runs of the scripts under scripts/, each in a fresh interpreter."""
+"""Smoke runs of the scripts under scripts/, each in a fresh interpreter,
+and of the README's library example and command lines, in process."""
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+from bmgon.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -40,3 +45,27 @@ def test_probe_conjectures_skips_the_proven_hexagon():
     rows = [line.split() for line in lines if line[:4].strip().isdigit()]
     assert [row[:2] for row in rows] == [["10", "8j+2"]]
     assert abs(float(rows[0][3])) < 1e-6
+
+
+def _readme_blocks(lang):
+    text = (ROOT / "README.md").read_text()
+    return re.findall(rf"^```{lang}\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def test_readme_library_example_runs():
+    (block,) = _readme_blocks("python")
+    exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(line, comments=True)
+        for block in _readme_blocks("sh")
+        for line in block.splitlines()
+        if line.startswith("bmgon ")
+    ]
+    assert len(commands) == 6
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()
