@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Produce the standard figures and curve data.
 
-Writes into the output directory (default ./figures):
+Writes into the output directory (default ./figures), through the
+``render`` and ``curve`` commands of the bmgon CLI:
   - hexagon_b0.svg, hexagon_critical.svg, hexagon_optimal.svg
   - octagon_optimal.svg
   - hexagon_curve.csv, beta_curve_j1.csv
@@ -15,35 +16,8 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from bmgon import (
-    HEXAGON,
-    argmin_orbit,
-    bm_distance,
-    circum_ratio,
-    contacts,
-    hex_build,
-    hex_critical_b,
-    regular_polygon,
-)
+from bmgon import hex_critical_b
 from bmgon.cli import main as cli_main
-from bmgon.cli import render_svg
-
-
-def write_member_figure(path: Path, b: float) -> None:
-    p = hex_build(b).parallelogram
-    lam = circum_ratio(p, HEXAGON)
-    path.write_text(render_svg(HEXAGON, [(p, lam, contacts(p, HEXAGON, lam))]))
-    print(f"wrote {path} (b={b:.6g}, lambda={lam:.9g})")
-
-
-def write_optimal_figure(path: Path, n: int, grid: int) -> None:
-    gon = regular_polygon(n)
-    reps = argmin_orbit(gon, bm_distance(gon, grid=grid))
-    configs = [
-        (p, circum_ratio(p, gon), contacts(p, gon, circum_ratio(p, gon))) for p in reps
-    ]
-    path.write_text(render_svg(gon, configs))
-    print(f"wrote {path} ({len(configs)} configurations)")
 
 
 def main() -> int:
@@ -53,17 +27,16 @@ def main() -> int:
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    write_member_figure(args.out / "hexagon_b0.svg", 0.0)
-    write_member_figure(args.out / "hexagon_critical.svg", hex_critical_b())
-    write_optimal_figure(args.out / "hexagon_optimal.svg", 6, args.grid)
-    write_optimal_figure(args.out / "octagon_optimal.svg", 8, args.grid)
-
-    for target, name, extra in (
-        ("hexagon", "hexagon_curve.csv", []),
-        ("beta", "beta_curve_j1.csv", ["--j", "1"]),
+    grid = ("--grid", str(args.grid))
+    for command, target, name, *options in (
+        ("render", "P6", "hexagon_b0.svg", "--b", "0"),
+        ("render", "P6", "hexagon_critical.svg", "--b", repr(hex_critical_b())),
+        ("render", "P6", "hexagon_optimal.svg", "--b", "optimal", *grid),
+        ("render", "P8", "octagon_optimal.svg", "--b", "optimal", *grid),
+        ("curve", "hexagon", "hexagon_curve.csv", "--samples", "201"),
+        ("curve", "beta", "beta_curve_j1.csv", "--samples", "201", "--j", "1"),
     ):
-        out = args.out / name
-        code = cli_main(["curve", target, str(out), "--samples", "201", *extra])
+        code = cli_main([command, target, str(args.out / name), *options])
         if code != 0:
             return code
     return 0

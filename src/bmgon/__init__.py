@@ -9,19 +9,14 @@ everything else is imported from its module (``bmgon.geom``,
 
 from .evengon import theorem2_value
 from .geom import regular_polygon
-from .hexagon import HEXAGON, hex_build, hex_critical_b
+from .hexagon import hex_critical_b
 from .oracle import argmin_orbit, bm_distance
-from .pgram import circum_ratio, contacts
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "HEXAGON",
     "argmin_orbit",
     "bm_distance",
-    "circum_ratio",
-    "contacts",
-    "hex_build",
     "hex_critical_b",
     "regular_polygon",
     "theorem2_value",

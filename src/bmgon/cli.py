@@ -171,7 +171,7 @@ def suite_theorem1() -> list[Claim]:
     rows.append(Claim("hex critical slope closed form", hex_critical_b(), root, 1e-12))
     rows.append(Claim("hex ratio at critical slope", 1.5224, hex_h(hex_critical_b()), 5e-4))
     dev = max(
-        abs(hex_h(b) - circum_ratio(hex_build(b).parallelogram, HEXAGON))
+        abs(hex_h(b) - circum_ratio(hex_build(b), HEXAGON))
         for b in (B_REGIME_MAX * (i / 100.0) for i in range(101))
     )
     rows.append(Claim("hex closed form vs construction, 101 samples", 0.0, dev, 1e-9))
@@ -287,13 +287,13 @@ def suite_lemma(seed: int) -> list[Claim]:
     return [Claim("strip ratio identity, 1000 seeded instances", 0.0, worst, 1e-10)]
 
 
-def _random_map(rng: np.random.Generator, max_cond: float = 20.0) -> list[list[float]]:
-    """Random nonsingular 2x2 matrix with condition number at most
-    ``max_cond``, by rejection."""
+def _random_map(rng: np.random.Generator) -> list[list[float]]:
+    """Random nonsingular 2x2 matrix with condition number at most 20,
+    by rejection."""
     while True:
         mat = rng.uniform(-2.0, 2.0, size=(2, 2))
         s = np.linalg.svd(mat, compute_uv=False)
-        if s[1] > 1e-6 and s[0] / s[1] <= max_cond:
+        if s[1] > 1e-6 and s[0] / s[1] <= 20.0:
             return mat.tolist()
 
 
@@ -473,9 +473,8 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     if args.target == "hexagon":
         for i in range(args.samples):
             b = B_REGIME_MAX * (i / (args.samples - 1))
-            member = hex_build(b)
-            geometric = circum_ratio(member.parallelogram, HEXAGON)
-            lines.append(f"{b!r},{member.h!r},{geometric!r}")
+            geometric = circum_ratio(hex_build(b), HEXAGON)
+            lines.append(f"{b!r},{hex_h(b)!r},{geometric!r}")
     else:
         if args.j < 1:
             raise ValueError(f"j must be at least 1, got {args.j}")
@@ -545,10 +544,10 @@ def render_svg(
 
 
 def _render_configs(
-    gon: CentralPolygon, name: str, b_arg: str, grid: int, refine: bool
+    gon: CentralPolygon, name: str, b_arg: str, grid: int
 ) -> list[tuple[Parallelogram, float, tuple[Vec2, ...]]]:
     if b_arg == "optimal":
-        result = bm_distance(gon, grid=grid, refine=refine)
+        result = bm_distance(gon, grid=grid)
         reps = argmin_orbit(gon, result)
         return [(p, circum_ratio(p, gon), contacts(p, gon, circum_ratio(p, gon))) for p in reps]
     try:
@@ -558,7 +557,7 @@ def _render_configs(
     match = _SHORTHAND.fullmatch(name)
     n = int(match.group(1)) if match else 0
     if n == 6:
-        p = hex_build(b).parallelogram
+        p = hex_build(b)
     elif n >= 8 and n % 8 == 0:
         p = beta_square(n // 8, b)
     else:
@@ -571,7 +570,7 @@ def _render_configs(
 
 def _cmd_render(args: argparse.Namespace) -> int:
     gon, name = _load_polygon(args.polygon)
-    configs = _render_configs(gon, name, args.b, args.grid, not args.no_refine)
+    configs = _render_configs(gon, name, args.b, args.grid)
     Path(args.out).write_text(render_svg(gon, configs))
     print("command: render")
     print(f"polygon: {name}")
@@ -620,7 +619,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--b", default="optimal", help="family slope, or 'optimal' (default) for argmin"
     )
     render.add_argument("--grid", type=int, default=360, help="grid for optimal search")
-    render.add_argument("--no-refine", action="store_true", help="skip local refinement")
     return parser
 
 

@@ -31,7 +31,6 @@ __all__ = [
     "axis_parallelogram",
     "beta_k",
     "beta_h",
-    "beta_critical",
     "beta_square",
     "dist_pn_phn",
 ]
@@ -114,13 +113,6 @@ def beta_h(j: int, b: float) -> float:
     _check_b(j, b)
     k = beta_k(j)
     return _SQRT2 * (k - b) / (k * (b * b + 1.0))
-
-
-def beta_critical(j: int) -> float:
-    """Interior maximizer of beta_h(j, .): the positive root
-    b = k + sqrt(k^2 + 1) of b^2 - 2*b*k - 1 = 0."""
-    k = beta_k(j)
-    return k + math.sqrt(k * k + 1.0)
 
 
 def beta_square(j: int, b: float) -> Parallelogram:

@@ -1,8 +1,9 @@
 """Planar convex-geometry kernel for centrally symmetric polygons.
 
 Provides immutable value types (vectors, polygons with exact central
-symmetry, symmetric strips) together with support functions, a boundary
-parametrization, and the width-ratio identity for nested parallel strips.
+symmetry, symmetric strips) together with a boundary parametrization,
+the width-ratio identity for nested parallel strips, and the linear
+symmetries of a polygon.
 Everything here is pure double-precision arithmetic with no hidden state.
 """
 
@@ -17,7 +18,6 @@ __all__ = [
     "CentralPolygon",
     "Strip",
     "regular_polygon",
-    "support",
     "boundary_point",
     "transversal_ratio",
     "polygon_gauge",
@@ -36,6 +36,9 @@ __all__ = [
 SYMMETRY_TOL = 1e-9
 # unit-normal residue allowed on strips, and the parallelism threshold
 UNIT_TOL = 1e-12
+# vertex-image residue allowed by symmetry_map, relative to the largest
+# vertex norm
+SYMMETRY_MAP_TOL = 1e-9
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -167,17 +170,6 @@ def regular_polygon(n: int) -> CentralPolygon:
     return CentralPolygon(Vec2(math.cos(step * j), math.sin(step * j)) for j in range(n))
 
 
-def support(polygon: CentralPolygon, direction: Vec2) -> float:
-    """Support value max(v . direction) over the vertices.
-
-    The direction is not normalized, so the result is positively
-    homogeneous in ``direction``.
-    """
-    if direction.x == 0.0 and direction.y == 0.0:
-        raise ValueError("support direction must be nonzero")
-    return max(v.dot(direction) for v in polygon.vertices)
-
-
 def boundary_point(polygon: CentralPolygon, t: float) -> Vec2:
     """Boundary parametrization: t = i + f maps to the point a fraction f
     along the edge from vertex i to vertex i+1, with period 2m.
@@ -294,14 +286,14 @@ def linear_image(polygon: CentralPolygon, mat: Mat2 | Sequence[Sequence[float]])
     return CentralPolygon(verts)
 
 
-def symmetry_map(polygon: CentralPolygon, k: int, step: int, tol: float = 1e-9) -> Mat2 | None:
+def symmetry_map(polygon: CentralPolygon, k: int, step: int) -> Mat2 | None:
     """The linear map sending vertex i to vertex k + step * i (indices
     modulo n), if it carries the vertex cycle onto itself; otherwise None.
 
     The map is fixed by the images of vertices 0 and 1.  Every vertex
-    image must match its target within ``tol`` times the largest vertex
-    norm, so the check does not depend on the scale of the polygon; the
-    first vertex that misses ends it.
+    image must match its target within ``SYMMETRY_MAP_TOL`` times the
+    largest vertex norm, so the check does not depend on the scale of the
+    polygon; the first vertex that misses ends it.
     """
     verts = polygon.vertices
     n = len(verts)
@@ -312,7 +304,7 @@ def symmetry_map(polygon: CentralPolygon, k: int, step: int, tol: float = 1e-9) 
     b = (w1.x * v0.x - w0.x * v1.x) / det0
     c = (w0.y * v1.y - w1.y * v0.y) / det0
     d = (w1.y * v0.x - w0.y * v1.x) / det0
-    bound = tol * max(map(Vec2.norm, verts[: n // 2]))  # antipodes have equal norms
+    bound = SYMMETRY_MAP_TOL * max(map(Vec2.norm, verts[: n // 2]))  # antipodes have equal norms
     if all(
         abs(a * verts[i].x + b * verts[i].y - verts[(k + step * i) % n].x) <= bound
         and abs(c * verts[i].x + d * verts[i].y - verts[(k + step * i) % n].y) <= bound
@@ -322,7 +314,7 @@ def symmetry_map(polygon: CentralPolygon, k: int, step: int, tol: float = 1e-9) 
     return None
 
 
-def polygon_symmetries(polygon: CentralPolygon, tol: float = 1e-9) -> list[Mat2]:
+def polygon_symmetries(polygon: CentralPolygon) -> list[Mat2]:
     """All linear maps that send the vertex cycle of the polygon onto
     itself, as decided by ``symmetry_map``: for each start vertex k in
     order, the orientation-preserving map (step 1) before the reversing
@@ -335,7 +327,7 @@ def polygon_symmetries(polygon: CentralPolygon, tol: float = 1e-9) -> list[Mat2]
     maps: list[Mat2] = []
     for k in range(len(polygon.vertices)):
         for step in (1, -1):
-            mat = symmetry_map(polygon, k, step, tol)
+            mat = symmetry_map(polygon, k, step)
             if mat is not None:
                 maps.append(mat)
     return maps

@@ -17,14 +17,12 @@ two endpoints, giving the two optimal parallelogram positions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .geom import CentralPolygon, Vec2, line_intersection, regular_polygon
 from .pgram import Parallelogram
 
 __all__ = [
     "HEXAGON",
-    "HexFamilyPoint",
     "hex_c",
     "hex_h",
     "hex_h_derivative",
@@ -79,31 +77,15 @@ def hex_critical_b() -> float:
     return (-10.0 * _SQRT3 + 8.0 * math.sqrt(6.0)) / 14.0
 
 
-@dataclass(frozen=True)
-class HexFamilyPoint:
-    """One balanced family member: the slope b, the coupling c(b), the
-    generators p and q, the parallelogram they span, and the ratio h(b)."""
-
-    b: float
-    c: float
-    p: Vec2
-    q: Vec2
-    parallelogram: Parallelogram
-    h: float
-
-
-def hex_build(b: float) -> HexFamilyPoint:
-    """Constructs the balanced family member at slope b by intersecting
-    the defining lines with the fixed hexagon sides."""
+def hex_build(b: float) -> Parallelogram:
+    """The balanced family member at slope b: its generators p and q are
+    the crossings of the defining lines with the fixed hexagon sides."""
     _check_domain(b, B_REGIME_MAX, "hex_build")
-    c = hex_c(b)
     v0, v1, v2 = HEXAGON.vertices[0], HEXAGON.vertices[1], HEXAGON.vertices[2]
     origin = Vec2(0.0, 0.0)
     p = line_intersection(origin, Vec2(1.0, b), v0, v1 - v0)
-    q = line_intersection(origin, Vec2(c, 1.0), v1, v2 - v1)
-    return HexFamilyPoint(
-        b=b, c=c, p=p, q=q, parallelogram=Parallelogram(p, q), h=hex_h(b)
-    )
+    q = line_intersection(origin, Vec2(hex_c(b), 1.0), v1, v2 - v1)
+    return Parallelogram(p, q)
 
 
 def hex_optimal_positions() -> list[Parallelogram]:

@@ -326,6 +326,14 @@ def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
     return [divmod(int(j), f.shape[1]) for j in idx]
 
 
+def _start_cells(c: CentralPolygon, f: np.ndarray) -> list[tuple[int, int]]:
+    """The cells ``bm_distance`` descends from: each scanned cell stands
+    for r = m/k rotated copies over [0, m), so the ceil(starts / r)
+    lowest cells of F, lowest first."""
+    copies = c.m // _rotation_step(c)
+    return _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies))
+
+
 def bm_distance(c: CentralPolygon, grid: int = 360, refine: bool = True) -> BMResult:
     """Minimal circumscribed ratio over inscribed parallelograms of the
     polygon, by grid search plus optional local refinement.
@@ -345,10 +353,9 @@ def bm_distance(c: CentralPolygon, grid: int = 360, refine: bool = True) -> BMRe
     if not np.isfinite(f).any():
         raise RuntimeError("no feasible parallelogram cell on the grid")
     objective, sheets, m = _make_objective(c)
-    copies = m // _rotation_step(c)
     best: tuple[float, float, float] | None = None
     starts: list[StartRecord] = []
-    for i, k in _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies)):
+    for i, k in _start_cells(c, f):
         t1, s, val = float(t1s[i]), float(ss[k]), float(f[i, k])
         if refine:
             t1, s, val, sweeps, stop = _descend(objective, sheets, t1, s, 2.0 * m / grid, m)
@@ -397,10 +404,13 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     near-optimal parallelogram positions.
 
     Rescans the grid at the result's resolution, refines every local
-    minimum cell near the optimum, keeps refined positions with objective
-    at most ``result.lam + ORBIT_TOL``, and walks them from the lowest
-    up, keeping each one that lies near no image of a kept one under the
-    linear symmetries of the polygon (the identity among them).
+    minimum cell near the optimum and every cell ``bm_distance`` starts
+    from, keeps refined positions with objective at most
+    ``result.lam + ORBIT_TOL``, and walks them from the lowest up,
+    keeping each one that lies near no image of a kept one under the
+    linear symmetries of the polygon (the identity among them).  The
+    best descent of ``bm_distance`` may start off a local minimum of the
+    grid, so its start cells keep the optimum among the candidates.
     """
     t1s, ss, f = grid_scan(c, result.grid_resolution)
     objective, sheets, m = _make_objective(c)
@@ -409,6 +419,8 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     # widths times the local slope, so keep a generous value slack
     slack = max(10.0 * ORBIT_TOL, 6.0 * m / result.grid_resolution)
     mask &= f <= result.lam + slack
+    for i, k in _start_cells(c, f):
+        mask[i, k] = True
     scale = max(v.norm() for v in c.vertices)
     cluster_tol = 1e-5 * scale
 

@@ -21,7 +21,6 @@ from bmgon.geom import (
     Vec2,
     boundary_distance,
     linear_image,
-    polygon_symmetries,
     regular_polygon,
     transversal_ratio,
 )
@@ -31,11 +30,12 @@ from bmgon.hexagon import (
     hex_build,
     hex_critical_b,
     hex_h,
+    hex_h_derivative,
     hex_optimal_positions,
 )
-from bmgon.cli import Claim, _random_map
+from bmgon.cli import Claim, _bisect_zero, _orbit_match, _random_map
 from bmgon.oracle import argmin_orbit, bm_distance, grid_scan
-from bmgon.pgram import circum_ratio, symmetry_orbit, vertex_hausdorff
+from bmgon.pgram import circum_ratio
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -74,37 +74,26 @@ def test_criterion_1_hexagon_distance(dist, report):
 
 
 def test_criterion_2_hexagon_curve(report):
-    closed = (-10.0 * SQRT3 + math.sqrt(384.0)) / 14.0
+    root = _bisect_zero(hex_h_derivative, 0.0, B_REGIME_MAX)
     checks = [
         abs(hex_h(0.0) - 1.5) <= 1e-12,
         abs(hex_h(SQRT3 / 5.0) - 1.5) <= 1e-12,
-        abs(hex_critical_b() - closed) <= 1e-12,
+        abs(hex_critical_b() - root) <= 1e-12,
         abs(hex_h(hex_critical_b()) - 1.5224) <= 5e-4,
     ]
     dev = max(
-        abs(hex_h(b) - circum_ratio(hex_build(b).parallelogram, HEXAGON))
+        abs(hex_h(b) - circum_ratio(hex_build(b), HEXAGON))
         for b in (B_REGIME_MAX * (i / 100.0) for i in range(101))
     )
     checks.append(dev < 1e-9)
     report(
         2,
         all(checks),
-        f"endpoints at 3/2 (tol 1e-12), critical b={hex_critical_b()!r}, "
+        f"endpoints at 3/2 (tol 1e-12), critical b={hex_critical_b()!r} vs "
+        f"derivative zero {root!r} (tol 1e-12), "
         f"h(crit)={hex_h(hex_critical_b())!r} vs 1.5224 (tol 5e-4), "
         f"101-sample construction dev={dev:.3g} (tol 1e-9)",
     )
-
-
-def _match_up_to_symmetry(reps, targets):
-    maps = polygon_symmetries(HEXAGON)
-    target_orbits = [symmetry_orbit(t, maps) for t in targets]
-    d_reps = max(
-        min(vertex_hausdorff(r, img) for o in target_orbits for img in o) for r in reps
-    )
-    d_targets = max(
-        min(vertex_hausdorff(img, r) for img in o for r in reps) for o in target_orbits
-    )
-    return max(d_reps, d_targets)
 
 
 def test_criterion_3_optimal_positions(dist, report):
@@ -115,7 +104,7 @@ def test_criterion_3_optimal_positions(dist, report):
     )
     ratio_dev = max(abs(circum_ratio(p, HEXAGON) - 1.5) for p in positions)
     reps = argmin_orbit(HEXAGON, dist(6, 360))
-    match = _match_up_to_symmetry(reps, positions) if len(reps) == 2 else math.inf
+    match = _orbit_match(reps, positions) if len(reps) == 2 else math.inf
     ok = inscribed <= 1e-9 and ratio_dev <= 1e-12 and len(reps) == 2 and match <= 1e-3
     report(
         3,

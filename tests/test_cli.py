@@ -307,6 +307,12 @@ class TestRender:
         assert code == 2
         assert "P6 or a regular 8j-gon" in err
 
+    def test_no_refine_flag_is_not_accepted(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as stopped:
+            main(["render", "P6", str(tmp_path / "x.svg"), "--no-refine"])
+        assert stopped.value.code == 2
+        assert "unrecognized arguments: --no-refine" in capsys.readouterr().err
+
     def test_bad_b_value(self, capsys, tmp_path):
         code, _, err = run(capsys, "render", "P6", str(tmp_path / "x.svg"), "--b", "best")
         assert code == 2

@@ -4,7 +4,6 @@ import pytest
 
 from bmgon.evengon import (
     axis_parallelogram,
-    beta_critical,
     beta_h,
     beta_k,
     beta_square,
@@ -92,18 +91,6 @@ class TestBetaFamily:
             assert all(
                 beta_h(j, hi * (i / 1000.0)) > SQRT2 for i in range(1, 1000)
             )
-
-    def test_critical_point(self):
-        for j in range(1, 5):
-            b = beta_critical(j)
-            hi = math.tan(math.pi / (8.0 * j))
-            assert 0.0 < b < hi
-            step = 1e-7
-            fd = (beta_h(j, b + step) - beta_h(j, b - step)) / (2.0 * step)
-            assert abs(fd) <= 1e-6
-
-    def test_critical_value_frozen(self):
-        assert abs(beta_h(1, beta_critical(1)) - 1.4724736459167271) <= 1e-12
 
     def test_square_construction_matches_closed_form(self):
         for j in (1, 2, 3):

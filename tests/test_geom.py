@@ -21,7 +21,6 @@ from bmgon.geom import (
     polygon_gauge,
     polygon_symmetries,
     regular_polygon,
-    support,
     transversal_ratio,
 )
 
@@ -114,19 +113,6 @@ class TestCentralPolygon:
 
 
 class TestSupportAndStrips:
-    def test_support_examples(self, p4, p6):
-        assert support(p4, Vec2(1.0, 1.0)) == 1.0
-        assert support(p6, Vec2(1.0, 0.0)) == 1.0
-        assert abs(support(p6, Vec2(0.0, 1.0)) - SQRT3 / 2.0) < 1e-15
-
-    def test_support_homogeneous(self, p6):
-        d = Vec2(0.3, -1.2)
-        assert abs(support(p6, 2.5 * d) - 2.5 * support(p6, d)) < 1e-12
-
-    def test_support_rejects_zero(self, p4):
-        with pytest.raises(ValueError):
-            support(p4, Vec2(0.0, 0.0))
-
     def test_strip_validation(self):
         with pytest.raises(ValueError):
             Strip(Vec2(1.0, 1.0), 1.0)

@@ -342,6 +342,19 @@ class TestArgminOrbit:
             for p in reps:
                 assert circum_ratio(p, gon) <= result.lam + 1e-4
 
+    @pytest.mark.parametrize(
+        "seed, m, grid",
+        [(83, 8, 360), (13, 4, 45), (13, 4, 60), (15, 6, 90), (97, 11, 60), (188, 3, 60)],
+    )
+    def test_a_start_off_the_local_minima_still_gives_a_class(self, seed, m, grid):
+        # the best descent of bm_distance starts from a cell that is not a
+        # local minimum of the grid here
+        gon = random_central_polygon(np.random.default_rng(seed), m)
+        result = bm_distance(gon, grid=grid)
+        reps = argmin_orbit(gon, result)
+        assert len(reps) >= 1
+        assert min(circum_ratio(p, gon) for p in reps) <= result.lam + 1e-4
+
     def test_representatives_are_distinct_classes(self, p6):
         from bmgon.geom import apply_linear, polygon_symmetries
         from bmgon.pgram import Parallelogram

@@ -1,22 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_central_polygon
-from bmgon.geom import Vec2, boundary_distance
-from bmgon.pgram import (
-    BalanceReport,
-    Parallelogram,
-    balance_inscribed,
-    circum_ratio,
-    contacts,
-    gauge,
-    is_inscribed,
-    vertex_hausdorff,
-)
+from bmgon.geom import Vec2
+from bmgon.pgram import Parallelogram, circum_ratio, contacts, gauge, vertex_hausdorff
 
 SQRT3 = math.sqrt(3.0)
 
@@ -93,12 +82,6 @@ class TestCircumRatio:
 
 
 class TestContainmentPredicates:
-    def test_is_inscribed(self, p6):
-        p = Parallelogram(Vec2(1.0, 0.0), Vec2(0.0, SQRT3 / 2.0))
-        assert is_inscribed(p, p6)
-        shrunk = Parallelogram(Vec2(0.5, 0.0), Vec2(0.0, 0.5))
-        assert not is_inscribed(shrunk, p6)
-
     def test_scaled_optimum_circumscribes_hexagon(self, p6):
         p = Parallelogram(Vec2(1.0, 0.0), Vec2(0.0, SQRT3 / 2.0))
         lam = circum_ratio(p, p6)
@@ -106,42 +89,6 @@ class TestContainmentPredicates:
         # contains the hexagon, with vertices on its boundary
         assert abs(circum_ratio(scaled, p6) - 1.0) <= 1e-15
         assert len(contacts(scaled, p6, 1.0)) == 4
-
-
-class TestBalanceInscribed:
-    def test_hexagon_axis_family(self, p6):
-        report = balance_inscribed(p6, 1.0, 2.0, fixed_t=0.0)
-        assert isinstance(report, BalanceReport)
-        assert abs(report.arc_parameter - 1.5) < 1e-9
-        assert abs(report.ratio - 1.5) < 1e-9
-        assert report.residual <= 1e-9
-
-    def test_square_family(self, p4):
-        report = balance_inscribed(p4, 0.2, 1.8, fixed_t=0.0)
-        assert abs(report.ratio - 1.0) < 1e-9
-        assert abs(report.arc_parameter - 1.0) < 1e-9
-
-    def test_unbalanceable_arc_raises(self, p6):
-        with pytest.raises(ValueError, match="not balanceable"):
-            balance_inscribed(p6, 1.02, 1.2, fixed_t=0.0)
-
-    def test_balanced_members_are_inscribed(self):
-        rng = np.random.default_rng(5)
-        balanced = 0
-        for _ in range(20):
-            gon = random_central_polygon(rng)
-            m = gon.m
-            try:
-                report = balance_inscribed(gon, 0.05 * m, 0.95 * m, fixed_t=0.0)
-            except ValueError:
-                continue
-            balanced += 1
-            assert report.residual <= 1e-9
-            p = report.parallelogram
-            assert boundary_distance(gon, p.u) < 1e-9
-            assert boundary_distance(gon, p.v) < 1e-9
-            assert abs(report.ratio - circum_ratio(p, gon)) == 0.0
-        assert balanced >= 10
 
 
 class TestVertexHausdorff:

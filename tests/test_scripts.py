@@ -34,7 +34,12 @@ def test_make_figures_writes_every_figure(tmp_path):
         "hexagon_optimal.svg",
         "octagon_optimal.svg",
     ]
-    assert "hexagon_optimal.svg (2 configurations)" in proc.stdout
+    # each figure is drawn by the render command, which prints its count
+    (optimal,) = [
+        block for block in proc.stdout.split("command: ")
+        if block.rstrip().endswith("hexagon_optimal.svg")
+    ]
+    assert "configurations: 2" in optimal
 
 
 def test_probe_conjectures_skips_the_proven_hexagon():
