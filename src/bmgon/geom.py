@@ -34,7 +34,8 @@ __all__ = [
 
 # mirror-pair residue allowed at construction before exact re-negation
 SYMMETRY_TOL = 1e-9
-# unit-normal residue allowed on strips, and the parallelism threshold
+# unit-normal residue allowed on strips, the parallelism threshold, and
+# linear_image's singularity threshold on |det| / (a^2 + b^2 + c^2 + d^2)
 UNIT_TOL = 1e-12
 # vertex-image residue allowed by symmetry_map, relative to the largest
 # vertex norm
@@ -278,7 +279,7 @@ def linear_image(polygon: CentralPolygon, mat: Mat2 | Sequence[Sequence[float]])
     vertices when the map reverses orientation."""
     (a, b), (c, d) = mat
     det = a * d - b * c
-    if abs(det) <= UNIT_TOL:
+    if abs(det) <= UNIT_TOL * (a * a + b * b + c * c + d * d):
         raise ValueError("linear map is singular")
     verts = [apply_linear(mat, v) for v in polygon.vertices]
     if det < 0.0:

@@ -14,10 +14,11 @@ period t1 in [0, k), s in (0, m/2]: a quarter of the parameter torus
 for a polygon without rotations, and m/k times less for one with them.
 The objective, the maximal parallelogram gauge over the polygon's
 vertices, is evaluated on a grid of that domain and then polished by a
-derivative-free local descent: alternating golden-section line searches
-along two orthogonal coordinates on a bracket that shrinks whenever a
-sweep stops improving.  The descent itself may leave the domain; its
-result labels the same parallelogram either way.
+derivative-free compass descent: one step of length r along each of
+two orthogonal directions and their opposites, the first that improves
+taken, r grown by 1/shrink after a move and shrunk by shrink after a
+stall, until r drops below ``step_tol``.  The descent itself may leave
+the domain; its result labels the same parallelogram either way.
 
 The descents start from the lowest grid cells.  Each scanned cell stands
 for the r = m/k rotated copies of itself in [0, m), so ceil(starts / r)
@@ -25,11 +26,11 @@ of the lowest cells are descended from; a polygon without rotations
 descends from ``starts`` cells.
 
 The objective is a maximum of smooth per-vertex sheets, so its valleys
-are creases where two sheets tie; fixed axis-aligned coordinates stall on
-a diagonal crease, because each 1-d slice then has its minimum exactly at
-the current point.  The descent therefore re-aligns its coordinate frame
-each sweep with the locally tie-preserving direction of the two leading
-sheets, estimated by central differences of their gap.
+are creases where two sheets tie; fixed axis-aligned steps stall on a
+diagonal crease, because every one of them climbs out of the valley.
+The descent therefore re-aligns its frame each sweep with the locally
+tie-preserving direction of the two leading sheets, estimated by
+central differences of their gap at the step length r.
 """
 
 from __future__ import annotations
@@ -54,9 +55,6 @@ __all__ = [
     "argmin_orbit",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 @dataclass(frozen=True)
 class SearchSettings:
     """The search's constants, in one record; the search reads them from
@@ -65,9 +63,8 @@ class SearchSettings:
     # descents over t1 in [0, m); one rotation period of a polygon with
     # r rotations descends from its ceil(starts / r) lowest cells
     starts: int = 5
-    shrink: float = 0.5        # bracket factor applied when a sweep stalls
-    step_tol: float = 1e-9     # stop when the bracket radius drops below this
-    objective_tol: float = 1e-12  # sweep improvement counted as progress
+    shrink: float = 0.5        # step factor after a stall; 1/shrink after a move
+    step_tol: float = 1e-13    # stop when the step length drops below this
     margin: float = 1e-6       # keeps s = t2 - t1 inside (margin, m - margin)
     max_sweeps: int = 3000
 
@@ -75,7 +72,7 @@ class SearchSettings:
 DEFAULT_SETTINGS = SearchSettings()
 
 # argmin_orbit keeps refined positions within this of the optimum
-ORBIT_TOL = 1e-4
+ORBIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -248,25 +245,6 @@ def _make_objective(
     return objective, sheets, m
 
 
-def _golden_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float]:
-    """Golden-section minimizer on [lo, hi]: the best probe and its value."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
-
-
 def _descend(
     objective: Callable[[float, float], float],
     sheets: Callable[..., list[float]],
@@ -275,45 +253,47 @@ def _descend(
     radius: float,
     m: int,
 ) -> tuple[float, float, float, int, str]:
-    """Local descent from (t1, s).  Returns the final point and value,
-    the sweeps run, and the stop reason: ``step_tol`` when the bracket
-    radius fell below ``DEFAULT_SETTINGS.step_tol``, ``max_sweeps`` when
-    the sweeps ran out first."""
+    """Compass descent from (t1, s) in the crease frame.  Each sweep tries
+    one step of length r along e1, e2, -e1 and -e2 and takes the first
+    that lowers the objective; r grows by 1/shrink after a move and
+    shrinks by shrink after a stall.  Returns the final point and value,
+    the sweeps run, and the stop reason: ``step_tol`` when r fell below
+    ``DEFAULT_SETTINGS.step_tol``, ``max_sweeps`` when the sweeps ran out
+    first."""
     settings = DEFAULT_SETTINGS
     lo, hi = settings.margin, m - settings.margin
     fcur = objective(t1, s)
-    f0 = fcur
     r = radius
     for sweep in range(1, settings.max_sweeps + 1):
-        # coordinate frame aligned with the tie direction of the two
-        # leading gauge sheets; falls back to the axes when flat
+        # frame aligned with the tie direction of the two leading gauge
+        # sheets, by central differences at the step length; falls back
+        # to the axes when flat
         values = sheets(t1, s)
         e1 = (1.0, 0.0)
         if len(values) >= 2:
             pair = tuple(heapq.nlargest(2, range(len(values)), key=values.__getitem__))
-            d = max(r * 1e-3, 1e-9)
 
             def sheet_gap(a: float, b: float) -> float:
                 v1, v2 = sheets(a, b, pair)
                 return v1 - v2
 
-            gx = (sheet_gap(t1 + d, s) - sheet_gap(t1 - d, s)) / (2.0 * d)
-            gy = (sheet_gap(t1, s + d) - sheet_gap(t1, s - d)) / (2.0 * d)
+            gx = sheet_gap(t1 + r, s) - sheet_gap(t1 - r, s)
+            gy = sheet_gap(t1, s + r) - sheet_gap(t1, s - r)
             norm = math.hypot(gx, gy)
-            if norm > 1e-12:
+            if norm > 0.0:
                 e1 = (-gy / norm, gx / norm)
-        for ex, ey in (e1, (-e1[1], e1[0])):
-            tol = max(r * 1e-3, 1e-12)
-            tau, ftau = _golden_min(lambda t: objective(t1 + t * ex, s + t * ey), -r, r, tol)
-            if ftau <= fcur:
-                t1 = t1 + tau * ex
-                s = min(max(s + tau * ey, lo), hi)
-                fcur = ftau
-        if f0 - fcur < settings.objective_tol:
+        ex, ey = e1
+        for dx, dy in ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex)):
+            a, b = t1 + r * dx, s + r * dy
+            fab = objective(a, b)
+            if fab < fcur:
+                t1, s, fcur = a, min(max(b, lo), hi), fab
+                r /= settings.shrink
+                break
+        else:
             r *= settings.shrink
             if r < settings.step_tol:
                 return t1, s, fcur, sweep, "step_tol"
-        f0 = fcur
     return t1, s, fcur, settings.max_sweeps, "max_sweeps"
 
 
@@ -324,14 +304,6 @@ def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
     idx = np.argpartition(flat, count - 1)[:count]
     idx = idx[np.argsort(flat[idx], kind="stable")]
     return [divmod(int(j), f.shape[1]) for j in idx]
-
-
-def _start_cells(c: CentralPolygon, f: np.ndarray) -> list[tuple[int, int]]:
-    """The cells ``bm_distance`` descends from: each scanned cell stands
-    for r = m/k rotated copies over [0, m), so the ceil(starts / r)
-    lowest cells of F, lowest first."""
-    copies = c.m // _rotation_step(c)
-    return _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies))
 
 
 def bm_distance(c: CentralPolygon, grid: int = 360, refine: bool = True) -> BMResult:
@@ -355,7 +327,8 @@ def bm_distance(c: CentralPolygon, grid: int = 360, refine: bool = True) -> BMRe
     objective, sheets, m = _make_objective(c)
     best: tuple[float, float, float] | None = None
     starts: list[StartRecord] = []
-    for i, k in _start_cells(c, f):
+    copies = c.m // _rotation_step(c)
+    for i, k in _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies)):
         t1, s, val = float(t1s[i]), float(ss[k]), float(f[i, k])
         if refine:
             t1, s, val, sweeps, stop = _descend(objective, sheets, t1, s, 2.0 * m / grid, m)
@@ -400,31 +373,28 @@ def _canonical_key(p: Parallelogram) -> tuple:
 
 
 def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
-    """Representatives, one per symmetry class of the polygon, of all
-    near-optimal parallelogram positions.
+    """Representatives, one per symmetry class of the polygon, of the
+    optimal parallelogram positions.
 
     Rescans the grid at the result's resolution, refines every local
-    minimum cell near the optimum and every cell ``bm_distance`` starts
-    from, keeps refined positions with objective at most
-    ``result.lam + ORBIT_TOL``, and walks them from the lowest up,
-    keeping each one that lies near no image of a kept one under the
-    linear symmetries of the polygon (the identity among them).  The
-    best descent of ``bm_distance`` may start off a local minimum of the
-    grid, so its start cells keep the optimum among the candidates.
+    minimum cell near the optimum, keeps refined positions with
+    objective at most ``result.lam + ORBIT_TOL`` together with the
+    result's own witness, and walks them from the lowest up, keeping
+    each one that lies near no image of a kept one under the linear
+    symmetries of the polygon (the identity among them).  The witness
+    makes at least one class, even when the best descent of
+    ``bm_distance`` started off a local minimum of the grid.
     """
     t1s, ss, f = grid_scan(c, result.grid_resolution)
     objective, sheets, m = _make_objective(c)
     mask = _local_minima_mask(f)
     # coarse cells sit above the refined optimum by up to a few cell
     # widths times the local slope, so keep a generous value slack
-    slack = max(10.0 * ORBIT_TOL, 6.0 * m / result.grid_resolution)
-    mask &= f <= result.lam + slack
-    for i, k in _start_cells(c, f):
-        mask[i, k] = True
+    mask &= f <= result.lam + 6.0 * m / result.grid_resolution
     scale = max(v.norm() for v in c.vertices)
     cluster_tol = 1e-5 * scale
 
-    candidates: list[tuple[float, Parallelogram]] = []
+    candidates = [(result.lam, result.parallelogram)]
     for i, k in np.argwhere(mask):
         t1, s, val, _, _ = _descend(
             objective, sheets, float(t1s[i]), float(ss[k]), 2.0 * m / result.grid_resolution, m

@@ -211,6 +211,13 @@ class TestLinearMaps:
         with pytest.raises(ValueError):
             linear_image(p6, [[1.0, 2.0], [2.0, 4.0]])
 
+    @pytest.mark.parametrize("scale", [1e-7, 1e8])
+    def test_linear_image_accepts_a_uniform_scaling(self, p6, scale):
+        # the singularity test is relative to the map's entries, so a
+        # tiny or huge multiple of the identity is not singular
+        image = linear_image(p6, [[scale, 0.0], [0.0, scale]])
+        assert image.vertices == CentralPolygon([v * scale for v in p6.vertices]).vertices
+
     def test_symmetry_group_sizes(self, p6, p8):
         assert len(polygon_symmetries(p6)) == 12
         assert len(polygon_symmetries(p8)) == 16

@@ -257,8 +257,28 @@ class TestStarts:
             gon = regular_polygon(n)
             for poly in (gon, linear_image(gon, random_linear_map(rng))):
                 for grid in (90, 360, 720):
-                    lam = bm_distance(poly, grid=grid).lam
-                    assert abs(lam - claimed) <= 1e-12, (n, grid, lam - claimed)
+                    result = bm_distance(poly, grid=grid)
+                    assert abs(result.lam - claimed) <= 1e-12, (n, grid, result.lam - claimed)
+                    assert all(r.stop == "step_tol" for r in result.starts), (n, grid)
+
+    @pytest.mark.parametrize("seed", [0, 3, 5, 7])
+    def test_no_descent_runs_out_of_sweeps(self, seed, monkeypatch):
+        # a descent that crawls along a crease at a tiny step runs to
+        # max_sweeps; argmin_orbit's descents are in no result, so every
+        # stop is recorded here
+        stops = []
+        descend = oracle._descend
+
+        def recording(*args):
+            out = descend(*args)
+            stops.append(out[4])
+            return out
+
+        monkeypatch.setattr(oracle, "_descend", recording)
+        rng = np.random.default_rng(seed)
+        gon = random_central_polygon(rng, int(rng.integers(3, 13)))
+        argmin_orbit(gon, bm_distance(gon, grid=360))
+        assert stops and all(stop == "step_tol" for stop in stops), stops
 
     def test_running_out_of_sweeps_is_reported(self, p6, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_SETTINGS", SearchSettings(max_sweeps=2))
@@ -354,6 +374,18 @@ class TestArgminOrbit:
         reps = argmin_orbit(gon, result)
         assert len(reps) >= 1
         assert min(circum_ratio(p, gon) for p in reps) <= result.lam + 1e-4
+
+    @pytest.mark.parametrize("seed, low, high, grid", [(3, 3, 13, 360), (116, 2, 11, 90)])
+    def test_every_class_is_optimal(self, seed, low, high, grid):
+        # local minima a little above the optimum (a kink at a vertex, a
+        # slow descent) are not classes of optimal positions
+        rng = np.random.default_rng(seed)
+        gon = random_central_polygon(rng, int(rng.integers(low, high)))
+        result = bm_distance(gon, grid=grid)
+        reps = argmin_orbit(gon, result)
+        assert reps
+        for p in reps:
+            assert circum_ratio(p, gon) <= result.lam + 1e-9
 
     def test_representatives_are_distinct_classes(self, p6):
         from bmgon.geom import apply_linear, polygon_symmetries
