@@ -255,7 +255,7 @@ def suite_beta() -> list[Claim]:
         hi = math.tan(math.pi / (8.0 * j))
         dev = max(abs(beta_h(j, 0.0) - _SQRT2), abs(beta_h(j, hi) - _SQRT2))
         rows.append(Claim(f"beta endpoints at sqrt(2), j={j}", 0.0, dev, 1e-12))
-        interior = min(beta_h(j, hi * (i / 10001.0)) for i in range(1, 10001))
+        interior = float(beta_h(j, hi * (np.arange(1, 10001) / 10001.0)).min())
         rows.append(Claim(f"beta interior exceeds sqrt(2), j={j}", _SQRT2, interior, 0.0, "above"))
     for n in (8, 16):
         result = bm_distance(regular_polygon(n), grid=360)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geom import CentralPolygon, Vec2, boundary_crossing, line_intersection, regular_polygon
 from .pgram import Parallelogram
 
@@ -100,15 +102,16 @@ def beta_k(j: int) -> float:
     return math.sin(t) / (math.cos(t) - 1.0)
 
 
-def _check_b(j: int, b: float) -> None:
+def _check_b(j: int, b: float | np.ndarray) -> None:
     hi = math.tan(math.pi / (8.0 * j))
-    if not (0.0 <= b <= hi):
+    if not (0.0 <= np.min(b) and np.max(b) <= hi):
         raise ValueError(f"b must lie in [0, tan(pi/{8 * j})] = [0, {hi:.17g}], got {b}")
 
 
-def beta_h(j: int, b: float) -> float:
+def beta_h(j: int, b: float | np.ndarray) -> float | np.ndarray:
     """Circumscribed ratio of the inscribed square of the regular 8j-gon
-    whose diagonal has slope b."""
+    whose diagonal has slope b; elementwise, with the same bits, for an
+    array of slopes."""
     _check_j(j)
     _check_b(j, b)
     k = beta_k(j)

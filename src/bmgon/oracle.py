@@ -31,6 +31,15 @@ diagonal crease, because every one of them climbs out of the valley.
 The descent therefore re-aligns its frame each sweep with the locally
 tie-preserving direction of the two leading sheets, estimated by
 central differences of their gap at the step length r.
+
+Each descent step evaluates only what decides it.  The leading pair is
+picked at the start and again only after a move, since a stall leaves
+the point, and so every sheet, where it was.  A trial step evaluates
+the pair's sheets first and is rejected as soon as one of them reaches
+the current value: correctly rounded division by the positive common
+denominator is monotone, so the maximum reaches it too.  Only an
+accepted step evaluates every sheet, and every choice, and so every
+result, is the same bit for bit as with full evaluations.
 """
 
 from __future__ import annotations
@@ -73,6 +82,10 @@ DEFAULT_SETTINGS = SearchSettings()
 
 # argmin_orbit keeps refined positions within this of the optimum
 ORBIT_TOL = 1e-9
+
+# largest grid_scan accepts: a polygon without rotations then scans
+# 2048 x 2048 cells, about 34 MB per array
+MAX_GRID = 4096
 
 
 @dataclass(frozen=True)
@@ -155,10 +168,12 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
     r = ceil(k * grid / 2m) and h = ceil(grid/2), where F[i, j] is the
     maximal vertex gauge of the parallelogram with generators at
     boundary parameters t1[i] and t1[i] + s[j]; infeasible cells hold
-    +inf.
+    +inf.  Raises ValueError unless 8 <= grid <= ``MAX_GRID``.
     """
     if grid < 8:
         raise ValueError(f"grid must be at least 8, got {grid}")
+    if grid > MAX_GRID:
+        raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
     margin = DEFAULT_SETTINGS.margin
     pts, verts = _vertex_arrays(c)
     m = len(pts) // 2
@@ -188,16 +203,28 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
 
 def _make_objective(
     c: CentralPolygon,
-) -> tuple[Callable[[float, float], float], Callable[..., list[float]], int]:
-    """Scalar objective and per-vertex sheet values on raw floats.
+) -> tuple[
+    Callable[..., float], Callable[..., list[float]], Callable[[float, float, int, int], float], int
+]:
+    """Scalar objective, per-vertex sheet values and the gap of two sheets,
+    on raw floats.
 
-    Both read the boundary from the edge tables as lists, reducing the
-    parameters modulo n as ``geom.boundary_point`` does, since a descent
-    may leave [0, n).  The objective divides the largest sheet
+    All three read the boundary from the edge tables as lists, reducing
+    the parameters modulo n as ``geom.boundary_point`` does, since a
+    descent may leave [0, n).  The objective divides the largest sheet
     numerator by the common positive denominator, which equals the
     largest sheet bit for bit since correctly rounded division by a
     positive number is monotone.  ``sheets(t1, s, which)`` evaluates
-    only the sheets of the vertex indices in ``which``.
+    only the sheets of the vertex indices in ``which``, and
+    ``gap(t1, s, i, j)`` is sheet i minus sheet j, bit for bit as
+    ``sheets`` gives them (nan where the denominator is not positive,
+    as inf - inf).
+
+    ``objective(t1, s, bound, lead)`` first evaluates the sheets of the
+    indices in ``lead`` and returns the first of them that is at least
+    ``bound``: the maximum is then at least ``bound`` too, so the value
+    answers ``objective(t1, s) < bound`` exactly, and it equals the
+    maximum whenever that answer is yes.
     """
     pts, verts = _vertex_arrays(c)
     n = len(pts)
@@ -231,10 +258,26 @@ def _make_objective(
             for wx, wy in (half[i] for i in which)
         ]
 
-    def objective(t1: float, s: float) -> float:
+    def gap(t1: float, s: float, i: int, j: int) -> float:
+        ux, uy, vx, vy, den = ends(t1, s)
+        if not den > 1e-300:
+            return math.nan
+        (ax, ay), (bx, by) = half[i], half[j]
+        return (abs(ax * vy - ay * vx) + abs(ux * ay - uy * ax)) / den - (
+            abs(bx * vy - by * vx) + abs(ux * by - uy * bx)
+        ) / den
+
+    def objective(
+        t1: float, s: float, bound: float = math.inf, lead: tuple[int, ...] = ()
+    ) -> float:
         ux, uy, vx, vy, den = ends(t1, s)
         if not den > 1e-300:
             return math.inf
+        for i in lead:
+            wx, wy = half[i]
+            g = (abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)) / den
+            if g >= bound:
+                return g
         top = 0.0
         for wx, wy in half:
             g = abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)
@@ -242,12 +285,13 @@ def _make_objective(
                 top = g
         return top / den
 
-    return objective, sheets, m
+    return objective, sheets, gap, m
 
 
 def _descend(
-    objective: Callable[[float, float], float],
+    objective: Callable[..., float],
     sheets: Callable[..., list[float]],
+    gap: Callable[[float, float, int, int], float],
     t1: float,
     s: float,
     radius: float,
@@ -259,36 +303,37 @@ def _descend(
     shrinks by shrink after a stall.  Returns the final point and value,
     the sweeps run, and the stop reason: ``step_tol`` when r fell below
     ``DEFAULT_SETTINGS.step_tol``, ``max_sweeps`` when the sweeps ran out
-    first."""
+    first.
+
+    The leading pair of sheets is picked at the start and again only
+    after a move, since a stall leaves the point and so the sheets where
+    they were.  A trial step checks the pair first and is rejected as
+    soon as one of them reaches the current value; only an accepted step
+    evaluates every sheet."""
     settings = DEFAULT_SETTINGS
     lo, hi = settings.margin, m - settings.margin
     fcur = objective(t1, s)
     r = radius
+    pair = None
     for sweep in range(1, settings.max_sweeps + 1):
+        if pair is None:
+            values = sheets(t1, s)
+            pair = tuple(heapq.nlargest(2, range(m), key=values.__getitem__))
+            i, j = pair
         # frame aligned with the tie direction of the two leading gauge
         # sheets, by central differences at the step length; falls back
         # to the axes when flat
-        values = sheets(t1, s)
-        e1 = (1.0, 0.0)
-        if len(values) >= 2:
-            pair = tuple(heapq.nlargest(2, range(len(values)), key=values.__getitem__))
-
-            def sheet_gap(a: float, b: float) -> float:
-                v1, v2 = sheets(a, b, pair)
-                return v1 - v2
-
-            gx = sheet_gap(t1 + r, s) - sheet_gap(t1 - r, s)
-            gy = sheet_gap(t1, s + r) - sheet_gap(t1, s - r)
-            norm = math.hypot(gx, gy)
-            if norm > 0.0:
-                e1 = (-gy / norm, gx / norm)
-        ex, ey = e1
+        gx = gap(t1 + r, s, i, j) - gap(t1 - r, s, i, j)
+        gy = gap(t1, s + r, i, j) - gap(t1, s - r, i, j)
+        norm = math.hypot(gx, gy)
+        ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
         for dx, dy in ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex)):
             a, b = t1 + r * dx, s + r * dy
-            fab = objective(a, b)
+            fab = objective(a, b, fcur, pair)
             if fab < fcur:
                 t1, s, fcur = a, min(max(b, lo), hi), fab
                 r /= settings.shrink
+                pair = None
                 break
         else:
             r *= settings.shrink
@@ -324,14 +369,14 @@ def bm_distance(c: CentralPolygon, grid: int = 360, refine: bool = True) -> BMRe
     t1s, ss, f = grid_scan(c, grid)
     if not np.isfinite(f).any():
         raise RuntimeError("no feasible parallelogram cell on the grid")
-    objective, sheets, m = _make_objective(c)
+    objective, sheets, gap, m = _make_objective(c)
     best: tuple[float, float, float] | None = None
     starts: list[StartRecord] = []
     copies = c.m // _rotation_step(c)
     for i, k in _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies)):
         t1, s, val = float(t1s[i]), float(ss[k]), float(f[i, k])
         if refine:
-            t1, s, val, sweeps, stop = _descend(objective, sheets, t1, s, 2.0 * m / grid, m)
+            t1, s, val, sweeps, stop = _descend(objective, sheets, gap, t1, s, 2.0 * m / grid, m)
             starts.append(StartRecord(float(t1s[i]), float(ss[k]), val, sweeps, stop))
         if best is None or val < best[2]:
             best = (t1, s, val)
@@ -386,7 +431,7 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     ``bm_distance`` started off a local minimum of the grid.
     """
     t1s, ss, f = grid_scan(c, result.grid_resolution)
-    objective, sheets, m = _make_objective(c)
+    objective, sheets, gap, m = _make_objective(c)
     mask = _local_minima_mask(f)
     # coarse cells sit above the refined optimum by up to a few cell
     # widths times the local slope, so keep a generous value slack
@@ -397,7 +442,7 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     candidates = [(result.lam, result.parallelogram)]
     for i, k in np.argwhere(mask):
         t1, s, val, _, _ = _descend(
-            objective, sheets, float(t1s[i]), float(ss[k]), 2.0 * m / result.grid_resolution, m
+            objective, sheets, gap, float(t1s[i]), float(ss[k]), 2.0 * m / result.grid_resolution, m
         )
         if val <= result.lam + ORBIT_TOL:
             u = boundary_point(c, t1)

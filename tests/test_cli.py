@@ -174,6 +174,14 @@ class TestDistance:
         assert code == 2
         assert "symmetr" in err
 
+    @pytest.mark.parametrize("grid", ["4097", "100000000"])
+    def test_huge_grid_exits_with_the_bound(self, capsys, grid):
+        code, out, err = run(capsys, "distance", "P6", "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert f"grid must be at most 4096, got {grid}" in err
+        assert "Traceback" not in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "distance", str(tmp_path / "absent.txt"))
         assert code == 2
@@ -312,6 +320,16 @@ class TestRender:
             main(["render", "P6", str(tmp_path / "x.svg"), "--no-refine"])
         assert stopped.value.code == 2
         assert "unrecognized arguments: --no-refine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["4097", "100000000"])
+    def test_huge_grid_exits_with_the_bound(self, capsys, tmp_path, grid):
+        path = tmp_path / "opt.svg"
+        code, out, err = run(capsys, "render", "P6", str(path), "--grid", grid)
+        assert code == 2
+        assert out == ""
+        assert f"grid must be at most 4096, got {grid}" in err
+        assert "Traceback" not in err
+        assert not path.exists()
 
     def test_bad_b_value(self, capsys, tmp_path):
         code, _, err = run(capsys, "render", "P6", str(tmp_path / "x.svg"), "--b", "best")

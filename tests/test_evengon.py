@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bmgon.evengon import (
@@ -103,6 +104,22 @@ class TestBetaFamily:
                 assert abs(square.u.dot(square.v)) <= 1e-12
                 assert boundary_distance(gon, square.u) <= 1e-12
                 assert abs(circum_ratio(square, gon) - beta_h(j, b)) <= 1e-12
+
+    def test_array_of_slopes_matches_the_scalar_values_bit_for_bit(self):
+        for j in range(1, 5):
+            hi = math.tan(math.pi / (8.0 * j))
+            slopes = hi * (np.arange(0, 1001) / 1000.0)
+            values = beta_h(j, slopes)
+            assert values.tolist() == [beta_h(j, b) for b in slopes.tolist()]
+            assert type(beta_h(j, float(slopes[1]))) is float
+
+    def test_array_with_one_slope_out_of_range_is_rejected(self):
+        hi = math.tan(math.pi / 8.0)
+        for bad in (-1e-12, hi + 1e-9, math.nan):
+            slopes = np.linspace(0.0, hi, 50)
+            slopes[17] = bad
+            with pytest.raises(ValueError):
+                beta_h(1, slopes)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

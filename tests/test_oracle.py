@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -53,6 +54,10 @@ class TestGridScan:
         with pytest.raises(ValueError):
             grid_scan(p6, 7)
 
+    def test_rejects_huge_grid(self, p6):
+        with pytest.raises(ValueError, match=f"grid must be at most {oracle.MAX_GRID}"):
+            grid_scan(p6, oracle.MAX_GRID + 1)
+
     @pytest.mark.parametrize("grid", [64, 45])
     def test_fundamental_domain_matches_the_scalar_objective(self, grid):
         half = (grid + 1) // 2
@@ -69,7 +74,7 @@ class TestGridScan:
             assert (t1 < k).all()
             # an odd grid's middle s value is m/2 up to one rounding
             assert (s <= np.nextafter(m / 2.0, np.inf)).all()
-            objective, _, _ = _make_objective(gon)
+            objective, _, _, _ = _make_objective(gon)
             for i, j in zip(rng.integers(0, rows, 50), rng.integers(0, half, 50)):
                 expected = objective(float(t1[i]), float(s[j]))
                 assert math.isclose(f[i, j], expected, rel_tol=1e-12), (i, j)
@@ -81,7 +86,7 @@ class TestObjective:
         margin = DEFAULT_SETTINGS.margin
         for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
             m = len(gon.vertices) // 2
-            objective, sheets, _ = _make_objective(gon)
+            objective, sheets, _, _ = _make_objective(gon)
             # t1 well outside [0, 2m) and s outside [margin, m - margin]
             t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000)
             ss = rng.uniform(-0.5, m + 0.5, 2000)
@@ -92,6 +97,113 @@ class TestObjective:
                 assert objective(t1, s) == max(values), (t1, s)
                 i, j = (int(x) for x in rng.integers(0, m, 2))
                 assert sheets(t1, s, (i, j)) == [values[i], values[j]]
+
+    @staticmethod
+    def _points(gon, rng):
+        m = len(gon.vertices) // 2
+        t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000)
+        ss = rng.uniform(-0.5, m + 0.5, 2000)
+        return zip(t1s.tolist(), ss.tolist())
+
+    def test_early_exit_decides_like_the_full_maximum(self):
+        # the descent only asks whether a trial value is below the bound,
+        # and uses the value only when it is
+        rng = np.random.default_rng(2009)
+        for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
+            m = len(gon.vertices) // 2
+            objective, sheets, gap, _ = _make_objective(gon)
+            points = list(self._points(gon, rng))
+            # descent ends lie on creases, where the leading sheets tie
+            for t1, s in points[:20]:
+                points.append(oracle._descend(objective, sheets, gap, t1, s, 0.1, m)[:2])
+            for t1, s in points:
+                value = objective(t1, s)
+                values = sheets(t1, s)
+                leading = tuple(heapq.nlargest(2, range(m), key=values.__getitem__))
+                other = tuple(int(x) for x in rng.integers(0, m, 2))
+                bounds = (
+                    value,
+                    math.nextafter(value, math.inf),
+                    math.nextafter(value, -math.inf),
+                    value + 1e-3,
+                    value - 1e-3,
+                    math.inf,
+                )
+                for bound in bounds:
+                    for lead in (leading, leading[::-1], other):
+                        early = objective(t1, s, bound, lead)
+                        assert (early < bound) == (value < bound), (t1, s, bound, lead)
+                        if early < bound:
+                            assert early == value, (t1, s, bound, lead)
+
+    def test_gap_is_the_difference_of_two_sheets_bit_for_bit(self):
+        rng = np.random.default_rng(2010)
+        for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
+            m = len(gon.vertices) // 2
+            _, sheets, gap, _ = _make_objective(gon)
+            for t1, s in self._points(gon, rng):
+                i, j = (int(x) for x in rng.integers(0, m, 2))
+                v = sheets(t1, s, (i, j))
+                expected = v[0] - v[1]
+                got = gap(t1, s, i, j)
+                assert got == expected or (math.isnan(got) and math.isnan(expected)), (t1, s)
+
+    def test_gap_is_nan_where_the_sheets_are_infinite(self, p6):
+        # at t1 = 1e17 adding s rounds away, so both generators are one
+        # point and the denominator is 0
+        _, sheets, gap, _ = _make_objective(p6)
+        assert sheets(1e17, 0.5, (0, 1)) == [math.inf, math.inf]
+        assert math.isnan(gap(1e17, 0.5, 0, 1))
+
+
+class TestDescend:
+    @staticmethod
+    def _reference(objective, sheets, t1, s, radius, m):
+        """The compass descent with full evaluations: every sweep re-picks
+        the leading pair from all m sheets, and every trial step takes
+        the full maximum."""
+        settings = DEFAULT_SETTINGS
+        lo, hi = settings.margin, m - settings.margin
+        fcur = objective(t1, s)
+        r = radius
+        for sweep in range(1, settings.max_sweeps + 1):
+            values = sheets(t1, s)
+            pair = tuple(heapq.nlargest(2, range(m), key=values.__getitem__))
+
+            def sheet_gap(a, b):
+                v1, v2 = sheets(a, b, pair)
+                return v1 - v2
+
+            gx = sheet_gap(t1 + r, s) - sheet_gap(t1 - r, s)
+            gy = sheet_gap(t1, s + r) - sheet_gap(t1, s - r)
+            norm = math.hypot(gx, gy)
+            ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
+            for dx, dy in ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex)):
+                a, b = t1 + r * dx, s + r * dy
+                fab = objective(a, b)
+                if fab < fcur:
+                    t1, s, fcur = a, min(max(b, lo), hi), fab
+                    r /= settings.shrink
+                    break
+            else:
+                r *= settings.shrink
+                if r < settings.step_tol:
+                    return t1, s, fcur, sweep, "step_tol"
+        return t1, s, fcur, settings.max_sweeps, "max_sweeps"
+
+    def test_matches_the_descent_with_full_evaluations_bit_for_bit(self):
+        rng = np.random.default_rng(2011)
+        gons = [regular_polygon(n) for n in (4, 6, 8, 14, 50)]
+        gons += [random_central_polygon(rng, m) for m in (2, 3, 7, 12)]
+        for gon in gons:
+            m = len(gon.vertices) // 2
+            objective, sheets, gap, _ = _make_objective(gon)
+            starts = zip(rng.uniform(0.0, 2.0 * m, 8), rng.uniform(0.05 * m, 0.5 * m, 8))
+            for t1, s in starts:
+                for radius in (2.0 * m / 91, 2.0 * m / 720):
+                    args = (float(t1), float(s), radius, m)
+                    expected = self._reference(objective, sheets, *args)
+                    assert oracle._descend(objective, sheets, gap, *args) == expected, args
 
 
 class TestRelabelling:
@@ -245,7 +357,7 @@ class TestStarts:
                     assert not is_rotated_copy(a, b), (a, b)
 
             # (c) the identity the cut to t1 in [0, k) relies on
-            objective, _, _ = _make_objective(gon)
+            objective, _, _, _ = _make_objective(gon)
             for t1, s in zip(rng.uniform(0.0, 2.0 * m, 200), rng.uniform(0.02 * m, 0.98 * m, 200)):
                 base = objective(t1, s)
                 assert math.isclose(objective(t1 + k, s), base, rel_tol=1e-12), (t1, s)
