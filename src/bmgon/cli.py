@@ -16,7 +16,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -402,10 +402,7 @@ def _distance_record(name: str, result: BMResult) -> tuple[dict, str]:
         "t_u": result.t_u,
         "t_v": result.t_v,
         "contacts": [[w.x, w.y] for w in result.contacts],
-        "starts": [
-            {"t1": r.t1, "s": r.s, "value": r.value, "sweeps": r.sweeps, "stop": r.stop}
-            for r in result.starts
-        ],
+        "starts": [asdict(r) for r in result.starts],
     }
     note = ""
     match = _SHORTHAND.fullmatch(name)

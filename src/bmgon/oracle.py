@@ -14,10 +14,10 @@ period t1 in [0, k), s in (0, m/2]: a quarter of the parameter torus
 for a polygon without rotations, and m/k times less for one with them.
 The objective, the maximal parallelogram gauge over the polygon's
 vertices, is evaluated on a grid of that domain and then polished by a
-derivative-free compass descent: one step of length r along each of
-two orthogonal directions and their opposites, the first that improves
-taken, r grown by 1/shrink after a move and shrunk by shrink after a
-stall, until r drops below ``step_tol``.  The descent itself may leave
+compass descent: one step of length r along each of two orthogonal
+directions and their opposites, the first that improves taken, r grown
+by 1/shrink after a move and shrunk by shrink after a stall, until r
+drops below ``step_tol``.  The descent itself may leave
 the domain; its result labels the same parallelogram either way.
 
 The descents start from the lowest grid cells.  Each scanned cell stands
@@ -28,23 +28,22 @@ descends from ``starts`` cells.
 The objective is a maximum of smooth per-vertex sheets, so its valleys
 are creases where two sheets tie; fixed axis-aligned steps stall on a
 diagonal crease, because every one of them climbs out of the valley.
-The descent therefore re-aligns its frame each sweep with the locally
-tie-preserving direction of the two leading sheets, estimated by
-central differences of their gap at the step length r.
+The descent therefore aligns its frame with the tie line of the two
+leading sheets.  Their numerators are affine in (t1, s) inside an
+edge-pair cell, so that line is straight and its direction comes from
+the exact gradient of their difference at the point, with no step
+length in it.  The frame is set at the start and again only after a
+move, since a stall leaves the point, and so the frame, where it was.
 
-Each descent step evaluates only what decides it.  The leading pair is
-picked at the start and again only after a move, since a stall leaves
-the point, and so every sheet, where it was.  A trial step evaluates
-the pair's sheets first and is rejected as soon as one of them reaches
-the current value: correctly rounded division by the positive common
-denominator is monotone, so the maximum reaches it too.  Only an
-accepted step evaluates every sheet, and every choice, and so every
-result, is the same bit for bit as with full evaluations.
+A trial step evaluates the pair's sheets first and is rejected as soon
+as one of them reaches the current value: correctly rounded division by
+the positive common denominator is monotone, so the maximum reaches it
+too.  Only an accepted step evaluates every sheet, and every choice is
+the same bit for bit as with full evaluations.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -91,12 +90,14 @@ MAX_GRID = 4096
 @dataclass(frozen=True)
 class StartRecord:
     """One descent: its start cell (t1, s), final objective value, sweeps
-    run and stop reason (``step_tol`` or ``max_sweeps``)."""
+    run, accepted steps among them (the other sweeps stalled) and stop
+    reason (``step_tol`` or ``max_sweeps``)."""
 
     t1: float
     s: float
     value: float
     sweeps: int
+    moves: int
     stop: str
 
 
@@ -117,7 +118,7 @@ class BMResult:
 
 
 def _vertex_arrays(c: CentralPolygon) -> tuple[list[tuple[float, float]], np.ndarray]:
-    pts = [(v.x, v.y) for v in c.vertices]
+    pts = [(float(v.x), float(v.y)) for v in c.vertices]
     return pts, np.asarray(pts, dtype=float)
 
 
@@ -204,27 +205,35 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
 def _make_objective(
     c: CentralPolygon,
 ) -> tuple[
-    Callable[..., float], Callable[..., list[float]], Callable[[float, float, int, int], float], int
+    Callable[..., float],
+    Callable[[float, float], tuple[tuple[int, int], tuple[float, float]]],
+    int,
 ]:
-    """Scalar objective, per-vertex sheet values and the gap of two sheets,
-    on raw floats.
+    """Scalar objective and the crease of its two leading sheets, on raw
+    floats.
 
-    All three read the boundary from the edge tables as lists, reducing
-    the parameters modulo n as ``geom.boundary_point`` does, since a
-    descent may leave [0, n).  The objective divides the largest sheet
-    numerator by the common positive denominator, which equals the
-    largest sheet bit for bit since correctly rounded division by a
-    positive number is monotone.  ``sheets(t1, s, which)`` evaluates
-    only the sheets of the vertex indices in ``which``, and
-    ``gap(t1, s, i, j)`` is sheet i minus sheet j, bit for bit as
-    ``sheets`` gives them (nan where the denominator is not positive,
-    as inf - inf).
+    Both read the boundary from the edge tables as lists, reducing the
+    parameters modulo n as ``geom.boundary_point`` does, since a descent
+    may leave [0, n).  Sheet w is N_w / den, with numerator
+    N_w = |cross(w, v)| + |cross(u, w)| and the common denominator
+    den = cross(u, v).  The objective divides the largest numerator by
+    den, which equals the largest sheet bit for bit since correctly
+    rounded division by a positive number is monotone.
 
     ``objective(t1, s, bound, lead)`` first evaluates the sheets of the
     indices in ``lead`` and returns the first of them that is at least
     ``bound``: the maximum is then at least ``bound`` too, so the value
     answers ``objective(t1, s) < bound`` exactly, and it equals the
     maximum whenever that answer is yes.
+
+    ``crease(t1, s)`` returns the leading pair (i, j) of numerators, the
+    lower index first among equals as ``heapq.nlargest`` orders them,
+    and the exact gradient in (t1, s) of N_i - N_j: moving t1 moves both
+    generators along their edges, moving s only v, and
+    dN_w = sign(cross(u, w)) cross(du, w) + sign(cross(w, v)) cross(w, dv)
+    for edge deltas du and dv.  Inside an edge-pair cell the signs are
+    fixed and N_i - N_j is affine, so the tie set of the pair is the
+    straight line through the point normal to this gradient.
     """
     pts, verts = _vertex_arrays(c)
     n = len(pts)
@@ -233,44 +242,26 @@ def _make_objective(
     xs, ys, dxs, dys = (a.tolist() for a in _edge_tables(verts))
     half = pts[:m]  # antipodal vertices have equal gauge
 
-    def ends(t1: float, s: float) -> tuple[float, float, float, float, float]:
+    def ends(t1: float, s: float) -> tuple[float, float, float, float, float, int, int]:
         s = lo if s < lo else hi if s > hi else s
         t = t1 % n
         if t >= n:  # float mod can round up to the period itself
             t = 0.0
-        i = int(t)
-        f = t - i
-        ux, uy = xs[i] + f * dxs[i], ys[i] + f * dys[i]
+        a = int(t)
+        f = t - a
+        ux, uy = xs[a] + f * dxs[a], ys[a] + f * dys[a]
         t = (t1 + s) % n
         if t >= n:
             t = 0.0
-        i = int(t)
-        f = t - i
-        vx, vy = xs[i] + f * dxs[i], ys[i] + f * dys[i]
-        return ux, uy, vx, vy, ux * vy - uy * vx
-
-    def sheets(t1: float, s: float, which: range | tuple[int, ...] = range(m)) -> list[float]:
-        ux, uy, vx, vy, den = ends(t1, s)
-        if not den > 1e-300:
-            return [math.inf] * len(which)
-        return [
-            (abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)) / den
-            for wx, wy in (half[i] for i in which)
-        ]
-
-    def gap(t1: float, s: float, i: int, j: int) -> float:
-        ux, uy, vx, vy, den = ends(t1, s)
-        if not den > 1e-300:
-            return math.nan
-        (ax, ay), (bx, by) = half[i], half[j]
-        return (abs(ax * vy - ay * vx) + abs(ux * ay - uy * ax)) / den - (
-            abs(bx * vy - by * vx) + abs(ux * by - uy * bx)
-        ) / den
+        b = int(t)
+        f = t - b
+        vx, vy = xs[b] + f * dxs[b], ys[b] + f * dys[b]
+        return ux, uy, vx, vy, ux * vy - uy * vx, a, b
 
     def objective(
         t1: float, s: float, bound: float = math.inf, lead: tuple[int, ...] = ()
     ) -> float:
-        ux, uy, vx, vy, den = ends(t1, s)
+        ux, uy, vx, vy, den, _, _ = ends(t1, s)
         if not den > 1e-300:
             return math.inf
         for i in lead:
@@ -285,61 +276,79 @@ def _make_objective(
                 top = g
         return top / den
 
-    return objective, sheets, gap, m
+    def crease(t1: float, s: float) -> tuple[tuple[int, int], tuple[float, float]]:
+        ux, uy, vx, vy, _, a, b = ends(t1, s)
+        top = second = -1.0
+        i = j = 0
+        for w, (wx, wy) in enumerate(half):
+            g = abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)
+            if g > top:
+                second, j, top, i = top, i, g, w
+            elif g > second:
+                second, j = g, w
+        dux, duy, dvx, dvy = dxs[a], dys[a], dxs[b], dys[b]
+
+        def slope(w: int) -> tuple[float, float]:
+            wx, wy = half[w]
+            cu, cv = ux * wy - uy * wx, wx * vy - wy * vx
+            ds = ((cv > 0.0) - (cv < 0.0)) * (wx * dvy - wy * dvx)
+            return ((cu > 0.0) - (cu < 0.0)) * (dux * wy - duy * wx) + ds, ds
+
+        (ti, si), (tj, sj) = slope(i), slope(j)
+        return (i, j), (ti - tj, si - sj)
+
+    return objective, crease, m
 
 
 def _descend(
     objective: Callable[..., float],
-    sheets: Callable[..., list[float]],
-    gap: Callable[[float, float, int, int], float],
+    crease: Callable[[float, float], tuple[tuple[int, int], tuple[float, float]]],
     t1: float,
     s: float,
     radius: float,
     m: int,
-) -> tuple[float, float, float, int, str]:
+) -> tuple[float, float, float, int, int, str]:
     """Compass descent from (t1, s) in the crease frame.  Each sweep tries
     one step of length r along e1, e2, -e1 and -e2 and takes the first
     that lowers the objective; r grows by 1/shrink after a move and
     shrinks by shrink after a stall.  Returns the final point and value,
-    the sweeps run, and the stop reason: ``step_tol`` when r fell below
-    ``DEFAULT_SETTINGS.step_tol``, ``max_sweeps`` when the sweeps ran out
-    first.
+    the sweeps run, the moves among them, and the stop reason:
+    ``step_tol`` when r fell below ``DEFAULT_SETTINGS.step_tol``,
+    ``max_sweeps`` when the sweeps ran out first.
 
-    The leading pair of sheets is picked at the start and again only
-    after a move, since a stall leaves the point and so the sheets where
-    they were.  A trial step checks the pair first and is rejected as
-    soon as one of them reaches the current value; only an accepted step
-    evaluates every sheet."""
+    e1 runs along the tie line of the two leading sheets and e2 down the
+    gradient of their difference, both from ``crease`` at the point;
+    the frame is the axes where that gradient vanishes.  It depends on
+    the point alone, so it is set at the start and again only after a
+    move, and a stall keeps it.  A trial step checks the leading pair
+    first and is rejected as soon as one of them reaches the current
+    value; only an accepted step evaluates every sheet."""
     settings = DEFAULT_SETTINGS
     lo, hi = settings.margin, m - settings.margin
     fcur = objective(t1, s)
     r = radius
-    pair = None
+    moves = 0
+    frame = None
     for sweep in range(1, settings.max_sweeps + 1):
-        if pair is None:
-            values = sheets(t1, s)
-            pair = tuple(heapq.nlargest(2, range(m), key=values.__getitem__))
-            i, j = pair
-        # frame aligned with the tie direction of the two leading gauge
-        # sheets, by central differences at the step length; falls back
-        # to the axes when flat
-        gx = gap(t1 + r, s, i, j) - gap(t1 - r, s, i, j)
-        gy = gap(t1, s + r, i, j) - gap(t1, s - r, i, j)
-        norm = math.hypot(gx, gy)
-        ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
-        for dx, dy in ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex)):
+        if frame is None:
+            pair, (gx, gy) = crease(t1, s)
+            norm = math.hypot(gx, gy)
+            ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
+            frame = ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex))
+        for dx, dy in frame:
             a, b = t1 + r * dx, s + r * dy
             fab = objective(a, b, fcur, pair)
             if fab < fcur:
                 t1, s, fcur = a, min(max(b, lo), hi), fab
                 r /= settings.shrink
-                pair = None
+                moves += 1
+                frame = None
                 break
         else:
             r *= settings.shrink
             if r < settings.step_tol:
-                return t1, s, fcur, sweep, "step_tol"
-    return t1, s, fcur, settings.max_sweeps, "max_sweeps"
+                return t1, s, fcur, sweep, moves, "step_tol"
+    return t1, s, fcur, settings.max_sweeps, moves, "max_sweeps"
 
 
 def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -369,15 +378,15 @@ def bm_distance(c: CentralPolygon, grid: int = 360, refine: bool = True) -> BMRe
     t1s, ss, f = grid_scan(c, grid)
     if not np.isfinite(f).any():
         raise RuntimeError("no feasible parallelogram cell on the grid")
-    objective, sheets, gap, m = _make_objective(c)
+    objective, crease, m = _make_objective(c)
     best: tuple[float, float, float] | None = None
     starts: list[StartRecord] = []
     copies = c.m // _rotation_step(c)
     for i, k in _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies)):
         t1, s, val = float(t1s[i]), float(ss[k]), float(f[i, k])
         if refine:
-            t1, s, val, sweeps, stop = _descend(objective, sheets, gap, t1, s, 2.0 * m / grid, m)
-            starts.append(StartRecord(float(t1s[i]), float(ss[k]), val, sweeps, stop))
+            t1, s, val, sweeps, moves, stop = _descend(objective, crease, t1, s, 2.0 * m / grid, m)
+            starts.append(StartRecord(float(t1s[i]), float(ss[k]), val, sweeps, moves, stop))
         if best is None or val < best[2]:
             best = (t1, s, val)
     t1, s, _ = best
@@ -431,7 +440,7 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     ``bm_distance`` started off a local minimum of the grid.
     """
     t1s, ss, f = grid_scan(c, result.grid_resolution)
-    objective, sheets, gap, m = _make_objective(c)
+    objective, crease, m = _make_objective(c)
     mask = _local_minima_mask(f)
     # coarse cells sit above the refined optimum by up to a few cell
     # widths times the local slope, so keep a generous value slack
@@ -441,8 +450,8 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
 
     candidates = [(result.lam, result.parallelogram)]
     for i, k in np.argwhere(mask):
-        t1, s, val, _, _ = _descend(
-            objective, sheets, gap, float(t1s[i]), float(ss[k]), 2.0 * m / result.grid_resolution, m
+        t1, s, val, _, _, _ = _descend(
+            objective, crease, float(t1s[i]), float(ss[k]), 2.0 * m / result.grid_resolution, m
         )
         if val <= result.lam + ORBIT_TOL:
             u = boundary_point(c, t1)

@@ -34,14 +34,36 @@ def p8() -> CentralPolygon:
 def random_central_polygon(rng: np.random.Generator, m: int | None = None) -> CentralPolygon:
     """Random centrally symmetric strictly convex polygon: m edge vectors
     with distinct directions in (0, pi), applied in order and then
-    mirrored, centered on the origin."""
+    mirrored, centered on the origin.
+
+    The directions are drawn until they are more than 0.02 apart, which
+    rarely happens past m = 40; ``spread_central_polygon`` serves large m."""
     if m is None:
         m = int(rng.integers(2, 7))
     while True:
         angles = np.sort(rng.uniform(0.02, math.pi - 0.02, size=m))
         if m == 1 or float(np.min(np.diff(angles))) > 0.02:
             break
-    lengths = rng.uniform(0.2, 2.0, size=m)
+    return _polygon_from_edges(rng, angles)
+
+
+def spread_central_polygon(rng: np.random.Generator, m: int) -> CentralPolygon:
+    """Random centrally symmetric strictly convex polygon with m edge
+    directions in (0.02, pi - 0.02), drawn without rejection: consecutive
+    directions are half the mean spacing apart plus a share of the
+    remaining span, the shares Dirichlet-distributed."""
+    span = math.pi - 0.04
+    least = 0.5 * span / m
+    spacings = rng.dirichlet(np.ones(m + 1)) * (span - (m - 1) * least)
+    spacings[1:m] += least
+    angles = 0.02 + np.cumsum(spacings[:m])
+    return _polygon_from_edges(rng, angles)
+
+
+def _polygon_from_edges(rng: np.random.Generator, angles: np.ndarray) -> CentralPolygon:
+    """Edges in the given increasing directions with lengths uniform in
+    [0.2, 2), applied in order and then mirrored, centered on the origin."""
+    lengths = rng.uniform(0.2, 2.0, size=len(angles))
     edges = [
         Vec2(L * math.cos(a), L * math.sin(a)) for a, L in zip(angles, lengths)
     ]

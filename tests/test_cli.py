@@ -134,8 +134,9 @@ class TestDistance:
         # the lowest cells of the regular 10-gon are rotated copies of one
         assert len(record["starts"]) == 1
         (start,) = record["starts"]
-        assert set(start) == {"t1", "s", "value", "sweeps", "stop"}
+        assert set(start) == {"t1", "s", "value", "sweeps", "moves", "stop"}
         assert start["stop"] == "step_tol" and start["sweeps"] >= 1
+        assert 1 <= start["moves"] < start["sweeps"]
         assert start["value"] >= record["lambda"] - 1e-12
 
     @pytest.mark.parametrize(

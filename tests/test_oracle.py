@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_central_polygon, random_linear_map
+from conftest import random_central_polygon, random_linear_map, spread_central_polygon
 from bmgon.geom import (
     CentralPolygon,
     apply_linear,
@@ -74,30 +74,41 @@ class TestGridScan:
             assert (t1 < k).all()
             # an odd grid's middle s value is m/2 up to one rounding
             assert (s <= np.nextafter(m / 2.0, np.inf)).all()
-            objective, _, _, _ = _make_objective(gon)
+            objective, _, _ = _make_objective(gon)
             for i, j in zip(rng.integers(0, rows, 50), rng.integers(0, half, 50)):
                 expected = objective(float(t1[i]), float(s[j]))
                 assert math.isclose(f[i, j], expected, rel_tol=1e-12), (i, j)
 
 
-class TestObjective:
-    def test_fused_objective_is_the_largest_sheet_bit_for_bit(self):
-        rng = np.random.default_rng(2000)
-        margin = DEFAULT_SETTINGS.margin
-        for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
-            m = len(gon.vertices) // 2
-            objective, sheets, _, _ = _make_objective(gon)
-            # t1 well outside [0, 2m) and s outside [margin, m - margin]
-            t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000)
-            ss = rng.uniform(-0.5, m + 0.5, 2000)
-            assert (t1s < 0).any() and (t1s >= 2 * m).any()
-            assert (ss < margin).any() and (ss > m - margin).any()
-            for t1, s in zip(t1s.tolist(), ss.tolist()):
-                values = sheets(t1, s)
-                assert objective(t1, s) == max(values), (t1, s)
-                i, j = (int(x) for x in rng.integers(0, m, 2))
-                assert sheets(t1, s, (i, j)) == [values[i], values[j]]
+def _ends(gon, t1, s):
+    """The generators u, v at (t1, s) as the objective reads them: s
+    clamped to the margin and both parameters reduced modulo n."""
+    m = len(gon.vertices) // 2
+    margin = DEFAULT_SETTINGS.margin
+    s = min(max(s, margin), m - margin)
+    return boundary_point(gon, t1), boundary_point(gon, t1 + s)
 
+
+def _numerators(gon, u, v):
+    """Sheet numerators N_w = |cross(w, v)| + |cross(u, w)| over the first
+    m vertices, in the objective's expression."""
+    m = len(gon.vertices) // 2
+    return [
+        abs(w.x * v.y - w.y * v.x) + abs(u.x * w.y - u.y * w.x) for w in gon.vertices[:m]
+    ]
+
+
+def _sheets(gon, t1, s):
+    """Every sheet N_w / den at (t1, s); inf where den <= 1e-300."""
+    u, v = _ends(gon, t1, s)
+    den = u.x * v.y - u.y * v.x
+    numerators = _numerators(gon, u, v)
+    if not den > 1e-300:
+        return [math.inf] * len(numerators)
+    return [g / den for g in numerators]
+
+
+class TestObjective:
     @staticmethod
     def _points(gon, rng):
         m = len(gon.vertices) // 2
@@ -105,20 +116,42 @@ class TestObjective:
         ss = rng.uniform(-0.5, m + 0.5, 2000)
         return zip(t1s.tolist(), ss.tolist())
 
+    def test_fused_objective_is_the_largest_sheet_bit_for_bit(self):
+        rng = np.random.default_rng(2000)
+        margin = DEFAULT_SETTINGS.margin
+        for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
+            m = len(gon.vertices) // 2
+            objective, _, _ = _make_objective(gon)
+            # t1 well outside [0, 2m) and s outside [margin, m - margin]
+            t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000)
+            ss = rng.uniform(-0.5, m + 0.5, 2000)
+            assert (t1s < 0).any() and (t1s >= 2 * m).any()
+            assert (ss < margin).any() and (ss > m - margin).any()
+            for t1, s in zip(t1s.tolist(), ss.tolist()):
+                assert objective(t1, s) == max(_sheets(gon, t1, s)), (t1, s)
+
+    def test_objective_is_infinite_where_the_generators_coincide(self, p6):
+        # at t1 = 1e17 adding s rounds away, so both generators are one
+        # point and the denominator is 0
+        objective, _, _ = _make_objective(p6)
+        assert _sheets(p6, 1e17, 0.5) == [math.inf] * 3
+        assert objective(1e17, 0.5) == math.inf
+        assert objective(1e17, 0.5, 1.0, (0, 1)) == math.inf
+
     def test_early_exit_decides_like_the_full_maximum(self):
         # the descent only asks whether a trial value is below the bound,
         # and uses the value only when it is
         rng = np.random.default_rng(2009)
         for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
             m = len(gon.vertices) // 2
-            objective, sheets, gap, _ = _make_objective(gon)
+            objective, crease, _ = _make_objective(gon)
             points = list(self._points(gon, rng))
             # descent ends lie on creases, where the leading sheets tie
             for t1, s in points[:20]:
-                points.append(oracle._descend(objective, sheets, gap, t1, s, 0.1, m)[:2])
+                points.append(oracle._descend(objective, crease, t1, s, 0.1, m)[:2])
             for t1, s in points:
                 value = objective(t1, s)
-                values = sheets(t1, s)
+                values = _sheets(gon, t1, s)
                 leading = tuple(heapq.nlargest(2, range(m), key=values.__getitem__))
                 other = tuple(int(x) for x in rng.integers(0, m, 2))
                 bounds = (
@@ -136,46 +169,83 @@ class TestObjective:
                         if early < bound:
                             assert early == value, (t1, s, bound, lead)
 
-    def test_gap_is_the_difference_of_two_sheets_bit_for_bit(self):
-        rng = np.random.default_rng(2010)
-        for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
+    def test_crease_pair_is_the_nlargest_pair_of_the_sheets(self):
+        rng = np.random.default_rng(2012)
+        gons = [regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=2)]
+        gons += [random_central_polygon(rng, m=7), spread_central_polygon(rng, m=60)]
+        for gon in gons:
             m = len(gon.vertices) // 2
-            _, sheets, gap, _ = _make_objective(gon)
-            for t1, s in self._points(gon, rng):
-                i, j = (int(x) for x in rng.integers(0, m, 2))
-                v = sheets(t1, s, (i, j))
-                expected = v[0] - v[1]
-                got = gap(t1, s, i, j)
-                assert got == expected or (math.isnan(got) and math.isnan(expected)), (t1, s)
+            objective, crease, _ = _make_objective(gon)
+            points = list(self._points(gon, rng))
+            for t1, s in points[:10]:
+                points.append(oracle._descend(objective, crease, t1, s, 0.1, m)[:2])
+            compared = 0
+            for t1, s in points:
+                values = _sheets(gon, t1, s)
+                top = sorted(values, reverse=True)[:3]
+                # where the top sheets tie, rounding decides the order
+                if not math.isfinite(top[0]) or len(set(top)) < len(top):
+                    continue
+                compared += 1
+                pair, _ = crease(t1, s)
+                assert pair == tuple(heapq.nlargest(2, range(m), key=values.__getitem__)), (t1, s)
+            assert compared >= 1000, compared
 
-    def test_gap_is_nan_where_the_sheets_are_infinite(self, p6):
-        # at t1 = 1e17 adding s rounds away, so both generators are one
-        # point and the denominator is 0
-        _, sheets, gap, _ = _make_objective(p6)
-        assert sheets(1e17, 0.5, (0, 1)) == [math.inf, math.inf]
-        assert math.isnan(gap(1e17, 0.5, 0, 1))
+    def test_crease_gradient_matches_central_differences_inside_a_cell(self):
+        # N_i - N_j is affine inside an edge-pair cell with fixed signs, so
+        # central differences that stay in the cell give its gradient
+        rng = np.random.default_rng(2013)
+        margin = DEFAULT_SETTINGS.margin
+        h = 1e-4
+        gons = [regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)]
+        gons.append(linear_image(regular_polygon(8), random_linear_map(rng)))
+        for gon in gons:
+            n = len(gon.vertices)
+            m = n // 2
+            _, crease, _ = _make_objective(gon)
+            checked = 0
+            t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000).tolist()
+            ss = rng.uniform(margin + h, m - margin - h, 2000).tolist()
+            for t1, s in zip(t1s, ss):
+                (i, j), (gx, gy) = crease(t1, s)
+
+                def cell(a, b):
+                    # edges of u and v and the signs of the pair's crosses
+                    u, v = _ends(gon, a, b)
+                    signs = tuple(
+                        np.sign(c)
+                        for w in (gon.vertices[i], gon.vertices[j])
+                        for c in (u.cross(w), w.cross(v))
+                    )
+                    return int(a % n), int((a + b) % n), signs
+
+                def diff(a, b):
+                    numerators = _numerators(gon, *_ends(gon, a, b))
+                    return numerators[i] - numerators[j]
+
+                around = [(t1 + h, s), (t1 - h, s), (t1, s + h), (t1, s - h)]
+                if any(cell(a, b) != cell(t1, s) for a, b in around):
+                    continue
+                checked += 1
+                fx = (diff(t1 + h, s) - diff(t1 - h, s)) / (2.0 * h)
+                fy = (diff(t1, s + h) - diff(t1, s - h)) / (2.0 * h)
+                assert math.hypot(fx - gx, fy - gy) <= 1e-6 * math.hypot(gx, gy), (t1, s)
+            assert checked >= 500, checked
 
 
 class TestDescend:
     @staticmethod
-    def _reference(objective, sheets, t1, s, radius, m):
-        """The compass descent with full evaluations: every sweep re-picks
-        the leading pair from all m sheets, and every trial step takes
-        the full maximum."""
+    def _reference(objective, crease, t1, s, radius, m):
+        """The compass descent with full evaluations: every sweep re-derives
+        the leading pair and the frame, and every trial step takes the
+        full maximum."""
         settings = DEFAULT_SETTINGS
         lo, hi = settings.margin, m - settings.margin
         fcur = objective(t1, s)
         r = radius
+        moves = 0
         for sweep in range(1, settings.max_sweeps + 1):
-            values = sheets(t1, s)
-            pair = tuple(heapq.nlargest(2, range(m), key=values.__getitem__))
-
-            def sheet_gap(a, b):
-                v1, v2 = sheets(a, b, pair)
-                return v1 - v2
-
-            gx = sheet_gap(t1 + r, s) - sheet_gap(t1 - r, s)
-            gy = sheet_gap(t1, s + r) - sheet_gap(t1, s - r)
+            _, (gx, gy) = crease(t1, s)
             norm = math.hypot(gx, gy)
             ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
             for dx, dy in ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex)):
@@ -184,12 +254,13 @@ class TestDescend:
                 if fab < fcur:
                     t1, s, fcur = a, min(max(b, lo), hi), fab
                     r /= settings.shrink
+                    moves += 1
                     break
             else:
                 r *= settings.shrink
                 if r < settings.step_tol:
-                    return t1, s, fcur, sweep, "step_tol"
-        return t1, s, fcur, settings.max_sweeps, "max_sweeps"
+                    return t1, s, fcur, sweep, moves, "step_tol"
+        return t1, s, fcur, settings.max_sweeps, moves, "max_sweeps"
 
     def test_matches_the_descent_with_full_evaluations_bit_for_bit(self):
         rng = np.random.default_rng(2011)
@@ -197,13 +268,38 @@ class TestDescend:
         gons += [random_central_polygon(rng, m) for m in (2, 3, 7, 12)]
         for gon in gons:
             m = len(gon.vertices) // 2
-            objective, sheets, gap, _ = _make_objective(gon)
+            objective, crease, _ = _make_objective(gon)
             starts = zip(rng.uniform(0.0, 2.0 * m, 8), rng.uniform(0.05 * m, 0.5 * m, 8))
             for t1, s in starts:
                 for radius in (2.0 * m / 91, 2.0 * m / 720):
                     args = (float(t1), float(s), radius, m)
-                    expected = self._reference(objective, sheets, *args)
-                    assert oracle._descend(objective, sheets, gap, *args) == expected, args
+                    expected = self._reference(objective, crease, *args)
+                    assert oracle._descend(objective, crease, *args) == expected, args
+
+    def test_a_coarse_grid_reaches_the_fine_optimum(self):
+        # with the frame taken from central differences of the pair's
+        # gap at the step length, the best descent from grid 45 stopped
+        # 2.5e-3 above the optimum here
+        gon = random_central_polygon(np.random.default_rng(31), 6)
+        optimum = bm_distance(gon, grid=2880).lam
+        assert bm_distance(gon, grid=45).lam <= optimum + 1e-9
+
+    @pytest.mark.xfail(
+        strict=True, reason="known miss: every start descends into a basin 6.3e-4 above the optimum"
+    )
+    def test_a_grid_180_descent_reaches_the_fine_optimum(self):
+        # polygon 1045 of a seeded list of random polygons with m = 2..16;
+        # the central-difference frame reached the optimum from grid 180,
+        # the exact crease frame stops 6.3e-4 above it
+        rng = np.random.default_rng(20261018)
+        for k in range(1046):
+            gon = random_central_polygon(rng, int(rng.integers(2, 17)))
+            if k % 3 == 2:
+                # every third polygon of the list is a linear image; draw
+                # its map so that the later polygons keep their inputs
+                random_linear_map(rng)
+        optimum = bm_distance(gon, grid=2880).lam
+        assert bm_distance(gon, grid=180).lam <= optimum + 1e-9
 
 
 class TestRelabelling:
@@ -357,7 +453,7 @@ class TestStarts:
                     assert not is_rotated_copy(a, b), (a, b)
 
             # (c) the identity the cut to t1 in [0, k) relies on
-            objective, _, _, _ = _make_objective(gon)
+            objective, _, _ = _make_objective(gon)
             for t1, s in zip(rng.uniform(0.0, 2.0 * m, 200), rng.uniform(0.02 * m, 0.98 * m, 200)):
                 base = objective(t1, s)
                 assert math.isclose(objective(t1 + k, s), base, rel_tol=1e-12), (t1, s)
@@ -383,7 +479,7 @@ class TestStarts:
 
         def recording(*args):
             out = descend(*args)
-            stops.append(out[4])
+            stops.append(out[-1])
             return out
 
         monkeypatch.setattr(oracle, "_descend", recording)
@@ -556,6 +652,22 @@ class TestRotationStep:
                 image = apply_linear(mat, v)
                 assert (image - verts[(k + step * i) % 6]).norm() <= 1e-12 * factor
         assert _rotation_step(gon) == 3
+
+
+class TestLargePolygons:
+    """Random polygons with many vertices, drawn without rejection."""
+
+    @pytest.mark.parametrize("m", [50, 100, 200])
+    def test_descents_converge(self, m):
+        rng = np.random.default_rng(m)
+        gon = spread_central_polygon(rng, m)
+        assert len(gon.vertices) == 2 * m
+        result = bm_distance(gon, grid=360)
+        assert len(result.starts) == DEFAULT_SETTINGS.starts
+        assert all(r.stop == "step_tol" for r in result.starts)
+        assert 1.0 <= result.lam <= 1.5 + 1e-9
+        image = linear_image(gon, random_linear_map(rng))
+        assert abs(bm_distance(image, grid=360).lam - result.lam) <= 1e-9
 
 
 class TestVerifyClaim:
