@@ -395,7 +395,6 @@ def _distance_record(name: str, result: BMResult) -> tuple[dict, str]:
         "command": "distance",
         "polygon": name,
         "grid": result.grid_resolution,
-        "refined": result.refined,
         "lambda": result.lam,
         "u": [result.parallelogram.u.x, result.parallelogram.u.y],
         "v": [result.parallelogram.v.x, result.parallelogram.v.y],
@@ -420,7 +419,7 @@ def _distance_record(name: str, result: BMResult) -> tuple[dict, str]:
 def _cmd_distance(args: argparse.Namespace) -> int:
     gon, name = _load_polygon(args.polygon)
     start = time.perf_counter()
-    result = bm_distance(gon, grid=args.grid, refine=not args.no_refine)
+    result = bm_distance(gon, grid=args.grid)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
     record, note = _distance_record(name, result)
     record["runtime_ms"] = runtime_ms
@@ -430,7 +429,6 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     print("command: distance")
     print(f"polygon: {name}")
     print(f"grid: {result.grid_resolution}")
-    print(f"refined: {str(result.refined).lower()}")
     print(f"lambda: {_nine(result.lam)}")
     print(f"u: {_vec(result.parallelogram.u)}")
     print(f"v: {_vec(result.parallelogram.v)}")
@@ -595,7 +593,6 @@ def _build_parser() -> argparse.ArgumentParser:
     dist = sub.add_parser("distance", help="minimal circumscribed ratio of a polygon")
     dist.add_argument("polygon", help="polygon file path or Pn shorthand")
     dist.add_argument("--grid", type=int, default=360, help="grid resolution (default 360)")
-    dist.add_argument("--no-refine", action="store_true", help="skip local refinement")
     dist.add_argument("--json", action="store_true", help="machine-readable output")
 
     verify = sub.add_parser("verify", help="run a verification suite")

@@ -20,11 +20,6 @@ by 1/shrink after a move and shrunk by shrink after a stall, until r
 drops below ``step_tol``.  The descent itself may leave
 the domain; its result labels the same parallelogram either way.
 
-The descents start from the lowest grid cells.  Each scanned cell stands
-for the r = m/k rotated copies of itself in [0, m), so ceil(starts / r)
-of the lowest cells are descended from; a polygon without rotations
-descends from ``starts`` cells.
-
 The objective is a maximum of smooth per-vertex sheets, so its valleys
 are creases where two sheets tie; fixed axis-aligned steps stall on a
 diagonal crease, because every one of them climbs out of the valley.
@@ -51,8 +46,8 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geom import CentralPolygon, Vec2, boundary_point, polygon_symmetries, symmetry_map
-from .pgram import Parallelogram, circum_ratio, contacts, symmetry_orbit, vertex_hausdorff
+from .geom import CentralPolygon, Vec2, boundary_point, symmetry_map
+from .pgram import Parallelogram, circum_ratio, contacts
 
 __all__ = [
     "SearchSettings",
@@ -79,8 +74,10 @@ class SearchSettings:
 
 DEFAULT_SETTINGS = SearchSettings()
 
-# argmin_orbit keeps refined positions within this of the optimum
+# positions within ORBIT_TOL of the best value count as optimal, and class
+# keys within KEY_TOL, in boundary parameter units, name one class
 ORBIT_TOL = 1e-9
+KEY_TOL = 1e-6
 
 # largest grid_scan accepts: a polygon without rotations then scans
 # 2048 x 2048 cells, about 34 MB per array
@@ -105,7 +102,7 @@ class StartRecord:
 class BMResult:
     """Minimal ratio found, its witness parallelogram and boundary
     parameters, the polygon vertices realizing the ratio, and a record of
-    each descent (empty without refinement)."""
+    each descent; t_u and t_v - t_u are the witness's class key."""
 
     lam: float
     parallelogram: Parallelogram
@@ -113,7 +110,6 @@ class BMResult:
     t_v: float
     contacts: tuple[Vec2, ...]
     grid_resolution: int
-    refined: bool
     starts: tuple[StartRecord, ...] = field(default=(), compare=False)
 
 
@@ -151,6 +147,33 @@ def _rotation_step(c: CentralPolygon) -> int:
         if m % k == 0 and symmetry_map(c, k, 1) is not None:
             return k
     return m
+
+
+def _class_key_fn(c: CentralPolygon) -> Callable[[float, float], tuple[float, float]]:
+    """Class key of the polygon's positions (t1, s): one canonical image
+    per class, so the image reported does not hang on the descents'
+    rounding.  A symmetry v_i -> v_(k + step*i) sends t to k + step*t,
+    and is a rotation by a multiple of the rotation step k after the
+    identity or the reflection t -> r - t of least r, below k, which
+    sends (t1, s) to (r - t1 - s, s).  The key is the least (t1 mod k, s)
+    with s <= m/2 over the position, its relabelling (t1 + s, m - s) and
+    their reflections.  Both bounds carry KEY_TOL, so rounding at a vertex
+    or at s = m/2 keeps the key; its t1 lies in (-KEY_TOL, k - KEY_TOL]."""
+    m, k = c.m, _rotation_step(c)
+    r = next((r for r in range(k) if symmetry_map(c, r, -1) is not None), None)
+
+    def key(t1: float, s: float) -> tuple[float, float]:
+        images = [(t1, s), (t1 + s, m - s)]
+        if r is not None:
+            images += [(r - t1 - s, s), (r - t1 - m, m - s)]
+        wrapped = ((a % k, b) for a, b in images if b <= 0.5 * m + KEY_TOL)
+        return min((a - k if a > k - KEY_TOL else a, b) for a, b in wrapped)
+
+    return key
+
+
+def _same_class(a: tuple[float, float], b: tuple[float, float]) -> bool:
+    return abs(a[0] - b[0]) <= KEY_TOL and abs(a[1] - b[1]) <= KEY_TOL
 
 
 def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -360,40 +383,33 @@ def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
     return [divmod(int(j), f.shape[1]) for j in idx]
 
 
-def bm_distance(c: CentralPolygon, grid: int = 360, refine: bool = True) -> BMResult:
+def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     """Minimal circumscribed ratio over inscribed parallelograms of the
-    polygon, by grid search plus optional local refinement.
+    polygon, by grid search plus local descents from the lowest cells.
 
-    The scan covers one rotation period t1 in [0, k), so each of its
-    cells stands for r = m/k rotated copies over [0, m).  The descents
-    start from the ceil(DEFAULT_SETTINGS.starts / r) lowest cells, lowest
-    first, and from all of them; a polygon with no rotation besides the
-    identity and the point reflection (r = 1) descends from
-    ``DEFAULT_SETTINGS.starts`` cells.
-
-    The result is deterministic for fixed arguments.  The returned ratio
-    is recomputed from the witness, so ``circum_ratio(parallelogram, c)``
-    reproduces ``lam`` exactly.
+    The witness is drawn at the least class key among the descents within
+    ``ORBIT_TOL`` of the best value, from the lowest-valued descent with
+    that key.  It is deterministic for fixed arguments, and the returned
+    ratio is recomputed from it: ``circum_ratio(parallelogram, c) == lam``.
     """
     t1s, ss, f = grid_scan(c, grid)
     if not np.isfinite(f).any():
         raise RuntimeError("no feasible parallelogram cell on the grid")
     objective, crease, m = _make_objective(c)
-    best: tuple[float, float, float] | None = None
-    starts: list[StartRecord] = []
-    copies = c.m // _rotation_step(c)
-    for i, k in _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies)):
-        t1, s, val = float(t1s[i]), float(ss[k]), float(f[i, k])
-        if refine:
-            t1, s, val, sweeps, moves, stop = _descend(objective, crease, t1, s, 2.0 * m / grid, m)
-            starts.append(StartRecord(float(t1s[i]), float(ss[k]), val, sweeps, moves, stop))
-        if best is None or val < best[2]:
-            best = (t1, s, val)
-    t1, s, _ = best
-    t1 %= 2 * m
-    u = boundary_point(c, t1)
-    v = boundary_point(c, t1 + s)
-    witness = Parallelogram(u, v)
+    key = _class_key_fn(c)
+    ends, starts = [], []
+    copies = m // _rotation_step(c)
+    for i, j in _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies)):
+        t1, s, val, sweeps, moves, stop = _descend(
+            objective, crease, float(t1s[i]), float(ss[j]), 2.0 * m / grid, m
+        )
+        starts.append(StartRecord(float(t1s[i]), float(ss[j]), val, sweeps, moves, stop))
+        ends.append((key(t1, s), val))
+    best = min(val for _, val in ends)
+    keyed = sorted(end for end in ends if end[1] <= best + ORBIT_TOL)
+    least = keyed[0][0]
+    (t1, s), _ = min((end for end in keyed if _same_class(end[0], least)), key=lambda end: end[1])
+    witness = Parallelogram(boundary_point(c, t1), boundary_point(c, t1 + s))
     lam = circum_ratio(witness, c)
     return BMResult(
         lam=lam,
@@ -402,7 +418,6 @@ def bm_distance(c: CentralPolygon, grid: int = 360, refine: bool = True) -> BMRe
         t_v=t1 + s,
         contacts=contacts(witness, c, lam),
         grid_resolution=grid,
-        refined=refine,
         starts=tuple(starts),
     )
 
@@ -422,48 +437,36 @@ def _local_minima_mask(f: np.ndarray) -> np.ndarray:
     return f <= sliding_window_view(padded, (3, 3)).min(axis=(2, 3))
 
 
-def _canonical_key(p: Parallelogram) -> tuple:
-    return tuple(sorted((round(v.x, 9) + 0.0, round(v.y, 9) + 0.0) for v in p.vertices()))
-
-
 def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     """Representatives, one per symmetry class of the polygon, of the
     optimal parallelogram positions.
 
     Rescans the grid at the result's resolution, refines every local
-    minimum cell near the optimum, keeps refined positions with
-    objective at most ``result.lam + ORBIT_TOL`` together with the
-    result's own witness, and walks them from the lowest up, keeping
-    each one that lies near no image of a kept one under the linear
-    symmetries of the polygon (the identity among them).  The witness
-    makes at least one class, even when the best descent of
-    ``bm_distance`` started off a local minimum of the grid.
+    minimum cell near the optimum, and keeps the refined positions with
+    objective at most ``result.lam + ORBIT_TOL`` and the result's own
+    witness, which makes at least one class even when the best descent of
+    ``bm_distance`` started off a local minimum of the grid.  Positions
+    whose class keys agree within ``KEY_TOL`` form one class, drawn at
+    its least key; the classes come in key order.
     """
     t1s, ss, f = grid_scan(c, result.grid_resolution)
     objective, crease, m = _make_objective(c)
+    key = _class_key_fn(c)
     mask = _local_minima_mask(f)
     # coarse cells sit above the refined optimum by up to a few cell
     # widths times the local slope, so keep a generous value slack
     mask &= f <= result.lam + 6.0 * m / result.grid_resolution
-    scale = max(v.norm() for v in c.vertices)
-    cluster_tol = 1e-5 * scale
 
-    candidates = [(result.lam, result.parallelogram)]
-    for i, k in np.argwhere(mask):
+    keys = [key(result.t_u, result.t_v - result.t_u)]
+    for i, j in np.argwhere(mask):
         t1, s, val, _, _, _ = _descend(
-            objective, crease, float(t1s[i]), float(ss[k]), 2.0 * m / result.grid_resolution, m
+            objective, crease, float(t1s[i]), float(ss[j]), 2.0 * m / result.grid_resolution, m
         )
         if val <= result.lam + ORBIT_TOL:
-            u = boundary_point(c, t1)
-            v = boundary_point(c, t1 + s)
-            candidates.append((val, Parallelogram(u, v)))
+            keys.append(key(t1, s))
 
-    maps = polygon_symmetries(c)
-    representatives: list[Parallelogram] = []
-    images: list[Parallelogram] = []  # the symmetry orbits of the representatives
-    for _, p in sorted(candidates, key=lambda item: (item[0], _canonical_key(item[1]))):
-        if all(vertex_hausdorff(p, img) >= cluster_tol for img in images):
-            representatives.append(p)
-            images.extend(symmetry_orbit(p, maps))
-    representatives.sort(key=_canonical_key)
-    return representatives
+    classes: list[tuple[float, float]] = []
+    for candidate in sorted(keys):
+        if not any(_same_class(candidate, kept) for kept in classes):
+            classes.append(candidate)
+    return [Parallelogram(boundary_point(c, t1), boundary_point(c, t1 + s)) for t1, s in classes]

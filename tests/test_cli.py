@@ -98,7 +98,7 @@ class TestDistance:
         assert code == 0
         assert abs(float(value_of(out, "lambda")) - 1.5) <= 1e-5
         assert value_of(out, "grid") == "360"
-        assert value_of(out, "refined") == "true"
+        assert "refined:" not in out
 
     def test_file_input_matches_shorthand(self, capsys, tmp_path):
         path = tmp_path / "p8.txt"
@@ -124,7 +124,7 @@ class TestDistance:
         record = json.loads(out)
         assert abs(record["lambda"] - 1.5) <= 1e-5
         assert record["grid"] == 360
-        assert record["refined"] is True
+        assert "refined" not in record
         assert len(record["contacts"]) >= 4
 
     def test_json_reports_each_descent(self, capsys):
@@ -148,10 +148,12 @@ class TestDistance:
             ("--shrink", "0"),
             ("--shrink", "1"),
             ("--shrink", "0.5"),
+            ("--no-refine", "90"),
         ],
     )
     def test_invalid_search_settings_exit_before_scanning(self, capsys, monkeypatch, flag, value):
-        # the search's settings are constants, so no value of them is accepted
+        # the search's settings are constants and every descent runs, so no
+        # option sets or skips any of it
         def fail(*args, **kwargs):
             raise AssertionError("bm_distance must not run")
 
@@ -162,11 +164,6 @@ class TestDistance:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
-
-    def test_no_refine_flag(self, capsys):
-        code, out, _ = run(capsys, "distance", "P6", "--no-refine", "--grid", "90")
-        assert code == 0
-        assert value_of(out, "refined") == "false"
 
     def test_invalid_file_reports_invariant(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
@@ -304,6 +301,14 @@ class TestRender:
         run(capsys, "render", "P6", str(a), "--b", "optimal")
         run(capsys, "render", "P6", str(b), "--b", "optimal")
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n", range(4, 26, 2))
+    def test_optimal_svg_does_not_depend_on_the_grid(self, capsys, tmp_path, n):
+        # each class is drawn at its key, whichever descent reached it
+        coarse, fine = tmp_path / "360.svg", tmp_path / "720.svg"
+        run(capsys, "render", f"P{n}", str(coarse), "--grid", "360")
+        run(capsys, "render", f"P{n}", str(fine), "--grid", "720")
+        assert coarse.read_bytes() == fine.read_bytes()
 
     def test_beta_square_render(self, capsys, tmp_path):
         path = tmp_path / "sq.svg"

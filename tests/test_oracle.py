@@ -12,17 +12,22 @@ from bmgon.geom import (
     linear_image,
     polygon_symmetries,
     regular_polygon,
+    symmetry_map,
 )
 from bmgon.cli import Claim
 from bmgon.evengon import theorem2_value
+from bmgon.hexagon import hex_optimal_positions
 from bmgon import oracle
 from bmgon.oracle import (
     DEFAULT_SETTINGS,
+    KEY_TOL,
     SearchSettings,
+    _class_key_fn,
     _local_minima_mask,
     _lowest_cells,
     _make_objective,
     _rotation_step,
+    _same_class,
     argmin_orbit,
     bm_distance,
     grid_scan,
@@ -30,6 +35,22 @@ from bmgon.oracle import (
 from bmgon.pgram import Parallelogram, circum_ratio, gauge, vertex_hausdorff
 
 SQRT2 = math.sqrt(2.0)
+
+
+def _pushed_hexagon(factor=1.0):
+    """The regular hexagon with its antipodal pair v0, v3 pushed outward
+    by 1e-6 of its norm, scaled by ``factor``."""
+    verts = list(regular_polygon(6).vertices)
+    verts[0] = verts[0] * (1.0 + 1e-6)
+    verts[3] = -verts[0]
+    return CentralPolygon([v * factor for v in verts])
+
+
+def _orientation_preserving_map(rng):
+    # swapping the rows keeps the condition number and flips the sign of
+    # the determinant
+    mat = random_linear_map(rng)
+    return mat if np.linalg.det(mat) > 0.0 else mat[::-1]
 
 
 class TestGridScan:
@@ -364,15 +385,24 @@ class TestBMDistance:
             for coarse, fine in zip(values, values[1:]):
                 assert fine <= coarse + 1e-9
 
-    def test_refinement_never_worsens_the_grid(self, p8):
-        raw = bm_distance(p8, grid=90, refine=False)
-        polished = bm_distance(p8, grid=90)
-        assert polished.lam <= raw.lam + 1e-12
+    def test_refinement_never_worsens_the_grid(self):
+        rng = np.random.default_rng(90)
+        gons = [regular_polygon(6), regular_polygon(8), regular_polygon(10), random_central_polygon(rng)]
+        for gon in gons:
+            _, _, f = grid_scan(gon, 90)
+            result = bm_distance(gon, grid=90)
+            assert result.grid_resolution == 90
+            assert result.lam <= float(f[np.isfinite(f)].min()) + 1e-12
 
-    def test_unrefined_flag(self, p6):
-        result = bm_distance(p6, grid=90, refine=False)
-        assert result.refined is False
-        assert result.grid_resolution == 90
+    def test_witness_parameters_lie_in_one_period(self):
+        rng = np.random.default_rng(360)
+        gons = [regular_polygon(n) for n in range(4, 26, 2)]
+        gons += [random_central_polygon(rng, int(rng.integers(2, 12))) for _ in range(20)]
+        for gon in gons:
+            result = bm_distance(gon, grid=360)
+            k = _rotation_step(gon)
+            assert -KEY_TOL < result.t_u < k, (gon, result.t_u)
+            assert 0.0 < result.t_v - result.t_u <= gon.m / 2 + KEY_TOL, (gon, result.t_v)
 
     def test_affine_invariance_spot_check(self, p6):
         rng = np.random.default_rng(42)
@@ -494,9 +524,6 @@ class TestStarts:
         assert result.starts
         assert all(r.stop == "max_sweeps" and r.sweeps == 2 for r in result.starts)
 
-    def test_unrefined_result_has_no_descents(self, p6):
-        assert bm_distance(p6, grid=90, refine=False).starts == ()
-
 
 class TestLocalMinimaMask:
     @pytest.mark.parametrize("rows", [1, 2, 5])
@@ -595,6 +622,26 @@ class TestArgminOrbit:
         for p in reps:
             assert circum_ratio(p, gon) <= result.lam + 1e-9
 
+    def test_classes_follow_linear_maps_and_scalings(self):
+        # an orientation-preserving map keeps the vertex order, so the
+        # keys, and the classes drawn at them, map along; a reversing one
+        # reverses the order and with it the keys
+        rng = np.random.default_rng(2013)
+        gons = [regular_polygon(n) for n in range(6, 26, 2)]
+        gons += [random_central_polygon(rng, int(rng.integers(2, 9))) for _ in range(6)]
+        for gon in gons:
+            reps = argmin_orbit(gon, bm_distance(gon, grid=360))
+            maps = [_orientation_preserving_map(rng), _orientation_preserving_map(rng)]
+            maps += [[[f, 0.0], [0.0, f]] for f in (1e-5, 1e8)]
+            for mat in maps:
+                image = linear_image(gon, mat)
+                size = max(v.norm() for v in image.vertices)
+                got = argmin_orbit(image, bm_distance(image, grid=360))
+                assert len(got) == len(reps), (gon, mat)
+                for p, q in zip(reps, got):
+                    assert (apply_linear(mat, p.u) - q.u).norm() <= 1e-9 * size, (gon, mat)
+                    assert (apply_linear(mat, p.v) - q.v).norm() <= 1e-9 * size, (gon, mat)
+
     def test_representatives_are_distinct_classes(self, p6):
         from bmgon.geom import apply_linear, polygon_symmetries
         from bmgon.pgram import Parallelogram
@@ -608,6 +655,86 @@ class TestArgminOrbit:
             for m in maps
         ]
         assert all(vertex_hausdorff(b, img) > 1e-5 for img in images)
+
+
+class TestClassKey:
+    """The key takes the least of four images under the rotation step and
+    one reflection; it must agree with the whole group that
+    ``symmetry_map`` accepts, in every labelling."""
+
+    # polygon and the order of its symmetry group
+    CASES = [
+        (regular_polygon(6), 12),
+        (regular_polygon(8), 16),
+        (regular_polygon(10), 20),
+        (linear_image(regular_polygon(8), random_linear_map(np.random.default_rng(8))), 16),
+        (random_central_polygon(np.random.default_rng(5), 5), 2),
+        (_pushed_hexagon(), 4),
+    ]
+
+    @staticmethod
+    def _images(gon, t1, s):
+        """(t1, s) under every symmetry of the polygon, in all four
+        labellings; the map v_i -> v_(k + step*i) sends parameter t to
+        k + step*t, and a reflection swaps the generators."""
+        m = gon.m
+        images = []
+        for k in range(2 * m):
+            for step in (1, -1):
+                if symmetry_map(gon, k, step) is not None:
+                    a = k + t1 if step == 1 else k - t1 - s
+                    images += [(a, s), (a + m, s), (a + s, m - s), (a + s + m, m - s)]
+        return images
+
+    @staticmethod
+    def _gap(a, b):
+        return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_key_is_constant_on_every_orbit(self, case):
+        gon, order = self.CASES[case]
+        m, k = gon.m, _rotation_step(gon)
+        key = _class_key_fn(gon)
+        rng = np.random.default_rng(case)
+        t1s, ss = rng.uniform(0.0, 2.0 * m, 40), rng.uniform(0.01, m - 0.01, 40)
+        for t1, s in zip(t1s.tolist(), ss.tolist()):
+            images = self._images(gon, t1, s)
+            assert len(images) == 4 * order
+            expected = key(t1, s)
+            assert -KEY_TOL < expected[0] < k and 0.0 < expected[1] <= m / 2 + KEY_TOL
+            for image in images:
+                assert self._gap(key(*image), expected) <= 1e-12, (t1, s, image)
+            # the key is itself a position of the class
+            ratio = TestRelabelling._ratio(gon, t1, s)
+            assert math.isclose(TestRelabelling._ratio(gon, *expected), ratio, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, positions",
+        [
+            # the axis square and the edge-midpoint square of P8
+            (8, [(0.0, 2.0), (0.5, 2.0)]),
+            # the two optimal positions of P6, from a vertex to an edge
+            # midpoint and from a third to two thirds along two edges
+            (6, [(0.0, 1.5), (1.0 / 3.0, 4.0 / 3.0)]),
+            # a polygon with no symmetry to mirror the rounding: a vertex,
+            # and s = m/2
+            (0, [(0.0, 1.2), (0.3, 2.0)]),
+        ],
+    )
+    def test_rounding_at_a_vertex_or_at_half_period_keeps_the_key(self, n, positions):
+        gon = regular_polygon(n) if n else random_central_polygon(np.random.default_rng(4), 4)
+        assert len(polygon_symmetries(gon)) == (2 * n if n else 2)
+        if n == 6:
+            for (t1, s), p in zip(positions, hex_optimal_positions()):
+                assert (boundary_point(gon, t1) - p.u).norm() <= 1e-15
+                assert (boundary_point(gon, t1 + s) - p.v).norm() <= 1e-15
+        key = _class_key_fn(gon)
+        for t1, s in positions:
+            expected = key(t1, s)
+            for dt in (-1e-15, 0.0, 1e-15):
+                for ds in (-1e-15, 0.0, 1e-15):
+                    got = key(t1 + dt, s + ds)
+                    assert _same_class(got, expected) and self._gap(got, expected) <= 1e-12
 
 
 class TestRotationStep:
@@ -636,12 +763,8 @@ class TestRotationStep:
         assert len(argmin_orbit(gon, result)) == 2
 
     @pytest.mark.parametrize("factor", [1e-5, 1.0, 1e8])
-    def test_a_nearly_regular_hexagon_keeps_only_its_own_maps(self, p6, factor):
-        # push the antipodal pair v0, v3 outward by 1e-6 of its norm
-        verts = list(p6.vertices)
-        verts[0] = verts[0] * (1.0 + 1e-6)
-        verts[3] = -verts[0]
-        gon = self._scaled(CentralPolygon(verts), factor)
+    def test_a_nearly_regular_hexagon_keeps_only_its_own_maps(self, factor):
+        gon = _pushed_hexagon(factor)
         maps = polygon_symmetries(gon)
         # identity, point reflection, and the reflections through the
         # pushed pair's axis and its perpendicular: v_i -> v_(k + step*i)
