@@ -74,8 +74,8 @@ class Claim:
     - "exact": passes when |claimed - computed| <= tolerance;
     - "at_least": passes when computed >= claimed - tolerance;
     - "above": passes when computed > claimed;
-    - "upper_bound" (a conjectured-sharp bound): passes when
-      computed <= claimed + 1e-6 and |claimed - computed| < tolerance.
+    - "upper_bound" (a conjectured-sharp bound): the verdict of "exact", so
+      a search that beats the bound fails as one that misses it does.
     """
 
     label: str
@@ -94,13 +94,11 @@ class Claim:
 
     @property
     def passed(self) -> bool:
-        if self.kind == "exact":
-            return abs(self.gap) <= self.tolerance
         if self.kind == "at_least":
             return self.computed >= self.claimed - self.tolerance
         if self.kind == "above":
             return self.computed > self.claimed
-        return self.computed <= self.claimed + 1e-6 and abs(self.gap) < self.tolerance
+        return abs(self.gap) <= self.tolerance
 
     @property
     def note(self) -> str:
@@ -161,15 +159,16 @@ def suite_theorem1() -> list[Claim]:
     """Hexagon distance 3/2 and the ratio curve of the balanced family."""
     rows = []
     result = bm_distance(HEXAGON, grid=360)
-    rows.append(Claim("P6 distance equals 3/2", 1.5, result.lam, 1e-5))
+    rows.append(Claim("P6 distance equals 3/2", 1.5, result.lam, 1e-11))
     _, _, f = grid_scan(HEXAGON, 360)
     floor = float(np.min(f[np.isfinite(f)]))
-    rows.append(Claim("P6 grid objective never below 3/2", 1.5, floor, 1e-6, "at_least"))
+    rows.append(Claim("P6 grid objective never below 3/2", 1.5, floor, 1e-12, "at_least"))
     rows.append(Claim("hex family ratio at b=0", 1.5, hex_h(0.0), 1e-12))
     rows.append(Claim("hex family ratio at b=sqrt(3)/5", 1.5, hex_h(B_REGIME_MAX), 1e-12))
     root = _bisect_zero(hex_h_derivative, 0.0, B_REGIME_MAX)
     rows.append(Claim("hex critical slope closed form", hex_critical_b(), root, 1e-12))
-    rows.append(Claim("hex ratio at critical slope", 1.5224, hex_h(hex_critical_b()), 5e-4))
+    # the paper states h(b*) to 4 decimals: the claim is that rounding
+    rows.append(Claim("hex ratio at critical slope", 1.5224, hex_h(hex_critical_b()), 5e-5))
     dev = max(
         abs(hex_h(b) - circum_ratio(hex_build(b), HEXAGON))
         for b in (B_REGIME_MAX * (i / 100.0) for i in range(101))
@@ -182,8 +181,6 @@ def _orbit_match(reps: list[Parallelogram], canon: list[Parallelogram]) -> float
     """Two-sided matching distance between symmetry classes of the
     hexagon: every representative must sit near the orbit of some
     canonical position and vice versa."""
-    if not reps:
-        return math.inf
     maps = polygon_symmetries(HEXAGON)
     orbits = [symmetry_orbit(p, maps) for p in canon]
     d1 = max(min(vertex_hausdorff(r, img) for orbit in orbits for img in orbit) for r in reps)
@@ -205,7 +202,7 @@ def suite_remark() -> list[Claim]:
     reps = argmin_orbit(HEXAGON, result)
     rows.append(Claim("P6 optimal symmetry classes", 2.0, float(len(reps)), 0.0))
     rows.append(
-        Claim("P6 optimal classes match known positions", 0.0, _orbit_match(reps, positions), 1e-3)
+        Claim("P6 optimal classes match known positions", 0.0, _orbit_match(reps, positions), 1e-10)
     )
     return rows
 
@@ -224,7 +221,7 @@ def suite_theorem2() -> list[Claim]:
         family = theorem2_value(n)
         result = bm_distance(regular_polygon(n), grid=360)
         rows.append(
-            Claim(f"P{n} distance equals {desc}", family.value, result.lam, 1e-5, family.kind)
+            Claim(f"P{n} distance equals {desc}", family.value, result.lam, 1e-11, family.kind)
         )
     for n in range(8, 22, 2):
         gon = regular_polygon(n)
@@ -236,7 +233,7 @@ def suite_theorem2() -> list[Claim]:
         family = theorem2_value(n)
         result = bm_distance(regular_polygon(n), grid=720)
         rows.append(
-            Claim(f"P{n} probe of conjectured bound", family.value, result.lam, 1e-4, family.kind)
+            Claim(f"P{n} probe of conjectured bound", family.value, result.lam, 1e-11, family.kind)
         )
     rows.append(Claim("family value at n=6 equals 3/2", 1.5, theorem2_value(6).value, 1e-12))
     dev = max(
@@ -261,7 +258,7 @@ def suite_beta() -> list[Claim]:
         result = bm_distance(regular_polygon(n), grid=360)
         u, v = result.parallelogram.u, result.parallelogram.v
         square_defect = max(abs(u.norm() - v.norm()), abs(u.dot(v)))
-        rows.append(Claim(f"P{n} optimum is a square", 0.0, square_defect, 1e-4))
+        rows.append(Claim(f"P{n} optimum is a square", 0.0, square_defect, 1e-11))
     return rows
 
 
@@ -308,7 +305,7 @@ def suite_affine(seed: int) -> list[Claim]:
         for _ in range(10):
             image = linear_image(gon, _random_map(rng))
             dev = max(dev, abs(bm_distance(image, grid=720).lam - base))
-        rows.append(Claim(f"affine invariance of P{n} distance, 10 maps", 0.0, dev, 2e-4))
+        rows.append(Claim(f"affine invariance of P{n} distance, 10 maps", 0.0, dev, 1e-12))
     return rows
 
 

@@ -102,9 +102,10 @@ class CentralPolygon:
     negation so that antipodal identities hold bit for bit.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "radius")
 
     vertices: tuple[Vec2, ...]
+    radius: float  # the largest vertex norm
 
     def __init__(self, vertices: Iterable[Vec2 | tuple[float, float]]):
         verts = [v if isinstance(v, Vec2) else Vec2(v[0], v[1]) for v in vertices]
@@ -131,6 +132,7 @@ class CentralPolygon:
             if verts[i].cross(verts[(i + 1) % n]) <= 0.0:
                 raise ValueError("origin is not strictly interior")
         object.__setattr__(self, "vertices", tuple(verts))
+        object.__setattr__(self, "radius", max(map(Vec2.norm, verts[:m])))  # antipodes match
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CentralPolygon is immutable")
@@ -305,7 +307,7 @@ def symmetry_map(polygon: CentralPolygon, k: int, step: int) -> Mat2 | None:
     b = (w1.x * v0.x - w0.x * v1.x) / det0
     c = (w0.y * v1.y - w1.y * v0.y) / det0
     d = (w1.y * v0.x - w0.y * v1.x) / det0
-    bound = SYMMETRY_MAP_TOL * max(map(Vec2.norm, verts[: n // 2]))  # antipodes have equal norms
+    bound = SYMMETRY_MAP_TOL * polygon.radius
     if all(
         abs(a * verts[i].x + b * verts[i].y - verts[(k + step * i) % n].x) <= bound
         and abs(c * verts[i].x + d * verts[i].y - verts[(k + step * i) % n].y) <= bound

@@ -1,235 +1,88 @@
-"""Acceptance gate: every shipped claim checked at its stated tolerance.
+"""Acceptance gate: every paper claim, read from the rows of ``bmgon verify``.
 
-Each test prints one ``ACCEPTANCE <k>: PASS|FAIL`` line directly to the
-terminal (bypassing capture) so a ``pytest -v`` run shows the verdict per
-criterion next to the test outcome.
+The verify suites are the one place where a claim's value, kind and
+tolerance are written; each criterion names its rows and passes when all
+of them pass.  Criterion 10 reads ``verify affine --seed 2024`` (20 seeded
+linear images), the others ``verify all --seed 0``.  Each test prints one
+``ACCEPTANCE <k>: PASS|FAIL`` line directly to the terminal (bypassing
+capture), with every row's computed value, claimed value and tolerance.
 """
 
-import math
+import contextlib
+import io
+import json
 
-import numpy as np
 import pytest
 
-from bmgon.evengon import (
-    axis_parallelogram,
-    beta_h,
-    dist_pn_phn,
-    theorem2_value,
-)
-from bmgon.geom import (
-    Strip,
-    Vec2,
-    boundary_distance,
-    linear_image,
-    regular_polygon,
-    transversal_ratio,
-)
-from bmgon.hexagon import (
-    B_REGIME_MAX,
-    HEXAGON,
-    hex_build,
-    hex_critical_b,
-    hex_h,
-    hex_h_derivative,
-    hex_optimal_positions,
-)
-from bmgon.cli import Claim, _bisect_zero, _orbit_match, _random_map
-from bmgon.oracle import argmin_orbit, bm_distance, grid_scan
-from bmgon.pgram import circum_ratio
+from bmgon.cli import main
 
-SQRT2 = math.sqrt(2.0)
-SQRT3 = math.sqrt(3.0)
+CRITERIA = {
+    1: ["P6 distance equals 3/2", "P6 grid objective never below 3/2"],
+    2: ["hex family ratio at b=0", "hex family ratio at b=sqrt(3)/5",
+        "hex critical slope closed form", "hex ratio at critical slope",
+        "hex closed form vs construction, 101 samples"],
+    3: ["known position 1 inscribed", "known position 1 ratio 3/2",
+        "known position 2 inscribed", "known position 2 ratio 3/2",
+        "P6 optimal symmetry classes", "P6 optimal classes match known positions"],
+    4: ["P8 distance equals sqrt(2)", "P16 distance equals sqrt(2)",
+        "P12 distance equals sqrt(2)cos(pi/12)", "P20 distance equals sqrt(2)cos(pi/20)"],
+    5: [f"axis parallelogram value, P{n}" for n in range(8, 22, 2)],
+    6: ["P10 probe of conjectured bound", "P14 probe of conjectured bound"],
+    7: [*(f"beta endpoints at sqrt(2), j={j}" for j in range(1, 5)),
+        *(f"beta interior exceeds sqrt(2), j={j}" for j in range(1, 5)),
+        "P8 optimum is a square", "P16 optimum is a square"],
+    8: ["strip ratio identity, 1000 seeded instances"],
+    9: ["family value at n=6 equals 3/2", "square vs (8j+4)-gon identity, j=1..8"],
+    10: ["affine invariance of P6 distance, 10 maps", "affine invariance of P8 distance, 10 maps"],
+}
+
+
+def verify(*argv: str) -> list[dict]:
+    """The row records of ``bmgon verify <argv> --json``, in print order."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["verify", *argv, "--json"])
+    return [json.loads(line) for line in out.getvalue().splitlines()[:-1]]
 
 
 @pytest.fixture(scope="module")
-def dist():
-    """Shared cache of search results keyed by (n, grid)."""
-    cache = {}
-
-    def get(n: int, grid: int):
-        key = (n, grid)
-        if key not in cache:
-            cache[key] = bm_distance(regular_polygon(n), grid=grid)
-        return cache[key]
-
-    return get
+def verify_all():
+    return verify("all", "--seed", "0")
 
 
-@pytest.fixture
-def report(capsys):
-    def emit(k: int, ok: bool, detail: str) -> None:
+def criterion(k: int):
+    """The test of criterion k: every row it names passes.  It prints the
+    ACCEPTANCE line first, so a failing criterion shows all of its rows."""
+
+    def test(verify_all, capsys):
+        source = verify("affine", "--seed", "2024") if k == 10 else verify_all
+        by_label = {row["label"]: row for row in source}
+        rows = [by_label[label] for label in CRITERIA[k]]
+        ok = all(row["passed"] for row in rows)
+        detail = "; ".join(
+            f"{r['label']}: computed={r['computed']!r} claimed={r['claimed']!r}"
+            f" tol={r['tolerance']!r}"
+            for r in rows
+        )
         with capsys.disabled():
             print(f"ACCEPTANCE {k}: {'PASS' if ok else 'FAIL'} | {detail}")
         assert ok, f"criterion {k}: {detail}"
 
-    return emit
+    return test
 
 
-def test_criterion_1_hexagon_distance(dist, report):
-    result = dist(6, 360)
-    _, _, f = grid_scan(HEXAGON, 360)
-    floor = float(np.min(f[np.isfinite(f)]))
-    ok = abs(result.lam - 1.5) <= 1e-5 and floor >= 1.5 - 1e-6 and result.lam >= 1.5 - 1e-6
-    report(1, ok, f"P6 lambda={result.lam!r} (tol 1e-5), grid floor={floor!r} >= 1.5-1e-6")
+def test_the_criteria_partition_the_verify_rows(verify_all):
+    named = [label for labels in CRITERIA.values() for label in labels]
+    assert sorted(named) == sorted(row["label"] for row in verify_all)
 
 
-def test_criterion_2_hexagon_curve(report):
-    root = _bisect_zero(hex_h_derivative, 0.0, B_REGIME_MAX)
-    checks = [
-        abs(hex_h(0.0) - 1.5) <= 1e-12,
-        abs(hex_h(SQRT3 / 5.0) - 1.5) <= 1e-12,
-        abs(hex_critical_b() - root) <= 1e-12,
-        abs(hex_h(hex_critical_b()) - 1.5224) <= 5e-4,
-    ]
-    dev = max(
-        abs(hex_h(b) - circum_ratio(hex_build(b), HEXAGON))
-        for b in (B_REGIME_MAX * (i / 100.0) for i in range(101))
-    )
-    checks.append(dev < 1e-9)
-    report(
-        2,
-        all(checks),
-        f"endpoints at 3/2 (tol 1e-12), critical b={hex_critical_b()!r} vs "
-        f"derivative zero {root!r} (tol 1e-12), "
-        f"h(crit)={hex_h(hex_critical_b())!r} vs 1.5224 (tol 5e-4), "
-        f"101-sample construction dev={dev:.3g} (tol 1e-9)",
-    )
-
-
-def test_criterion_3_optimal_positions(dist, report):
-    positions = hex_optimal_positions()
-    inscribed = max(
-        max(boundary_distance(HEXAGON, p.u), boundary_distance(HEXAGON, p.v))
-        for p in positions
-    )
-    ratio_dev = max(abs(circum_ratio(p, HEXAGON) - 1.5) for p in positions)
-    reps = argmin_orbit(HEXAGON, dist(6, 360))
-    match = _orbit_match(reps, positions) if len(reps) == 2 else math.inf
-    ok = inscribed <= 1e-9 and ratio_dev <= 1e-12 and len(reps) == 2 and match <= 1e-3
-    report(
-        3,
-        ok,
-        f"both positions inscribed (dev {inscribed:.3g}), ratio dev {ratio_dev:.3g} "
-        f"(tol 1e-12), {len(reps)} symmetry classes, match dev {match:.3g} (tol 1e-3)",
-    )
-
-
-def test_criterion_4_exact_families(dist, report):
-    targets = {
-        8: SQRT2,
-        16: SQRT2,
-        12: SQRT2 * math.cos(math.pi / 12.0),
-        20: SQRT2 * math.cos(math.pi / 20.0),
-    }
-    devs = {n: abs(dist(n, 360).lam - v) for n, v in targets.items()}
-    ok = all(d <= 1e-5 for d in devs.values())
-    report(4, ok, f"P8/P16 vs sqrt2, P12/P20 vs sqrt2*cos: max dev {max(devs.values()):.3g} (tol 1e-5)")
-
-
-def test_criterion_5_axis_constructions(report):
-    devs = []
-    for n in range(8, 22, 2):
-        gon = regular_polygon(n)
-        devs.append(abs(circum_ratio(axis_parallelogram(gon), gon) - theorem2_value(n).value))
-    ok = max(devs) <= 1e-12
-    report(5, ok, f"axis parallelogram vs family value, n=8..20: max dev {max(devs):.3g} (tol 1e-12)")
-
-
-def test_criterion_6_conjecture_probes(dist, report):
-    outcomes = []
-    claimed = {n: theorem2_value(n).value for n in (10, 14)}
-    for n in (10, 14):
-        # the upper_bound rule: lam <= claimed + 1e-6 and |claimed - lam| < 1e-4
-        claim = Claim(f"P{n}", claimed[n], dist(n, 720).lam, 1e-4, "upper_bound")
-        outcomes.append(claim.passed and claim.note == "conjecture support")
-    p10, p14 = dist(10, 720).lam, dist(14, 720).lam
-    report(
-        6,
-        all(outcomes),
-        f"P10 lambda={p10!r} vs {claimed[10]!r}, P14 lambda={p14!r} vs {claimed[14]!r} "
-        "(within +1e-6, gap < 1e-4, labeled conjecture support)",
-    )
-
-
-def test_criterion_7_beta_family(dist, report):
-    endpoint_dev = max(
-        max(
-            abs(beta_h(j, 0.0) - SQRT2),
-            abs(beta_h(j, math.tan(math.pi / (8.0 * j))) - SQRT2),
-        )
-        for j in range(1, 5)
-    )
-    hi = math.tan(math.pi / 8.0)
-    samples = [beta_h(1, hi * (i / 9999.0)) for i in range(10000)]
-    interior_min = min(samples[1:-1])
-    attained_only_at_ends = (
-        abs(samples[0] - SQRT2) <= 1e-12
-        and abs(samples[-1] - SQRT2) <= 1e-12
-        and interior_min > SQRT2
-    )
-    square_defect = 0.0
-    for n in (8, 16):
-        p = dist(n, 360).parallelogram
-        square_defect = max(
-            square_defect, abs(p.u.norm() - p.v.norm()), abs(p.u.dot(p.v))
-        )
-    ok = endpoint_dev <= 1e-12 and attained_only_at_ends and square_defect < 1e-4
-    report(
-        7,
-        ok,
-        f"beta endpoints dev {endpoint_dev:.3g} (tol 1e-12), interior min "
-        f"{interior_min!r} > sqrt2, P8/P16 square defect {square_defect:.3g} (tol 1e-4)",
-    )
-
-
-def test_criterion_8_strip_ratio_identity(report):
-    rng = np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(1000):
-        theta = rng.uniform(0.0, math.pi)
-        normal = Vec2(math.cos(theta), math.sin(theta))
-        outer_hw = rng.uniform(0.5, 3.0)
-        inner_hw = outer_hw * rng.uniform(0.05, 1.0)
-        while True:
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            direction = Vec2(math.cos(phi), math.sin(phi))
-            if abs(direction.dot(normal)) > 1e-6:
-                break
-        wr, cr = transversal_ratio(
-            Strip(normal, inner_hw), Strip(normal, outer_hw), direction
-        )
-        worst = max(worst, abs(wr - cr))
-    ok = worst <= 1e-10
-    report(8, ok, f"1000 seeded strip/transversal instances: max |width-coord| {worst:.3g} (tol 1e-10)")
-
-
-def test_criterion_9_consistency_identities(report):
-    six_dev = abs(theorem2_value(6).value - 1.5)
-    cross_dev = max(
-        abs(dist_pn_phn(4, 2 * j + 1) - theorem2_value(8 * j + 4).value)
-        for j in range(1, 9)
-    )
-    ok = six_dev <= 1e-12 and cross_dev <= 1e-12
-    report(
-        9,
-        ok,
-        f"family value at n=6 dev {six_dev:.3g}, square-to-(8j+4)-gon identity "
-        f"max dev {cross_dev:.3g} (tol 1e-12)",
-    )
-
-
-def test_criterion_10_affine_invariance(dist, report):
-    rng = np.random.default_rng(2024)
-    worst = 0.0
-    for n in (6, 8):
-        gon = regular_polygon(n)
-        base = dist(n, 720).lam
-        for _ in range(10):
-            image = linear_image(gon, _random_map(rng))
-            worst = max(worst, abs(bm_distance(image, grid=720).lam - base))
-    ok = worst < 2e-4
-    report(
-        10,
-        ok,
-        f"20 seeded linear images of P6/P8 (cond <= 20) at grid 720: max dev {worst:.3g} (tol 2e-4)",
-    )
+test_criterion_1_hexagon_distance = criterion(1)
+test_criterion_2_hexagon_curve = criterion(2)
+test_criterion_3_optimal_positions = criterion(3)
+test_criterion_4_exact_families = criterion(4)
+test_criterion_5_axis_constructions = criterion(5)
+test_criterion_6_conjecture_probes = criterion(6)
+test_criterion_7_beta_family = criterion(7)
+test_criterion_8_strip_ratio_identity = criterion(8)
+test_criterion_9_consistency_identities = criterion(9)
+test_criterion_10_affine_invariance = criterion(10)

@@ -817,6 +817,11 @@ class TestVerifyClaim:
         assert not Claim("P6", 1.51, lam, 1e-6, "exact").passed
         assert not Claim("P6", 1.51, lam, 1e-6, "upper_bound").passed
         assert not Claim("P6", 1.49, lam, 1e-6, "upper_bound").passed
+        # a lambda more than the tolerance above or below the bound fails
+        tol = 1e-11
+        for computed in (1.5 + 2.0 * tol, 1.5 - 2.0 * tol):
+            assert not Claim("P6", 1.5, computed, tol, "upper_bound").passed
+        assert Claim("P6", 1.5, 1.5 - 0.5 * tol, tol, "upper_bound").passed
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
