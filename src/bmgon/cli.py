@@ -173,7 +173,7 @@ def suite_theorem1() -> list[Claim]:
         abs(hex_h(b) - circum_ratio(hex_build(b), HEXAGON))
         for b in (B_REGIME_MAX * (i / 100.0) for i in range(101))
     )
-    rows.append(Claim("hex closed form vs construction, 101 samples", 0.0, dev, 1e-9))
+    rows.append(Claim("hex closed form vs construction, 101 samples", 0.0, dev, 1e-12))
     return rows
 
 
@@ -194,7 +194,7 @@ def suite_remark() -> list[Claim]:
     positions = hex_optimal_positions()
     for i, p in enumerate(positions, start=1):
         dist = max(boundary_distance(HEXAGON, p.u), boundary_distance(HEXAGON, p.v))
-        rows.append(Claim(f"known position {i} inscribed", 0.0, dist, 1e-9))
+        rows.append(Claim(f"known position {i} inscribed", 0.0, dist, 1e-12))
         rows.append(
             Claim(f"known position {i} ratio 3/2", 1.5, circum_ratio(p, HEXAGON), 1e-12)
         )

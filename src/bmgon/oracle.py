@@ -27,14 +27,18 @@ The descent therefore aligns its frame with the tie line of the two
 leading sheets.  Their numerators are affine in (t1, s) inside an
 edge-pair cell, so that line is straight and its direction comes from
 the exact gradient of their difference at the point, with no step
-length in it.  The frame is set at the start and again only after a
-move, since a stall leaves the point, and so the frame, where it was.
+length in it.
 
-A trial step evaluates the pair's sheets first and is rejected as soon
-as one of them reaches the current value: correctly rounded division by
-the positive common denominator is monotone, so the maximum reaches it
-too.  Only an accepted step evaluates every sheet, and every choice is
-the same bit for bit as with full evaluations.
+One evaluation gives a point's value and, when that is below a bound,
+the leading pair and its gradient, so the evaluation that accepts a
+move also sets the next frame, and a stall keeps it.  A trial step
+evaluates the pair's sheets first and is rejected as soon as one of
+them reaches the current value: correctly rounded division by the
+positive common denominator is monotone, so the maximum reaches it too.
+Otherwise one pass over every sheet gives the maximum and the pair:
+at the start, at each accepted step, and at each rejected step whose
+pair stayed below the current value.  Every choice is the same bit for
+bit as with full evaluations.
 """
 
 from __future__ import annotations
@@ -149,7 +153,7 @@ def _rotation_step(c: CentralPolygon) -> int:
     return m
 
 
-def _class_key_fn(c: CentralPolygon) -> Callable[[float, float], tuple[float, float]]:
+def _class_key_fn(c: CentralPolygon, k: int) -> Callable[[float, float], tuple[float, float]]:
     """Class key of the polygon's positions (t1, s): one canonical image
     per class, so the image reported does not hang on the descents'
     rounding.  A symmetry v_i -> v_(k + step*i) sends t to k + step*t,
@@ -159,7 +163,7 @@ def _class_key_fn(c: CentralPolygon) -> Callable[[float, float], tuple[float, fl
     with s <= m/2 over the position, its relabelling (t1 + s, m - s) and
     their reflections.  Both bounds carry KEY_TOL, so rounding at a vertex
     or at s = m/2 keeps the key; its t1 lies in (-KEY_TOL, k - KEY_TOL]."""
-    m, k = c.m, _rotation_step(c)
+    m = c.m
     r = next((r for r in range(k) if symmetry_map(c, r, -1) is not None), None)
 
     def key(t1: float, s: float) -> tuple[float, float]:
@@ -176,9 +180,12 @@ def _same_class(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return abs(a[0] - b[0]) <= KEY_TOL and abs(a[1] - b[1]) <= KEY_TOL
 
 
-def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def grid_scan(
+    c: CentralPolygon, grid: int, k: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Objective on one rotation period t1 in [0, k), s in (0, m/2], where
-    k is the polygon's rotation step (m for a polygon without rotations).
+    k is the polygon's rotation step (m for a polygon without rotations),
+    found here unless the caller passes it.
 
     The cell width is that of a grid x grid mesh of t1 in [0, 2m) and
     s in [margin, m - margin], margin = ``DEFAULT_SETTINGS.margin``; the
@@ -201,7 +208,9 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
     margin = DEFAULT_SETTINGS.margin
     pts, verts = _vertex_arrays(c)
     m = len(pts) // 2
-    rows = -(-_rotation_step(c) * grid // (2 * m))
+    if k is None:
+        k = _rotation_step(c)
+    rows = -(-k * grid // (2 * m))
     half = (grid + 1) // 2
     t1 = np.arange(rows) * (2.0 * m / grid)
     s = margin + np.arange(half) * ((m - 2.0 * margin) / (grid - 1))
@@ -225,34 +234,28 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
     return t1, s, f
 
 
-def _make_objective(
-    c: CentralPolygon,
-) -> tuple[
-    Callable[..., float],
-    Callable[[float, float], tuple[tuple[int, int], tuple[float, float]]],
-    int,
-]:
-    """Scalar objective and the crease of its two leading sheets, on raw
-    floats.
+def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
+    """``evaluate(t1, s, bound=inf, lead=())``: the scalar objective on
+    raw floats and the crease of its two leading sheets, as
+    ``(value, crease)``.
 
-    Both read the boundary from the edge tables as lists, reducing the
+    The boundary is read from the edge tables as lists, reducing the
     parameters modulo n as ``geom.boundary_point`` does, since a descent
     may leave [0, n).  Sheet w is N_w / den, with numerator
     N_w = |cross(w, v)| + |cross(u, w)| and the common denominator
-    den = cross(u, v).  The objective divides the largest numerator by
-    den, which equals the largest sheet bit for bit since correctly
-    rounded division by a positive number is monotone.
+    den = cross(u, v).  The sheets of the indices in ``lead`` come
+    first, and the first of them that is at least ``bound`` is the
+    value: the maximum is then at least ``bound`` too, so the value
+    answers ``F(t1, s) < bound`` exactly.  Otherwise one pass over every
+    sheet gives the largest numerator, and the value is it divided by
+    den, which is the largest sheet bit for bit since correctly rounded
+    division by a positive number is monotone.
 
-    ``objective(t1, s, bound, lead)`` first evaluates the sheets of the
-    indices in ``lead`` and returns the first of them that is at least
-    ``bound``: the maximum is then at least ``bound`` too, so the value
-    answers ``objective(t1, s) < bound`` exactly, and it equals the
-    maximum whenever that answer is yes.
-
-    ``crease(t1, s)`` returns the leading pair (i, j) of numerators, the
-    lower index first among equals as ``heapq.nlargest`` orders them,
-    and the exact gradient in (t1, s) of N_i - N_j: moving t1 moves both
-    generators along their edges, moving s only v, and
+    When the value is below ``bound`` the crease is the leading pair
+    (i, j) of numerators, the lower index first among equals as
+    ``heapq.nlargest`` orders them, and the exact gradient in (t1, s) of
+    N_i - N_j; otherwise it is ().  Moving t1 moves both generators
+    along their edges, moving s only v, so
     dN_w = sign(cross(u, w)) cross(du, w) + sign(cross(w, v)) cross(w, dv)
     for edge deltas du and dv.  Inside an edge-pair cell the signs are
     fixed and N_i - N_j is affine, so the tie set of the pair is the
@@ -265,7 +268,9 @@ def _make_objective(
     xs, ys, dxs, dys = (a.tolist() for a in _edge_tables(verts))
     half = pts[:m]  # antipodal vertices have equal gauge
 
-    def ends(t1: float, s: float) -> tuple[float, float, float, float, float, int, int]:
+    def evaluate(
+        t1: float, s: float, bound: float = math.inf, lead: tuple[int, ...] = ()
+    ) -> tuple[float, tuple]:
         s = lo if s < lo else hi if s > hi else s
         t = t1 % n
         if t >= n:  # float mod can round up to the period itself
@@ -279,28 +284,14 @@ def _make_objective(
         b = int(t)
         f = t - b
         vx, vy = xs[b] + f * dxs[b], ys[b] + f * dys[b]
-        return ux, uy, vx, vy, ux * vy - uy * vx, a, b
-
-    def objective(
-        t1: float, s: float, bound: float = math.inf, lead: tuple[int, ...] = ()
-    ) -> float:
-        ux, uy, vx, vy, den, _, _ = ends(t1, s)
+        den = ux * vy - uy * vx
         if not den > 1e-300:
-            return math.inf
-        for i in lead:
-            wx, wy = half[i]
+            return math.inf, ()
+        for w in lead:
+            wx, wy = half[w]
             g = (abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)) / den
             if g >= bound:
-                return g
-        top = 0.0
-        for wx, wy in half:
-            g = abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)
-            if g > top:
-                top = g
-        return top / den
-
-    def crease(t1: float, s: float) -> tuple[tuple[int, int], tuple[float, float]]:
-        ux, uy, vx, vy, _, a, b = ends(t1, s)
+                return g, ()
         top = second = -1.0
         i = j = 0
         for w, (wx, wy) in enumerate(half):
@@ -309,23 +300,32 @@ def _make_objective(
                 second, j, top, i = top, i, g, w
             elif g > second:
                 second, j = g, w
-        dux, duy, dvx, dvy = dxs[a], dys[a], dxs[b], dys[b]
-
-        def slope(w: int) -> tuple[float, float]:
-            wx, wy = half[w]
+        value = top / den
+        if not value < bound:
+            return value, ()
+        slopes = []
+        for wx, wy in (half[i], half[j]):
             cu, cv = ux * wy - uy * wx, wx * vy - wy * vx
-            ds = ((cv > 0.0) - (cv < 0.0)) * (wx * dvy - wy * dvx)
-            return ((cu > 0.0) - (cu < 0.0)) * (dux * wy - duy * wx) + ds, ds
+            ds = ((cv > 0.0) - (cv < 0.0)) * (wx * dys[b] - wy * dxs[b])
+            slopes.append((((cu > 0.0) - (cu < 0.0)) * (dxs[a] * wy - dys[a] * wx) + ds, ds))
+        (ti, si), (tj, sj) = slopes
+        return value, ((i, j), (ti - tj, si - sj))
 
-        (ti, si), (tj, sj) = slope(i), slope(j)
-        return (i, j), (ti - tj, si - sj)
+    return evaluate
 
-    return objective, crease, m
+
+def _crease_frame(crease: tuple) -> tuple[tuple[int, ...], tuple[tuple[float, float], ...]]:
+    """The leading pair of a crease and the frame e1, e2, -e1, -e2: e1
+    along the pair's tie line and e2 down the gradient of their
+    difference, or the axes where there is no gradient."""
+    pair, (gx, gy) = crease or ((), (0.0, 0.0))
+    norm = math.hypot(gx, gy)
+    ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
+    return pair, ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex))
 
 
 def _descend(
-    objective: Callable[..., float],
-    crease: Callable[[float, float], tuple[tuple[int, int], tuple[float, float]]],
+    evaluate: Callable[..., tuple[float, tuple]],
     t1: float,
     s: float,
     radius: float,
@@ -339,33 +339,24 @@ def _descend(
     ``step_tol`` when r fell below ``DEFAULT_SETTINGS.step_tol``,
     ``max_sweeps`` when the sweeps ran out first.
 
-    e1 runs along the tie line of the two leading sheets and e2 down the
-    gradient of their difference, both from ``crease`` at the point;
-    the frame is the axes where that gradient vanishes.  It depends on
-    the point alone, so it is set at the start and again only after a
-    move, and a stall keeps it.  A trial step checks the leading pair
-    first and is rejected as soon as one of them reaches the current
-    value; only an accepted step evaluates every sheet."""
+    The frame comes from the evaluation at the start and then from the
+    one that accepted each move; a trial step is evaluated with the
+    current value as its bound and the leading pair as its lead."""
     settings = DEFAULT_SETTINGS
     lo, hi = settings.margin, m - settings.margin
-    fcur = objective(t1, s)
+    fcur, crease = evaluate(t1, s)
+    pair, frame = _crease_frame(crease)
     r = radius
     moves = 0
-    frame = None
     for sweep in range(1, settings.max_sweeps + 1):
-        if frame is None:
-            pair, (gx, gy) = crease(t1, s)
-            norm = math.hypot(gx, gy)
-            ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
-            frame = ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex))
         for dx, dy in frame:
             a, b = t1 + r * dx, s + r * dy
-            fab = objective(a, b, fcur, pair)
+            fab, crease = evaluate(a, b, fcur, pair)
             if fab < fcur:
                 t1, s, fcur = a, min(max(b, lo), hi), fab
+                pair, frame = _crease_frame(crease)
                 r /= settings.shrink
                 moves += 1
-                frame = None
                 break
         else:
             r *= settings.shrink
@@ -383,6 +374,22 @@ def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
     return [divmod(int(j), f.shape[1]) for j in idx]
 
 
+def _descents(
+    c: CentralPolygon, key: Callable, t1s: np.ndarray, ss: np.ndarray, cells, grid: int
+) -> list[tuple[tuple[float, float], StartRecord]]:
+    """Descends from each cell (i, j) of a scan at resolution ``grid``,
+    with a first step of one cell width, and returns the class key of
+    each end with the descent's record."""
+    evaluate = _make_objective(c)
+    radius = 2.0 * c.m / grid
+    ends = []
+    for i, j in cells:
+        t1, s = float(t1s[i]), float(ss[j])
+        a, b, *outcome = _descend(evaluate, t1, s, radius, c.m)
+        ends.append((key(a, b), StartRecord(t1, s, *outcome)))
+    return ends
+
+
 def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     """Minimal circumscribed ratio over inscribed parallelograms of the
     polygon, by grid search plus local descents from the lowest cells.
@@ -392,21 +399,15 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     that key.  It is deterministic for fixed arguments, and the returned
     ratio is recomputed from it: ``circum_ratio(parallelogram, c) == lam``.
     """
-    t1s, ss, f = grid_scan(c, grid)
+    k = _rotation_step(c)
+    t1s, ss, f = grid_scan(c, grid, k)
     if not np.isfinite(f).any():
         raise RuntimeError("no feasible parallelogram cell on the grid")
-    objective, crease, m = _make_objective(c)
-    key = _class_key_fn(c)
-    ends, starts = [], []
-    copies = m // _rotation_step(c)
-    for i, j in _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies)):
-        t1, s, val, sweeps, moves, stop = _descend(
-            objective, crease, float(t1s[i]), float(ss[j]), 2.0 * m / grid, m
-        )
-        starts.append(StartRecord(float(t1s[i]), float(ss[j]), val, sweeps, moves, stop))
-        ends.append((key(t1, s), val))
-    best = min(val for _, val in ends)
-    keyed = sorted(end for end in ends if end[1] <= best + ORBIT_TOL)
+    copies = c.m // k  # rotated copies of each scanned cell
+    cells = _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies))
+    ends = _descents(c, _class_key_fn(c, k), t1s, ss, cells, grid)
+    best = min(record.value for _, record in ends)
+    keyed = sorted((key, record.value) for key, record in ends if record.value <= best + ORBIT_TOL)
     least = keyed[0][0]
     (t1, s), _ = min((end for end in keyed if _same_class(end[0], least)), key=lambda end: end[1])
     witness = Parallelogram(boundary_point(c, t1), boundary_point(c, t1 + s))
@@ -418,7 +419,7 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
         t_v=t1 + s,
         contacts=contacts(witness, c, lam),
         grid_resolution=grid,
-        starts=tuple(starts),
+        starts=tuple(record for _, record in ends),
     )
 
 
@@ -449,21 +450,18 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     whose class keys agree within ``KEY_TOL`` form one class, drawn at
     its least key; the classes come in key order.
     """
-    t1s, ss, f = grid_scan(c, result.grid_resolution)
-    objective, crease, m = _make_objective(c)
-    key = _class_key_fn(c)
+    grid = result.grid_resolution
+    k = _rotation_step(c)
+    t1s, ss, f = grid_scan(c, grid, k)
+    key = _class_key_fn(c, k)
     mask = _local_minima_mask(f)
     # coarse cells sit above the refined optimum by up to a few cell
     # widths times the local slope, so keep a generous value slack
-    mask &= f <= result.lam + 6.0 * m / result.grid_resolution
+    mask &= f <= result.lam + 6.0 * c.m / grid
 
     keys = [key(result.t_u, result.t_v - result.t_u)]
-    for i, j in np.argwhere(mask):
-        t1, s, val, _, _, _ = _descend(
-            objective, crease, float(t1s[i]), float(ss[j]), 2.0 * m / result.grid_resolution, m
-        )
-        if val <= result.lam + ORBIT_TOL:
-            keys.append(key(t1, s))
+    ends = _descents(c, key, t1s, ss, np.argwhere(mask), grid)
+    keys += [end for end, record in ends if record.value <= result.lam + ORBIT_TOL]
 
     classes: list[tuple[float, float]] = []
     for candidate in sorted(keys):

@@ -17,10 +17,10 @@ VERIFY_ALL_ROWS = [
     ("hex family ratio at b=sqrt(3)/5", 1.5, 1e-12, "PASS", ""),
     ("hex critical slope closed form", 0.16252927618404658, 1e-12, "PASS", ""),
     ("hex ratio at critical slope", 1.5224, 5e-05, "PASS", ""),
-    ("hex closed form vs construction, 101 samples", 0.0, 1e-09, "PASS", ""),
-    ("known position 1 inscribed", 0.0, 1e-09, "PASS", ""),
+    ("hex closed form vs construction, 101 samples", 0.0, 1e-12, "PASS", ""),
+    ("known position 1 inscribed", 0.0, 1e-12, "PASS", ""),
     ("known position 1 ratio 3/2", 1.5, 1e-12, "PASS", ""),
-    ("known position 2 inscribed", 0.0, 1e-09, "PASS", ""),
+    ("known position 2 inscribed", 0.0, 1e-12, "PASS", ""),
     ("known position 2 ratio 3/2", 1.5, 1e-12, "PASS", ""),
     ("P6 optimal symmetry classes", 2.0, 0.0, "PASS", ""),
     ("P6 optimal classes match known positions", 0.0, 1e-10, "PASS", ""),

@@ -95,9 +95,9 @@ class TestGridScan:
             assert (t1 < k).all()
             # an odd grid's middle s value is m/2 up to one rounding
             assert (s <= np.nextafter(m / 2.0, np.inf)).all()
-            objective, _, _ = _make_objective(gon)
+            evaluate = _make_objective(gon)
             for i, j in zip(rng.integers(0, rows, 50), rng.integers(0, half, 50)):
-                expected = objective(float(t1[i]), float(s[j]))
+                expected, _ = evaluate(float(t1[i]), float(s[j]))
                 assert math.isclose(f[i, j], expected, rel_tol=1e-12), (i, j)
 
 
@@ -142,36 +142,36 @@ class TestObjective:
         margin = DEFAULT_SETTINGS.margin
         for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
             m = len(gon.vertices) // 2
-            objective, _, _ = _make_objective(gon)
+            evaluate = _make_objective(gon)
             # t1 well outside [0, 2m) and s outside [margin, m - margin]
             t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000)
             ss = rng.uniform(-0.5, m + 0.5, 2000)
             assert (t1s < 0).any() and (t1s >= 2 * m).any()
             assert (ss < margin).any() and (ss > m - margin).any()
             for t1, s in zip(t1s.tolist(), ss.tolist()):
-                assert objective(t1, s) == max(_sheets(gon, t1, s)), (t1, s)
+                assert evaluate(t1, s)[0] == max(_sheets(gon, t1, s)), (t1, s)
 
     def test_objective_is_infinite_where_the_generators_coincide(self, p6):
         # at t1 = 1e17 adding s rounds away, so both generators are one
         # point and the denominator is 0
-        objective, _, _ = _make_objective(p6)
+        evaluate = _make_objective(p6)
         assert _sheets(p6, 1e17, 0.5) == [math.inf] * 3
-        assert objective(1e17, 0.5) == math.inf
-        assert objective(1e17, 0.5, 1.0, (0, 1)) == math.inf
+        assert evaluate(1e17, 0.5) == (math.inf, ())
+        assert evaluate(1e17, 0.5, 1.0, (0, 1)) == (math.inf, ())
 
     def test_early_exit_decides_like_the_full_maximum(self):
         # the descent only asks whether a trial value is below the bound,
-        # and uses the value only when it is
+        # and uses the value and the crease only when it is
         rng = np.random.default_rng(2009)
         for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
             m = len(gon.vertices) // 2
-            objective, crease, _ = _make_objective(gon)
+            evaluate = _make_objective(gon)
             points = list(self._points(gon, rng))
             # descent ends lie on creases, where the leading sheets tie
             for t1, s in points[:20]:
-                points.append(oracle._descend(objective, crease, t1, s, 0.1, m)[:2])
+                points.append(oracle._descend(evaluate, t1, s, 0.1, m)[:2])
             for t1, s in points:
-                value = objective(t1, s)
+                value, full = evaluate(t1, s)
                 values = _sheets(gon, t1, s)
                 leading = tuple(heapq.nlargest(2, range(m), key=values.__getitem__))
                 other = tuple(int(x) for x in rng.integers(0, m, 2))
@@ -185,10 +185,12 @@ class TestObjective:
                 )
                 for bound in bounds:
                     for lead in (leading, leading[::-1], other):
-                        early = objective(t1, s, bound, lead)
+                        early, crease = evaluate(t1, s, bound, lead)
                         assert (early < bound) == (value < bound), (t1, s, bound, lead)
                         if early < bound:
-                            assert early == value, (t1, s, bound, lead)
+                            assert (early, crease) == (value, full), (t1, s, bound, lead)
+                        else:
+                            assert crease == (), (t1, s, bound, lead)
 
     def test_crease_pair_is_the_nlargest_pair_of_the_sheets(self):
         rng = np.random.default_rng(2012)
@@ -196,10 +198,10 @@ class TestObjective:
         gons += [random_central_polygon(rng, m=7), spread_central_polygon(rng, m=60)]
         for gon in gons:
             m = len(gon.vertices) // 2
-            objective, crease, _ = _make_objective(gon)
+            evaluate = _make_objective(gon)
             points = list(self._points(gon, rng))
             for t1, s in points[:10]:
-                points.append(oracle._descend(objective, crease, t1, s, 0.1, m)[:2])
+                points.append(oracle._descend(evaluate, t1, s, 0.1, m)[:2])
             compared = 0
             for t1, s in points:
                 values = _sheets(gon, t1, s)
@@ -208,9 +210,17 @@ class TestObjective:
                 if not math.isfinite(top[0]) or len(set(top)) < len(top):
                     continue
                 compared += 1
-                pair, _ = crease(t1, s)
+                _, (pair, _) = evaluate(t1, s)
                 assert pair == tuple(heapq.nlargest(2, range(m), key=values.__getitem__)), (t1, s)
             assert compared >= 1000, compared
+
+    def test_tied_sheets_put_the_lower_index_first(self, p4):
+        # generators at the square's vertices v0 and v1: both numerators
+        # are exactly 1, and nlargest keeps equals in index order
+        values = _sheets(p4, 0.0, 1.0)
+        assert values[0] == values[1]
+        _, (pair, _) = _make_objective(p4)(0.0, 1.0)
+        assert pair == tuple(heapq.nlargest(2, range(2), key=values.__getitem__)) == (0, 1)
 
     def test_crease_gradient_matches_central_differences_inside_a_cell(self):
         # N_i - N_j is affine inside an edge-pair cell with fixed signs, so
@@ -223,12 +233,12 @@ class TestObjective:
         for gon in gons:
             n = len(gon.vertices)
             m = n // 2
-            _, crease, _ = _make_objective(gon)
+            evaluate = _make_objective(gon)
             checked = 0
             t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000).tolist()
             ss = rng.uniform(margin + h, m - margin - h, 2000).tolist()
             for t1, s in zip(t1s, ss):
-                (i, j), (gx, gy) = crease(t1, s)
+                _, ((i, j), (gx, gy)) = evaluate(t1, s)
 
                 def cell(a, b):
                     # edges of u and v and the signs of the pair's crosses
@@ -256,22 +266,22 @@ class TestObjective:
 
 class TestDescend:
     @staticmethod
-    def _reference(objective, crease, t1, s, radius, m):
+    def _reference(evaluate, t1, s, radius, m):
         """The compass descent with full evaluations: every sweep re-derives
         the leading pair and the frame, and every trial step takes the
-        full maximum."""
+        full maximum, with no bound."""
         settings = DEFAULT_SETTINGS
         lo, hi = settings.margin, m - settings.margin
-        fcur = objective(t1, s)
+        fcur, _ = evaluate(t1, s)
         r = radius
         moves = 0
         for sweep in range(1, settings.max_sweeps + 1):
-            _, (gx, gy) = crease(t1, s)
+            _, (_, (gx, gy)) = evaluate(t1, s)
             norm = math.hypot(gx, gy)
             ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
             for dx, dy in ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex)):
                 a, b = t1 + r * dx, s + r * dy
-                fab = objective(a, b)
+                fab, _ = evaluate(a, b)
                 if fab < fcur:
                     t1, s, fcur = a, min(max(b, lo), hi), fab
                     r /= settings.shrink
@@ -289,13 +299,13 @@ class TestDescend:
         gons += [random_central_polygon(rng, m) for m in (2, 3, 7, 12)]
         for gon in gons:
             m = len(gon.vertices) // 2
-            objective, crease, _ = _make_objective(gon)
+            evaluate = _make_objective(gon)
             starts = zip(rng.uniform(0.0, 2.0 * m, 8), rng.uniform(0.05 * m, 0.5 * m, 8))
             for t1, s in starts:
                 for radius in (2.0 * m / 91, 2.0 * m / 720):
                     args = (float(t1), float(s), radius, m)
-                    expected = self._reference(objective, crease, *args)
-                    assert oracle._descend(objective, crease, *args) == expected, args
+                    expected = self._reference(evaluate, *args)
+                    assert oracle._descend(evaluate, *args) == expected, args
 
     def test_a_coarse_grid_reaches_the_fine_optimum(self):
         # with the frame taken from central differences of the pair's
@@ -483,10 +493,11 @@ class TestStarts:
                     assert not is_rotated_copy(a, b), (a, b)
 
             # (c) the identity the cut to t1 in [0, k) relies on
-            objective, _, _ = _make_objective(gon)
-            for t1, s in zip(rng.uniform(0.0, 2.0 * m, 200), rng.uniform(0.02 * m, 0.98 * m, 200)):
-                base = objective(t1, s)
-                assert math.isclose(objective(t1 + k, s), base, rel_tol=1e-12), (t1, s)
+            evaluate = _make_objective(gon)
+            t1s = rng.uniform(0.0, 2.0 * m, 200).tolist()
+            for t1, s in zip(t1s, rng.uniform(0.02 * m, 0.98 * m, 200).tolist()):
+                base, _ = evaluate(t1, s)
+                assert math.isclose(evaluate(t1 + k, s)[0], base, rel_tol=1e-12), (t1, s)
 
     def test_lambda_matches_the_closed_form(self):
         rng = np.random.default_rng(12)
@@ -523,6 +534,69 @@ class TestStarts:
         result = bm_distance(p6, grid=90)
         assert result.starts
         assert all(r.stop == "max_sweeps" and r.sweeps == 2 for r in result.starts)
+
+
+class TestGoldenTrajectories:
+    """Descent records and class representatives pinned bit for bit, so a
+    change to the search that claims identical results fails here if any
+    path moves."""
+
+    # (t1, s, value.hex(), sweeps, moves, stop) of every descent
+    STARTS = {
+        ("P6", 360): [
+            (0.3333333333333333, 1.3370474623955433, "0x1.8000000000105p+0", 128, 45, "step_tol"),
+            (0.5, 1.495821729805014, "0x1.80000000000a3p+0", 106, 34, "step_tol"),
+        ],
+        ("P10", 360): [
+            (0.7777777777777777, 2.437325930362117, "0x1.6d5336963ef12p+0", 125, 43, "step_tol"),
+        ],
+        ("P14", 360): [
+            (0.4666666666666667, 3.4902506991643456, "0x1.6ce8d1b1153a9p+0", 143, 52, "step_tol"),
+        ],
+        ("random", 720): [
+            (3.1333333333333333, 2.8289291251738526, "0x1.44848d30ab41cp+0", 100, 31, "step_tol"),
+            (3.15, 2.8289291251738526, "0x1.44848d30ab419p+0", 104, 33, "step_tol"),
+            (3.1333333333333333, 2.8372740458970793, "0x1.44848d30ab417p+0", 126, 44, "step_tol"),
+            (3.1166666666666667, 2.8289291251738526, "0x1.44848d30ab421p+0", 112, 37, "step_tol"),
+            (3.1666666666666665, 2.8205842044506255, "0x1.44848d30ab415p+0", 108, 35, "step_tol"),
+        ],
+    }
+
+    # (u.x, u.y, v.x, v.y) of each argmin_orbit representative at grid 360
+    REPRESENTATIVES = {
+        6: [
+            ("0x1.fffffffffff0cp-1", "-0x1.a700000000000p-45",
+             "0x1.6ac0000000000p-44", "0x1.bb67ae8584caap-1"),
+            ("0x1.aaaaaaaaaacbdp-1", "0x1.279a745902befp-2",
+             "-0x1.5555555554af8p-3", "0x1.bb67ae8584cabp-1"),
+        ],
+        8: [
+            ("0x1.fffffffffffd6p-1", "-0x1.9800000000000p-47",
+             "0x1.1a62633145c07p-54", "0x1.0000000000000p+0"),
+            ("0x1.b504f333f9e44p-1", "0x1.6a09e667f3a07p-2",
+             "-0x1.6a09e667f3d74p-2", "0x1.b504f333f9d8fp-1"),
+        ],
+    }
+
+    @pytest.mark.parametrize("name, grid", list(STARTS))
+    def test_descent_records(self, name, grid):
+        if name == "random":
+            gon = random_central_polygon(np.random.default_rng(720), 6)
+        else:
+            gon = regular_polygon(int(name[1:]))
+        records = [
+            (r.t1, r.s, r.value.hex(), r.sweeps, r.moves, r.stop)
+            for r in bm_distance(gon, grid=grid).starts
+        ]
+        assert records == self.STARTS[name, grid]
+
+    @pytest.mark.parametrize("n", list(REPRESENTATIVES))
+    def test_class_representatives(self, n):
+        gon = regular_polygon(n)
+        reps = argmin_orbit(gon, bm_distance(gon, grid=360))
+        assert [(p.u.x.hex(), p.u.y.hex(), p.v.x.hex(), p.v.y.hex()) for p in reps] == (
+            self.REPRESENTATIVES[n]
+        )
 
 
 class TestLocalMinimaMask:
@@ -694,7 +768,7 @@ class TestClassKey:
     def test_key_is_constant_on_every_orbit(self, case):
         gon, order = self.CASES[case]
         m, k = gon.m, _rotation_step(gon)
-        key = _class_key_fn(gon)
+        key = _class_key_fn(gon, _rotation_step(gon))
         rng = np.random.default_rng(case)
         t1s, ss = rng.uniform(0.0, 2.0 * m, 40), rng.uniform(0.01, m - 0.01, 40)
         for t1, s in zip(t1s.tolist(), ss.tolist()):
@@ -728,7 +802,7 @@ class TestClassKey:
             for (t1, s), p in zip(positions, hex_optimal_positions()):
                 assert (boundary_point(gon, t1) - p.u).norm() <= 1e-15
                 assert (boundary_point(gon, t1 + s) - p.v).norm() <= 1e-15
-        key = _class_key_fn(gon)
+        key = _class_key_fn(gon, _rotation_step(gon))
         for t1, s in positions:
             expected = key(t1, s)
             for dt in (-1e-15, 0.0, 1e-15):

@@ -1,7 +1,8 @@
 """Every Python file of the project parses at the oldest Python it
 supports, the ``requires-python`` floor of pyproject.toml, so syntax that
 came later (``except*``, for one) fails here and not only on that
-Python."""
+Python.  The benchmark harness under ``perfbench/`` is included, since CI
+runs it at the floor too."""
 
 import ast
 import re
@@ -17,7 +18,9 @@ FLOOR = tuple(
     ).groups()
 )
 FILES = sorted(
-    path for folder in ("src", "tests", "scripts") for path in (ROOT / folder).rglob("*.py")
+    path
+    for folder in ("src", "tests", "scripts", "perfbench")
+    for path in (ROOT / folder).rglob("*.py")
 )
 
 
@@ -29,5 +32,6 @@ def test_the_floor_rejects_later_syntax():
 
 def test_every_file_parses_at_the_floor():
     assert FILES
+    assert {path.parent.name for path in FILES} >= {"bmgon", "tests", "scripts", "perfbench"}
     for path in FILES:
         ast.parse(path.read_text(), filename=str(path), feature_version=FLOOR)
