@@ -4,7 +4,8 @@ Provides immutable value types (vectors, polygons with exact central
 symmetry, symmetric strips) together with a boundary parametrization,
 the width-ratio identity for nested parallel strips, and the linear
 symmetries of a polygon.
-Everything here is pure double-precision arithmetic with no hidden state.
+Everything here is pure double-precision arithmetic; the only state a
+polygon keeps beyond its vertices is derived from them.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class CentralPolygon:
     negation so that antipodal identities hold bit for bit.
     """
 
-    __slots__ = ("vertices", "radius")
+    __slots__ = ("vertices", "radius", "_rotation_step")
 
     vertices: tuple[Vec2, ...]
     radius: float  # the largest vertex norm
@@ -133,6 +134,7 @@ class CentralPolygon:
                 raise ValueError("origin is not strictly interior")
         object.__setattr__(self, "vertices", tuple(verts))
         object.__setattr__(self, "radius", max(map(Vec2.norm, verts[:m])))  # antipodes match
+        object.__setattr__(self, "_rotation_step", 0)  # found on first use
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CentralPolygon is immutable")
@@ -141,6 +143,22 @@ class CentralPolygon:
     def m(self) -> int:
         """Half the vertex count, which is also the boundary half-period."""
         return len(self.vertices) // 2
+
+    @property
+    def rotation_step(self) -> int:
+        """Smallest vertex-index step k of a rotation of the polygon, that is
+        of a symmetry sending vertex i to vertex i + k; m when the only
+        rotations are the identity and the point reflection.  Found by
+        ``symmetry_map`` on first use and kept.
+
+        The steps modulo m form a cyclic subgroup of Z_m, whose generator
+        divides m, so the divisors of m are tried in ascending order."""
+        if not self._rotation_step:
+            m = self.m
+            divisors = (k for k in range(1, m) if m % k == 0)
+            step = next((k for k in divisors if symmetry_map(self, k, 1) is not None), m)
+            object.__setattr__(self, "_rotation_step", step)
+        return self._rotation_step
 
     def __repr__(self) -> str:
         return f"CentralPolygon({len(self.vertices)} vertices)"

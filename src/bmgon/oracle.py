@@ -139,21 +139,7 @@ def _boundary_xy_arrays(verts: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, n
     return x[i] + f * dx[i], y[i] + f * dy[i]
 
 
-def _rotation_step(c: CentralPolygon) -> int:
-    """Smallest vertex-index step k of a rotation of the polygon, that is
-    of a symmetry sending vertex i to vertex i + k; m when the only
-    rotations are the identity and the point reflection.
-
-    The steps modulo m form a cyclic subgroup of Z_m, whose generator
-    divides m, so the divisors of m are tried in ascending order."""
-    m = c.m
-    for k in range(1, m):
-        if m % k == 0 and symmetry_map(c, k, 1) is not None:
-            return k
-    return m
-
-
-def _class_key_fn(c: CentralPolygon, k: int) -> Callable[[float, float], tuple[float, float]]:
+def _class_key_fn(c: CentralPolygon) -> Callable[[float, float], tuple[float, float]]:
     """Class key of the polygon's positions (t1, s): one canonical image
     per class, so the image reported does not hang on the descents'
     rounding.  A symmetry v_i -> v_(k + step*i) sends t to k + step*t,
@@ -163,7 +149,7 @@ def _class_key_fn(c: CentralPolygon, k: int) -> Callable[[float, float], tuple[f
     with s <= m/2 over the position, its relabelling (t1 + s, m - s) and
     their reflections.  Both bounds carry KEY_TOL, so rounding at a vertex
     or at s = m/2 keeps the key; its t1 lies in (-KEY_TOL, k - KEY_TOL]."""
-    m = c.m
+    m, k = c.m, c.rotation_step
     r = next((r for r in range(k) if symmetry_map(c, r, -1) is not None), None)
 
     def key(t1: float, s: float) -> tuple[float, float]:
@@ -180,12 +166,9 @@ def _same_class(a: tuple[float, float], b: tuple[float, float]) -> bool:
     return abs(a[0] - b[0]) <= KEY_TOL and abs(a[1] - b[1]) <= KEY_TOL
 
 
-def grid_scan(
-    c: CentralPolygon, grid: int, k: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Objective on one rotation period t1 in [0, k), s in (0, m/2], where
-    k is the polygon's rotation step (m for a polygon without rotations),
-    found here unless the caller passes it.
+    k is the polygon's rotation step (m for a polygon without rotations).
 
     The cell width is that of a grid x grid mesh of t1 in [0, 2m) and
     s in [margin, m - margin], margin = ``DEFAULT_SETTINGS.margin``; the
@@ -208,9 +191,7 @@ def grid_scan(
     margin = DEFAULT_SETTINGS.margin
     pts, verts = _vertex_arrays(c)
     m = len(pts) // 2
-    if k is None:
-        k = _rotation_step(c)
-    rows = -(-k * grid // (2 * m))
+    rows = -(-c.rotation_step * grid // (2 * m))
     half = (grid + 1) // 2
     t1 = np.arange(rows) * (2.0 * m / grid)
     s = margin + np.arange(half) * ((m - 2.0 * margin) / (grid - 1))
@@ -399,13 +380,12 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     that key.  It is deterministic for fixed arguments, and the returned
     ratio is recomputed from it: ``circum_ratio(parallelogram, c) == lam``.
     """
-    k = _rotation_step(c)
-    t1s, ss, f = grid_scan(c, grid, k)
+    t1s, ss, f = grid_scan(c, grid)
     if not np.isfinite(f).any():
         raise RuntimeError("no feasible parallelogram cell on the grid")
-    copies = c.m // k  # rotated copies of each scanned cell
+    copies = c.m // c.rotation_step  # rotated copies of each scanned cell
     cells = _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies))
-    ends = _descents(c, _class_key_fn(c, k), t1s, ss, cells, grid)
+    ends = _descents(c, _class_key_fn(c), t1s, ss, cells, grid)
     best = min(record.value for _, record in ends)
     keyed = sorted((key, record.value) for key, record in ends if record.value <= best + ORBIT_TOL)
     least = keyed[0][0]
@@ -451,9 +431,8 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     its least key; the classes come in key order.
     """
     grid = result.grid_resolution
-    k = _rotation_step(c)
-    t1s, ss, f = grid_scan(c, grid, k)
-    key = _class_key_fn(c, k)
+    t1s, ss, f = grid_scan(c, grid)
+    key = _class_key_fn(c)
     mask = _local_minima_mask(f)
     # coarse cells sit above the refined optimum by up to a few cell
     # widths times the local slope, so keep a generous value slack

@@ -26,7 +26,6 @@ from bmgon.oracle import (
     _local_minima_mask,
     _lowest_cells,
     _make_objective,
-    _rotation_step,
     _same_class,
     argmin_orbit,
     bm_distance,
@@ -88,7 +87,7 @@ class TestGridScan:
         cases = [(regular_polygon(6), 1), (regular_polygon(10), 1), (random_central_polygon(rng, m=5), 5)]
         for gon, k in cases:
             m = len(gon.vertices) // 2
-            assert _rotation_step(gon) == k
+            assert gon.rotation_step == k
             rows = (k * grid + 2 * m - 1) // (2 * m)
             t1, s, f = grid_scan(gon, grid)
             assert t1.shape == (rows,) and s.shape == (half,) and f.shape == (rows, half)
@@ -410,7 +409,7 @@ class TestBMDistance:
         gons += [random_central_polygon(rng, int(rng.integers(2, 12))) for _ in range(20)]
         for gon in gons:
             result = bm_distance(gon, grid=360)
-            k = _rotation_step(gon)
+            k = gon.rotation_step
             assert -KEY_TOL < result.t_u < k, (gon, result.t_u)
             assert 0.0 < result.t_v - result.t_u <= gon.m / 2 + KEY_TOL, (gon, result.t_v)
 
@@ -458,7 +457,7 @@ class TestStarts:
         starts = DEFAULT_SETTINGS.starts
         for gon, k in cases:
             m = len(gon.vertices) // 2
-            assert _rotation_step(gon) == k
+            assert gon.rotation_step == k
             t1s, ss, f = grid_scan(gon, grid)
             result = bm_distance(gon, grid=grid)
             rows, cols = t1s.tolist(), ss.tolist()
@@ -664,7 +663,7 @@ class TestArgminOrbit:
         ]
         for gon, grid in cases:
             m = len(gon.vertices) // 2
-            assert (_rotation_step(gon) * grid) % (2 * m) != 0
+            assert (gon.rotation_step * grid) % (2 * m) != 0
             result = bm_distance(gon, grid=grid)
             reps = argmin_orbit(gon, result)
             assert len(reps) == 2
@@ -767,8 +766,8 @@ class TestClassKey:
     @pytest.mark.parametrize("case", range(len(CASES)))
     def test_key_is_constant_on_every_orbit(self, case):
         gon, order = self.CASES[case]
-        m, k = gon.m, _rotation_step(gon)
-        key = _class_key_fn(gon, _rotation_step(gon))
+        m, k = gon.m, gon.rotation_step
+        key = _class_key_fn(gon)
         rng = np.random.default_rng(case)
         t1s, ss = rng.uniform(0.0, 2.0 * m, 40), rng.uniform(0.01, m - 0.01, 40)
         for t1, s in zip(t1s.tolist(), ss.tolist()):
@@ -802,7 +801,7 @@ class TestClassKey:
             for (t1, s), p in zip(positions, hex_optimal_positions()):
                 assert (boundary_point(gon, t1) - p.u).norm() <= 1e-15
                 assert (boundary_point(gon, t1 + s) - p.v).norm() <= 1e-15
-        key = _class_key_fn(gon, _rotation_step(gon))
+        key = _class_key_fn(gon)
         for t1, s in positions:
             expected = key(t1, s)
             for dt in (-1e-15, 0.0, 1e-15):
@@ -829,7 +828,19 @@ class TestRotationStep:
         for gon, count in ((regular_polygon(6), 12), (regular_polygon(8), 16), (image, 16)):
             scaled = self._scaled(gon, 10.0**exponent)
             assert len(polygon_symmetries(scaled)) == count
-            assert _rotation_step(scaled) == 1
+            assert scaled.rotation_step == 1
+
+    def test_step_is_found_once_and_kept(self, monkeypatch):
+        from bmgon import geom
+
+        gon = regular_polygon(12)
+        probes = []
+        real = geom.symmetry_map
+        monkeypatch.setattr(geom, "symmetry_map", lambda *a: probes.append(a) or real(*a))
+        assert gon.rotation_step == 1 and len(probes) == 1
+        assert gon.rotation_step == 1 and len(probes) == 1
+        with pytest.raises(AttributeError):
+            gon._rotation_step = 2
 
     def test_large_hexagon_has_two_classes(self, p6):
         gon = self._scaled(p6, 1e8)
@@ -848,7 +859,7 @@ class TestRotationStep:
             for i, v in enumerate(verts):
                 image = apply_linear(mat, v)
                 assert (image - verts[(k + step * i) % 6]).norm() <= 1e-12 * factor
-        assert _rotation_step(gon) == 3
+        assert gon.rotation_step == 3
 
 
 class TestLargePolygons:
