@@ -159,7 +159,7 @@ def suite_theorem1() -> list[Claim]:
     """Hexagon distance 3/2 and the ratio curve of the balanced family."""
     rows = []
     result = bm_distance(HEXAGON, grid=360)
-    rows.append(Claim("P6 distance equals 3/2", 1.5, result.lam, 1e-11))
+    rows.append(Claim("P6 distance equals 3/2", 1.5, result.lam, 1e-13))
     _, _, f = grid_scan(HEXAGON, 360)
     floor = float(np.min(f[np.isfinite(f)]))
     rows.append(Claim("P6 grid objective never below 3/2", 1.5, floor, 1e-12, "at_least"))
@@ -202,7 +202,7 @@ def suite_remark() -> list[Claim]:
     reps = argmin_orbit(HEXAGON, result)
     rows.append(Claim("P6 optimal symmetry classes", 2.0, float(len(reps)), 0.0))
     rows.append(
-        Claim("P6 optimal classes match known positions", 0.0, _orbit_match(reps, positions), 1e-10)
+        Claim("P6 optimal classes match known positions", 0.0, _orbit_match(reps, positions), 1e-13)
     )
     return rows
 
@@ -221,7 +221,7 @@ def suite_theorem2() -> list[Claim]:
         family = theorem2_value(n)
         result = bm_distance(regular_polygon(n), grid=360)
         rows.append(
-            Claim(f"P{n} distance equals {desc}", family.value, result.lam, 1e-11, family.kind)
+            Claim(f"P{n} distance equals {desc}", family.value, result.lam, 1e-13, family.kind)
         )
     for n in range(8, 22, 2):
         gon = regular_polygon(n)
@@ -233,7 +233,7 @@ def suite_theorem2() -> list[Claim]:
         family = theorem2_value(n)
         result = bm_distance(regular_polygon(n), grid=720)
         rows.append(
-            Claim(f"P{n} probe of conjectured bound", family.value, result.lam, 1e-11, family.kind)
+            Claim(f"P{n} probe of conjectured bound", family.value, result.lam, 1e-13, family.kind)
         )
     rows.append(Claim("family value at n=6 equals 3/2", 1.5, theorem2_value(6).value, 1e-12))
     dev = max(
@@ -258,7 +258,7 @@ def suite_beta() -> list[Claim]:
         result = bm_distance(regular_polygon(n), grid=360)
         u, v = result.parallelogram.u, result.parallelogram.v
         square_defect = max(abs(u.norm() - v.norm()), abs(u.dot(v)))
-        rows.append(Claim(f"P{n} optimum is a square", 0.0, square_defect, 1e-11))
+        rows.append(Claim(f"P{n} optimum is a square", 0.0, square_defect, 1e-13))
     return rows
 
 

@@ -16,8 +16,10 @@ The objective, the maximal parallelogram gauge over the polygon's
 vertices, is evaluated on a grid of that domain and then polished by a
 compass descent: one step of length r along each of two orthogonal
 directions and their opposites, the first that improves taken, r grown
-by 1/shrink after a move and shrunk by shrink after a stall, until r
-drops below ``step_tol``.  The descent itself may leave
+by 1/shrink after a move and shrunk by shrink after a stall.  Once a
+stall takes r below ``KEY_TOL`` the descent solves for the vertex of
+its active set and ends there; only when no vertex is found does it go
+on until r drops below ``step_tol``.  The descent itself may leave
 the domain; its result labels the same parallelogram either way.
 
 The objective is a maximum of smooth per-vertex sheets, so its valleys
@@ -39,6 +41,15 @@ Otherwise one pass over every sheet gives the maximum and the pair:
 at the start, at each accepted step, and at each rejected step whose
 pair stayed below the current value.  Every choice is the same bit for
 bit as with full evaluations.
+
+Every optimum measured so far sits at a vertex of its active set:
+where three sheets tie, where two tie with a generator at a polygon
+vertex, or where both generators are at polygon vertices.  Inside an
+edge-pair cell every numerator is affine in the generators' edge
+fractions and the denominator is common, so each such vertex solves
+one 2x2 linear system.  The solve reaches the value to rounding, where
+halving r down to ``step_tol`` would spend over half of a descent's
+evaluations and stop up to some 1e-13 above it.
 """
 
 from __future__ import annotations
@@ -92,7 +103,9 @@ MAX_GRID = 4096
 class StartRecord:
     """One descent: its start cell (t1, s), final objective value, sweeps
     run, accepted steps among them (the other sweeps stalled) and stop
-    reason (``step_tol`` or ``max_sweeps``)."""
+    reason: ``vertex`` (it ended at the solved vertex of its active set),
+    ``step_tol`` (no vertex at or below its value was found, and the
+    step fell below ``step_tol``) or ``max_sweeps``."""
 
     t1: float
     s: float
@@ -216,8 +229,8 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
-    """``evaluate(t1, s, bound=inf, lead=())``: the scalar objective on
-    raw floats and the crease of its two leading sheets, as
+    """``evaluate(t1, s, bound=inf, lead=(), vertex=False)``: the scalar
+    objective on raw floats and the crease of its two leading sheets, as
     ``(value, crease)``.
 
     The boundary is read from the edge tables as lists, reducing the
@@ -236,11 +249,19 @@ def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
     (i, j) of numerators, the lower index first among equals as
     ``heapq.nlargest`` orders them, and the exact gradient in (t1, s) of
     N_i - N_j; otherwise it is ().  Moving t1 moves both generators
-    along their edges, moving s only v, so
-    dN_w = sign(cross(u, w)) cross(du, w) + sign(cross(w, v)) cross(w, dv)
-    for edge deltas du and dv.  Inside an edge-pair cell the signs are
-    fixed and N_i - N_j is affine, so the tie set of the pair is the
-    straight line through the point normal to this gradient.
+    along their edges, moving s only v: the fraction f of u along its
+    edge delta du moves with t1, the fraction g of v along dv with
+    t1 + s, so the gradient in (t1, s) is (dN_w/df + dN_w/dg, dN_w/dg)
+    with dN_w/df = sign(cross(u, w)) cross(du, w) and
+    dN_w/dg = sign(cross(w, v)) cross(w, dv).
+    Inside an edge-pair cell with fixed signs N_i - N_j is affine, so
+    the tie set of the pair is the straight line through the point
+    normal to this gradient.
+
+    With ``vertex`` the crease is replaced by what the descent's vertex
+    solve needs: the numerators of the three leading sheets (two when
+    m = 2), largest first, each with its gradient (dN_w/df, dN_w/dg),
+    and the fractions (f, g) of the point.
     """
     pts, verts = _vertex_arrays(c)
     n = len(pts)
@@ -248,23 +269,28 @@ def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
     lo, hi = DEFAULT_SETTINGS.margin, m - DEFAULT_SETTINGS.margin
     xs, ys, dxs, dys = (a.tolist() for a in _edge_tables(verts))
     half = pts[:m]  # antipodal vertices have equal gauge
+    leading = min(m, 3)
 
     def evaluate(
-        t1: float, s: float, bound: float = math.inf, lead: tuple[int, ...] = ()
+        t1: float,
+        s: float,
+        bound: float = math.inf,
+        lead: tuple[int, ...] = (),
+        vertex: bool = False,
     ) -> tuple[float, tuple]:
         s = lo if s < lo else hi if s > hi else s
         t = t1 % n
         if t >= n:  # float mod can round up to the period itself
             t = 0.0
         a = int(t)
-        f = t - a
-        ux, uy = xs[a] + f * dxs[a], ys[a] + f * dys[a]
+        fu = t - a
+        ux, uy = xs[a] + fu * dxs[a], ys[a] + fu * dys[a]
         t = (t1 + s) % n
         if t >= n:
             t = 0.0
         b = int(t)
-        f = t - b
-        vx, vy = xs[b] + f * dxs[b], ys[b] + f * dys[b]
+        fv = t - b
+        vx, vy = xs[b] + fv * dxs[b], ys[b] + fv * dys[b]
         den = ux * vy - uy * vx
         if not den > 1e-300:
             return math.inf, ()
@@ -273,24 +299,30 @@ def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
             g = (abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)) / den
             if g >= bound:
                 return g, ()
-        top = second = -1.0
-        i = j = 0
+        top = second = third = -1.0
+        i = j = k = 0
         for w, (wx, wy) in enumerate(half):
             g = abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)
             if g > top:
-                second, j, top, i = top, i, g, w
+                third, k, second, j, top, i = second, j, top, i, g, w
             elif g > second:
-                second, j = g, w
+                third, k, second, j = second, j, g, w
+            elif g > third:
+                third, k = g, w
         value = top / den
         if not value < bound:
             return value, ()
-        slopes = []
-        for wx, wy in (half[i], half[j]):
+        sheets = []
+        for w, g in ((i, top), (j, second), (k, third))[: leading if vertex else 2]:
+            wx, wy = half[w]
             cu, cv = ux * wy - uy * wx, wx * vy - wy * vx
-            ds = ((cv > 0.0) - (cv < 0.0)) * (wx * dys[b] - wy * dxs[b])
-            slopes.append((((cu > 0.0) - (cu < 0.0)) * (dxs[a] * wy - dys[a] * wx) + ds, ds))
-        (ti, si), (tj, sj) = slopes
-        return value, ((i, j), (ti - tj, si - sj))
+            df = ((cu > 0.0) - (cu < 0.0)) * (dxs[a] * wy - dys[a] * wx)
+            dg = ((cv > 0.0) - (cv < 0.0)) * (wx * dys[b] - wy * dxs[b])
+            sheets.append((g, (df, dg)))
+        if vertex:
+            return value, (sheets, (fu, fv))
+        (_, (fi, gi)), (_, (fj, gj)) = sheets
+        return value, ((i, j), (fi + gi - (fj + gj), gi - gj))
 
     return evaluate
 
@@ -305,6 +337,55 @@ def _crease_frame(crease: tuple) -> tuple[tuple[int, ...], tuple[tuple[float, fl
     return pair, ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex))
 
 
+def _vertex_solve(
+    evaluate: Callable[..., tuple[float, tuple]], t1: float, s: float, bound: float
+) -> tuple[float, float, float] | None:
+    """The vertex of the active set at (t1, s), as ``(t1, s, value)`` with
+    value at most ``bound``, or None.
+
+    In the closed edge-pair cell of the point the numerators are affine
+    in the edge fractions (f, g) of u and v, so each candidate is one
+    2x2 linear system in the moves (df, dg): where the three leading
+    sheets tie, where the leading pair ties with u at the nearer edge of
+    its cell, the same with v, and the cell corner nearest the point.
+    Candidates outside the cell are dropped.  Of the others with value
+    at most ``bound``, those within ``KEY_TOL`` of the nearest one are
+    one vertex, solved from different active sets, and the lowest of
+    them is returned: a farther candidate can be another optimal
+    position of equal value, which the descent must not jump to."""
+    _, found = evaluate(t1, s, vertex=True)
+    if not found:
+        return None
+    ((top, (fi, gi)), (second, (fj, gj)), *third), (fu, fv) = found
+    # the pair's tie p df + q dg = gap, and the nearer edges of the cell
+    p, q, gap = fi - fj, gi - gj, second - top
+    eu = -fu if fu <= 0.5 else 1.0 - fu
+    ev = -fv if fv <= 0.5 else 1.0 - fv
+    moves = []
+    for nk, (fk, gk) in third:
+        pk, qk, gapk = fi - fk, gi - gk, nk - top
+        det = p * qk - q * pk
+        if det:
+            moves.append(((gap * qk - q * gapk) / det, (p * gapk - gap * pk) / det))
+    if q:
+        moves.append((eu, (gap - p * eu) / q))
+    if p:
+        moves.append(((gap - q * ev) / p, ev))
+    moves.append((eu, ev))
+    ends = []
+    for df, dg in moves:
+        if 0.0 <= fu + df <= 1.0 and 0.0 <= fv + dg <= 1.0:
+            value, _ = evaluate(t1 + df, s + dg - df)
+            if value <= bound:
+                ends.append((value, df, dg))
+    if not ends:
+        return None
+    _, df0, dg0 = min(ends, key=lambda end: max(abs(end[1]), abs(end[2])))
+    near = (end for end in ends if max(abs(end[1] - df0), abs(end[2] - dg0)) <= KEY_TOL)
+    value, df, dg = min(near, key=lambda end: end[0])
+    return t1 + df, s + dg - df, value
+
+
 def _descend(
     evaluate: Callable[..., tuple[float, tuple]],
     t1: float,
@@ -315,10 +396,14 @@ def _descend(
     """Compass descent from (t1, s) in the crease frame.  Each sweep tries
     one step of length r along e1, e2, -e1 and -e2 and takes the first
     that lowers the objective; r grows by 1/shrink after a move and
-    shrinks by shrink after a stall.  Returns the final point and value,
-    the sweeps run, the moves among them, and the stop reason:
-    ``step_tol`` when r fell below ``DEFAULT_SETTINGS.step_tol``,
-    ``max_sweeps`` when the sweeps ran out first.
+    shrinks by shrink after a stall.  At the first stall that takes r
+    below ``KEY_TOL`` the descent solves for the vertex of the point's
+    active set (``_vertex_solve``) and ends there when one is found at
+    most the current value.  Returns the final point and value, the sweeps
+    run, the moves among them, and the stop reason: ``vertex`` when it
+    ended at the vertex, ``step_tol`` when r fell below
+    ``DEFAULT_SETTINGS.step_tol``, ``max_sweeps`` when the sweeps ran
+    out first.
 
     The frame comes from the evaluation at the start and then from the
     one that accepted each move; a trial step is evaluated with the
@@ -329,6 +414,7 @@ def _descend(
     pair, frame = _crease_frame(crease)
     r = radius
     moves = 0
+    solved = False
     for sweep in range(1, settings.max_sweeps + 1):
         for dx, dy in frame:
             a, b = t1 + r * dx, s + r * dy
@@ -341,6 +427,12 @@ def _descend(
                 break
         else:
             r *= settings.shrink
+            if r < KEY_TOL and not solved:
+                solved = True
+                vertex = _vertex_solve(evaluate, t1, s, fcur)
+                if vertex is not None:
+                    a, b, fab = vertex
+                    return a, min(max(b, lo), hi), fab, sweep, moves, "vertex"
             if r < settings.step_tol:
                 return t1, s, fcur, sweep, moves, "step_tol"
     return t1, s, fcur, settings.max_sweeps, moves, "max_sweeps"

@@ -211,6 +211,10 @@ class TestObjective:
                 compared += 1
                 _, (pair, _) = evaluate(t1, s)
                 assert pair == tuple(heapq.nlargest(2, range(m), key=values.__getitem__)), (t1, s)
+                # the vertex solve's sheets: the three largest numerators
+                _, (sheets, _) = evaluate(t1, s, vertex=True)
+                numerators = _numerators(gon, *_ends(gon, t1, s))
+                assert [g for g, _ in sheets] == sorted(numerators, reverse=True)[:3], (t1, s)
             assert compared >= 1000, compared
 
     def test_tied_sheets_put_the_lower_index_first(self, p4):
@@ -262,13 +266,71 @@ class TestObjective:
                 assert math.hypot(fx - gx, fy - gy) <= 1e-6 * math.hypot(gx, gy), (t1, s)
             assert checked >= 500, checked
 
+    def test_vertex_sheets_match_central_differences_inside_a_cell(self):
+        # each numerator is affine in the edge fractions (f, g) of u and v
+        # inside an edge-pair cell with fixed signs: (t1 + h, s - h) moves
+        # f alone and (t1, s + h) moves g alone
+        rng = np.random.default_rng(2015)
+        margin = DEFAULT_SETTINGS.margin
+        h = 1e-4
+        gons = [regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=2)]
+        gons += [random_central_polygon(rng, m=7), linear_image(regular_polygon(8), random_linear_map(rng))]
+        for gon in gons:
+            verts = gon.vertices
+            n = len(verts)
+            m = n // 2
+            evaluate = _make_objective(gon)
+            checked = 0
+            t1s = rng.uniform(-3.0 * m, 5.0 * m, 1000).tolist()
+            ss = rng.uniform(margin + 2.0 * h, m - margin - 2.0 * h, 1000).tolist()
+            for t1, s in zip(t1s, ss):
+                numerators = _numerators(gon, *_ends(gon, t1, s))
+                top = sorted(numerators, reverse=True)[:4]
+                if len(set(top)) < len(top):
+                    continue
+                leading = heapq.nlargest(3, range(m), key=numerators.__getitem__)
+
+                def cell(a, b):
+                    u, v = _ends(gon, a, b)
+                    signs = tuple(
+                        np.sign(c) for w in leading for c in (u.cross(verts[w]), verts[w].cross(v))
+                    )
+                    return int(a % n), int((a + b) % n), signs
+
+                around = [(t1 + h, s - h), (t1 - h, s + h), (t1, s + h), (t1, s - h)]
+                if any(cell(a, b) != cell(t1, s) for a, b in around):
+                    continue
+                checked += 1
+                _, (sheets, (fu, fv)) = evaluate(t1, s, vertex=True)
+                for t, f in ((t1, fu), (t1 + s, fv)):
+                    a = int(t % n)
+                    point = verts[a] + (verts[(a + 1) % n] - verts[a]) * f
+                    assert 0.0 <= f < 1.0 and (point - boundary_point(gon, t)).norm() <= 1e-12
+                _, (_, crease) = evaluate(t1, s)
+                (_, (fi, gi)), (_, (fj, gj)) = sheets[:2]
+                assert crease == (fi + gi - (fj + gj), gi - gj), (t1, s)
+                for w, (g, (df, dg)) in zip(leading, sheets):
+                    assert g == numerators[w], (t1, s)
+
+                    def sheet(a, b):
+                        return _numerators(gon, *_ends(gon, a, b))[w]
+
+                    ef = (sheet(t1 + h, s - h) - sheet(t1 - h, s + h)) / (2.0 * h)
+                    eg = (sheet(t1, s + h) - sheet(t1, s - h)) / (2.0 * h)
+                    assert math.hypot(ef - df, eg - dg) <= 1e-6 * math.hypot(df, dg) + 1e-9, (t1, s)
+            assert checked >= 300, checked
+
 
 class TestDescend:
     @staticmethod
-    def _reference(evaluate, t1, s, radius, m):
+    def _reference(evaluate, t1, s, radius, m, polish=True):
         """The compass descent with full evaluations: every sweep re-derives
         the leading pair and the frame, and every trial step takes the
-        full maximum, with no bound."""
+        full maximum, with no bound.  With ``polish`` the first stall that
+        takes the step below KEY_TOL tries the vertex candidates that keep
+        both edge fractions in [0, 1] and whose value is at most the
+        current one, and ends at the lowest of those within KEY_TOL of
+        the nearest, if there is one."""
         settings = DEFAULT_SETTINGS
         lo, hi = settings.margin, m - settings.margin
         fcur, _ = evaluate(t1, s)
@@ -288,11 +350,59 @@ class TestDescend:
                     break
             else:
                 r *= settings.shrink
+                if polish and r < KEY_TOL:
+                    polish = False
+                    ends = []
+                    for df, dg in TestDescend._vertex_moves(evaluate, t1, s):
+                        a, b = t1 + df, s + dg - df
+                        fab, _ = evaluate(a, b)
+                        if fab <= fcur:
+                            ends.append((df, dg, fab, a, b))
+                    if ends:
+                        nearest = min(ends, key=lambda end: max(abs(end[0]), abs(end[1])))
+                        cluster = [
+                            end
+                            for end in ends
+                            if abs(end[0] - nearest[0]) <= KEY_TOL and abs(end[1] - nearest[1]) <= KEY_TOL
+                        ]
+                        _, _, fab, a, b = min(cluster, key=lambda end: end[2])
+                        return a, min(max(b, lo), hi), fab, sweep, moves, "vertex"
                 if r < settings.step_tol:
                     return t1, s, fcur, sweep, moves, "step_tol"
         return t1, s, fcur, settings.max_sweeps, moves, "max_sweeps"
 
-    def test_matches_the_descent_with_full_evaluations_bit_for_bit(self):
+    @staticmethod
+    def _vertex_moves(evaluate, t1, s):
+        """Moves (df, dg) of the edge fractions of u and v to the vertex
+        candidates that stay in the closed edge-pair cell: the three-sheet
+        tie, the pair's tie at the nearer u edge and at the nearer v edge,
+        and the nearer corner."""
+        _, found = evaluate(t1, s, vertex=True)
+        if not found:
+            return []
+        sheets, (fu, fv) = found
+        (ni, (fi, gi)), (nj, (fj, gj)) = sheets[:2]
+        eu = -fu if fu <= 0.5 else 1.0 - fu
+        ev = -fv if fv <= 0.5 else 1.0 - fv
+        candidates = []
+        for nk, (fk, gk) in sheets[2:]:
+            # Cramer's rule on the ties N_i = N_j and N_i = N_k
+            a11, a12, b1 = fi - fj, gi - gj, nj - ni
+            a21, a22, b2 = fi - fk, gi - gk, nk - ni
+            det = a11 * a22 - a12 * a21
+            if det != 0.0:
+                candidates.append(((b1 * a22 - a12 * b2) / det, (a11 * b2 - b1 * a21) / det))
+        if gi != gj:
+            candidates.append((eu, (nj - ni - (fi - fj) * eu) / (gi - gj)))
+        if fi != fj:
+            candidates.append(((nj - ni - (gi - gj) * ev) / (fi - fj), ev))
+        candidates.append((eu, ev))
+        return [(df, dg) for df, dg in candidates if 0.0 <= fu + df <= 1.0 and 0.0 <= fv + dg <= 1.0]
+
+    @staticmethod
+    def _starts():
+        """``(evaluate, (t1, s, radius, m))`` of 144 descents on nine
+        polygons."""
         rng = np.random.default_rng(2011)
         gons = [regular_polygon(n) for n in (4, 6, 8, 14, 50)]
         gons += [random_central_polygon(rng, m) for m in (2, 3, 7, 12)]
@@ -302,9 +412,72 @@ class TestDescend:
             starts = zip(rng.uniform(0.0, 2.0 * m, 8), rng.uniform(0.05 * m, 0.5 * m, 8))
             for t1, s in starts:
                 for radius in (2.0 * m / 91, 2.0 * m / 720):
-                    args = (float(t1), float(s), radius, m)
-                    expected = self._reference(evaluate, *args)
-                    assert oracle._descend(evaluate, *args) == expected, args
+                    yield evaluate, (float(t1), float(s), radius, m)
+
+    def test_matches_the_descent_with_full_evaluations_bit_for_bit(self):
+        stops = []
+        for evaluate, args in self._starts():
+            expected = self._reference(evaluate, *args)
+            assert oracle._descend(evaluate, *args) == expected, args
+            stops.append(expected[-1])
+        assert len(stops) == 144 and "vertex" in stops
+
+    @pytest.mark.parametrize("found", [False, True])
+    def test_the_vertex_solve_runs_once_and_ends_the_descent_when_found(self, found, monkeypatch):
+        calls = []
+
+        def stub(evaluate, t1, s, bound):
+            calls.append((t1, s, bound))
+            return (t1, s, bound) if found else None
+
+        monkeypatch.setattr(oracle, "_vertex_solve", stub)
+        for evaluate, args in list(self._starts())[::8]:
+            calls.clear()
+            got = oracle._descend(evaluate, *args)
+            assert len(calls) == 1, args
+            if found:
+                assert got[:3] == calls[0] and got[-1] == "vertex", args
+            else:
+                assert got == self._reference(evaluate, *args, polish=False), args
+
+    def test_the_vertex_solve_never_ends_above_the_plain_descent(self):
+        # a vertex solve from a point that is not yet near the optimum of
+        # its basin, as at an early stall, ends well above it
+        for evaluate, args in self._starts():
+            plain = self._reference(evaluate, *args, polish=False)
+            assert plain[-1] == "step_tol", args
+            assert oracle._descend(evaluate, *args)[2] <= plain[2] + 1e-14, args
+
+    def test_vertex_candidates_lie_in_the_closed_cell(self):
+        rng = np.random.default_rng(2014)
+        margin = DEFAULT_SETTINGS.margin
+        for gon in (regular_polygon(6), regular_polygon(14), random_central_polygon(rng, m=7)):
+            n = len(gon.vertices)
+            m = n // 2
+            evaluate = _make_objective(gon)
+            points = list(TestObjective._points(gon, rng))[:200]
+            points += [oracle._descend(evaluate, t1, s, 0.1, m)[:2] for t1, s in points[:20]]
+            evaluated = 0
+            for t1, s in points:
+                s = min(max(s, margin), m - margin)
+                tried = []
+
+                def recording(a, b, *rest, **kw):
+                    if not kw:
+                        tried.append((a, b))
+                    return evaluate(a, b, *rest, **kw)
+
+                current, _ = evaluate(t1, s)
+                vertex = oracle._vertex_solve(recording, t1, s, current)
+                if vertex is not None:
+                    assert vertex[2] <= current and vertex[:2] in tried, (t1, s)
+                for a, b in tried:
+                    for start, end in ((t1, a), (t1 + s, a + b)):
+                        # the end's offset from the start's edge, in [0, 1]
+                        offset = (end - math.floor(start % n) + 0.5) % n - 0.5
+                        assert -1e-12 <= offset <= 1.0 + 1e-12, (t1, s, a, b)
+                evaluated += len(tried)
+            assert evaluated >= 100, evaluated
 
     def test_a_coarse_grid_reaches_the_fine_optimum(self):
         # with the frame taken from central differences of the pair's
@@ -444,7 +617,7 @@ class TestStarts:
         result = bm_distance(gon, grid=720)
         assert len(result.starts) == expected
         for record in result.starts:
-            assert record.stop == "step_tol" and record.sweeps >= 1
+            assert record.stop != "max_sweeps" and record.sweeps >= 1
             assert record.value >= result.lam - 1e-12
 
     @pytest.mark.parametrize("grid", [45, 91, 360, 720])
@@ -506,8 +679,8 @@ class TestStarts:
             for poly in (gon, linear_image(gon, random_linear_map(rng))):
                 for grid in (90, 360, 720):
                     result = bm_distance(poly, grid=grid)
-                    assert abs(result.lam - claimed) <= 1e-12, (n, grid, result.lam - claimed)
-                    assert all(r.stop == "step_tol" for r in result.starts), (n, grid)
+                    assert abs(result.lam - claimed) <= 1e-15, (n, grid, result.lam - claimed)
+                    assert all(r.stop != "max_sweeps" for r in result.starts), (n, grid)
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 7])
     def test_no_descent_runs_out_of_sweeps(self, seed, monkeypatch):
@@ -526,7 +699,7 @@ class TestStarts:
         rng = np.random.default_rng(seed)
         gon = random_central_polygon(rng, int(rng.integers(3, 13)))
         argmin_orbit(gon, bm_distance(gon, grid=360))
-        assert stops and all(stop == "step_tol" for stop in stops), stops
+        assert stops and all(stop != "max_sweeps" for stop in stops), stops
 
     def test_running_out_of_sweeps_is_reported(self, p6, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_SETTINGS", SearchSettings(max_sweeps=2))
@@ -543,37 +716,37 @@ class TestGoldenTrajectories:
     # (t1, s, value.hex(), sweeps, moves, stop) of every descent
     STARTS = {
         ("P6", 360): [
-            (0.3333333333333333, 1.3370474623955433, "0x1.8000000000105p+0", 128, 45, "step_tol"),
-            (0.5, 1.495821729805014, "0x1.80000000000a3p+0", 106, 34, "step_tol"),
+            (0.3333333333333333, 1.3370474623955433, "0x1.7fffffffffffep+0", 53, 19, "vertex"),
+            (0.5, 1.495821729805014, "0x1.8000000000000p+0", 47, 16, "vertex"),
         ],
         ("P10", 360): [
-            (0.7777777777777777, 2.437325930362117, "0x1.6d5336963ef12p+0", 125, 43, "step_tol"),
+            (0.7777777777777777, 2.437325930362117, "0x1.6d5336963eefcp+0", 41, 13, "vertex"),
         ],
         ("P14", 360): [
-            (0.4666666666666667, 3.4902506991643456, "0x1.6ce8d1b1153a9p+0", 143, 52, "step_tol"),
+            (0.4666666666666667, 3.4902506991643456, "0x1.6ce8d1b11535ap+0", 64, 24, "vertex"),
         ],
         ("random", 720): [
-            (3.1333333333333333, 2.8289291251738526, "0x1.44848d30ab41cp+0", 100, 31, "step_tol"),
-            (3.15, 2.8289291251738526, "0x1.44848d30ab419p+0", 104, 33, "step_tol"),
-            (3.1333333333333333, 2.8372740458970793, "0x1.44848d30ab417p+0", 126, 44, "step_tol"),
-            (3.1166666666666667, 2.8289291251738526, "0x1.44848d30ab421p+0", 112, 37, "step_tol"),
-            (3.1666666666666665, 2.8205842044506255, "0x1.44848d30ab415p+0", 108, 35, "step_tol"),
+            (3.1333333333333333, 2.8289291251738526, "0x1.44848d30ab3e9p+0", 31, 8, "vertex"),
+            (3.15, 2.8289291251738526, "0x1.44848d30ab3eap+0", 53, 19, "vertex"),
+            (3.1333333333333333, 2.8372740458970793, "0x1.44848d30ab3eap+0", 53, 19, "vertex"),
+            (3.1166666666666667, 2.8289291251738526, "0x1.44848d30ab3eap+0", 41, 13, "vertex"),
+            (3.1666666666666665, 2.8205842044506255, "0x1.44848d30ab3e9p+0", 49, 17, "vertex"),
         ],
     }
 
     # (u.x, u.y, v.x, v.y) of each argmin_orbit representative at grid 360
     REPRESENTATIVES = {
         6: [
-            ("0x1.fffffffffff0cp-1", "-0x1.a700000000000p-45",
-             "0x1.6ac0000000000p-44", "0x1.bb67ae8584caap-1"),
-            ("0x1.aaaaaaaaaacbdp-1", "0x1.279a745902befp-2",
-             "-0x1.5555555554af8p-3", "0x1.bb67ae8584cabp-1"),
+            ("0x1.0000000000000p+0", "0x0.0p+0",
+             "0x1.c000000000000p-52", "0x1.bb67ae8584caap-1"),
+            ("0x1.aaaaaaaaaaaacp-1", "0x1.279a74590331ap-2",
+             "-0x1.5555555555550p-3", "0x1.bb67ae8584cabp-1"),
         ],
         8: [
-            ("0x1.fffffffffffd6p-1", "-0x1.9800000000000p-47",
+            ("0x1.0000000000000p+0", "0x0.0p+0",
              "0x1.1a62633145c07p-54", "0x1.0000000000000p+0"),
-            ("0x1.b504f333f9e44p-1", "0x1.6a09e667f3a07p-2",
-             "-0x1.6a09e667f3d74p-2", "0x1.b504f333f9d8fp-1"),
+            ("0x1.b504f333f9de6p-1", "0x1.6a09e667f3bccp-2",
+             "-0x1.6a09e667f3bccp-2", "0x1.b504f333f9de6p-1"),
         ],
     }
 
@@ -872,7 +1045,7 @@ class TestLargePolygons:
         assert len(gon.vertices) == 2 * m
         result = bm_distance(gon, grid=360)
         assert len(result.starts) == DEFAULT_SETTINGS.starts
-        assert all(r.stop == "step_tol" for r in result.starts)
+        assert all(r.stop != "max_sweeps" for r in result.starts)
         assert 1.0 <= result.lam <= 1.5 + 1e-9
         image = linear_image(gon, random_linear_map(rng))
         assert abs(bm_distance(image, grid=360).lam - result.lam) <= 1e-9
