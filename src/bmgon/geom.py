@@ -33,7 +33,8 @@ __all__ = [
     "format_polygon",
 ]
 
-# mirror-pair residue allowed at construction before exact re-negation
+# mirror-pair residue allowed at construction before exact re-negation,
+# relative to the largest input vertex norm
 SYMMETRY_TOL = 1e-9
 # unit-normal residue allowed on strips, the parallelism threshold, and
 # linear_image's singularity threshold on |det| / (a^2 + b^2 + c^2 + d^2)
@@ -99,8 +100,9 @@ class CentralPolygon:
     v[i + m] = -v[i] exactly, and the origin strictly inside.
 
     The constructor accepts the full vertex list, checks the mirror pairs
-    within ``SYMMETRY_TOL``, and then rebuilds the second half by exact
-    negation so that antipodal identities hold bit for bit.
+    within ``SYMMETRY_TOL`` times the largest vertex norm, and then
+    rebuilds the second half by exact negation so that antipodal
+    identities hold bit for bit.
     """
 
     __slots__ = ("vertices", "radius", "_rotation_step")
@@ -114,12 +116,13 @@ class CentralPolygon:
         if n < 4 or n % 2 != 0:
             raise ValueError(f"vertex count must be even and at least 4, got {n}")
         m = n // 2
+        bound = SYMMETRY_TOL * max(map(Vec2.norm, verts))
         for i in range(m):
             a, b = verts[i], verts[i + m]
-            if abs(a.x + b.x) > SYMMETRY_TOL or abs(a.y + b.y) > SYMMETRY_TOL:
+            if abs(a.x + b.x) > bound or abs(a.y + b.y) > bound:
                 raise ValueError(
                     f"central symmetry violated: vertex {i + m} is not the "
-                    f"negation of vertex {i} within {SYMMETRY_TOL}"
+                    f"negation of vertex {i} within {SYMMETRY_TOL} of the largest vertex norm"
                 )
         verts = verts[:m] + [-v for v in verts[:m]]
         for i in range(n):

@@ -15,12 +15,11 @@ for a polygon without rotations, and m/k times less for one with them.
 The objective, the maximal parallelogram gauge over the polygon's
 vertices, is evaluated on a grid of that domain and then polished by a
 compass descent: one step of length r along each of two orthogonal
-directions and their opposites, the first that improves taken, r grown
-by 1/shrink after a move and shrunk by shrink after a stall.  Once a
-stall takes r below ``KEY_TOL`` the descent solves for the vertex of
-its active set and ends there; only when no vertex is found does it go
-on until r drops below ``step_tol``.  The descent itself may leave
-the domain; its result labels the same parallelogram either way.
+directions and their opposites, the first that improves taken, r
+doubled after a move and halved after a stall.  The first stall that
+takes r below ``KEY_TOL`` ends the descent, at the vertex of its active
+set when one is found.  The descent itself may leave the domain; its
+result labels the same parallelogram either way.
 
 The objective is a maximum of smooth per-vertex sheets, so its valleys
 are creases where two sheets tie; fixed axis-aligned steps stall on a
@@ -32,24 +31,26 @@ the exact gradient of their difference at the point, with no step
 length in it.
 
 One evaluation gives a point's value and, when that is below a bound,
-the leading pair and its gradient, so the evaluation that accepts a
-move also sets the next frame, and a stall keeps it.  A trial step
-evaluates the pair's sheets first and is rejected as soon as one of
-them reaches the current value: correctly rounded division by the
-positive common denominator is monotone, so the maximum reaches it too.
-Otherwise one pass over every sheet gives the maximum and the pair:
-at the start, at each accepted step, and at each rejected step whose
-pair stayed below the current value.  Every choice is the same bit for
-bit as with full evaluations.
+its sheet record: the leading pair, the three leading sheets with
+their gradients, the edge fractions and the point.  The evaluation
+that accepts a move thus sets the next frame, and a stall keeps it.  A
+trial step evaluates the pair's sheets first and is rejected as soon
+as one of them reaches the current value: correctly rounded division
+by the positive common denominator is monotone, so the maximum reaches
+it too.  Otherwise one pass over every sheet gives the maximum and the
+record: at the start, at each accepted step, and at each rejected step
+whose pair stayed below the current value.  Every choice is the same
+bit for bit as with full evaluations.
 
 Every optimum measured so far sits at a vertex of its active set:
 where three sheets tie, where two tie with a generator at a polygon
 vertex, or where both generators are at polygon vertices.  Inside an
 edge-pair cell every numerator is affine in the generators' edge
 fractions and the denominator is common, so each such vertex solves
-one 2x2 linear system.  The solve reaches the value to rounding, where
-halving r down to ``step_tol`` would spend over half of a descent's
-evaluations and stop up to some 1e-13 above it.
+one 2x2 linear system, read from the record the descent holds for its
+point.  The solve reaches the value to rounding, where halving r on
+toward 1e-13 would spend over half of a descent's evaluations and stop
+up to some 1e-13 above it.
 """
 
 from __future__ import annotations
@@ -81,8 +82,6 @@ class SearchSettings:
     # descents over t1 in [0, m); one rotation period of a polygon with
     # r rotations descends from its ceil(starts / r) lowest cells
     starts: int = 5
-    shrink: float = 0.5        # step factor after a stall; 1/shrink after a move
-    step_tol: float = 1e-13    # stop when the step length drops below this
     margin: float = 1e-6       # keeps s = t2 - t1 inside (margin, m - margin)
     max_sweeps: int = 3000
 
@@ -104,8 +103,8 @@ class StartRecord:
     """One descent: its start cell (t1, s), final objective value, sweeps
     run, accepted steps among them (the other sweeps stalled) and stop
     reason: ``vertex`` (it ended at the solved vertex of its active set),
-    ``step_tol`` (no vertex at or below its value was found, and the
-    step fell below ``step_tol``) or ``max_sweeps``."""
+    ``stall`` (its step fell below ``KEY_TOL`` and no vertex at or below
+    its value was found) or ``max_sweeps``."""
 
     t1: float
     s: float
@@ -229,39 +228,33 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
-    """``evaluate(t1, s, bound=inf, lead=(), vertex=False)``: the scalar
-    objective on raw floats and the crease of its two leading sheets, as
-    ``(value, crease)``.
+    """``evaluate(t1, s, bound=inf, lead=())``: the scalar objective on raw
+    floats and the sheet record of the point, as ``(value, record)``.
 
     The boundary is read from the edge tables as lists, reducing the
     parameters modulo n as ``geom.boundary_point`` does, since a descent
-    may leave [0, n).  Sheet w is N_w / den, with numerator
-    N_w = |cross(w, v)| + |cross(u, w)| and the common denominator
-    den = cross(u, v).  The sheets of the indices in ``lead`` come
-    first, and the first of them that is at least ``bound`` is the
-    value: the maximum is then at least ``bound`` too, so the value
-    answers ``F(t1, s) < bound`` exactly.  Otherwise one pass over every
-    sheet gives the largest numerator, and the value is it divided by
-    den, which is the largest sheet bit for bit since correctly rounded
-    division by a positive number is monotone.
+    may leave [0, n); s is first clamped to the margin.  Sheet w is
+    N_w / den, with numerator N_w = |cross(w, v)| + |cross(u, w)| and
+    the common denominator den = cross(u, v).  The sheets of the indices
+    in ``lead`` come first, and the first of them that is at least
+    ``bound`` is the value: the maximum is then at least ``bound`` too,
+    so the value answers ``F(t1, s) < bound`` exactly.  Otherwise one
+    pass over every sheet gives the largest numerator, and the value is
+    it divided by den, which is the largest sheet bit for bit since
+    correctly rounded division by a positive number is monotone.
 
-    When the value is below ``bound`` the crease is the leading pair
-    (i, j) of numerators, the lower index first among equals as
-    ``heapq.nlargest`` orders them, and the exact gradient in (t1, s) of
-    N_i - N_j; otherwise it is ().  Moving t1 moves both generators
-    along their edges, moving s only v: the fraction f of u along its
-    edge delta du moves with t1, the fraction g of v along dv with
-    t1 + s, so the gradient in (t1, s) is (dN_w/df + dN_w/dg, dN_w/dg)
-    with dN_w/df = sign(cross(u, w)) cross(du, w) and
-    dN_w/dg = sign(cross(w, v)) cross(w, dv).
-    Inside an edge-pair cell with fixed signs N_i - N_j is affine, so
-    the tie set of the pair is the straight line through the point
-    normal to this gradient.
-
-    With ``vertex`` the crease is replaced by what the descent's vertex
-    solve needs: the numerators of the three leading sheets (two when
-    m = 2), largest first, each with its gradient (dN_w/df, dN_w/dg),
-    and the fractions (f, g) of the point.
+    When the value is below ``bound`` the record is
+    ``(pair, sheets, (f, g), (t1, s))``; otherwise it is ().  The pair
+    (i, j) holds the indices of the two largest numerators, the lower index
+    first among equals as ``heapq.nlargest`` orders them.  The sheets are
+    the three largest numerators (two when m = 2), largest first, each
+    with its gradient (dN_w/df, dN_w/dg) in the fractions f of u along
+    its edge delta du and g of v along dv:
+    dN_w/df = sign(cross(u, w)) cross(du, w) and
+    dN_w/dg = sign(cross(w, v)) cross(w, dv).  Last come the fractions
+    (f, g) and the point as evaluated, t1 as passed and s clamped.
+    Inside an edge-pair cell with fixed signs every numerator is affine
+    in (f, g).
     """
     pts, verts = _vertex_arrays(c)
     n = len(pts)
@@ -272,11 +265,7 @@ def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
     leading = min(m, 3)
 
     def evaluate(
-        t1: float,
-        s: float,
-        bound: float = math.inf,
-        lead: tuple[int, ...] = (),
-        vertex: bool = False,
+        t1: float, s: float, bound: float = math.inf, lead: tuple[int, ...] = ()
     ) -> tuple[float, tuple]:
         s = lo if s < lo else hi if s > hi else s
         t = t1 % n
@@ -313,35 +302,41 @@ def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
         if not value < bound:
             return value, ()
         sheets = []
-        for w, g in ((i, top), (j, second), (k, third))[: leading if vertex else 2]:
+        for w, g in ((i, top), (j, second), (k, third))[:leading]:
             wx, wy = half[w]
             cu, cv = ux * wy - uy * wx, wx * vy - wy * vx
             df = ((cu > 0.0) - (cu < 0.0)) * (dxs[a] * wy - dys[a] * wx)
             dg = ((cv > 0.0) - (cv < 0.0)) * (wx * dys[b] - wy * dxs[b])
             sheets.append((g, (df, dg)))
-        if vertex:
-            return value, (sheets, (fu, fv))
-        (_, (fi, gi)), (_, (fj, gj)) = sheets
-        return value, ((i, j), (fi + gi - (fj + gj), gi - gj))
+        return value, ((i, j), sheets, (fu, fv), (t1, s))
 
     return evaluate
 
 
-def _crease_frame(crease: tuple) -> tuple[tuple[int, ...], tuple[tuple[float, float], ...]]:
-    """The leading pair of a crease and the frame e1, e2, -e1, -e2: e1
-    along the pair's tie line and e2 down the gradient of their
-    difference, or the axes where there is no gradient."""
-    pair, (gx, gy) = crease or ((), (0.0, 0.0))
+def _crease_frame(record: tuple) -> tuple[tuple[int, ...], tuple[tuple[float, float], ...]]:
+    """The leading pair of a sheet record and the frame e1, e2, -e1, -e2:
+    e1 along the pair's tie line and e2 down the gradient of their
+    difference, or the axes where there is no record or no gradient.
+
+    Moving t1 moves both generators along their edges and moving s only
+    v, so the gradient of N_w in (t1, s) is (dN_w/df + dN_w/dg, dN_w/dg).
+    Inside an edge-pair cell with fixed signs N_i - N_j is affine, so the
+    tie line of the pair runs through the point normal to the gradient
+    of N_i - N_j."""
+    pair, gx, gy = (), 0.0, 0.0
+    if record:
+        pair, ((_, (fi, gi)), (_, (fj, gj)), *_), _, _ = record
+        gx, gy = fi + gi - (fj + gj), gi - gj
     norm = math.hypot(gx, gy)
     ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
     return pair, ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex))
 
 
 def _vertex_solve(
-    evaluate: Callable[..., tuple[float, tuple]], t1: float, s: float, bound: float
+    evaluate: Callable[..., tuple[float, tuple]], record: tuple, bound: float
 ) -> tuple[float, float, float] | None:
-    """The vertex of the active set at (t1, s), as ``(t1, s, value)`` with
-    value at most ``bound``, or None.
+    """The vertex of the active set at the point of a sheet record, as
+    ``(t1, s, value)`` with value at most ``bound``, or None.
 
     In the closed edge-pair cell of the point the numerators are affine
     in the edge fractions (f, g) of u and v, so each candidate is one
@@ -351,12 +346,10 @@ def _vertex_solve(
     Candidates outside the cell are dropped.  Of the others with value
     at most ``bound``, those within ``KEY_TOL`` of the nearest one are
     one vertex, solved from different active sets, and the lowest of
-    them is returned: a farther candidate can be another optimal
-    position of equal value, which the descent must not jump to."""
-    _, found = evaluate(t1, s, vertex=True)
-    if not found:
-        return None
-    ((top, (fi, gi)), (second, (fj, gj)), *third), (fu, fv) = found
+    them is returned at its evaluated point: a farther candidate can be
+    another optimal position of equal value, which the descent must not
+    jump to."""
+    _, ((top, (fi, gi)), (second, (fj, gj)), *third), (fu, fv), (t1, s) = record
     # the pair's tie p df + q dg = gap, and the nearer edges of the cell
     p, q, gap = fi - fj, gi - gj, second - top
     eu = -fu if fu <= 0.5 else 1.0 - fu
@@ -375,67 +368,60 @@ def _vertex_solve(
     ends = []
     for df, dg in moves:
         if 0.0 <= fu + df <= 1.0 and 0.0 <= fv + dg <= 1.0:
-            value, _ = evaluate(t1 + df, s + dg - df)
+            value, found = evaluate(t1 + df, s + dg - df)
             if value <= bound:
-                ends.append((value, df, dg))
+                ends.append((value, df, dg, found[-1]))
     if not ends:
         return None
-    _, df0, dg0 = min(ends, key=lambda end: max(abs(end[1]), abs(end[2])))
+    _, df0, dg0, _ = min(ends, key=lambda end: max(abs(end[1]), abs(end[2])))
     near = (end for end in ends if max(abs(end[1] - df0), abs(end[2] - dg0)) <= KEY_TOL)
-    value, df, dg = min(near, key=lambda end: end[0])
-    return t1 + df, s + dg - df, value
+    value, _, _, (t1, s) = min(near, key=lambda end: end[0])
+    return t1, s, value
 
 
 def _descend(
-    evaluate: Callable[..., tuple[float, tuple]],
-    t1: float,
-    s: float,
-    radius: float,
-    m: int,
+    evaluate: Callable[..., tuple[float, tuple]], t1: float, s: float, radius: float
 ) -> tuple[float, float, float, int, int, str]:
     """Compass descent from (t1, s) in the crease frame.  Each sweep tries
     one step of length r along e1, e2, -e1 and -e2 and takes the first
-    that lowers the objective; r grows by 1/shrink after a move and
-    shrinks by shrink after a stall.  At the first stall that takes r
-    below ``KEY_TOL`` the descent solves for the vertex of the point's
-    active set (``_vertex_solve``) and ends there when one is found at
-    most the current value.  Returns the final point and value, the sweeps
-    run, the moves among them, and the stop reason: ``vertex`` when it
-    ended at the vertex, ``step_tol`` when r fell below
-    ``DEFAULT_SETTINGS.step_tol``, ``max_sweeps`` when the sweeps ran
-    out first.
+    that lowers the objective; r doubles after a move and halves after a
+    stall.  The first stall that takes r below ``KEY_TOL`` ends the
+    descent: at the vertex of the point's active set (``_vertex_solve``)
+    when one is found at most the current value, and at the point
+    otherwise.  Returns the final point and value, the sweeps run, the
+    moves among them, and the stop reason: ``vertex``, ``stall``, or
+    ``max_sweeps`` when the sweeps ran out first.
 
-    The frame comes from the evaluation at the start and then from the
-    one that accepted each move; a trial step is evaluated with the
-    current value as its bound and the leading pair as its lead."""
-    settings = DEFAULT_SETTINGS
-    lo, hi = settings.margin, m - settings.margin
-    fcur, crease = evaluate(t1, s)
-    pair, frame = _crease_frame(crease)
+    Each point is the one its sheet record was evaluated at, and the
+    record of the start, then of the evaluation that accepted each move,
+    sets the frame; a trial step is evaluated with the current value as
+    its bound and the leading pair as its lead.  A start of infinite
+    value has no record: it steps along the axes, and stalls there
+    without a vertex solve."""
+    fcur, record = evaluate(t1, s)
+    if record:
+        t1, s = record[-1]
+    pair, frame = _crease_frame(record)
     r = radius
     moves = 0
-    solved = False
-    for sweep in range(1, settings.max_sweeps + 1):
+    for sweep in range(1, DEFAULT_SETTINGS.max_sweeps + 1):
         for dx, dy in frame:
-            a, b = t1 + r * dx, s + r * dy
-            fab, crease = evaluate(a, b, fcur, pair)
+            fab, found = evaluate(t1 + r * dx, s + r * dy, fcur, pair)
             if fab < fcur:
-                t1, s, fcur = a, min(max(b, lo), hi), fab
-                pair, frame = _crease_frame(crease)
-                r /= settings.shrink
+                fcur, record = fab, found
+                t1, s = record[-1]
+                pair, frame = _crease_frame(record)
+                r *= 2.0
                 moves += 1
                 break
         else:
-            r *= settings.shrink
-            if r < KEY_TOL and not solved:
-                solved = True
-                vertex = _vertex_solve(evaluate, t1, s, fcur)
-                if vertex is not None:
-                    a, b, fab = vertex
-                    return a, min(max(b, lo), hi), fab, sweep, moves, "vertex"
-            if r < settings.step_tol:
-                return t1, s, fcur, sweep, moves, "step_tol"
-    return t1, s, fcur, settings.max_sweeps, moves, "max_sweeps"
+            r *= 0.5
+            if r < KEY_TOL:
+                vertex = _vertex_solve(evaluate, record, fcur) if record else None
+                if vertex is None:
+                    return t1, s, fcur, sweep, moves, "stall"
+                return (*vertex, sweep, moves, "vertex")
+    return t1, s, fcur, DEFAULT_SETTINGS.max_sweeps, moves, "max_sweeps"
 
 
 def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -458,7 +444,7 @@ def _descents(
     ends = []
     for i, j in cells:
         t1, s = float(t1s[i]), float(ss[j])
-        a, b, *outcome = _descend(evaluate, t1, s, radius, c.m)
+        a, b, *outcome = _descend(evaluate, t1, s, radius)
         ends.append((key(a, b), StartRecord(t1, s, *outcome)))
     return ends
 

@@ -135,7 +135,7 @@ class TestDistance:
         assert len(record["starts"]) == 1
         (start,) = record["starts"]
         assert set(start) == {"t1", "s", "value", "sweeps", "moves", "stop"}
-        assert start["stop"] != "max_sweeps" and start["sweeps"] >= 1
+        assert start["stop"] == "vertex" and start["sweeps"] >= 1
         assert 1 <= start["moves"] < start["sweeps"]
         assert start["value"] >= record["lambda"] - 1e-12
 

@@ -84,6 +84,12 @@ class TestCentralPolygon:
         with pytest.raises(ValueError, match="symmetr"):
             CentralPolygon(verts)
 
+    @pytest.mark.parametrize("radius", [1e-3, 1.0, 1e8])
+    def test_rejects_a_relative_mirror_residue_of_1e_6_at_every_scale(self, radius):
+        verts = [Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(-1.0, 1e-6), Vec2(0.0, -1.0)]
+        with pytest.raises(ValueError, match="central symmetry violated"):
+            CentralPolygon([v * radius for v in verts])
+
     def test_rejects_nonconvex(self):
         verts = [
             Vec2(1.0, 0.0),

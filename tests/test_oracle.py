@@ -168,7 +168,7 @@ class TestObjective:
             points = list(self._points(gon, rng))
             # descent ends lie on creases, where the leading sheets tie
             for t1, s in points[:20]:
-                points.append(oracle._descend(evaluate, t1, s, 0.1, m)[:2])
+                points.append(oracle._descend(evaluate, t1, s, 0.1)[:2])
             for t1, s in points:
                 value, full = evaluate(t1, s)
                 values = _sheets(gon, t1, s)
@@ -200,7 +200,7 @@ class TestObjective:
             evaluate = _make_objective(gon)
             points = list(self._points(gon, rng))
             for t1, s in points[:10]:
-                points.append(oracle._descend(evaluate, t1, s, 0.1, m)[:2])
+                points.append(oracle._descend(evaluate, t1, s, 0.1)[:2])
             compared = 0
             for t1, s in points:
                 values = _sheets(gon, t1, s)
@@ -209,10 +209,9 @@ class TestObjective:
                 if not math.isfinite(top[0]) or len(set(top)) < len(top):
                     continue
                 compared += 1
-                _, (pair, _) = evaluate(t1, s)
+                _, (pair, sheets, _, _) = evaluate(t1, s)
                 assert pair == tuple(heapq.nlargest(2, range(m), key=values.__getitem__)), (t1, s)
-                # the vertex solve's sheets: the three largest numerators
-                _, (sheets, _) = evaluate(t1, s, vertex=True)
+                # the record's sheets: the three largest numerators
                 numerators = _numerators(gon, *_ends(gon, t1, s))
                 assert [g for g, _ in sheets] == sorted(numerators, reverse=True)[:3], (t1, s)
             assert compared >= 1000, compared
@@ -222,54 +221,14 @@ class TestObjective:
         # are exactly 1, and nlargest keeps equals in index order
         values = _sheets(p4, 0.0, 1.0)
         assert values[0] == values[1]
-        _, (pair, _) = _make_objective(p4)(0.0, 1.0)
+        _, (pair, *_) = _make_objective(p4)(0.0, 1.0)
         assert pair == tuple(heapq.nlargest(2, range(2), key=values.__getitem__)) == (0, 1)
 
-    def test_crease_gradient_matches_central_differences_inside_a_cell(self):
-        # N_i - N_j is affine inside an edge-pair cell with fixed signs, so
-        # central differences that stay in the cell give its gradient
-        rng = np.random.default_rng(2013)
-        margin = DEFAULT_SETTINGS.margin
-        h = 1e-4
-        gons = [regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)]
-        gons.append(linear_image(regular_polygon(8), random_linear_map(rng)))
-        for gon in gons:
-            n = len(gon.vertices)
-            m = n // 2
-            evaluate = _make_objective(gon)
-            checked = 0
-            t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000).tolist()
-            ss = rng.uniform(margin + h, m - margin - h, 2000).tolist()
-            for t1, s in zip(t1s, ss):
-                _, ((i, j), (gx, gy)) = evaluate(t1, s)
-
-                def cell(a, b):
-                    # edges of u and v and the signs of the pair's crosses
-                    u, v = _ends(gon, a, b)
-                    signs = tuple(
-                        np.sign(c)
-                        for w in (gon.vertices[i], gon.vertices[j])
-                        for c in (u.cross(w), w.cross(v))
-                    )
-                    return int(a % n), int((a + b) % n), signs
-
-                def diff(a, b):
-                    numerators = _numerators(gon, *_ends(gon, a, b))
-                    return numerators[i] - numerators[j]
-
-                around = [(t1 + h, s), (t1 - h, s), (t1, s + h), (t1, s - h)]
-                if any(cell(a, b) != cell(t1, s) for a, b in around):
-                    continue
-                checked += 1
-                fx = (diff(t1 + h, s) - diff(t1 - h, s)) / (2.0 * h)
-                fy = (diff(t1, s + h) - diff(t1, s - h)) / (2.0 * h)
-                assert math.hypot(fx - gx, fy - gy) <= 1e-6 * math.hypot(gx, gy), (t1, s)
-            assert checked >= 500, checked
-
-    def test_vertex_sheets_match_central_differences_inside_a_cell(self):
+    def test_sheet_record_matches_central_differences_inside_a_cell(self):
         # each numerator is affine in the edge fractions (f, g) of u and v
         # inside an edge-pair cell with fixed signs: (t1 + h, s - h) moves
-        # f alone and (t1, s + h) moves g alone
+        # f alone, (t1, s + h) moves g alone and (t1 + h, s) moves both,
+        # so central differences that stay in the cell give the gradients
         rng = np.random.default_rng(2015)
         margin = DEFAULT_SETTINGS.margin
         h = 1e-4
@@ -281,8 +240,8 @@ class TestObjective:
             m = n // 2
             evaluate = _make_objective(gon)
             checked = 0
-            t1s = rng.uniform(-3.0 * m, 5.0 * m, 1000).tolist()
-            ss = rng.uniform(margin + 2.0 * h, m - margin - 2.0 * h, 1000).tolist()
+            t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000).tolist()
+            ss = rng.uniform(margin + 2.0 * h, m - margin - 2.0 * h, 2000).tolist()
             for t1, s in zip(t1s, ss):
                 numerators = _numerators(gon, *_ends(gon, t1, s))
                 top = sorted(numerators, reverse=True)[:4]
@@ -297,47 +256,69 @@ class TestObjective:
                     )
                     return int(a % n), int((a + b) % n), signs
 
-                around = [(t1 + h, s - h), (t1 - h, s + h), (t1, s + h), (t1, s - h)]
+                def sheet(w, a, b):
+                    return _numerators(gon, *_ends(gon, a, b))[w]
+
+                around = [(t1 + h, s - h), (t1 - h, s + h), (t1 + h, s), (t1 - h, s)]
+                around += [(t1, s + h), (t1, s - h)]
                 if any(cell(a, b) != cell(t1, s) for a, b in around):
                     continue
                 checked += 1
-                _, (sheets, (fu, fv)) = evaluate(t1, s, vertex=True)
+                _, record = evaluate(t1, s)
+                pair, sheets, (fu, fv), point = record
+                assert pair == tuple(leading[:2]) and point == (t1, s), (t1, s)
                 for t, f in ((t1, fu), (t1 + s, fv)):
                     a = int(t % n)
-                    point = verts[a] + (verts[(a + 1) % n] - verts[a]) * f
-                    assert 0.0 <= f < 1.0 and (point - boundary_point(gon, t)).norm() <= 1e-12
-                _, (_, crease) = evaluate(t1, s)
-                (_, (fi, gi)), (_, (fj, gj)) = sheets[:2]
-                assert crease == (fi + gi - (fj + gj), gi - gj), (t1, s)
+                    edge_point = verts[a] + (verts[(a + 1) % n] - verts[a]) * f
+                    assert 0.0 <= f < 1.0 and (edge_point - boundary_point(gon, t)).norm() <= 1e-12
                 for w, (g, (df, dg)) in zip(leading, sheets):
                     assert g == numerators[w], (t1, s)
-
-                    def sheet(a, b):
-                        return _numerators(gon, *_ends(gon, a, b))[w]
-
-                    ef = (sheet(t1 + h, s - h) - sheet(t1 - h, s + h)) / (2.0 * h)
-                    eg = (sheet(t1, s + h) - sheet(t1, s - h)) / (2.0 * h)
+                    ef = (sheet(w, t1 + h, s - h) - sheet(w, t1 - h, s + h)) / (2.0 * h)
+                    eg = (sheet(w, t1, s + h) - sheet(w, t1, s - h)) / (2.0 * h)
                     assert math.hypot(ef - df, eg - dg) <= 1e-6 * math.hypot(df, dg) + 1e-9, (t1, s)
-            assert checked >= 300, checked
+
+                # the pair's gradient in (t1, s): t1 moves f and g, s only g
+                (_, (fi, gi)), (_, (fj, gj)) = sheets[:2]
+                gx, gy = fi + gi - (fj + gj), gi - gj
+
+                def diff(a, b):
+                    return sheet(pair[0], a, b) - sheet(pair[1], a, b)
+
+                fx = (diff(t1 + h, s) - diff(t1 - h, s)) / (2.0 * h)
+                fy = (diff(t1, s + h) - diff(t1, s - h)) / (2.0 * h)
+                assert math.hypot(fx - gx, fy - gy) <= 1e-6 * math.hypot(gx, gy), (t1, s)
+                # the frame's e2 runs down that gradient, e1 along the tie line
+                frame_pair, (e1, e2, *_) = oracle._crease_frame(record)
+                norm = math.hypot(gx, gy)
+                assert frame_pair == pair and e1 == (e2[1], -e2[0])
+                assert math.hypot(e2[0] + gx / norm, e2[1] + gy / norm) <= 1e-15, (t1, s)
+            assert checked >= 1000, checked
 
 
 class TestDescend:
+    # the plain reference halves its step down to this after the first
+    # stall below KEY_TOL, where the descent ends
+    STEP_TOL = 1e-13
+
     @staticmethod
-    def _reference(evaluate, t1, s, radius, m, polish=True):
+    def _reference(evaluate, t1, s, radius, m, end="vertex"):
         """The compass descent with full evaluations: every sweep re-derives
         the leading pair and the frame, and every trial step takes the
-        full maximum, with no bound.  With ``polish`` the first stall that
-        takes the step below KEY_TOL tries the vertex candidates that keep
-        both edge fractions in [0, 1] and whose value is at most the
-        current one, and ends at the lowest of those within KEY_TOL of
-        the nearest, if there is one."""
-        settings = DEFAULT_SETTINGS
-        lo, hi = settings.margin, m - settings.margin
+        full maximum, with no bound.  ``end`` says what the first stall
+        that takes the step below KEY_TOL does.  With ``vertex`` it tries
+        the vertex candidates that keep both edge fractions in [0, 1] and
+        whose value is at most the current one, and ends at the lowest of
+        those within KEY_TOL of the nearest, or with stop ``stall`` when
+        there is none; with ``stall`` it ends there; with ``step_tol`` the
+        step halves on until it drops below STEP_TOL."""
+        lo, hi = DEFAULT_SETTINGS.margin, m - DEFAULT_SETTINGS.margin
+        s = min(max(s, lo), hi)
         fcur, _ = evaluate(t1, s)
         r = radius
         moves = 0
-        for sweep in range(1, settings.max_sweeps + 1):
-            _, (_, (gx, gy)) = evaluate(t1, s)
+        for sweep in range(1, DEFAULT_SETTINGS.max_sweeps + 1):
+            _, (_, ((_, (fi, gi)), (_, (fj, gj)), *_), _, _) = evaluate(t1, s)
+            gx, gy = fi + gi - (fj + gj), gi - gj
             norm = math.hypot(gx, gy)
             ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
             for dx, dy in ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex)):
@@ -345,31 +326,32 @@ class TestDescend:
                 fab, _ = evaluate(a, b)
                 if fab < fcur:
                     t1, s, fcur = a, min(max(b, lo), hi), fab
-                    r /= settings.shrink
+                    r *= 2.0
                     moves += 1
                     break
             else:
-                r *= settings.shrink
-                if polish and r < KEY_TOL:
-                    polish = False
+                r *= 0.5
+                if end == "step_tol" and r < TestDescend.STEP_TOL:
+                    return t1, s, fcur, sweep, moves, "step_tol"
+                if end != "step_tol" and r < KEY_TOL:
                     ends = []
-                    for df, dg in TestDescend._vertex_moves(evaluate, t1, s):
+                    candidates = TestDescend._vertex_moves(evaluate, t1, s) if end == "vertex" else []
+                    for df, dg in candidates:
                         a, b = t1 + df, s + dg - df
                         fab, _ = evaluate(a, b)
                         if fab <= fcur:
                             ends.append((df, dg, fab, a, b))
-                    if ends:
-                        nearest = min(ends, key=lambda end: max(abs(end[0]), abs(end[1])))
-                        cluster = [
-                            end
-                            for end in ends
-                            if abs(end[0] - nearest[0]) <= KEY_TOL and abs(end[1] - nearest[1]) <= KEY_TOL
-                        ]
-                        _, _, fab, a, b = min(cluster, key=lambda end: end[2])
-                        return a, min(max(b, lo), hi), fab, sweep, moves, "vertex"
-                if r < settings.step_tol:
-                    return t1, s, fcur, sweep, moves, "step_tol"
-        return t1, s, fcur, settings.max_sweeps, moves, "max_sweeps"
+                    if not ends:
+                        return t1, s, fcur, sweep, moves, "stall"
+                    nearest = min(ends, key=lambda end: max(abs(end[0]), abs(end[1])))
+                    cluster = [
+                        end
+                        for end in ends
+                        if abs(end[0] - nearest[0]) <= KEY_TOL and abs(end[1] - nearest[1]) <= KEY_TOL
+                    ]
+                    _, _, fab, a, b = min(cluster, key=lambda end: end[2])
+                    return a, min(max(b, lo), hi), fab, sweep, moves, "vertex"
+        return t1, s, fcur, DEFAULT_SETTINGS.max_sweeps, moves, "max_sweeps"
 
     @staticmethod
     def _vertex_moves(evaluate, t1, s):
@@ -377,10 +359,7 @@ class TestDescend:
         candidates that stay in the closed edge-pair cell: the three-sheet
         tie, the pair's tie at the nearer u edge and at the nearer v edge,
         and the nearer corner."""
-        _, found = evaluate(t1, s, vertex=True)
-        if not found:
-            return []
-        sheets, (fu, fv) = found
+        _, (_, sheets, (fu, fv), _) = evaluate(t1, s)
         (ni, (fi, gi)), (nj, (fj, gj)) = sheets[:2]
         eu = -fu if fu <= 0.5 else 1.0 - fu
         ev = -fv if fv <= 0.5 else 1.0 - fv
@@ -401,7 +380,7 @@ class TestDescend:
 
     @staticmethod
     def _starts():
-        """``(evaluate, (t1, s, radius, m))`` of 144 descents on nine
+        """``(evaluate, (t1, s, radius), m)`` of 144 descents on nine
         polygons."""
         rng = np.random.default_rng(2011)
         gons = [regular_polygon(n) for n in (4, 6, 8, 14, 50)]
@@ -412,39 +391,59 @@ class TestDescend:
             starts = zip(rng.uniform(0.0, 2.0 * m, 8), rng.uniform(0.05 * m, 0.5 * m, 8))
             for t1, s in starts:
                 for radius in (2.0 * m / 91, 2.0 * m / 720):
-                    yield evaluate, (float(t1), float(s), radius, m)
+                    yield evaluate, (float(t1), float(s), radius), m
 
     def test_matches_the_descent_with_full_evaluations_bit_for_bit(self):
         stops = []
-        for evaluate, args in self._starts():
-            expected = self._reference(evaluate, *args)
+        for evaluate, args, m in self._starts():
+            expected = self._reference(evaluate, *args, m)
             assert oracle._descend(evaluate, *args) == expected, args
             stops.append(expected[-1])
-        assert len(stops) == 144 and "vertex" in stops
+        assert len(stops) == 144 and set(stops) == {"vertex"}
 
     @pytest.mark.parametrize("found", [False, True])
     def test_the_vertex_solve_runs_once_and_ends_the_descent_when_found(self, found, monkeypatch):
         calls = []
 
-        def stub(evaluate, t1, s, bound):
-            calls.append((t1, s, bound))
-            return (t1, s, bound) if found else None
+        def stub(evaluate, record, bound):
+            calls.append((*record[-1], bound))
+            return calls[-1] if found else None
 
         monkeypatch.setattr(oracle, "_vertex_solve", stub)
-        for evaluate, args in list(self._starts())[::8]:
+        for evaluate, args, m in list(self._starts())[::8]:
             calls.clear()
             got = oracle._descend(evaluate, *args)
             assert len(calls) == 1, args
             if found:
                 assert got[:3] == calls[0] and got[-1] == "vertex", args
             else:
-                assert got == self._reference(evaluate, *args, polish=False), args
+                assert got == self._reference(evaluate, *args, m, end="stall"), args
+
+    def test_without_a_vertex_the_descent_ends_at_its_first_stall_below_key_tol(self, monkeypatch):
+        # the solve is asked once, with the record of the stalled point,
+        # and the descent stops there as the reference does
+        calls = []
+
+        def stub(evaluate, record, bound):
+            calls.append((*record[-1], bound))
+
+        monkeypatch.setattr(oracle, "_vertex_solve", stub)
+        for evaluate, args, m in self._starts():
+            calls.clear()
+            got = oracle._descend(evaluate, *args)
+            assert got == self._reference(evaluate, *args, m, end="stall"), args
+            assert got[-1] == "stall" and calls == [got[:3]], args
+        # a start of infinite value has no record, so no solve: at
+        # t1 = 1e17 every step rounds away and both generators coincide
+        calls.clear()
+        got = oracle._descend(_make_objective(regular_polygon(6)), 1e17, 0.5, 0.1)
+        assert got == (1e17, 0.5, math.inf, 17, 0, "stall") and calls == []
 
     def test_the_vertex_solve_never_ends_above_the_plain_descent(self):
         # a vertex solve from a point that is not yet near the optimum of
         # its basin, as at an early stall, ends well above it
-        for evaluate, args in self._starts():
-            plain = self._reference(evaluate, *args, polish=False)
+        for evaluate, args, m in self._starts():
+            plain = self._reference(evaluate, *args, m, end="step_tol")
             assert plain[-1] == "step_tol", args
             assert oracle._descend(evaluate, *args)[2] <= plain[2] + 1e-14, args
 
@@ -456,22 +455,23 @@ class TestDescend:
             m = n // 2
             evaluate = _make_objective(gon)
             points = list(TestObjective._points(gon, rng))[:200]
-            points += [oracle._descend(evaluate, t1, s, 0.1, m)[:2] for t1, s in points[:20]]
+            points += [oracle._descend(evaluate, t1, s, 0.1)[:2] for t1, s in points[:20]]
             evaluated = 0
             for t1, s in points:
                 s = min(max(s, margin), m - margin)
                 tried = []
 
-                def recording(a, b, *rest, **kw):
-                    if not kw:
-                        tried.append((a, b))
-                    return evaluate(a, b, *rest, **kw)
+                def recording(a, b, *rest):
+                    value, record = evaluate(a, b, *rest)
+                    if not rest:
+                        tried.append(((a, b), record[-1] if record else None))
+                    return value, record
 
-                current, _ = evaluate(t1, s)
-                vertex = oracle._vertex_solve(recording, t1, s, current)
+                current, record = evaluate(t1, s)
+                vertex = oracle._vertex_solve(recording, record, current)
                 if vertex is not None:
-                    assert vertex[2] <= current and vertex[:2] in tried, (t1, s)
-                for a, b in tried:
+                    assert vertex[2] <= current and vertex[:2] in [p for _, p in tried], (t1, s)
+                for (a, b), _ in tried:
                     for start, end in ((t1, a), (t1 + s, a + b)):
                         # the end's offset from the start's edge, in [0, 1]
                         offset = (end - math.floor(start % n) + 0.5) % n - 0.5
@@ -617,7 +617,7 @@ class TestStarts:
         result = bm_distance(gon, grid=720)
         assert len(result.starts) == expected
         for record in result.starts:
-            assert record.stop != "max_sweeps" and record.sweeps >= 1
+            assert record.stop == "vertex" and record.sweeps >= 1
             assert record.value >= result.lam - 1e-12
 
     @pytest.mark.parametrize("grid", [45, 91, 360, 720])
@@ -680,7 +680,7 @@ class TestStarts:
                 for grid in (90, 360, 720):
                     result = bm_distance(poly, grid=grid)
                     assert abs(result.lam - claimed) <= 1e-15, (n, grid, result.lam - claimed)
-                    assert all(r.stop != "max_sweeps" for r in result.starts), (n, grid)
+                    assert all(r.stop == "vertex" for r in result.starts), (n, grid)
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 7])
     def test_no_descent_runs_out_of_sweeps(self, seed, monkeypatch):
@@ -699,7 +699,7 @@ class TestStarts:
         rng = np.random.default_rng(seed)
         gon = random_central_polygon(rng, int(rng.integers(3, 13)))
         argmin_orbit(gon, bm_distance(gon, grid=360))
-        assert stops and all(stop != "max_sweeps" for stop in stops), stops
+        assert stops and all(stop == "vertex" for stop in stops), stops
 
     def test_running_out_of_sweeps_is_reported(self, p6, monkeypatch):
         monkeypatch.setattr(oracle, "DEFAULT_SETTINGS", SearchSettings(max_sweeps=2))
@@ -1015,6 +1015,20 @@ class TestRotationStep:
         with pytest.raises(AttributeError):
             gon._rotation_step = 2
 
+    @pytest.mark.parametrize("exponent", range(-3, 13))
+    def test_polygons_built_from_cos_and_sin_are_accepted_at_every_scale(self, exponent):
+        # their mirror pairs miss exact negation by rounding relative to
+        # the radius, so the check must scale with it
+        radius = 10.0**exponent
+        for n in (6, 8, 14):
+            step = 2.0 * math.pi / n
+            gon = CentralPolygon(
+                (radius * math.cos(step * j), radius * math.sin(step * j)) for j in range(n)
+            )
+            result = bm_distance(gon, grid=360)
+            assert abs(result.lam - theorem2_value(n).value) <= 1e-15, (n, result.lam)
+            assert len(argmin_orbit(gon, result)) == 2, n
+
     def test_large_hexagon_has_two_classes(self, p6):
         gon = self._scaled(p6, 1e8)
         result = bm_distance(gon, grid=360)
@@ -1045,7 +1059,7 @@ class TestLargePolygons:
         assert len(gon.vertices) == 2 * m
         result = bm_distance(gon, grid=360)
         assert len(result.starts) == DEFAULT_SETTINGS.starts
-        assert all(r.stop != "max_sweeps" for r in result.starts)
+        assert all(r.stop == "vertex" for r in result.starts)
         assert 1.0 <= result.lam <= 1.5 + 1e-9
         image = linear_image(gon, random_linear_map(rng))
         assert abs(bm_distance(image, grid=360).lam - result.lam) <= 1e-9
