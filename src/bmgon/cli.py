@@ -30,7 +30,6 @@ from .evengon import (
 )
 from .geom import (
     CentralPolygon,
-    Strip,
     Vec2,
     boundary_distance,
     format_polygon,
@@ -38,7 +37,7 @@ from .geom import (
     parse_polygon,
     polygon_symmetries,
     regular_polygon,
-    transversal_ratio,
+    strip_ratios,
 )
 from .hexagon import (
     B_REGIME_MAX,
@@ -262,25 +261,47 @@ def suite_beta() -> list[Claim]:
     return rows
 
 
+def _uniform(r: np.ndarray, low: float, high: float) -> np.ndarray:
+    """``Generator.uniform(low, high)`` from the ``random()`` draw it makes."""
+    return low + (high - low) * r
+
+
+def _unit_vectors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of each angle, from ``math``, whose values numpy's
+    own trigonometry does not always reproduce."""
+    values = angles.tolist()
+    return np.array([math.cos(a) for a in values]), np.array([math.sin(a) for a in values])
+
+
 def suite_lemma(seed: int) -> list[Claim]:
     """Randomized check that nested parallel strips cut every transversal
-    through the origin in the ratio of their widths."""
+    through the origin in the ratio of their widths.
+
+    Each instance draws the strips' normal angle theta, the outer
+    half-width, the inner's share of it and the transversal's angle phi,
+    in that order, and draws phi again while the transversal is within
+    1e-6 of parallel to the strips.  A uniform draw is one ``random()``
+    draw, so the instances are read from a block of ``random()`` rows,
+    and a rejected phi moves the draws after it up one place."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(1000):
-        theta = rng.uniform(0.0, math.pi)
-        normal = Vec2(math.cos(theta), math.sin(theta))
-        outer_hw = rng.uniform(0.5, 3.0)
-        inner_hw = outer_hw * rng.uniform(0.05, 1.0)
-        while True:
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            direction = Vec2(math.cos(phi), math.sin(phi))
-            if abs(direction.dot(normal)) > 1e-6:
-                break
-        wr, cr = transversal_ratio(
-            Strip(normal, inner_hw), Strip(normal, outer_hw), direction
-        )
-        worst = max(worst, abs(wr - cr))
+    draws = rng.random((1000, 4))
+    parts = []
+    while True:
+        nx, ny = _unit_vectors(_uniform(draws[:, 0], 0.0, math.pi))
+        dx, dy = _unit_vectors(_uniform(draws[:, 3], 0.0, 2.0 * math.pi))
+        steep = np.abs(dx * nx + dy * ny) > 1e-6
+        j = len(steep) if steep.all() else int(np.argmin(steep))
+        parts.append(np.stack([nx, ny, dx, dy, draws[:, 1], draws[:, 2]])[:, :j])
+        if j == len(steep):
+            break
+        draws = np.concatenate([draws[j, :3], draws[j + 1 :].ravel(), rng.random(1)])
+        draws = draws.reshape(-1, 4)
+    nx, ny, dx, dy, outer, share = np.concatenate(parts, axis=1)
+    outer_hw = _uniform(outer, 0.5, 3.0)
+    inner_hw = outer_hw * _uniform(share, 0.05, 1.0)
+    norm = np.array([math.hypot(x, y) for x, y in zip(dx.tolist(), dy.tolist())])
+    wr, cr = strip_ratios(nx, ny, inner_hw, outer_hw, dx / norm, dy / norm)
+    worst = float(np.max(np.abs(wr - cr)))
     return [Claim("strip ratio identity, 1000 seeded instances", 0.0, worst, 1e-10)]
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "regular_polygon",
     "boundary_point",
     "transversal_ratio",
+    "strip_ratios",
     "polygon_gauge",
     "boundary_crossing",
     "boundary_distance",
@@ -229,18 +230,25 @@ def transversal_ratio(inner: Strip, outer: Strip, line_dir: Vec2) -> tuple[float
     if inner.half_width > outer.half_width + UNIT_TOL:
         raise ValueError("inner strip is not contained in the outer strip")
     d = line_dir.normalized()
-    proj = d.dot(n1)
-    if abs(proj) <= UNIT_TOL:
+    if abs(d.dot(n1)) <= UNIT_TOL:
         raise ValueError("transversal line is parallel to the strip lines")
+    return strip_ratios(n1.x, n1.y, inner.half_width, outer.half_width, d.x, d.y)
 
-    width_ratio = outer.width / inner.width
+
+def strip_ratios(nx, ny, inner_hw, outer_hw, dx, dy):
+    """``transversal_ratio``'s two ratios from components, with no checks:
+    the strips' unit normal (nx, ny), their half-widths, and the unit
+    direction (dx, dy) of the transversal.  The arithmetic is elementwise,
+    so numpy arrays of one shape give, entry by entry, the floats that
+    scalar arguments give."""
+    proj = dx * nx + dy * ny
+    width_ratio = (2.0 * outer_hw) / (2.0 * inner_hw)
 
     # crossing points with the positive boundary lines, both expressed in
-    # the orientation of the inner normal, and their signed coordinates
-    # along the unit line direction
-    p1 = d * (inner.half_width / proj)
-    p2 = d * (outer.half_width / proj)
-    coordinate_ratio = p2.dot(d) / p1.dot(d)
+    # the orientation of the inner normal, are the direction times these
+    # factors; their signed coordinates along the unit line direction
+    a1, a2 = inner_hw / proj, outer_hw / proj
+    coordinate_ratio = ((dx * a2) * dx + (dy * a2) * dy) / ((dx * a1) * dx + (dy * a1) * dy)
     return width_ratio, coordinate_ratio
 
 

@@ -94,8 +94,11 @@ ORBIT_TOL = 1e-9
 KEY_TOL = 1e-6
 
 # largest grid_scan accepts: a polygon without rotations then scans
-# 2048 x 2048 cells, about 34 MB per array
+# 2048 x 2048 cells, and F, the only array of that size, takes 34 MB
 MAX_GRID = 4096
+# cells per row block of grid_scan: the block's eight buffers, 1 MB in
+# all, stay in a core's L2 cache while every sheet passes over them
+BLOCK_CELLS = 16384
 
 
 @dataclass(frozen=True)
@@ -142,15 +145,6 @@ def _edge_tables(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     return x, y, np.roll(x, -1) - x, np.roll(y, -1) - y
 
 
-def _boundary_xy_arrays(verts: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary coordinates at parameters t in [0, n), gathered from the
-    edge tables with no reduction modulo n."""
-    x, y, dx, dy = _edge_tables(verts)
-    i = t.astype(np.intp)
-    f = t - i
-    return x[i] + f * dx[i], y[i] + f * dy[i]
-
-
 def _class_key_fn(c: CentralPolygon) -> Callable[[float, float], tuple[float, float]]:
     """Class key of the polygon's positions (t1, s): one canonical image
     per class, so the image reported does not hang on the descents'
@@ -195,6 +189,13 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
     maximal vertex gauge of the parallelogram with generators at
     boundary parameters t1[i] and t1[i] + s[j]; infeasible cells hold
     +inf.  Raises ValueError unless 8 <= grid <= ``MAX_GRID``.
+
+    F is the only array of the grid's size.  The cells are evaluated one
+    block of rows at a time, about ``BLOCK_CELLS`` cells each, in buffers
+    that stay in a core's cache through the pass over all m sheets; the
+    term |cross(u, w)| of each sheet is computed once per row.  Every
+    cell takes the same operations as a whole-grid evaluation would, so
+    F does not depend on the block size.
     """
     if grid < 8:
         raise ValueError(f"grid must be at least 8, got {grid}")
@@ -207,23 +208,47 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
     half = (grid + 1) // 2
     t1 = np.arange(rows) * (2.0 * m / grid)
     s = margin + np.arange(half) * ((m - 2.0 * margin) / (grid - 1))
-    # t1 + s < 1.5 m < n, so no parameter needs reducing modulo n
-    ux, uy = _boundary_xy_arrays(verts, t1[:, None])
-    vx, vy = _boundary_xy_arrays(verts, t1[:, None] + s[None, :])
-    den = ux * vy - uy * vx
-    best = np.zeros_like(den)
-    g = np.empty_like(den)
-    tmp = np.empty_like(den)
-    for wx, wy in pts[:m]:  # antipodal vertices have equal gauge
-        np.multiply(vy, wx, out=g)
-        np.multiply(vx, wy, out=tmp)
-        np.subtract(g, tmp, out=g)
-        np.abs(g, out=g)
-        g += np.abs(ux * wy - uy * wx)
-        np.maximum(best, g, out=best)
+    x, y, dx, dy = _edge_tables(verts)
+    a = t1.astype(np.intp)
+    fu = t1 - a
+    ux = (x[a] + fu * dx[a])[:, None]
+    uy = (y[a] + fu * dy[a])[:, None]
+    # |cross(u, w)| per sheet and row; antipodal vertices have equal gauge
+    cu = np.abs(ux * verts[:m, 1, None, None] - uy * verts[:m, 0, None, None])
+    f = np.empty((rows, half))
+    step = max(1, BLOCK_CELLS // half)
+    shape = (min(step, rows), half)
+    buffers = (np.empty(shape, dtype=np.intp), *np.empty((7, *shape)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = np.divide(best, den, out=best)
-    f[~(np.isfinite(f) & (den > 0.0))] = np.inf
+        for r0 in range(0, rows, step):
+            block = slice(r0, r0 + step)
+            e, t, vx, vy, den, g, tmp, best = (buf[: min(step, rows - r0)] for buf in buffers)
+            # v at t = t1 + s < 1.5 m < n, so no parameter needs reducing
+            # modulo n: its edge e, then its fraction t - e along the edge
+            # (the gathers' index wrap, cheaper than a bounds check, never acts)
+            np.add(t1[block, None], s, out=t)
+            np.trunc(t, out=tmp)
+            np.copyto(e, tmp, casting="unsafe")
+            t -= tmp
+            np.take(dx, e, out=vx, mode="wrap")
+            vx *= t
+            vx += np.take(x, e, out=tmp, mode="wrap")
+            np.take(dy, e, out=vy, mode="wrap")
+            vy *= t
+            vy += np.take(y, e, out=tmp, mode="wrap")
+            np.multiply(ux[block], vy, out=den)
+            np.multiply(uy[block], vx, out=tmp)
+            den -= tmp
+            best.fill(0.0)
+            for (wx, wy), cw in zip(pts[:m], cu):
+                np.multiply(vy, wx, out=g)
+                np.multiply(vx, wy, out=tmp)
+                g -= tmp
+                np.abs(g, out=g)
+                g += cw[block]
+                np.maximum(best, g, out=best)
+            fb = np.divide(best, den, out=f[block])
+            fb[~(np.isfinite(fb) & (den > 0.0))] = np.inf
     return t1, s, f
 
 

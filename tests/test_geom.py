@@ -21,8 +21,10 @@ from bmgon.geom import (
     polygon_gauge,
     polygon_symmetries,
     regular_polygon,
+    strip_ratios,
     transversal_ratio,
 )
+from bmgon.cli import suite_lemma
 
 SQRT3 = math.sqrt(3.0)
 
@@ -166,8 +168,11 @@ class TestTransversalRatio:
         assert wr == 2.5
         assert abs(cr - 2.5) < 1e-15
 
-    def test_identity_over_seeded_instances(self):
-        rng = np.random.default_rng(0)
+    @staticmethod
+    def _scalar_lemma(seed):
+        """Largest ratio gap over 1000 seeded instances, one instance and
+        one scalar draw at a time."""
+        rng = np.random.default_rng(seed)
         worst = 0.0
         for _ in range(1000):
             theta = rng.uniform(0.0, math.pi)
@@ -183,7 +188,24 @@ class TestTransversalRatio:
                 Strip(normal, inner_hw), Strip(normal, outer_hw), direction
             )
             worst = max(worst, abs(wr - cr))
-        assert worst <= 1e-10
+        return worst
+
+    def test_identity_over_seeded_instances(self):
+        assert self._scalar_lemma(0) <= 1e-10
+
+    # seed 6490 draws phi again at instance 43, which shifts every later draw
+    @pytest.mark.parametrize("seed", [*range(20), 6490])
+    def test_the_lemma_suite_equals_the_scalar_loop(self, seed):
+        (claim,) = suite_lemma(seed)
+        assert claim.computed == self._scalar_lemma(seed)
+
+    def test_strip_ratios_on_arrays_equal_the_scalar_form(self):
+        rng = np.random.default_rng(3)
+        nx, ny, inner, outer, dx, dy = rng.uniform(0.1, 1.0, (6, 50))
+        arrays = strip_ratios(nx, ny, inner, outer, dx, dy)
+        for i in range(50):
+            scalar = strip_ratios(*(float(a[i]) for a in (nx, ny, inner, outer, dx, dy)))
+            assert (arrays[0][i], arrays[1][i]) == scalar
 
     def test_error_cases(self):
         flat = Strip(Vec2(0.0, 1.0), 1.0)

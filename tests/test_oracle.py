@@ -1,5 +1,6 @@
 import heapq
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,7 +98,34 @@ class TestGridScan:
             evaluate = _make_objective(gon)
             for i, j in zip(rng.integers(0, rows, 50), rng.integers(0, half, 50)):
                 expected, _ = evaluate(float(t1[i]), float(s[j]))
-                assert math.isclose(f[i, j], expected, rel_tol=1e-12), (i, j)
+                assert f[i, j] == expected, (i, j)
+
+    def test_rows_on_both_sides_of_each_block_seam_match_the_scalar_objective(self):
+        # a polygon without rotations at an odd grid: 3 full row blocks
+        # and a partial last one
+        grid = 2 * 249 + 1
+        gon = random_central_polygon(np.random.default_rng(7), m=5)
+        half = (grid + 1) // 2
+        step = oracle.BLOCK_CELLS // half
+        t1, s, f = grid_scan(gon, grid)
+        assert gon.rotation_step == 5 and 3 * step < len(t1) < 4 * step
+        evaluate = _make_objective(gon)
+        for seam in range(step, len(t1), step):
+            for i in (seam - 1, seam):
+                expected = [evaluate(float(t1[i]), float(b))[0] for b in s]
+                assert f[i].tolist() == expected, i
+
+    def test_scan_memory_is_f_and_one_block(self):
+        gon = random_central_polygon(np.random.default_rng(2048), m=5)
+        grid_scan(gon, 64)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            _, _, f = grid_scan(gon, 2048)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert f.shape == (1024, 1024)
+        assert peak <= f.nbytes + 4_000_000
 
 
 def _ends(gon, t1, s):
