@@ -31,11 +31,10 @@ from .evengon import (
 from .geom import (
     CentralPolygon,
     Vec2,
-    boundary_distance,
+    boundary_projection,
     format_polygon,
     linear_image,
     parse_polygon,
-    polygon_symmetries,
     regular_polygon,
     strip_ratios,
 )
@@ -48,8 +47,8 @@ from .hexagon import (
     hex_h_derivative,
     hex_optimal_positions,
 )
-from .oracle import BMResult, argmin_orbit, bm_distance, grid_scan
-from .pgram import Parallelogram, circum_ratio, contacts, symmetry_orbit, vertex_hausdorff
+from .oracle import BMResult, _class_key_fn, argmin_orbit, bm_distance, grid_scan
+from .pgram import Parallelogram, circum_ratio, contacts
 
 __all__ = ["Claim", "RunReport", "main", "render_svg"]
 
@@ -176,33 +175,27 @@ def suite_theorem1() -> list[Claim]:
     return rows
 
 
-def _orbit_match(reps: list[Parallelogram], canon: list[Parallelogram]) -> float:
-    """Two-sided matching distance between symmetry classes of the
-    hexagon: every representative must sit near the orbit of some
-    canonical position and vice versa."""
-    maps = polygon_symmetries(HEXAGON)
-    orbits = [symmetry_orbit(p, maps) for p in canon]
-    d1 = max(min(vertex_hausdorff(r, img) for orbit in orbits for img in orbit) for r in reps)
-    d2 = max(min(vertex_hausdorff(img, r) for img in orbit for r in reps) for orbit in orbits)
-    return max(d1, d2)
-
-
 def suite_remark() -> list[Claim]:
-    """The two known optimal positions and the search's symmetry classes."""
-    rows = []
-    positions = hex_optimal_positions()
-    for i, p in enumerate(positions, start=1):
-        dist = max(boundary_distance(HEXAGON, p.u), boundary_distance(HEXAGON, p.v))
+    """The two known optimal positions and the search's symmetry classes,
+    matched by the class key of their generators' boundary parameters."""
+    key = _class_key_fn(HEXAGON)
+
+    def class_key(p: Parallelogram) -> tuple[tuple[float, float], float]:
+        # the key, and the larger distance of a generator from the boundary
+        (t1, du), (t2, dv) = (boundary_projection(HEXAGON, w) for w in (p.u, p.v))
+        return key(t1, (t2 - t1) % (2 * HEXAGON.m)), max(du, dv)
+
+    rows, known = [], []
+    for i, p in enumerate(hex_optimal_positions(), start=1):
+        k, dist = class_key(p)
+        known.append(k)
         rows.append(Claim(f"known position {i} inscribed", 0.0, dist, 1e-12))
-        rows.append(
-            Claim(f"known position {i} ratio 3/2", 1.5, circum_ratio(p, HEXAGON), 1e-12)
-        )
-    result = bm_distance(HEXAGON, grid=360)
-    reps = argmin_orbit(HEXAGON, result)
-    rows.append(Claim("P6 optimal symmetry classes", 2.0, float(len(reps)), 0.0))
-    rows.append(
-        Claim("P6 optimal classes match known positions", 0.0, _orbit_match(reps, positions), 1e-13)
-    )
+        rows.append(Claim(f"known position {i} ratio 3/2", 1.5, circum_ratio(p, HEXAGON), 1e-12))
+    found = [class_key(p)[0] for p in argmin_orbit(HEXAGON, bm_distance(HEXAGON, grid=360))]
+    rows.append(Claim("P6 optimal symmetry classes", 2.0, float(len(found)), 0.0))
+    gaps = [[max(abs(a - c), abs(b - d)) for c, d in found] for a, b in known]
+    match = max(max(map(min, gaps)), max(map(min, zip(*gaps))))
+    rows.append(Claim("P6 optimal classes match known positions", 0.0, match, 1e-13))
     return rows
 
 
@@ -562,7 +555,8 @@ def _render_configs(
     if b_arg == "optimal":
         result = bm_distance(gon, grid=grid)
         reps = argmin_orbit(gon, result)
-        return [(p, circum_ratio(p, gon), contacts(p, gon, circum_ratio(p, gon))) for p in reps]
+        lams = [circum_ratio(p, gon) for p in reps]
+        return [(p, lam, contacts(p, gon, lam)) for p, lam in zip(reps, lams)]
     try:
         b = float(b_arg)
     except ValueError:

@@ -13,8 +13,12 @@ indexed by a slope b, with ratio curve
     h(b) = sqrt(2) * (k - b) / (k * (b^2 + 1)),   k = sin(t)/(cos(t) - 1),
 
 where t = pi/(4j) is the vertex angle step and b runs over
-[0, tan(pi/(8j))].  h equals sqrt(2) exactly at both endpoints and
-exceeds it in between.
+[0, tan(pi/(8j))].  Since -1/k = tan(t/2),
+
+    h(b) - sqrt(2) = sqrt(2) * b * (tan(pi/(8j)) - b) / (b^2 + 1),
+
+so h equals sqrt(2) exactly at both endpoints and exceeds it in between,
+which is why the "beta interior exceeds sqrt(2)" rows hold.
 """
 
 from __future__ import annotations

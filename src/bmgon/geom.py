@@ -1,9 +1,9 @@
 """Planar convex-geometry kernel for centrally symmetric polygons.
 
 Provides immutable value types (vectors, polygons with exact central
-symmetry, symmetric strips) together with a boundary parametrization,
-the width-ratio identity for nested parallel strips, and the linear
-symmetries of a polygon.
+symmetry, symmetric strips) together with a boundary parametrization and
+its nearest-point inverse, the width-ratio identity for nested parallel
+strips, and the linear symmetries of a polygon.
 Everything here is pure double-precision arithmetic; the only state a
 polygon keeps beyond its vertices is derived from them.
 """
@@ -24,7 +24,7 @@ __all__ = [
     "strip_ratios",
     "polygon_gauge",
     "boundary_crossing",
-    "boundary_distance",
+    "boundary_projection",
     "line_intersection",
     "linear_image",
     "apply_linear",
@@ -278,15 +278,19 @@ def boundary_crossing(polygon: CentralPolygon, direction: Vec2) -> Vec2:
     return direction * (1.0 / g)
 
 
-def boundary_distance(polygon: CentralPolygon, point: Vec2) -> float:
-    """Euclidean distance from a point to the boundary polyline."""
-    best = math.inf
-    for a, b, _, _ in _edges(polygon):
+def boundary_projection(polygon: CentralPolygon, point: Vec2) -> tuple[float, float]:
+    """Nearest boundary point to a point, as ``(t, d)``: its boundary
+    parameter t in [0, n), so that boundary_point(t) is that point, and
+    its Euclidean distance d from the point.  The first nearest edge in
+    vertex order wins a tie."""
+    n = len(polygon.vertices)
+    best = (0.0, math.inf)
+    for i, (a, b, _, _) in enumerate(_edges(polygon)):
         e = b - a
-        ee = e.dot(e)
-        t = 0.0 if ee == 0.0 else (point - a).dot(e) / ee
-        t = min(1.0, max(0.0, t))
-        best = min(best, (point - (a + e * t)).norm())
+        f = min(1.0, max(0.0, (point - a).dot(e) / e.dot(e)))
+        d = (point - (a + e * f)).norm()
+        if d < best[1]:
+            best = ((i + f) % n, d)
     return best
 
 
@@ -354,7 +358,9 @@ def polygon_symmetries(polygon: CentralPolygon) -> list[Mat2]:
 
     For a regular n-gon this is the dihedral group of order 2n (rotations
     and reflections); any valid polygon at least admits the identity and
-    the point reflection through the origin.
+    the point reflection through the origin.  The search's class key does
+    not use these maps: the tests check its classes against them in the
+    plane, and the benchmark's span tracer names this function.
     """
     maps: list[Mat2] = []
     for k in range(len(polygon.vertices)):

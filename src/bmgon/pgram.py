@@ -1,13 +1,13 @@
 """Origin-symmetric parallelograms measured against a centrally symmetric
 polygon: the Minkowski gauge, the circumscribed homothety ratio and its
-contact vertices, the vertex Hausdorff distance between two
-parallelograms, and symmetry orbits."""
+contact vertices, and the vertex Hausdorff distance between two
+parallelograms."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import CentralPolygon, Mat2, Vec2, apply_linear
+from .geom import CentralPolygon, Vec2
 
 __all__ = [
     "Parallelogram",
@@ -15,7 +15,6 @@ __all__ = [
     "circum_ratio",
     "contacts",
     "vertex_hausdorff",
-    "symmetry_orbit",
 ]
 
 DEGENERATE_TOL = 1e-12
@@ -38,7 +37,8 @@ class Parallelogram:
 
     @classmethod
     def from_unordered(cls, a: Vec2, b: Vec2) -> "Parallelogram":
-        """Builds from an unordered generator pair, swapping as needed."""
+        """Builds from an unordered generator pair, swapping as needed; the
+        tests build a position's images under ``polygon_symmetries`` so."""
         return cls(a, b) if a.cross(b) > 0.0 else cls(b, a)
 
     def vertices(self) -> tuple[Vec2, Vec2, Vec2, Vec2]:
@@ -71,22 +71,11 @@ def contacts(p: Parallelogram, c: CentralPolygon, lam: float) -> tuple[Vec2, ...
 
 def vertex_hausdorff(p: Parallelogram, q: Parallelogram) -> float:
     """Hausdorff distance between the two vertex quadruples; zero exactly
-    when the parallelograms coincide as unordered generator sets."""
+    when the parallelograms coincide as unordered generator sets.  The
+    tests match the search's classes with it; the benchmark traces it."""
     pv, qv = p.vertices(), q.vertices()
 
     def one_sided(xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> float:
         return max(min((x - y).norm() for y in ys) for x in xs)
 
     return max(one_sided(pv, qv), one_sided(qv, pv))
-
-
-def symmetry_orbit(p: Parallelogram, maps: list[Mat2]) -> list[Parallelogram]:
-    """Images of the parallelogram under the linear maps (typically
-    ``polygon_symmetries`` of a polygon), in map order, with images
-    within vertex Hausdorff distance 1e-9 of an earlier one removed."""
-    orbit: list[Parallelogram] = []
-    for mat in maps:
-        image = Parallelogram.from_unordered(apply_linear(mat, p.u), apply_linear(mat, p.v))
-        if all(vertex_hausdorff(image, seen) > 1e-9 for seen in orbit):
-            orbit.append(image)
-    return orbit

@@ -3,8 +3,11 @@ import math
 
 import pytest
 
+from bmgon import cli
 from bmgon.cli import main
-from bmgon.geom import parse_polygon, regular_polygon
+from bmgon.geom import boundary_point, parse_polygon, regular_polygon
+from bmgon.hexagon import HEXAGON, hex_optimal_positions
+from bmgon.pgram import Parallelogram
 
 SQRT2 = math.sqrt(2.0)
 
@@ -232,6 +235,27 @@ class TestVerify:
             for label, claimed, tol, verdict, note in VERIFY_ALL_ROWS
         ]
         assert got == expected
+
+    @staticmethod
+    def _remark_verdicts(monkeypatch, positions):
+        monkeypatch.setattr(cli, "hex_optimal_positions", lambda: positions)
+        return {row.label: row.passed for row in cli.suite_remark()}
+
+    def test_remark_match_fails_for_a_slid_position(self, monkeypatch):
+        # position 2 has its generators at boundary parameters 1/3 and 5/3;
+        # sliding both 1e-9 along their edges keeps them on the boundary
+        first, _ = hex_optimal_positions()
+        slid = Parallelogram(
+            boundary_point(HEXAGON, 1.0 / 3.0 + 1e-9), boundary_point(HEXAGON, 5.0 / 3.0 + 1e-9)
+        )
+        verdicts = self._remark_verdicts(monkeypatch, [first, slid])
+        assert verdicts["P6 optimal classes match known positions"] is False
+        assert verdicts["known position 1 inscribed"] is True
+        assert verdicts["known position 2 inscribed"] is True
+
+    def test_remark_match_does_not_depend_on_the_order_of_the_positions(self, monkeypatch):
+        verdicts = self._remark_verdicts(monkeypatch, hex_optimal_positions()[::-1])
+        assert all(verdicts.values())
 
     def test_seed_changes_instances_not_verdict(self, capsys):
         code0, out0, _ = run(capsys, "verify", "lemma", "--seed", "0")

@@ -11,7 +11,7 @@ from bmgon.evengon import (
     dist_pn_phn,
     theorem2_value,
 )
-from bmgon.geom import boundary_distance, regular_polygon
+from bmgon.geom import boundary_projection, regular_polygon
 from bmgon.pgram import circum_ratio
 
 SQRT2 = math.sqrt(2.0)
@@ -71,8 +71,8 @@ class TestAxisParallelogram:
         for n in (6, 10, 14):
             gon = regular_polygon(n)
             p = axis_parallelogram(gon)
-            assert boundary_distance(gon, p.u) <= 1e-12
-            assert boundary_distance(gon, p.v) <= 1e-12
+            assert boundary_projection(gon, p.u)[1] <= 1e-12
+            assert boundary_projection(gon, p.v)[1] <= 1e-12
 
 
 class TestBetaFamily:
@@ -93,6 +93,16 @@ class TestBetaFamily:
                 beta_h(j, hi * (i / 1000.0)) > SQRT2 for i in range(1, 1000)
             )
 
+    def test_excess_over_sqrt2_factors(self):
+        # h(b) - sqrt(2) = sqrt(2) b (tan(pi/8j) - b) / (b^2 + 1), which is
+        # zero at both ends and positive in between
+        for j in range(1, 9):
+            hi = math.tan(math.pi / (8.0 * j))
+            for i in range(101):
+                b = hi * (i / 100.0)
+                excess = SQRT2 * b * (hi - b) / (b * b + 1.0)
+                assert abs((beta_h(j, b) - SQRT2) - excess) <= 1e-15, (j, b)
+
     def test_square_construction_matches_closed_form(self):
         for j in (1, 2, 3):
             gon = regular_polygon(8 * j)
@@ -102,7 +112,7 @@ class TestBetaFamily:
                 square = beta_square(j, b)
                 assert abs(square.u.norm() - square.v.norm()) <= 1e-12
                 assert abs(square.u.dot(square.v)) <= 1e-12
-                assert boundary_distance(gon, square.u) <= 1e-12
+                assert boundary_projection(gon, square.u)[1] <= 1e-12
                 assert abs(circum_ratio(square, gon) - beta_h(j, b)) <= 1e-12
 
     def test_array_of_slopes_matches_the_scalar_values_bit_for_bit(self):

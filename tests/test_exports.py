@@ -1,7 +1,10 @@
 """Every name listed in ``__all__`` exists, in the package root and in
 each module; tools that walk ``__all__`` (the benchmark's span tracer
-among them) would otherwise fail on a stale entry."""
+among them) would otherwise fail on a stale entry.  Every such name is
+also used: by the package or its scripts, by the benchmark's tracer, or
+as the reference a named test compares the package against."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -10,7 +13,66 @@ import pytest
 
 import bmgon
 
+ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["bmgon", *(f"bmgon.{info.name}" for info in pkgutil.iter_modules(bmgon.__path__))]
+
+# exports that no code path of the package uses, each with the test that
+# compares the package against it
+_LEMMA_TEST = "tests/test_geom.py::TestTransversalRatio::test_the_lemma_suite_equals_the_scalar_loop"
+TEST_REFERENCES = {
+    "bmgon.geom.Strip": _LEMMA_TEST,
+    "bmgon.geom.transversal_ratio": _LEMMA_TEST,
+}
+
+
+def _defined(statement: ast.stmt) -> set[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {statement.name}
+    targets = getattr(statement, "targets", [getattr(statement, "target", None)])
+    return {target.id for target in targets if isinstance(target, ast.Name)}
+
+
+def _uses(path: Path) -> set[str]:
+    """Identifiers a file reads, as names or attributes, outside type
+    annotations and outside the top-level statement that defines them; a
+    name imported under another name counts under both."""
+    tree = ast.parse(path.read_text())
+    annotations = {
+        id(inner)
+        for node in ast.walk(tree)
+        for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None))
+        if annotation is not None
+        for inner in ast.walk(annotation)
+    }
+    used: set[str] = set()
+    for statement in tree.body:
+        used |= {
+            node.attr if isinstance(node, ast.Attribute) else node.id
+            for node in ast.walk(statement)
+            if id(node) not in annotations
+            and (
+                isinstance(node, ast.Attribute)
+                or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            )
+        } - _defined(statement)
+    renamed = {
+        alias.asname: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.asname
+    }
+    return used | {renamed[name] for name in used & set(renamed)}
+
+
+def _test_source(reference: str) -> str:
+    """Source of the test class (or module) holding the named test."""
+    path, *scope, test = reference.split("::")
+    tree = ast.parse((ROOT / path).read_text())
+    for name in scope:
+        tree = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
+    assert any(isinstance(node, ast.FunctionDef) and node.name == test for node in tree.body)
+    return ast.unparse(tree)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -29,3 +91,25 @@ def test_the_benchmark_hooks_resolve(monkeypatch):
     assert named | set(spans.EXTRAS) <= traced
     metrics = spans.layer_metrics([], 0, 0.0, 0.0)
     assert metrics["oracle.bm_distance.starts"] == (0.0, "count/op")
+
+
+def test_every_exported_name_is_used(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    spans = importlib.import_module("spans")
+    files = [*(ROOT / "src" / "bmgon").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    used = set().union(*map(_uses, files))
+    traced = {f"bmgon.{short}.{name}" for short, names in spans.SELECTED.items() for name in names}
+    unused = [
+        f"{name}.{entry}"
+        for name in MODULES
+        for entry in importlib.import_module(name).__all__
+        if not (entry.startswith("__") and entry.endswith("__"))
+        and entry not in used
+        and f"{name}.{entry}" not in traced | set(TEST_REFERENCES)
+    ]
+    assert unused == []
+
+
+@pytest.mark.parametrize("export", sorted(TEST_REFERENCES))
+def test_each_test_reference_names_a_test_that_reads_it(export):
+    assert export.rsplit(".", 1)[1] in _test_source(TEST_REFERENCES[export])

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_central_polygon
+from conftest import random_central_polygon, random_linear_map
 from bmgon.geom import (
     CentralPolygon,
     Strip,
     Vec2,
     apply_linear,
     boundary_crossing,
-    boundary_distance,
+    boundary_projection,
     boundary_point,
     format_polygon,
     line_intersection,
@@ -156,8 +156,72 @@ class TestBoundary:
             boundary_crossing(p6, Vec2(0.0, 0.0))
 
     def test_boundary_distance(self, p4):
-        assert boundary_distance(p4, Vec2(1.0, 0.0)) == 0.0
-        assert abs(boundary_distance(p4, Vec2(0.0, 0.0)) - math.sqrt(0.5)) < 1e-15
+        assert boundary_projection(p4, Vec2(1.0, 0.0))[1] == 0.0
+        assert abs(boundary_projection(p4, Vec2(0.0, 0.0))[1] - math.sqrt(0.5)) < 1e-15
+
+    def test_boundary_projection_examples(self, p6):
+        assert boundary_projection(p6, Vec2(2.0, 0.0)) == (0.0, 1.0)
+        t, d = boundary_projection(p6, Vec2(0.0, SQRT3))
+        assert abs(t - 1.5) < 1e-15 and abs(d - SQRT3 / 2.0) < 1e-15
+        # the centre of this square is exactly as near every edge; the
+        # first edge wins
+        diamond = CentralPolygon([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)])
+        assert boundary_projection(diamond, Vec2(0.0, 0.0)) == (0.5, math.sqrt(0.5))
+
+    @staticmethod
+    def _projection_round_trip_gap(gon, ts):
+        """Largest |t' - t mod n| over the parameters, t' read back from
+        the boundary point at t, in units of n."""
+        n = len(gon.vertices)
+        return max(abs(boundary_projection(gon, boundary_point(gon, t))[0] - t % n) for t in ts) / n
+
+    @staticmethod
+    def _assert_the_period_wraps_to_0(gon):
+        """t = n reads back as 0, and points a few ulps before vertex 0
+        on the last edge read back in [0, n), next to 0."""
+        n = len(gon.vertices)
+        assert boundary_projection(gon, boundary_point(gon, float(n)))[0] == 0.0
+        last, first = gon.vertices[-1], gon.vertices[0]
+        for k in (51, 52, 53):
+            t = boundary_projection(gon, last + (first - last) * (1.0 - 2.0**-k))[0]
+            assert 0.0 <= t < n and min(t, n - t) <= 1e-15 * n
+
+    @pytest.mark.parametrize("n", range(4, 26, 2))
+    def test_projection_inverts_boundary_point_on_regular_polygons(self, n):
+        gon = regular_polygon(n)
+        ts = [n * i / 997.0 for i in range(997)] + [float(i) for i in range(n)]
+        assert self._projection_round_trip_gap(gon, ts) <= 1e-15
+        self._assert_the_period_wraps_to_0(gon)
+
+    def test_projection_inverts_boundary_point_on_random_polygons(self):
+        rng = np.random.default_rng(17)
+        for _ in range(60):
+            gon = random_central_polygon(rng)
+            n = len(gon.vertices)
+            ts = [*rng.uniform(0.0, n, size=50).tolist(), *map(float, range(n))]
+            assert self._projection_round_trip_gap(gon, ts) <= 1e-15
+            self._assert_the_period_wraps_to_0(gon)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, None])
+    def test_projection_parameter_is_kept_by_orientation_preserving_maps(self, scale):
+        # such a map keeps the vertex order, so the image of the boundary
+        # point at t is the image's boundary point at t; None draws
+        # random maps, with two rows swapped where the determinant is negative
+        rng = np.random.default_rng(9)
+        for gon in [regular_polygon(n) for n in (4, 6, 10, 16)] + [
+            random_central_polygon(rng) for _ in range(10)
+        ]:
+            if scale is None:
+                (a, b), (c, d) = random_linear_map(rng)
+                mat = [[a, b], [c, d]] if a * d - b * c > 0.0 else [[c, d], [a, b]]
+            else:
+                mat = [[scale, 0.0], [0.0, scale]]
+            image = linear_image(gon, mat)
+            n = len(gon.vertices)
+            for t in (n * i / 37.0 for i in range(37)):
+                p = boundary_point(gon, t)
+                t0 = boundary_projection(gon, p)[0]
+                assert abs(boundary_projection(image, apply_linear(mat, p))[0] - t0) <= 1e-12
 
 
 class TestTransversalRatio:
