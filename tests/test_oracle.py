@@ -1,5 +1,7 @@
 import heapq
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -51,6 +53,18 @@ def _orientation_preserving_map(rng):
     # the determinant
     mat = random_linear_map(rng)
     return mat if np.linalg.det(mat) > 0.0 else mat[::-1]
+
+
+def _workspace_cases():
+    """Scans that view the block buffers at many shapes: regular polygons
+    whose rotations keep the scan to a few rows, and polygons without
+    rotations whose rows fill several blocks, each at two grids."""
+    rng = np.random.default_rng(2026)
+    regular = [regular_polygon(n) for n in (6, 8, 14)]
+    rand = [random_central_polygon(rng, m) for m in (3, 7, 12)]
+    return [(gon, grid) for gon in regular for grid in (91, 720)] + [
+        (gon, grid) for gon in rand for grid in (180, 499)
+    ]
 
 
 class TestGridScan:
@@ -126,6 +140,58 @@ class TestGridScan:
             tracemalloc.stop()
         assert f.shape == (1024, 1024)
         assert peak <= f.nbytes + 4_000_000
+
+    def test_a_warm_scan_allocates_only_f(self, p6):
+        # the block buffers are kept from the warm-up scan on, so what a
+        # scan allocates beyond F is the per-row arrays and one block's
+        # masks, not another 1 MiB of buffers
+        gon = random_central_polygon(np.random.default_rng(2048), m=5)
+        for polygon, grid in ((gon, 720), (gon, 2048), (p6, 720)):
+            grid_scan(polygon, 64)
+            tracemalloc.start()
+            try:
+                _, _, f = grid_scan(polygon, grid)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= f.nbytes + 384 * 1024, (grid, peak - f.nbytes)
+
+    def test_no_value_passes_from_one_scan_to_the_next(self):
+        cases = _workspace_cases()
+        expected = [grid_scan(gon, grid)[2] for gon, grid in cases]
+        for (gon, grid), f in zip(cases, expected):
+            for buf in oracle._WORKSPACE.buffers:
+                buf.fill(-7 if buf.dtype.kind == "i" else np.nan)
+            assert np.array_equal(grid_scan(gon, grid)[2], f), (gon.m, grid)
+
+    def test_threads_scanning_at_once_get_the_sequential_scans(self):
+        # more threads than cores, switching as often as the interpreter
+        # allows, each scanning every case five times in its own order;
+        # with one set of buffers shared by all threads some scans differ
+        cases = _workspace_cases()
+        expected = [grid_scan(gon, grid)[2] for gon, grid in cases]
+        results = {}
+
+        def scan(seed):
+            order = np.random.default_rng(seed).permutation(5 * len(cases)) % len(cases)
+            results[seed] = [
+                np.array_equal(grid_scan(*cases[i])[2], expected[i]) for i in order
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=scan, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(results) == list(range(6))
+        mismatches = sum(not same for scans in results.values() for same in scans)
+        assert mismatches == 0, f"{mismatches} of {6 * 5 * len(cases)} scans differ"
 
 
 def _ends(gon, t1, s):
@@ -604,6 +670,40 @@ class TestBMDistance:
             assert result.grid_resolution == 90
             assert result.lam <= float(f[np.isfinite(f)].min()) + 1e-12
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: the descents reach one of the two optimal classes, "
+        "which one depends on the grid, so the least key moves with it",
+    )
+    @pytest.mark.parametrize("n", [14, 22])
+    def test_the_witness_key_does_not_move_with_the_grid(self, n):
+        gon = regular_polygon(n)
+        results = [bm_distance(gon, grid=grid) for grid in (180, 360, 720)]
+        keys = [(r.t_u, r.t_v - r.t_u) for r in results]
+        assert all(_same_class(key, keys[0]) for key in keys[1:]), keys
+
+    @pytest.mark.parametrize(
+        "factor",
+        [
+            1e-5,
+            *(
+                pytest.param(
+                    factor,
+                    marks=pytest.mark.xfail(
+                        strict=True,
+                        raises=ValueError,
+                        reason="ROADMAP item 2: pgram.Parallelogram's absolute "
+                        "DEGENERATE_TOL rejects the witness, cross(u, v) > 0",
+                    ),
+                )
+                for factor in (1e-6, 1e-7, 1e-12)
+            ),
+        ],
+    )
+    def test_a_small_hexagon_keeps_its_distance(self, p6, factor):
+        gon = CentralPolygon([v * factor for v in p6.vertices])
+        assert abs(bm_distance(gon, grid=360).lam - 1.5) <= 1e-14
+
     def test_witness_parameters_lie_in_one_period(self):
         rng = np.random.default_rng(360)
         gons = [regular_polygon(n) for n in range(4, 26, 2)]
@@ -835,6 +935,16 @@ class TestArgminOrbit:
         assert len(reps) == 2
         for p in reps:
             assert abs(circum_ratio(p, p6) - 1.5) <= 1e-6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3: at grid 91 every descent from the scan's local "
+        "minima ends in the same one of the two optimal classes",
+    )
+    @pytest.mark.parametrize("n", [14, 18, 32])
+    def test_grid_91_finds_both_classes(self, n):
+        gon = regular_polygon(n)
+        assert len(argmin_orbit(gon, bm_distance(gon, grid=91))) == 2
 
     def test_octagon_has_two_square_classes(self, p8):
         result = bm_distance(p8, grid=360)
