@@ -139,19 +139,6 @@ class BMResult:
     starts: tuple[StartRecord, ...] = field(default=(), compare=False)
 
 
-def _vertex_arrays(c: CentralPolygon) -> tuple[list[tuple[float, float]], np.ndarray]:
-    pts = [(float(v.x), float(v.y)) for v in c.vertices]
-    return pts, np.asarray(pts, dtype=float)
-
-
-def _edge_tables(verts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vertex coordinates x, y and edge deltas dx, dy: the boundary point
-    at parameter t = i + f is (x[i] + f * dx[i], y[i] + f * dy[i]), as in
-    ``geom.boundary_point``."""
-    x, y = verts[:, 0], verts[:, 1]
-    return x, y, np.roll(x, -1) - x, np.roll(y, -1) - y
-
-
 def _class_key_fn(c: CentralPolygon) -> Callable[[float, float], tuple[float, float]]:
     """Class key of the polygon's positions (t1, s): one canonical image
     per class, so the image reported does not hang on the descents'
@@ -208,35 +195,37 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
     boundary parameters t1[i] and t1[i] + s[j]; infeasible cells hold
     +inf.  Raises ValueError unless 8 <= grid <= ``MAX_GRID``.
 
-    F is the only array of the grid's size, and a new one on each call.
-    The cells are evaluated one block of rows at a time, about
-    ``BLOCK_CELLS`` cells each, in buffers that stay in a core's cache
-    through the pass over all m sheets; the term |cross(u, w)| of each
-    sheet is computed once per row.  Every cell takes the same operations
-    as a whole-grid evaluation would, so F does not depend on the block
-    size.  The buffers (1 MiB in all) are kept per thread and reused by
-    its later scans, which spares the page faults of fresh memory; each
-    block writes every buffer element it reads, so no value passes from
-    one scan to the next, and threads scanning at once share none.
+    The generators are read from the polygon's boundary table
+    ``CentralPolygon.edges``, wrapped in arrays, with the formula of
+    ``geom.boundary_point``.  F is the only array of the grid's size, and
+    a new one on each call.  The cells are evaluated one block of rows at
+    a time, about ``BLOCK_CELLS`` cells each, in buffers that stay in a
+    core's cache through the pass over all m sheets; the term
+    |cross(u, w)| of each sheet is computed once per row.  Every cell
+    takes the same operations as a whole-grid evaluation would, so F does
+    not depend on the block size.  The buffers (1 MiB in all) are kept per thread and
+    reused by its later scans, which spares the page faults of fresh
+    memory; each block writes every buffer element it reads, so no value
+    passes from one scan to the next, and threads scanning at once share
+    none.
     """
     if grid < 8:
         raise ValueError(f"grid must be at least 8, got {grid}")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
     margin = DEFAULT_SETTINGS.margin
-    pts, verts = _vertex_arrays(c)
-    m = len(pts) // 2
+    x, y, dx, dy = (np.array(column) for column in c.edges)
+    m = len(x) // 2
     rows = -(-c.rotation_step * grid // (2 * m))
     half = (grid + 1) // 2
     t1 = np.arange(rows) * (2.0 * m / grid)
     s = margin + np.arange(half) * ((m - 2.0 * margin) / (grid - 1))
-    x, y, dx, dy = _edge_tables(verts)
     a = t1.astype(np.intp)
     fu = t1 - a
     ux = (x[a] + fu * dx[a])[:, None]
     uy = (y[a] + fu * dy[a])[:, None]
     # |cross(u, w)| per sheet and row; antipodal vertices have equal gauge
-    cu = np.abs(ux * verts[:m, 1, None, None] - uy * verts[:m, 0, None, None])
+    cu = np.abs(ux * y[:m, None, None] - uy * x[:m, None, None])
     f = np.empty((rows, half))
     step = BLOCK_CELLS // half
     size = min(step, rows) * half
@@ -262,7 +251,7 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
             np.multiply(uy[block], vx, out=tmp)
             den -= tmp
             best.fill(0.0)
-            for (wx, wy), cw in zip(pts[:m], cu):
+            for wx, wy, cw in zip(c.edges[0][:m], c.edges[1][:m], cu):
                 np.multiply(vy, wx, out=g)
                 np.multiply(vx, wy, out=tmp)
                 g -= tmp
@@ -278,17 +267,18 @@ def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
     """``evaluate(t1, s, bound=inf, lead=())``: the scalar objective on raw
     floats and the sheet record of the point, as ``(value, record)``.
 
-    The boundary is read from the edge tables as lists, reducing the
-    parameters modulo n as ``geom.boundary_point`` does, since a descent
-    may leave [0, n); s is first clamped to the margin.  Sheet w is
-    N_w / den, with numerator N_w = |cross(w, v)| + |cross(u, w)| and
-    the common denominator den = cross(u, v).  The sheets of the indices
-    in ``lead`` come first, and the first of them that is at least
-    ``bound`` is the value: the maximum is then at least ``bound`` too,
-    so the value answers ``F(t1, s) < bound`` exactly.  Otherwise one
-    pass over every sheet gives the largest numerator, and the value is
-    it divided by den, which is the largest sheet bit for bit since
-    correctly rounded division by a positive number is monotone.
+    The generators are read from the polygon's boundary table
+    ``CentralPolygon.edges`` as ``geom.boundary_point`` reads it, reducing
+    the parameters modulo n as it does, since a descent may leave [0, n);
+    s is first clamped to the margin.  Sheet w is N_w / den, with
+    numerator N_w = |cross(w, v)| + |cross(u, w)| and the common
+    denominator den = cross(u, v).  The sheets of the indices in ``lead``
+    come first, and the first of them that is at least ``bound`` is the
+    value: the maximum is then at least ``bound`` too, so the value
+    answers ``F(t1, s) < bound`` exactly.  Otherwise one pass over every
+    sheet gives the largest numerator, and the value is it divided by den,
+    which is the largest sheet bit for bit since correctly rounded
+    division by a positive number is monotone.
 
     When the value is below ``bound`` the record is
     ``(pair, sheets, (f, g), (t1, s))``; otherwise it is ().  The pair
@@ -303,12 +293,11 @@ def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
     Inside an edge-pair cell with fixed signs every numerator is affine
     in (f, g).
     """
-    pts, verts = _vertex_arrays(c)
-    n = len(pts)
+    xs, ys, dxs, dys = c.edges
+    n = len(xs)
     m = n // 2
     lo, hi = DEFAULT_SETTINGS.margin, m - DEFAULT_SETTINGS.margin
-    xs, ys, dxs, dys = (a.tolist() for a in _edge_tables(verts))
-    half = pts[:m]  # antipodal vertices have equal gauge
+    half = list(zip(xs[:m], ys[:m]))  # antipodal vertices have equal gauge
     leading = min(m, 3)
 
     def evaluate(

