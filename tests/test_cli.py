@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -190,7 +191,28 @@ class TestDistance:
         assert "cannot read" in err
 
 
+# SHA-256 of the `verify all --seed 0` text, without its runtime_ms line,
+# and of its --json output, without the runtime_ms field
+VERIFY_ALL_SHA256 = {
+    "text": "9e8c2385fb43ffbbb5d5bd97e97a60e3abd4920a307d457d97d1df11c65c07a4",
+    "json": "0c810197764c7eed5b41744b3ec18ff602ab38549c89d8c0290f07b1286b5243",
+}
+
+
 class TestVerify:
+    def test_all_output_is_pinned(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", "--seed", "0")
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        assert lines[-1].startswith("runtime_ms:")
+        text = "".join(lines[:-1]).encode()
+        assert hashlib.sha256(text).hexdigest() == VERIFY_ALL_SHA256["text"]
+        code, out, _ = run(capsys, "verify", "all", "--seed", "0", "--json")
+        assert code == 0
+        out, found = re.subn(r', "runtime_ms": \d+', "", out)
+        assert found == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256["json"]
+
     def test_lemma_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma")
         assert code == 0

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_central_polygon, random_linear_map
 from bmgon.geom import (
+    SYMMETRY_TOL,
     CentralPolygon,
     Strip,
     Vec2,
@@ -118,6 +119,116 @@ class TestCentralPolygon:
         for _ in range(50):
             gon = random_central_polygon(rng)
             assert len(gon.vertices) >= 4
+
+
+def _vertex_polygon(vertices):
+    """``CentralPolygon``'s checks and fields computed on Vec2s, as the
+    constructor did before its checks read the float table: the reference
+    it must match bit for bit, error messages included.  Returns
+    (vertices, edges, radius)."""
+    verts = [Vec2(float(x), float(y)) for x, y in vertices]
+    n = len(verts)
+    if n < 4 or n % 2 != 0:
+        raise ValueError(f"vertex count must be even and at least 4, got {n}")
+    m = n // 2
+    bound = SYMMETRY_TOL * max(map(Vec2.norm, verts))
+    for i in range(m):
+        a, b = verts[i], verts[i + m]
+        if abs(a.x + b.x) > bound or abs(a.y + b.y) > bound:
+            raise ValueError(
+                f"central symmetry violated: vertex {i + m} is not the "
+                f"negation of vertex {i} within {SYMMETRY_TOL} of the largest vertex norm"
+            )
+    verts = verts[:m] + [-v for v in verts[:m]]
+    for i in range(n):
+        a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
+        if (b - a).cross(c - b) <= 0.0:
+            raise ValueError(
+                f"vertices are not in strictly convex counterclockwise "
+                f"position (turn at vertex {(i + 1) % n} is not left)"
+            )
+    for i in range(n):
+        if verts[i].cross(verts[(i + 1) % n]) <= 0.0:
+            raise ValueError("origin is not strictly interior")
+    x, y = [v.x for v in verts], [v.y for v in verts]
+    dx = [b - a for a, b in zip(x, x[1:] + x[:1])]
+    dy = [b - a for a, b in zip(y, y[1:] + y[:1])]
+    return tuple(verts), (x, y, dx, dy), max(map(Vec2.norm, verts[:m]))
+
+
+def _outcome(build, vertices):
+    """(vertices, edges, radius) in float.hex, or the error raised."""
+    try:
+        verts, edges, radius = build(vertices)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+    hexed = tuple(_hex(*v) for v in verts)
+    return hexed, tuple(_hex(*column) for column in edges), _hex(radius)
+
+
+def _polygon_fields(vertices):
+    gon = CentralPolygon(vertices)
+    return gon.vertices, gon.edges, gon.radius
+
+
+# every turn is left, but the edge from (-1, -0.2) to (1, 1) passes the
+# origin on its right
+_LEFT_TURNS_ROUND_THE_ORIGIN = [(2.0, 0.0), (-1.0, 1.0), (-1.0, -0.2), (1.0, 1.0)]
+_LEFT_TURNS_ROUND_THE_ORIGIN += [(-x, -y) for x, y in _LEFT_TURNS_ROUND_THE_ORIGIN]
+
+
+def _invalid_vertex_lists():
+    """Inputs that each fail one check of the constructor, by the start
+    of the message that check raises."""
+    square = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+    hexagon = [tuple(v) for v in regular_polygon(6).vertices]
+    residue = [(1.0, 0.0), (0.0, 1.0), (-1.0, 1e-6), (0.0, -1.0)]
+    turn = "vertices are not in strictly convex counterclockwise position"
+    return {
+        "non-finite coordinates": [
+            [(math.nan, 0.0), *square[1:]],
+            [*square[:3], (0.0, -math.inf)],
+            # the first bad vertex decides, before the count is known
+            [(math.inf, 0.0), ("x", 1.0), (-1.0, 0.0)],
+            # finite vertices whose edge delta overflows
+            [(1e308, 0.0), (-1e308, 1e-300), (-1e308, 0.0), (1e308, -1e-300)],
+        ],
+        "vertex count must be even": [square[:3], hexagon[:5], []],
+        "central symmetry violated": [residue, [(x * 1e8, y * 1e8) for x, y in residue]],
+        # clockwise, a reflex vertex and a straight angle
+        f"{turn} (turn at vertex 1 ": [
+            hexagon[::-1],
+            square[::-1],
+            [(1.0, 0.0), (0.2, 0.05), (0.0, 1.0), (-1.0, 0.0), (-0.2, -0.05), (0.0, -1.0)],
+            [(1.0, 0.0), (0.5, 0.5), (0.0, 1.0), (-1.0, 0.0), (-0.5, -0.5), (0.0, -1.0)],
+        ],
+        "origin is not strictly interior": [_LEFT_TURNS_ROUND_THE_ORIGIN],
+        "could not convert": [[("x", 1.0), (math.inf, 0.0)]],
+        "too many values to unpack": [[(1.0, 0.0, 0.0)] * 4],
+        "cannot unpack": [[1.0, 2.0, 3.0, 4.0]],
+    }
+
+
+class TestConstructorChecks:
+    """The constructor's checks run on the float table; the Vec2 forms
+    above are the reference for every field and every error."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_fields_match_the_vec2_checks_bit_for_bit(self, scale):
+        rng = np.random.default_rng(59)
+        gons = [regular_polygon(n) for n in range(4, 66, 2)]
+        gons += [random_central_polygon(rng) for _ in range(60)]
+        gons += [linear_image(gon, random_linear_map(rng)) for gon in gons[-60:]]
+        for gon in gons:
+            verts = [(v.x * scale, v.y * scale) for v in gon.vertices]
+            assert _outcome(_polygon_fields, verts) == _outcome(_vertex_polygon, verts), gon
+
+    @pytest.mark.parametrize("message", list(_invalid_vertex_lists()))
+    def test_each_invalid_input_raises_the_vec2_error(self, message):
+        for verts in _invalid_vertex_lists()[message]:
+            expected = _outcome(_vertex_polygon, verts)
+            assert expected[1].startswith(message), (expected, verts)
+            assert _outcome(_polygon_fields, verts) == expected, verts
 
 
 class TestSupportAndStrips:

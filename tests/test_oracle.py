@@ -834,6 +834,46 @@ class TestStarts:
         assert all(r.stop == "max_sweeps" and r.sweeps == 2 for r in result.starts)
 
 
+def _reference_lowest_cells(f, count):
+    """The ``count`` lowest cells of F by a full sort on (value, row-major
+    index): the reference for ``_lowest_cells``."""
+    flat = f.ravel()
+    idx = np.lexsort((np.arange(flat.size), flat))[:count]
+    return [divmod(int(j), f.shape[1]) for j in idx]
+
+
+class TestLowestCells:
+    @pytest.mark.parametrize("grid", [8, 45, 360])
+    def test_scans_match_a_full_sort(self, grid):
+        rng = np.random.default_rng(grid + 5)
+        gons = [regular_polygon(n) for n in range(4, 26, 2)]
+        gons += [random_central_polygon(rng) for _ in range(8)]
+        for gon in gons:
+            f = grid_scan(gon, grid)[2]
+            for count in range(1, 7):
+                assert _lowest_cells(f, count) == _reference_lowest_cells(f, count), (gon, count)
+
+    @pytest.mark.parametrize("shape", [(1, 8000), (1000, 8), (8, 1000), (100, 80)])
+    def test_ties_go_to_the_lowest_index(self, shape):
+        # a partition orders these ties by its pivots, not by their index
+        f = np.tile([3.0, 1.0, 1.0, 2.0, 1.0, 0.5, 1.0, 1.0], 1000).reshape(shape)
+        for count in (1, 2, 3, 5, 1001):
+            assert _lowest_cells(f, count) == _reference_lowest_cells(f, count), count
+
+    def test_cells_at_infinity_come_last(self):
+        f = np.full((6, 5), np.inf)
+        f[1, 3], f[4, 0], f[4, 2] = 2.0, 1.0, 2.0
+        assert _lowest_cells(f, 5) == [(4, 0), (1, 3), (4, 2), (0, 0), (0, 1)]
+        assert _lowest_cells(f, 40) == _reference_lowest_cells(f, 40)
+        f[:] = np.inf
+        assert _lowest_cells(f, 3) == [(0, 0), (0, 1), (0, 2)]
+
+    def test_fewer_rows_than_cells_asked(self):
+        # the 4th row minimum bounds only 4 cells; the 5th lowest is (0, 1)
+        f = np.array([[1.0, 9.0, 9.0], [2.0, 9.0, 9.0], [3.0, 9.0, 9.0], [4.0, 9.0, 9.0]])
+        assert _lowest_cells(f, 5) == [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)]
+
+
 class TestGoldenTrajectories:
     """Descent records and class representatives pinned bit for bit, so a
     change to the search that claims identical results fails here if any
