@@ -8,7 +8,7 @@ import pytest
 from bmgon import cli
 from bmgon.cli import main
 from bmgon.geom import boundary_point, parse_polygon, regular_polygon
-from bmgon.hexagon import HEXAGON, hex_optimal_positions
+from bmgon.hexagon import HEXAGON, hex_critical_b, hex_optimal_positions
 from bmgon.pgram import Parallelogram
 
 SQRT2 = math.sqrt(2.0)
@@ -288,6 +288,15 @@ class TestVerify:
         assert value_of(out1, "seed") == "1"
 
 
+# SHA-256 of the CSV that `curve <options>` writes, at 101 samples
+CURVE_CSV_SHA256 = {
+    "hexagon": "ea73da6f897a349ab49f35485f0571981806c0806d91029f321dc6ddb4bcc5de",
+    "beta --j 1": "3a8b66926265fb70dfc45b6efc6dbf95caa7452f159cc398a1af843da45c0ef6",
+    "beta --j 2": "fbf7aba0cf3b07a4e54c26e3c271484e9393886f42883e205fdc14b14790a119",
+    "beta --j 3": "e254d2a4fd66593c1fe28a43f9ac76581356e045b392bd81ba986a878c666b80",
+}
+
+
 class TestCurve:
     def test_hexagon_csv(self, capsys, tmp_path):
         path = tmp_path / "hex.csv"
@@ -325,6 +334,13 @@ class TestCurve:
         run(capsys, "curve", "hexagon", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("options", sorted(CURVE_CSV_SHA256))
+    def test_csv_bytes_are_pinned(self, capsys, tmp_path, options):
+        path = tmp_path / "out.csv"
+        target, *rest = options.split()
+        assert run(capsys, "curve", target, str(path), *rest)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == CURVE_CSV_SHA256[options]
+
 
 # SHA-256 of the SVG that `render Pn out.svg` writes (the default
 # `--b optimal` at grid 360); the search must keep these bytes
@@ -340,6 +356,17 @@ OPTIMAL_SVG_SHA256 = {
     20: "559d8625d5ad81490938ebde72c789b9f39caf8ce9b32e0f393b2e4b59563349",
     22: "2f38ad0c352fe222665238febef0dfe12c940c841bd7d40a984d1b1b6f63357e",
     24: "470f1c6252bc3549551026d6e9e4c15fa26461a442567be37926349387f9edb2",
+}
+
+# SHA-256 of the SVG that `render Pn out.svg --b <b>` writes for a family
+# member at a numeric slope
+MEMBER_SVG_SHA256 = {
+    ("P6", "0"): "1f59d5299115b51e489e7b1f01d704ece35cdfaf4c208d65877fd40e1d5faddf",
+    ("P6", repr(hex_critical_b())): (
+        "c14472702b67403c0063be3ce61e3f9b6acc09adca3482eea02bdebcbb9220c3"
+    ),
+    ("P8", "0.2"): "ec026b0b2df2bfbbdf5f19f19d223d31da5f5a8b1c19c77c4504ef86b00a1b3a",
+    ("P16", "0.1"): "a92edd8bf0552855d23242d7aa5e9cb76c4ce2019c1f9f4df13f7d8d406031bb",
 }
 
 
@@ -379,6 +406,12 @@ class TestRender:
         path = tmp_path / "out.svg"
         assert run(capsys, "render", f"P{n}", str(path))[0] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == OPTIMAL_SVG_SHA256[n]
+
+    @pytest.mark.parametrize("polygon, b", sorted(MEMBER_SVG_SHA256))
+    def test_member_svg_bytes_are_pinned(self, capsys, tmp_path, polygon, b):
+        path = tmp_path / "out.svg"
+        assert run(capsys, "render", polygon, str(path), "--b", b)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == MEMBER_SVG_SHA256[polygon, b]
 
     def test_beta_square_render(self, capsys, tmp_path):
         path = tmp_path / "sq.svg"
