@@ -8,7 +8,7 @@ Writes into the output directory (default ./figures), through the
   - hexagon_curve.csv, beta_curve_j1.csv
 
 Usage:
-    python scripts/make_figures.py [--out figures] [--grid 360]
+    python scripts/make_figures.py [--out figures]
 """
 
 from __future__ import annotations
@@ -23,16 +23,14 @@ from bmgon.cli import main as cli_main
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", type=Path, default=Path("figures"))
-    parser.add_argument("--grid", type=int, default=360)
     args = parser.parse_args()
     args.out.mkdir(parents=True, exist_ok=True)
 
-    grid = ("--grid", str(args.grid))
     for command, target, name, *options in (
         ("render", "P6", "hexagon_b0.svg", "--b", "0"),
         ("render", "P6", "hexagon_critical.svg", "--b", repr(hex_critical_b())),
-        ("render", "P6", "hexagon_optimal.svg", "--b", "optimal", *grid),
-        ("render", "P8", "octagon_optimal.svg", "--b", "optimal", *grid),
+        ("render", "P6", "hexagon_optimal.svg", "--b", "optimal"),
+        ("render", "P8", "octagon_optimal.svg", "--b", "optimal"),
         ("curve", "hexagon", "hexagon_curve.csv", "--samples", "201"),
         ("curve", "beta", "beta_curve_j1.csv", "--samples", "201", "--j", "1"),
     ):

@@ -17,12 +17,15 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .evengon import (
     axis_parallelogram,
+    beta_b_max,
     beta_h,
     beta_square,
     dist_pn_phn,
@@ -50,7 +53,7 @@ from .hexagon import (
 from .oracle import BMResult, _class_key_fn, argmin_orbit, bm_distance, grid_scan
 from .pgram import Parallelogram, circum_ratio, contacts
 
-__all__ = ["Claim", "RunReport", "main", "render_svg"]
+__all__ = ["Claim", "main", "render_svg"]
 
 _SQRT2 = math.sqrt(2.0)
 _SHORTHAND = re.compile(r"[Pp]([0-9]+)$")
@@ -103,18 +106,6 @@ class Claim:
         return _NOTES[self.kind]
 
 
-@dataclass(frozen=True)
-class RunReport:
-    command: str
-    inputs: dict[str, str]
-    results: list[Claim]
-    runtime_ms: int
-
-    @property
-    def passed(self) -> bool:
-        return all(row.passed for row in self.results)
-
-
 def _nine(x: float) -> str:
     return f"{x:.9g}"
 
@@ -123,19 +114,40 @@ def _vec(v: Vec2) -> str:
     return f"{_nine(v.x)},{_nine(v.y)}"
 
 
-def _load_polygon(arg: str) -> tuple[CentralPolygon, str]:
-    """Returns the polygon and a display name.  "Pn" builds the regular
-    n-gon; anything else is read as a polygon file."""
+def _load_polygon(arg: str) -> tuple[CentralPolygon, str, int]:
+    """Returns the polygon, a display name and n.  "Pn" builds the
+    regular n-gon; anything else is read as a polygon file, for which n
+    is 0."""
     match = _SHORTHAND.fullmatch(arg)
     if match:
         n = int(match.group(1))
-        return regular_polygon(n), f"P{n}"
+        return regular_polygon(n), f"P{n}", n
     path = Path(arg)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ValueError(f"cannot read polygon file {arg}: {exc}") from exc
-    return parse_polygon(text), str(path)
+    return parse_polygon(text), str(path), 0
+
+
+def _family(n: int) -> tuple[CentralPolygon, float, Callable, Callable]:
+    """The inscribed family drawn on the regular n-gon, as (polygon,
+    largest slope, member at slope b, closed-form ratio at b): the
+    hexagon's balanced family for n = 6, the square family for n = 8j."""
+    if n == 6:
+        return HEXAGON, B_REGIME_MAX, hex_build, hex_h
+    if n >= 8 and n % 8 == 0:
+        j = n // 8
+        return regular_polygon(n), beta_b_max(j), partial(beta_square, j), partial(beta_h, j)
+    raise ValueError("a family member needs P6 or a regular 8j-gon, j >= 1")
+
+
+def _family_samples(n: int, count: int) -> list[tuple[float, float, float]]:
+    """(b, closed-form ratio, ratio of the constructed member) at count
+    evenly spaced slopes from 0 to the family's largest."""
+    gon, hi, member, ratio = _family(n)
+    slopes = (hi * (i / (count - 1)) for i in range(count))
+    return [(b, ratio(b), circum_ratio(member(b), gon)) for b in slopes]
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +179,7 @@ def suite_theorem1() -> list[Claim]:
     rows.append(Claim("hex critical slope closed form", hex_critical_b(), root, 1e-12))
     # the paper states h(b*) to 4 decimals: the claim is that rounding
     rows.append(Claim("hex ratio at critical slope", 1.5224, hex_h(hex_critical_b()), 5e-5))
-    dev = max(
-        abs(hex_h(b) - circum_ratio(hex_build(b), HEXAGON))
-        for b in (B_REGIME_MAX * (i / 100.0) for i in range(101))
-    )
+    dev = max(abs(h - geometric) for _, h, geometric in _family_samples(6, 101))
     rows.append(Claim("hex closed form vs construction, 101 samples", 0.0, dev, 1e-12))
     return rows
 
@@ -241,7 +250,7 @@ def suite_beta() -> list[Claim]:
     interior excess, and squareness of the search optimum."""
     rows = []
     for j in range(1, 5):
-        hi = math.tan(math.pi / (8.0 * j))
+        hi = beta_b_max(j)
         dev = max(abs(beta_h(j, 0.0) - _SQRT2), abs(beta_h(j, hi) - _SQRT2))
         rows.append(Claim(f"beta endpoints at sqrt(2), j={j}", 0.0, dev, 1e-12))
         interior = float(beta_h(j, hi * (np.arange(1, 10001) / 10001.0)).min())
@@ -254,18 +263,6 @@ def suite_beta() -> list[Claim]:
     return rows
 
 
-def _uniform(r: np.ndarray, low: float, high: float) -> np.ndarray:
-    """``Generator.uniform(low, high)`` from the ``random()`` draw it makes."""
-    return low + (high - low) * r
-
-
-def _unit_vectors(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin of each angle, from ``math``, whose values numpy's
-    own trigonometry does not always reproduce."""
-    values = angles.tolist()
-    return np.array([math.cos(a) for a in values]), np.array([math.sin(a) for a in values])
-
-
 def suite_lemma(seed: int) -> list[Claim]:
     """Randomized check that nested parallel strips cut every transversal
     through the origin in the ratio of their widths.
@@ -273,28 +270,29 @@ def suite_lemma(seed: int) -> list[Claim]:
     Each instance draws the strips' normal angle theta, the outer
     half-width, the inner's share of it and the transversal's angle phi,
     in that order, and draws phi again while the transversal is within
-    1e-6 of parallel to the strips.  A uniform draw is one ``random()``
-    draw, so the instances are read from a block of ``random()`` rows,
-    and a rejected phi moves the draws after it up one place."""
+    1e-6 of parallel to the strips.  Each is ``Generator.uniform``'s
+    value low + (high - low) * r for the next ``random()`` draw r."""
     rng = np.random.default_rng(seed)
-    draws = rng.random((1000, 4))
-    parts = []
-    while True:
-        nx, ny = _unit_vectors(_uniform(draws[:, 0], 0.0, math.pi))
-        dx, dy = _unit_vectors(_uniform(draws[:, 3], 0.0, 2.0 * math.pi))
-        steep = np.abs(dx * nx + dy * ny) > 1e-6
-        j = len(steep) if steep.all() else int(np.argmin(steep))
-        parts.append(np.stack([nx, ny, dx, dy, draws[:, 1], draws[:, 2]])[:, :j])
-        if j == len(steep):
-            break
-        draws = np.concatenate([draws[j, :3], draws[j + 1 :].ravel(), rng.random(1)])
-        draws = draws.reshape(-1, 4)
-    nx, ny, dx, dy, outer, share = np.concatenate(parts, axis=1)
-    outer_hw = _uniform(outer, 0.5, 3.0)
-    inner_hw = outer_hw * _uniform(share, 0.05, 1.0)
-    norm = np.array([math.hypot(x, y) for x, y in zip(dx.tolist(), dy.tolist())])
-    wr, cr = strip_ratios(nx, ny, inner_hw, outer_hw, dx / norm, dy / norm)
-    worst = float(np.max(np.abs(wr - cr)))
+
+    def draws():
+        while True:
+            yield from rng.random(4000).tolist()
+
+    r = draws()
+    worst = 0.0
+    for _ in range(1000):
+        theta = math.pi * next(r)
+        nx, ny = math.cos(theta), math.sin(theta)
+        outer_hw = 0.5 + 2.5 * next(r)
+        inner_hw = outer_hw * (0.05 + 0.95 * next(r))
+        while True:
+            phi = 2.0 * math.pi * next(r)
+            dx, dy = math.cos(phi), math.sin(phi)
+            if abs(dx * nx + dy * ny) > 1e-6:
+                break
+        norm = math.hypot(dx, dy)
+        wr, cr = strip_ratios(nx, ny, inner_hw, outer_hw, dx / norm, dy / norm)
+        worst = max(worst, abs(wr - cr))
     return [Claim("strip ratio identity, 1000 seeded instances", 0.0, worst, 1e-10)]
 
 
@@ -338,9 +336,13 @@ _SUITES = {
 # output plumbing
 
 
-def _emit_report(report: RunReport, as_json: bool) -> None:
-    if as_json:
-        for row in report.results:
+def _emit_report(args: argparse.Namespace, rows: list[Claim], runtime_ms: int) -> bool:
+    """Prints the verify report, as text or as JSON lines, and returns
+    whether every row passed."""
+    passed = all(row.passed for row in rows)
+    inputs = {"suite": args.suite, "seed": str(args.seed)}
+    if args.json:
+        for row in rows:
             print(
                 json.dumps(
                     {
@@ -357,20 +359,20 @@ def _emit_report(report: RunReport, as_json: bool) -> None:
         print(
             json.dumps(
                 {
-                    "command": report.command,
-                    "inputs": report.inputs,
-                    "passed": report.passed,
-                    "checks": len(report.results),
-                    "runtime_ms": report.runtime_ms,
+                    "command": "verify",
+                    "inputs": inputs,
+                    "passed": passed,
+                    "checks": len(rows),
+                    "runtime_ms": runtime_ms,
                 },
                 sort_keys=True,
             )
         )
-        return
-    print(f"command: {report.command}")
-    for key, value in report.inputs.items():
+        return passed
+    print("command: verify")
+    for key, value in inputs.items():
         print(f"{key}: {value}")
-    for row in report.results:
+    for row in rows:
         verdict = "PASS" if row.passed else "FAIL"
         line = (
             f"check: {row.label} | claimed={_nine(row.claimed)}"
@@ -380,9 +382,10 @@ def _emit_report(report: RunReport, as_json: bool) -> None:
         if row.note:
             line += f" | {row.note}"
         print(line)
-    passed = sum(1 for row in report.results if row.passed)
-    print(f"result: {'PASS' if report.passed else 'FAIL'} ({passed}/{len(report.results)} checks)")
-    print(f"runtime_ms: {report.runtime_ms}")
+    count = sum(1 for row in rows if row.passed)
+    print(f"result: {'PASS' if passed else 'FAIL'} ({count}/{len(rows)} checks)")
+    print(f"runtime_ms: {runtime_ms}")
+    return passed
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +402,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _distance_record(name: str, result: BMResult) -> tuple[dict, str]:
+def _distance_record(name: str, n: int, result: BMResult) -> tuple[dict, str]:
     """Shared structured record for the distance command; the note labels
     values of conjectured (not proven) families."""
     record: dict = {
@@ -415,9 +418,8 @@ def _distance_record(name: str, result: BMResult) -> tuple[dict, str]:
         "starts": [asdict(r) for r in result.starts],
     }
     note = ""
-    match = _SHORTHAND.fullmatch(name)
-    if match and int(match.group(1)) >= 6:
-        family = theorem2_value(int(match.group(1)))
+    if n >= 6:
+        family = theorem2_value(n)
         record["claimed"] = family.value
         record["claim_kind"] = family.kind
         record["gap"] = family.value - result.lam
@@ -428,11 +430,11 @@ def _distance_record(name: str, result: BMResult) -> tuple[dict, str]:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    gon, name = _load_polygon(args.polygon)
+    gon, name, n = _load_polygon(args.polygon)
     start = time.perf_counter()
     result = bm_distance(gon, grid=args.grid)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
-    record, note = _distance_record(name, result)
+    record, note = _distance_record(name, n, result)
     record["runtime_ms"] = runtime_ms
     if args.json:
         print(json.dumps(record, sort_keys=True))
@@ -462,34 +464,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for name in names:
         rows.extend(_SUITES[name](args.seed))
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
-    report = RunReport(
-        command="verify",
-        inputs={"suite": args.suite, "seed": str(args.seed)},
-        results=rows,
-        runtime_ms=runtime_ms,
-    )
-    _emit_report(report, args.json)
-    return 0 if report.passed else 1
+    return 0 if _emit_report(args, rows, runtime_ms) else 1
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
     if args.samples < 2:
         raise ValueError(f"samples must be at least 2, got {args.samples}")
-    lines = ["b,h,h_geometric"]
-    if args.target == "hexagon":
-        for i in range(args.samples):
-            b = B_REGIME_MAX * (i / (args.samples - 1))
-            geometric = circum_ratio(hex_build(b), HEXAGON)
-            lines.append(f"{b!r},{hex_h(b)!r},{geometric!r}")
-    else:
-        if args.j < 1:
-            raise ValueError(f"j must be at least 1, got {args.j}")
-        hi = math.tan(math.pi / (8.0 * args.j))
-        gon = regular_polygon(8 * args.j)
-        for i in range(args.samples):
-            b = hi * (i / (args.samples - 1))
-            geometric = circum_ratio(beta_square(args.j, b), gon)
-            lines.append(f"{b!r},{beta_h(args.j, b)!r},{geometric!r}")
+    samples = _family_samples(6 if args.target == "hexagon" else 8 * args.j, args.samples)
+    lines = ["b,h,h_geometric", *(f"{b!r},{h!r},{g!r}" for b, h, g in samples)]
     Path(args.out).write_text("\n".join(lines) + "\n")
     print("command: curve")
     print(f"target: {args.target}")
@@ -550,7 +532,7 @@ def render_svg(
 
 
 def _render_configs(
-    gon: CentralPolygon, name: str, b_arg: str, grid: int
+    gon: CentralPolygon, n: int, b_arg: str, grid: int
 ) -> list[tuple[Parallelogram, float, tuple[Vec2, ...]]]:
     if b_arg == "optimal":
         result = bm_distance(gon, grid=grid)
@@ -561,23 +543,15 @@ def _render_configs(
         b = float(b_arg)
     except ValueError:
         raise ValueError(f"--b must be a number or 'optimal', got {b_arg!r}") from None
-    match = _SHORTHAND.fullmatch(name)
-    n = int(match.group(1)) if match else 0
-    if n == 6:
-        p = hex_build(b)
-    elif n >= 8 and n % 8 == 0:
-        p = beta_square(n // 8, b)
-    else:
-        raise ValueError(
-            "numeric --b draws a family member and needs P6 or a regular 8j-gon"
-        )
+    _, _, member, _ = _family(n)
+    p = member(b)
     lam = circum_ratio(p, gon)
     return [(p, lam, contacts(p, gon, lam))]
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    gon, name = _load_polygon(args.polygon)
-    configs = _render_configs(gon, name, args.b, args.grid)
+    gon, name, n = _load_polygon(args.polygon)
+    configs = _render_configs(gon, n, args.b, args.grid)
     Path(args.out).write_text(render_svg(gon, configs))
     print("command: render")
     print(f"polygon: {name}")

@@ -36,6 +36,7 @@ __all__ = [
     "theorem2_value",
     "axis_parallelogram",
     "beta_k",
+    "beta_b_max",
     "beta_h",
     "beta_square",
     "dist_pn_phn",
@@ -106,8 +107,16 @@ def beta_k(j: int) -> float:
     return math.sin(t) / (math.cos(t) - 1.0)
 
 
+def beta_b_max(j: int) -> float:
+    """The largest slope of the square family of the regular 8j-gon,
+    tan(pi/(8j)); the family runs over b in [0, beta_b_max(j)]."""
+    _check_j(j)
+    return math.tan(math.pi / (8.0 * j))
+
+
 def _check_b(j: int, b: float | np.ndarray) -> None:
-    hi = math.tan(math.pi / (8.0 * j))
+    """Checks j, then that every slope lies in the family's range."""
+    hi = beta_b_max(j)
     if not (0.0 <= np.min(b) and np.max(b) <= hi):
         raise ValueError(f"b must lie in [0, tan(pi/{8 * j})] = [0, {hi:.17g}], got {b}")
 
@@ -116,7 +125,6 @@ def beta_h(j: int, b: float | np.ndarray) -> float | np.ndarray:
     """Circumscribed ratio of the inscribed square of the regular 8j-gon
     whose diagonal has slope b; elementwise, with the same bits, for an
     array of slopes."""
-    _check_j(j)
     _check_b(j, b)
     k = beta_k(j)
     return _SQRT2 * (k - b) / (k * (b * b + 1.0))
@@ -126,7 +134,6 @@ def beta_square(j: int, b: float) -> Parallelogram:
     """The inscribed square itself: one vertex p is the crossing of the
     ray of slope b with the first side of the regular 8j-gon, the next is
     p rotated by a quarter turn."""
-    _check_j(j)
     _check_b(j, b)
     gon = regular_polygon(8 * j)
     v0, v1 = gon.vertices[0], gon.vertices[1]

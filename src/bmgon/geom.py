@@ -34,15 +34,13 @@ __all__ = [
     "format_polygon",
 ]
 
-# mirror-pair residue allowed at construction before exact re-negation,
-# relative to the largest input vertex norm
+# vertex residue allowed relative to the largest vertex norm: of a mirror
+# pair at construction, before exact re-negation, and of a vertex image
+# in symmetry_map
 SYMMETRY_TOL = 1e-9
 # unit-normal residue allowed on strips, the parallelism threshold, and
 # linear_image's singularity threshold on |det| / (a^2 + b^2 + c^2 + d^2)
 UNIT_TOL = 1e-12
-# vertex-image residue allowed by symmetry_map, relative to the largest
-# vertex norm
-SYMMETRY_MAP_TOL = 1e-9
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
 
@@ -98,15 +96,16 @@ class Vec2:
 
 class CentralPolygon:
     """Convex polygon with vertices v[0..2m-1] in counterclockwise order,
-    v[i + m] = -v[i] exactly, and the origin strictly inside.
+    v[i + m] = -v[i] exactly, and the origin strictly inside; the boundary
+    winds once around the origin.
 
     The constructor accepts the full vertex list, takes its coordinates
     as Python floats, checks the mirror pairs within ``SYMMETRY_TOL``
     times the largest vertex norm, and then rebuilds the second half by
     exact negation so that antipodal identities hold bit for bit.  From
     those vertices it builds the boundary table ``edges`` once, which
-    every reader of the boundary uses.  The convexity and origin checks
-    run on the table's floats, (dx, dy) being exactly b - a, and Vec2s
+    every reader of the boundary uses.  The convexity, origin and winding
+    checks run on the table's floats, (dx, dy) being exactly b - a, and Vec2s
     are made only for the stored ``vertices``.
     """
 
@@ -151,10 +150,17 @@ class CentralPolygon:
                     f"vertices are not in strictly convex counterclockwise "
                     f"position (turn at vertex {j} is not left)"
                 )
+        winding = 0
         for i in range(n):
             j = (i + 1) % n
             if x[i] * y[j] - y[i] * x[j] <= 0.0:
                 raise ValueError("origin is not strictly interior")
+            winding += y[i] < 0.0 <= y[j]
+        # with the origin strictly left of every edge the polar angle rises
+        # along the boundary, so each upward crossing of the positive x axis
+        # is one more turn; a star polygon such as {10/3} makes several
+        if winding != 1:
+            raise ValueError(f"the boundary winds {winding} times around the origin, not once")
         # lists, not iterators, feed the tuples: over 400 `verify all`
         # runs in one process, tuple(genexpr) raised the peak RSS by 5%
         # and tuple(map(Vec2, x, y)) by 1%, against lists
@@ -256,9 +262,7 @@ def transversal_ratio(inner: Strip, outer: Strip, line_dir: Vec2) -> tuple[float
 def strip_ratios(nx, ny, inner_hw, outer_hw, dx, dy):
     """``transversal_ratio``'s two ratios from components, with no checks:
     the strips' unit normal (nx, ny), their half-widths, and the unit
-    direction (dx, dy) of the transversal.  The arithmetic is elementwise,
-    so numpy arrays of one shape give, entry by entry, the floats that
-    scalar arguments give."""
+    direction (dx, dy) of the transversal."""
     proj = dx * nx + dy * ny
     width_ratio = (2.0 * outer_hw) / (2.0 * inner_hw)
 
@@ -336,7 +340,7 @@ def symmetry_map(polygon: CentralPolygon, k: int, step: int) -> Mat2 | None:
     modulo n), if it carries the vertex cycle onto itself; otherwise None.
 
     The map is fixed by the images of vertices 0 and 1.  Every vertex
-    image must match its target within ``SYMMETRY_MAP_TOL`` times the
+    image must match its target within ``SYMMETRY_TOL`` times the
     largest vertex norm, so the check does not depend on the scale of the
     polygon; the first vertex that misses ends it.
     """
@@ -349,7 +353,7 @@ def symmetry_map(polygon: CentralPolygon, k: int, step: int) -> Mat2 | None:
     b = (w1.x * v0.x - w0.x * v1.x) / det0
     c = (w0.y * v1.y - w1.y * v0.y) / det0
     d = (w1.y * v0.x - w0.y * v1.x) / det0
-    bound = SYMMETRY_MAP_TOL * polygon.radius
+    bound = SYMMETRY_TOL * polygon.radius
     if all(
         abs(a * verts[i].x + b * verts[i].y - verts[(k + step * i) % n].x) <= bound
         and abs(c * verts[i].x + d * verts[i].y - verts[(k + step * i) % n].y) <= bound

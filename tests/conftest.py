@@ -74,3 +74,12 @@ def _polygon_from_edges(rng: np.random.Generator, angles: np.ndarray) -> Central
     half = list(verts)
     verts.extend(-v for v in half)
     return CentralPolygon(verts)
+
+
+def star_vertices(n: int, k: int, scale: float = 1.0) -> list[tuple[float, float]]:
+    """The star polygon {n/k}, k odd and below n/2: vertex i at angle
+    2*pi*k*i/n on the circle of radius ``scale``.  Every turn is left and
+    every edge has the origin on its left, but the boundary winds k times
+    around the origin."""
+    step = 2.0 * math.pi * k / n
+    return [(scale * math.cos(step * i), scale * math.sin(step * i)) for i in range(n)]

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from conftest import star_vertices
 from bmgon import cli
 from bmgon.cli import main
 from bmgon.geom import boundary_point, parse_polygon, regular_polygon
@@ -170,6 +171,13 @@ class TestDistance:
         assert captured.out == ""
         assert f"unrecognized arguments: {flag} {value}" in captured.err
 
+    def test_a_star_polygon_file_reports_its_winding(self, capsys, tmp_path):
+        path = tmp_path / "star.txt"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in star_vertices(10, 3)))
+        code, out, err = run(capsys, "distance", str(path))
+        assert (code, out) == (2, "")
+        assert "the boundary winds 3 times around the origin, not once" in err
+
     def test_invalid_file_reports_invariant(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1,0\n0,1\n-1,0.001\n0,-1\n")
@@ -322,6 +330,13 @@ class TestCurve:
         assert abs(rows[0][1] - SQRT2) <= 1e-12
         assert abs(rows[-1][1] - SQRT2) <= 1e-12
         assert all(row[1] > SQRT2 for row in rows[1:-1])
+
+    def test_beta_rejects_j_below_1(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        code, _, err = run(capsys, "curve", "beta", str(path), "--j", "0")
+        assert code == 2
+        assert "regular 8j-gon, j >= 1" in err
+        assert not path.exists()
 
     def test_rejects_one_sample(self, capsys, tmp_path):
         code, _, err = run(capsys, "curve", "hexagon", str(tmp_path / "x.csv"), "--samples", "1")

@@ -5,6 +5,7 @@ import pytest
 
 from bmgon.evengon import (
     axis_parallelogram,
+    beta_b_max,
     beta_h,
     beta_k,
     beta_square,
@@ -80,15 +81,23 @@ class TestBetaFamily:
         for j in range(1, 5):
             assert beta_k(j) < 0.0
 
+    def test_largest_slope(self):
+        # tan(pi/8) = sqrt(2) - 1, and the slope falls as j grows
+        assert abs(beta_b_max(1) - (SQRT2 - 1.0)) <= 1e-15
+        assert all(beta_b_max(j + 1) < beta_b_max(j) for j in range(1, 9))
+        for j in (0, -1, 1.0):
+            with pytest.raises(ValueError, match="j must be"):
+                beta_b_max(j)
+
     def test_endpoint_values(self):
         for j in range(1, 5):
-            hi = math.tan(math.pi / (8.0 * j))
+            hi = beta_b_max(j)
             assert abs(beta_h(j, 0.0) - SQRT2) <= 1e-12
             assert abs(beta_h(j, hi) - SQRT2) <= 1e-12
 
     def test_interior_exceeds_sqrt2(self):
         for j in range(1, 5):
-            hi = math.tan(math.pi / (8.0 * j))
+            hi = beta_b_max(j)
             assert all(
                 beta_h(j, hi * (i / 1000.0)) > SQRT2 for i in range(1, 1000)
             )
@@ -97,7 +106,7 @@ class TestBetaFamily:
         # h(b) - sqrt(2) = sqrt(2) b (tan(pi/8j) - b) / (b^2 + 1), which is
         # zero at both ends and positive in between
         for j in range(1, 9):
-            hi = math.tan(math.pi / (8.0 * j))
+            hi = beta_b_max(j)
             for i in range(101):
                 b = hi * (i / 100.0)
                 excess = SQRT2 * b * (hi - b) / (b * b + 1.0)
@@ -106,7 +115,7 @@ class TestBetaFamily:
     def test_square_construction_matches_closed_form(self):
         for j in (1, 2, 3):
             gon = regular_polygon(8 * j)
-            hi = math.tan(math.pi / (8.0 * j))
+            hi = beta_b_max(j)
             for i in range(0, 11):
                 b = hi * (i / 10.0)
                 square = beta_square(j, b)
@@ -117,14 +126,14 @@ class TestBetaFamily:
 
     def test_array_of_slopes_matches_the_scalar_values_bit_for_bit(self):
         for j in range(1, 5):
-            hi = math.tan(math.pi / (8.0 * j))
+            hi = beta_b_max(j)
             slopes = hi * (np.arange(0, 1001) / 1000.0)
             values = beta_h(j, slopes)
             assert values.tolist() == [beta_h(j, b) for b in slopes.tolist()]
             assert type(beta_h(j, float(slopes[1]))) is float
 
     def test_array_with_one_slope_out_of_range_is_rejected(self):
-        hi = math.tan(math.pi / 8.0)
+        hi = beta_b_max(1)
         for bad in (-1e-12, hi + 1e-9, math.nan):
             slopes = np.linspace(0.0, hi, 50)
             slopes[17] = bad
@@ -137,7 +146,7 @@ class TestBetaFamily:
         with pytest.raises(ValueError):
             beta_h(1, -0.1)
         with pytest.raises(ValueError):
-            beta_h(1, math.tan(math.pi / 8.0) + 1e-9)
+            beta_h(1, beta_b_max(1) + 1e-9)
 
 
 class TestCrossPolygonDistance:

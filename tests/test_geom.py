@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_central_polygon, random_linear_map
+from conftest import random_central_polygon, random_linear_map, star_vertices
 from bmgon.geom import (
     SYMMETRY_TOL,
     CentralPolygon,
@@ -22,7 +22,6 @@ from bmgon.geom import (
     polygon_gauge,
     polygon_symmetries,
     regular_polygon,
-    strip_ratios,
     transversal_ratio,
 )
 from bmgon.cli import suite_lemma
@@ -179,7 +178,8 @@ _LEFT_TURNS_ROUND_THE_ORIGIN += [(-x, -y) for x, y in _LEFT_TURNS_ROUND_THE_ORIG
 
 def _invalid_vertex_lists():
     """Inputs that each fail one check of the constructor, by the start
-    of the message that check raises."""
+    of the message that check raises.  The Vec2 forms predate the winding
+    check, so the star polygons it rejects are tested on their own."""
     square = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
     hexagon = [tuple(v) for v in regular_polygon(6).vertices]
     residue = [(1.0, 0.0), (0.0, 1.0), (-1.0, 1e-6), (0.0, -1.0)]
@@ -230,6 +230,16 @@ class TestConstructorChecks:
             assert expected[1].startswith(message), (expected, verts)
             assert _outcome(_polygon_fields, verts) == expected, verts
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("n, k", [(10, 3), (14, 3), (14, 5), (18, 5)])
+    def test_rejects_a_star_polygon_by_its_winding(self, n, k, scale):
+        # the checks before the winding pass it, as the Vec2 forms show;
+        # the polygons the test above accepts all wind once
+        verts = star_vertices(n, k, scale)
+        _vertex_polygon(verts)
+        with pytest.raises(ValueError, match=f"the boundary winds {k} times around the origin"):
+            CentralPolygon(verts)
+
 
 class TestSupportAndStrips:
     def test_strip_validation(self):
@@ -239,50 +249,54 @@ class TestSupportAndStrips:
             Strip(Vec2(1.0, 0.0), 0.0)
 
 
-def _vertex_boundary_point(verts, t):
-    """``boundary_point`` read from Vec2 vertices, as it was before the
-    boundary table: the reference the table must match bit for bit."""
+# The boundary readers as they read the vertices before the boundary
+# table, each operation of the Vec2 forms done elementwise in numpy over
+# all points at once: the references the table must match bit for bit.
+# Vec2.norm was math.hypot, which np.hypot does not always reproduce, so
+# the distances still come from math.hypot.
+
+
+def _vertex_arrays(verts):
+    """Vertex i at (ax[i], ay[i]) and the delta to vertex i + 1 at
+    (ex[i], ey[i]), taken from the vertices themselves."""
+    ax, ay = np.array([v.x for v in verts]), np.array([v.y for v in verts])
+    return ax, ay, np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+
+
+def _vertex_boundary_points(verts, ts):
+    """``boundary_point`` at each parameter, as (x, y) arrays."""
     n = len(verts)
-    t = t % n
-    if t >= n:
-        t = 0.0
-    i = int(t)
+    ax, ay, ex, ey = _vertex_arrays(verts)
+    t = np.mod(np.array(ts), n)
+    t[t >= n] = 0.0
+    i = t.astype(np.int64)
     f = t - i
-    a, b = verts[i], verts[(i + 1) % n]
-    return Vec2(a.x + f * (b.x - a.x), a.y + f * (b.y - a.y))
+    return ax[i] + f * ex[i], ay[i] + f * ey[i]
 
 
-def _vertex_edges(verts):
-    """(a, b, outward normal, offset) per edge, from Vec2 vertices; the
-    two functions below read them as they read a fresh list per call
-    before the boundary table."""
+def _vertex_gauges(verts, px, py):
+    """``polygon_gauge`` at each point (px[k], py[k]): the largest
+    normal . point / normal . a over the edges, with outward normal
+    (ey, -ex)."""
+    ax, ay, ex, ey = _vertex_arrays(verts)
+    return np.max((ey * px[:, None] + -ex * py[:, None]) / (ey * ax + -ex * ay), axis=1)
+
+
+def _vertex_projections(verts, px, py):
+    """``boundary_projection`` of each point, as a list of (t, d); the
+    first nearest edge wins."""
     n = len(verts)
-    edges = []
-    for i in range(n):
-        a, b = verts[i], verts[(i + 1) % n]
-        e = b - a
-        normal = Vec2(e.y, -e.x)
-        edges.append((a, b, normal, normal.dot(a)))
-    return edges
-
-
-def _vertex_gauge(edges, point):
-    """``polygon_gauge`` from Vec2 edges, as before the boundary table."""
-    return max(normal.dot(point) / offset for _, _, normal, offset in edges)
-
-
-def _vertex_projection(edges, point):
-    """``boundary_projection`` from Vec2 edges, as before the boundary
-    table."""
-    n = len(edges)
-    best = (0.0, math.inf)
-    for i, (a, b, _, _) in enumerate(edges):
-        e = b - a
-        f = min(1.0, max(0.0, (point - a).dot(e) / e.dot(e)))
-        d = (point - (a + e * f)).norm()
-        if d < best[1]:
-            best = ((i + f) % n, d)
-    return best
+    ax, ay, ex, ey = _vertex_arrays(verts)
+    px, py = px[:, None], py[:, None]
+    f = np.minimum(1.0, np.maximum(0.0, ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)))
+    rx, ry = px - (ax + ex * f), py - (ay + ey * f)
+    d = np.array(list(map(math.hypot, rx.ravel().tolist(), ry.ravel().tolist())))
+    d = d.reshape(rx.shape)
+    rows, i = np.arange(len(d)), np.argmin(d, axis=1)
+    return [
+        ((k + fk) % n, dk)
+        for k, fk, dk in zip(i.tolist(), f[rows, i].tolist(), d[rows, i].tolist())
+    ]
 
 
 def _table_cases(scale):
@@ -326,14 +340,17 @@ class TestBoundary:
         for gon, verts in _table_cases(scale):
             n = len(verts)
             ts = [*rng.uniform(-n, 2.0 * n, size=200).tolist(), *map(float, range(-1, n + 2))]
-            boundary = [_vertex_boundary_point(verts, t) for t in ts]
-            assert [_hex(*boundary_point(gon, t)) for t in ts] == [_hex(*p) for p in boundary]
-            spread = rng.normal(scale=2.0 * gon.radius, size=(100, 2)).tolist()
-            points = boundary[:100] + [Vec2(px, py) for px, py in spread]
-            edges = _vertex_edges(verts)
-            for p in points:
-                assert _hex(polygon_gauge(gon, p)) == _hex(_vertex_gauge(edges, p))
-                assert _hex(*boundary_projection(gon, p)) == _hex(*_vertex_projection(edges, p))
+            bx, by = _vertex_boundary_points(verts, ts)
+            assert [_hex(*boundary_point(gon, t)) for t in ts] == list(map(_hex, bx, by))
+            spread = rng.normal(scale=2.0 * gon.radius, size=(100, 2))
+            px, py = np.concatenate([bx[:100], spread[:, 0]]), np.concatenate([by[:100], spread[:, 1]])
+            points = list(map(Vec2, px.tolist(), py.tolist()))
+            gauges = _vertex_gauges(verts, px, py).tolist()
+            assert [_hex(polygon_gauge(gon, p)) for p in points] == list(map(_hex, gauges))
+            projections = _vertex_projections(verts, px, py)
+            assert [_hex(*boundary_projection(gon, p)) for p in points] == [
+                _hex(*tp) for tp in projections
+            ]
 
     def test_boundary_point_examples(self, p6):
         assert boundary_point(p6, 0.0) == p6.vertices[0]
@@ -468,14 +485,6 @@ class TestTransversalRatio:
     def test_the_lemma_suite_equals_the_scalar_loop(self, seed):
         (claim,) = suite_lemma(seed)
         assert claim.computed == self._scalar_lemma(seed)
-
-    def test_strip_ratios_on_arrays_equal_the_scalar_form(self):
-        rng = np.random.default_rng(3)
-        nx, ny, inner, outer, dx, dy = rng.uniform(0.1, 1.0, (6, 50))
-        arrays = strip_ratios(nx, ny, inner, outer, dx, dy)
-        for i in range(50):
-            scalar = strip_ratios(*(float(a[i]) for a in (nx, ny, inner, outer, dx, dy)))
-            assert (arrays[0][i], arrays[1][i]) == scalar
 
     def test_error_cases(self):
         flat = Strip(Vec2(0.0, 1.0), 1.0)

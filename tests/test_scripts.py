@@ -23,7 +23,7 @@ def run_script(name, *argv):
 
 
 def test_make_figures_writes_every_figure(tmp_path):
-    proc = run_script("make_figures.py", "--grid", "90", "--out", str(tmp_path / "figs"))
+    proc = run_script("make_figures.py", "--out", str(tmp_path / "figs"))
     assert proc.returncode == 0, proc.stderr
     written = sorted(path.name for path in (tmp_path / "figs").iterdir())
     assert written == [
