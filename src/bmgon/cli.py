@@ -339,7 +339,8 @@ _SUITES = {
 def _emit_report(args: argparse.Namespace, rows: list[Claim], runtime_ms: int) -> bool:
     """Prints the verify report, as text or as JSON lines, and returns
     whether every row passed."""
-    passed = all(row.passed for row in rows)
+    count = sum(1 for row in rows if row.passed)
+    passed = count == len(rows)
     inputs = {"suite": args.suite, "seed": str(args.seed)}
     if args.json:
         for row in rows:
@@ -382,7 +383,6 @@ def _emit_report(args: argparse.Namespace, rows: list[Claim], runtime_ms: int) -
         if row.note:
             line += f" | {row.note}"
         print(line)
-    count = sum(1 for row in rows if row.passed)
     print(f"result: {'PASS' if passed else 'FAIL'} ({count}/{len(rows)} checks)")
     print(f"runtime_ms: {runtime_ms}")
     return passed
