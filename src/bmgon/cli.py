@@ -208,34 +208,34 @@ def suite_remark() -> list[Claim]:
     return rows
 
 
+def _search_row(label: str, n: int, grid: int) -> Claim:
+    """The search's distance of the regular n-gon at the given grid
+    against its family value, at 1e-13 and with the value's kind."""
+    family = theorem2_value(n)
+    result = bm_distance(regular_polygon(n), grid=grid)
+    return Claim(label, family.value, result.lam, 1e-13, family.kind)
+
+
 def suite_theorem2() -> list[Claim]:
     """Even-gon family values: exact distances, the witnessing axis
     construction, probes of the conjectured bounds, and consistency
     identities across the families."""
-    rows = []
-    for n, desc in (
-        (8, "sqrt(2)"),
-        (16, "sqrt(2)"),
-        (12, "sqrt(2)cos(pi/12)"),
-        (20, "sqrt(2)cos(pi/20)"),
-    ):
-        family = theorem2_value(n)
-        result = bm_distance(regular_polygon(n), grid=360)
-        rows.append(
-            Claim(f"P{n} distance equals {desc}", family.value, result.lam, 1e-13, family.kind)
+    rows = [
+        _search_row(f"P{n} distance equals {desc}", n, 360)
+        for n, desc in (
+            (8, "sqrt(2)"),
+            (16, "sqrt(2)"),
+            (12, "sqrt(2)cos(pi/12)"),
+            (20, "sqrt(2)cos(pi/20)"),
         )
+    ]
     for n in range(8, 22, 2):
         gon = regular_polygon(n)
         built = circum_ratio(axis_parallelogram(gon), gon)
         rows.append(
             Claim(f"axis parallelogram value, P{n}", theorem2_value(n).value, built, 1e-12)
         )
-    for n in (10, 14):
-        family = theorem2_value(n)
-        result = bm_distance(regular_polygon(n), grid=720)
-        rows.append(
-            Claim(f"P{n} probe of conjectured bound", family.value, result.lam, 1e-13, family.kind)
-        )
+    rows += [_search_row(f"P{n} probe of conjectured bound", n, 720) for n in (10, 14)]
     rows.append(Claim("family value at n=6 equals 3/2", 1.5, theorem2_value(6).value, 1e-12))
     dev = max(
         abs(dist_pn_phn(4, 2 * j + 1) - theorem2_value(8 * j + 4).value)
@@ -243,6 +243,16 @@ def suite_theorem2() -> list[Claim]:
     )
     rows.append(Claim("square vs (8j+4)-gon identity, j=1..8", 0.0, dev, 1e-12))
     return rows
+
+
+def suite_families() -> list[Claim]:
+    """Theorem 2 across n: the search at grid 720 against the family
+    value of every regular n-gon with n = 6, 8, ..., 66; the rows of
+    n = 8j + 2 and 8j + 6 other than 6 carry "conjecture support"."""
+    return [
+        _search_row(f"P{n} distance, family {theorem2_value(n).family}", n, 720)
+        for n in range(6, 68, 2)
+    ]
 
 
 def suite_beta() -> list[Claim]:
@@ -330,6 +340,8 @@ _SUITES = {
     "lemma": suite_lemma,
     "affine": suite_affine,
 }
+# run by name only: `all` keeps its 41 rows, which the benchmark pins
+_STANDALONE = {"families": lambda seed: suite_families()}
 
 
 # ---------------------------------------------------------------------------
@@ -458,11 +470,12 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    suites = {**_SUITES, **_STANDALONE}
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     start = time.perf_counter()
     rows: list[Claim] = []
     for name in names:
-        rows.extend(_SUITES[name](args.seed))
+        rows.extend(suites[name](args.seed))
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
     return 0 if _emit_report(args, rows, runtime_ms) else 1
 
@@ -485,8 +498,8 @@ def _svg_num(x: float) -> str:
     return "0" if text in ("", "-0") else text
 
 
-def _svg_points(points) -> str:
-    return " ".join(f"{_svg_num(p.x)},{_svg_num(p.y)}" for p in points)
+def _svg_points(points, r: float) -> str:
+    return " ".join(f"{_svg_num(p.x / r)},{_svg_num(p.y / r)}" for p in points)
 
 
 def render_svg(
@@ -494,7 +507,10 @@ def render_svg(
 ) -> str:
     """Deterministic SVG: per configuration the polygon, the scaled
     circumscribed parallelogram, the inscribed parallelogram, and the
-    contact vertices, in that element order, at 6-decimal precision."""
+    contact vertices, in that element order, at 6-decimal precision.
+    Every coordinate is divided by the polygon's radius, so each drawing
+    fits its 5 x 5 box at any scale."""
+    r = c.radius
     count = len(configs)
     width = 5.0 * count
     lines = [
@@ -508,22 +524,22 @@ def render_svg(
     for k, (p, lam, contacts) in enumerate(configs):
         lines.append(f'  <g transform="translate({_svg_num(5.0 * k)},0) scale(1,-1)">')
         lines.append(
-            f'    <polygon points="{_svg_points(c.vertices)}"'
+            f'    <polygon points="{_svg_points(c.vertices, r)}"'
             ' fill="none" stroke="#202020" stroke-width="0.02"/>'
         )
         scaled = [lam * v for v in p.vertices()]
         lines.append(
-            f'    <polygon points="{_svg_points(scaled)}"'
+            f'    <polygon points="{_svg_points(scaled, r)}"'
             ' fill="none" stroke="#c03030" stroke-width="0.015"'
             ' stroke-dasharray="0.08 0.05"/>'
         )
         lines.append(
-            f'    <polygon points="{_svg_points(p.vertices())}"'
+            f'    <polygon points="{_svg_points(p.vertices(), r)}"'
             ' fill="none" stroke="#3050c0" stroke-width="0.02"/>'
         )
         for w in contacts:
             lines.append(
-                f'    <circle cx="{_svg_num(w.x)}" cy="{_svg_num(w.y)}"'
+                f'    <circle cx="{_svg_num(w.x / r)}" cy="{_svg_num(w.y / r)}"'
                 ' r="0.06" fill="#c03030"/>'
             )
         lines.append("  </g>")
@@ -582,7 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
     dist.add_argument("--json", action="store_true", help="machine-readable output")
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=[*_SUITES, "all"])
+    verify.add_argument("suite", choices=[*_SUITES, *_STANDALONE, "all"])
     verify.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     verify.add_argument("--json", action="store_true", help="machine-readable output")
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geom import CentralPolygon, Vec2, boundary_crossing, line_intersection, regular_polygon
+from .geom import CentralPolygon, Vec2, boundary_crossing, line_intersection
 from .pgram import Parallelogram
 
 __all__ = [
@@ -51,7 +51,6 @@ class EvenGonValue:
     n = 8j and 8j + 4 families and for the hexagon, and "upper_bound"
     for the other n = 8j + 2 and 8j + 6."""
 
-    n: int
     kind: str
     value: float
     family: str
@@ -64,22 +63,19 @@ def theorem2_value(n: int) -> EvenGonValue:
         raise ValueError(f"n must be even and at least 6, got {n}")
     r = n % 8
     if r == 0:
-        return EvenGonValue(n=n, kind="exact", value=_SQRT2, family="8j")
+        return EvenGonValue(kind="exact", value=_SQRT2, family="8j")
     if r == 2:
         j = (n - 2) // 8
         a = 2.0 * j * math.pi / n
         return EvenGonValue(
-            n=n, kind="upper_bound", value=0.5 / math.cos(a) + math.cos(a), family="8j+2"
+            kind="upper_bound", value=0.5 / math.cos(a) + math.cos(a), family="8j+2"
         )
     if r == 4:
-        return EvenGonValue(
-            n=n, kind="exact", value=_SQRT2 * math.cos(math.pi / n), family="8j+4"
-        )
+        return EvenGonValue(kind="exact", value=_SQRT2 * math.cos(math.pi / n), family="8j+4")
     j = (n - 6) // 8
     a = (2.0 * j + 2.0) * math.pi / n
     b = (4.0 * j + 2.0) * math.pi / n
     return EvenGonValue(
-        n=n,
         kind="exact" if n == 6 else "upper_bound",
         value=math.sin(a) / math.sin(b) + math.cos(a),
         family="8j+6",
@@ -133,10 +129,11 @@ def beta_h(j: int, b: float | np.ndarray) -> float | np.ndarray:
 def beta_square(j: int, b: float) -> Parallelogram:
     """The inscribed square itself: one vertex p is the crossing of the
     ray of slope b with the first side of the regular 8j-gon, the next is
-    p rotated by a quarter turn."""
+    p rotated by a quarter turn.  The side's ends are the first two
+    vertices, made as ``regular_polygon(8 * j)`` makes them."""
     _check_b(j, b)
-    gon = regular_polygon(8 * j)
-    v0, v1 = gon.vertices[0], gon.vertices[1]
+    t = 2.0 * math.pi / (8 * j)
+    v0, v1 = Vec2(1.0, 0.0), Vec2(math.cos(t), math.sin(t))
     p = line_intersection(Vec2(0.0, 0.0), Vec2(1.0, b), v0, v1 - v0)
     return Parallelogram(p, p.perp())
 

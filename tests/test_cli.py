@@ -8,7 +8,14 @@ import pytest
 from conftest import star_vertices
 from bmgon import cli
 from bmgon.cli import main
-from bmgon.geom import boundary_point, parse_polygon, regular_polygon
+from bmgon.evengon import theorem2_value
+from bmgon.geom import (
+    boundary_point,
+    format_polygon,
+    linear_image,
+    parse_polygon,
+    regular_polygon,
+)
 from bmgon.hexagon import HEXAGON, hex_critical_b, hex_optimal_positions
 from bmgon.pgram import Parallelogram
 
@@ -266,6 +273,34 @@ class TestVerify:
             for label, claimed, tol, verdict, note in VERIFY_ALL_ROWS
         ]
         assert got == expected
+        # the families suite runs by name only
+        assert len(rows) == 41 and not any(", family " in r["label"] for r in rows)
+
+    def test_families_suite_covers_every_even_n_up_to_66(self, capsys):
+        code, out, _ = run(capsys, "verify", "families")
+        assert code == 0
+        checks = [line for line in out.splitlines() if line.startswith("check:")]
+        families = {0: "8j", 2: "8j+2", 4: "8j+4", 6: "8j+6"}
+        for n, line in zip(range(6, 68, 2), checks, strict=True):
+            note = " | conjecture support" if n % 4 == 2 and n != 6 else ""
+            assert line.startswith(f"check: P{n} distance, family {families[n % 8]} |"), line
+            assert "tol=1e-13" in line
+            assert line.endswith(f"| PASS{note}"), line
+        assert value_of(out, "result") == "PASS (31/31 checks)"
+
+        code, out, _ = run(capsys, "verify", "families", "--json")
+        assert code == 0
+        *rows, summary = (json.loads(line) for line in out.splitlines())
+        assert len(rows) == summary["checks"] == 31
+        assert summary["passed"] is True
+        assert summary["inputs"] == {"suite": "families", "seed": "0"}
+        for n, row in zip(range(6, 68, 2), rows, strict=True):
+            family = theorem2_value(n)
+            assert row["claimed"] == family.value
+            assert row["passed"] is True
+            assert row["tolerance"] == 1e-13
+            assert row["note"] == ("conjecture support" if family.kind == "upper_bound" else "")
+            assert (family.kind == "upper_bound") == (n % 4 == 2 and n != 6)
 
     @staticmethod
     def _remark_verdicts(monkeypatch, positions):
@@ -427,6 +462,34 @@ class TestRender:
         path = tmp_path / "out.svg"
         assert run(capsys, "render", polygon, str(path), "--b", b)[0] == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == MEMBER_SVG_SHA256[polygon, b]
+
+    @pytest.mark.parametrize(
+        "scale",
+        [
+            10.0,
+            1e-3,
+            pytest.param(
+                1e-6,
+                marks=pytest.mark.xfail(
+                    reason="ROADMAP item 2: pgram.Parallelogram's absolute "
+                    "DEGENERATE_TOL rejects the witness, cross(u, v) > 0",
+                ),
+            ),
+        ],
+    )
+    def test_a_scaled_polygon_file_draws_the_unscaled_bytes(self, capsys, tmp_path, scale):
+        # render draws at unit radius, so each configuration fits its box
+        svgs = []
+        for s in (1.0, scale):
+            gon = linear_image(regular_polygon(6), [[s, 0.0], [0.0, s]])
+            polygon, svg = tmp_path / f"p6_{s}.txt", tmp_path / f"p6_{s}.svg"
+            polygon.write_text(format_polygon(gon))
+            assert run(capsys, "render", str(polygon), str(svg))[0] == 0
+            svgs.append(svg.read_bytes())
+        assert svgs[1] == svgs[0]
+        drawn = re.findall(r'(?:points|cx|cy)="([^"]*)"', svgs[1].decode())
+        coords = [float(x) for text in drawn for x in re.split("[ ,]", text)]
+        assert coords and max(map(abs, coords)) < 2.5
 
     def test_beta_square_render(self, capsys, tmp_path):
         path = tmp_path / "sq.svg"

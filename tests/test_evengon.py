@@ -12,7 +12,7 @@ from bmgon.evengon import (
     dist_pn_phn,
     theorem2_value,
 )
-from bmgon.geom import boundary_projection, regular_polygon
+from bmgon.geom import Vec2, boundary_projection, line_intersection, regular_polygon
 from bmgon.pgram import circum_ratio
 
 SQRT2 = math.sqrt(2.0)
@@ -123,6 +123,17 @@ class TestBetaFamily:
                 assert abs(square.u.dot(square.v)) <= 1e-12
                 assert boundary_projection(gon, square.u)[1] <= 1e-12
                 assert abs(circum_ratio(square, gon) - beta_h(j, b)) <= 1e-12
+
+    def test_square_side_is_the_first_side_of_the_polygon_bit_for_bit(self):
+        # the reference takes the side from the polygon itself
+        for j in range(1, 5):
+            v0, v1 = regular_polygon(8 * j).vertices[:2]
+            hi = beta_b_max(j)
+            for i in range(0, 11):
+                b = hi * (i / 10.0)
+                p = line_intersection(Vec2(0.0, 0.0), Vec2(1.0, b), v0, v1 - v0)
+                square = beta_square(j, b)
+                assert (square.u, square.v) == (p, p.perp()), (j, b)
 
     def test_array_of_slopes_matches_the_scalar_values_bit_for_bit(self):
         for j in range(1, 5):

@@ -42,16 +42,6 @@ def test_make_figures_writes_every_figure(tmp_path):
     assert "configurations: 2" in optimal
 
 
-def test_probe_conjectures_skips_the_proven_hexagon():
-    proc = run_script("probe_conjectures.py", "--n", "6,10", "--grids", "90")
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "skipping n with proven values: [6]"
-    rows = [line.split() for line in lines if line[:4].strip().isdigit()]
-    assert [row[:2] for row in rows] == [["10", "8j+2"]]
-    assert abs(float(rows[0][3])) < 1e-6
-
-
 def _readme_blocks(lang):
     text = (ROOT / "README.md").read_text()
     return re.findall(rf"^```{lang}\n(.*?)^```", text, flags=re.M | re.S)
@@ -70,7 +60,7 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
         for line in block.splitlines()
         if line.startswith("bmgon ")
     ]
-    assert len(commands) == 6
+    assert len(commands) == 7
     for argv in commands:
         assert main(argv[1:]) == 0, argv
     capsys.readouterr()
