@@ -115,19 +115,19 @@ def _vec(v: Vec2) -> str:
 
 
 def _load_polygon(arg: str) -> tuple[CentralPolygon, str, int]:
-    """Returns the polygon, a display name and n.  "Pn" builds the
-    regular n-gon; anything else is read as a polygon file, for which n
-    is 0."""
-    match = _SHORTHAND.fullmatch(arg)
-    if match:
-        n = int(match.group(1))
-        return regular_polygon(n), f"P{n}", n
-    path = Path(arg)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read polygon file {arg}: {exc}") from exc
-    return parse_polygon(text), str(path), 0
+    """Returns the polygon ("Pn" builds the regular n-gon, anything else
+    is read as a polygon file), a display name and n: the vertex count if
+    the boundary table is the regular n-gon's bit for bit, else 0."""
+    if match := _SHORTHAND.fullmatch(arg):
+        gon, name = regular_polygon(int(match.group(1))), f"P{int(match.group(1))}"
+    else:
+        try:
+            text = Path(arg).read_text()
+        except OSError as exc:
+            raise ValueError(f"cannot read polygon file {arg}: {exc}") from exc
+        gon, name = parse_polygon(text), str(Path(arg))
+    n = len(gon.vertices)
+    return gon, name, n if gon.edges == regular_polygon(n).edges else 0
 
 
 def _family(n: int) -> tuple[CentralPolygon, float, Callable, Callable]:

@@ -81,6 +81,28 @@ def value_of(out: str, key: str) -> str:
     raise KeyError(key)
 
 
+def gen_file(capsys, tmp_path, n: int) -> str:
+    """Path of the polygon file that `bmgon gen n` writes."""
+    path = tmp_path / f"gen{n}.txt"
+    assert run(capsys, "gen", str(n), str(path))[0] == 0
+    return str(path)
+
+
+def near_hexagon_file(tmp_path, kind: str) -> str:
+    """Path of a polygon file that is not the regular hexagon bit for bit:
+    a linear image of P6, or P6 with one antipodal pair scaled by
+    1 + 1e-12."""
+    gon = regular_polygon(6)
+    if kind == "image":
+        text = format_polygon(linear_image(gon, [[1.5, 0.4], [-0.2, 0.8]]))
+    else:
+        scales = [1.0 + 1e-12, 1.0, 1.0] * 2
+        text = "".join(f"{s * v.x!r},{s * v.y!r}\n" for s, v in zip(scales, gon.vertices))
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(text)
+    return str(path)
+
+
 class TestGen:
     def test_writes_hexagon_file(self, capsys, tmp_path):
         out = tmp_path / "p6.txt"
@@ -113,12 +135,34 @@ class TestDistance:
         assert value_of(out, "grid") == "360"
         assert "refined:" not in out
 
-    def test_file_input_matches_shorthand(self, capsys, tmp_path):
-        path = tmp_path / "p8.txt"
-        run(capsys, "gen", "8", str(path))
-        code, out, _ = run(capsys, "distance", str(path))
+    @pytest.mark.parametrize("n, options", [(6, ()), (8, ()), (16, ()), (10, ("--grid", "720"))])
+    def test_file_input_matches_shorthand(self, capsys, tmp_path, n, options):
+        # the claim follows the vertices, so `gen n`'s file is the n-gon
+        path = gen_file(capsys, tmp_path, n)
+        keys = ("lambda", "claimed", "gap", "note")
+        text, records = {}, {}
+        for arg in (f"P{n}", path):
+            code, out, _ = run(capsys, "distance", arg, *options)
+            assert code == 0
+            text[arg] = [line for line in out.splitlines() if line.split(":")[0] in keys]
+            code, out, _ = run(capsys, "distance", arg, *options, "--json")
+            assert code == 0
+            records[arg] = {k: json.loads(out).get(k) for k in ("claimed", "claim_kind", "gap")}
+        assert any(line.startswith("claimed: ") for line in text[path])
+        assert text[path] == text[f"P{n}"]
+        assert records[path]["claimed"] is not None
+        assert records[path] == records[f"P{n}"]
+
+    @pytest.mark.parametrize("kind", ["image", "pair"])
+    def test_a_file_that_is_not_exactly_regular_gets_no_claim(self, capsys, tmp_path, kind):
+        path = near_hexagon_file(tmp_path, kind)
+        code, out, _ = run(capsys, "distance", path)
         assert code == 0
-        assert abs(float(value_of(out, "lambda")) - SQRT2) <= 1e-5
+        assert abs(float(value_of(out, "lambda")) - 1.5) <= 1e-9
+        assert "claimed:" not in out and "gap:" not in out and "note:" not in out
+        code, out, _ = run(capsys, "distance", path, "--json")
+        assert code == 0
+        assert not {"claimed", "claim_kind", "gap", "note"} & set(json.loads(out))
 
     def test_conjectured_family_carries_note(self, capsys):
         code, out, _ = run(capsys, "distance", "P10", "--grid", "720")
@@ -501,6 +545,22 @@ class TestRender:
         code, _, err = run(capsys, "render", "P10", str(tmp_path / "x.svg"), "--b", "0.1")
         assert code == 2
         assert "P6 or a regular 8j-gon" in err
+
+    @pytest.mark.parametrize("n, b", [(6, "0"), (16, "0.1")])
+    def test_a_generated_file_draws_the_member_bytes(self, capsys, tmp_path, n, b):
+        path = tmp_path / "out.svg"
+        assert run(capsys, "render", gen_file(capsys, tmp_path, n), str(path), "--b", b)[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == MEMBER_SVG_SHA256[f"P{n}", b]
+
+    @pytest.mark.parametrize("kind", ["image", "pair"])
+    def test_numeric_b_rejected_for_a_file_that_is_not_exactly_regular(
+        self, capsys, tmp_path, kind
+    ):
+        polygon, path = near_hexagon_file(tmp_path, kind), tmp_path / "x.svg"
+        code, out, err = run(capsys, "render", polygon, str(path), "--b", "0")
+        assert (code, out) == (2, "")
+        assert "a family member needs P6 or a regular 8j-gon, j >= 1" in err
+        assert not path.exists()
 
     def test_no_refine_flag_is_not_accepted(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as stopped:
