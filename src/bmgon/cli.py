@@ -5,7 +5,8 @@ deterministic SVG rendering.
 Output is line-oriented ``key: value`` text with numbers at 9 significant
 digits; ``--json`` switches to one JSON record per result line.  Exit
 status is 0 on success (for verify: all rows passed), 1 when verification
-rows fail, and 2 on bad input.
+rows fail, 2 on bad input, and 141 (128 + SIGPIPE, as for a writer the
+signal kills) when the reader closes stdout before the output is written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -348,9 +350,12 @@ _STANDALONE = {"families": lambda seed: suite_families()}
 # output plumbing
 
 
-def _emit_report(args: argparse.Namespace, rows: list[Claim], runtime_ms: int) -> bool:
+def _emit_report(
+    args: argparse.Namespace, rows: list[Claim], runtime_ms: int, suite_runtime_ms: dict[str, int]
+) -> bool:
     """Prints the verify report, as text or as JSON lines, and returns
-    whether every row passed."""
+    whether every row passed.  Only the JSON summary carries the time of
+    each suite."""
     count = sum(1 for row in rows if row.passed)
     passed = count == len(rows)
     inputs = {"suite": args.suite, "seed": str(args.seed)}
@@ -377,6 +382,7 @@ def _emit_report(args: argparse.Namespace, rows: list[Claim], runtime_ms: int) -
                     "passed": passed,
                     "checks": len(rows),
                     "runtime_ms": runtime_ms,
+                    "suite_runtime_ms": suite_runtime_ms,
                 },
                 sort_keys=True,
             )
@@ -472,12 +478,16 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     suites = {**_SUITES, **_STANDALONE}
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    start = time.perf_counter()
+    marks = [time.perf_counter()]
     rows: list[Claim] = []
     for name in names:
         rows.extend(suites[name](args.seed))
-    runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
-    return 0 if _emit_report(args, rows, runtime_ms) else 1
+        marks.append(time.perf_counter())
+    # each suite's time is the step between rounded running totals, so
+    # the suites add up to runtime_ms exactly
+    totals = [int(round(1000.0 * (mark - marks[0]))) for mark in marks]
+    suite_runtime_ms = {name: b - a for name, a, b in zip(names, totals, totals[1:])}
+    return 0 if _emit_report(args, rows, totals[-1], suite_runtime_ms) else 1
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
@@ -630,7 +640,16 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        status = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone: exit as a writer killed by SIGPIPE does,
+        # and point stdout at devnull so that the flush at exit succeeds
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

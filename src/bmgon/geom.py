@@ -1,9 +1,9 @@
 """Planar convex-geometry kernel for centrally symmetric polygons.
 
-Provides immutable value types (vectors, polygons with exact central
-symmetry, symmetric strips) together with a boundary parametrization and
-its nearest-point inverse, the width-ratio identity for nested parallel
-strips, and the linear symmetries of a polygon.
+Provides immutable value types (vectors and polygons with exact central
+symmetry) together with a boundary parametrization and its nearest-point
+inverse, the width-ratio identity for nested parallel strips, and the
+linear symmetries of a polygon.
 Everything here is pure double-precision arithmetic; the only state a
 polygon keeps beyond its vertices is derived from them.
 """
@@ -17,10 +17,8 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "Vec2",
     "CentralPolygon",
-    "Strip",
     "regular_polygon",
     "boundary_point",
-    "transversal_ratio",
     "strip_ratios",
     "polygon_gauge",
     "boundary_crossing",
@@ -38,8 +36,8 @@ __all__ = [
 # pair at construction, before exact re-negation, and of a vertex image
 # in symmetry_map
 SYMMETRY_TOL = 1e-9
-# unit-normal residue allowed on strips, the parallelism threshold, and
-# linear_image's singularity threshold on |det| / (a^2 + b^2 + c^2 + d^2)
+# line_intersection's parallelism threshold, and linear_image's
+# singularity threshold on |det| / (a^2 + b^2 + c^2 + d^2)
 UNIT_TOL = 1e-12
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
@@ -82,12 +80,6 @@ class Vec2:
 
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
-
-    def normalized(self) -> "Vec2":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return Vec2(self.x / n, self.y / n)
 
     def perp(self) -> "Vec2":
         """Rotation by a quarter turn counterclockwise."""
@@ -197,20 +189,6 @@ class CentralPolygon:
         return f"CentralPolygon({len(self.vertices)} vertices)"
 
 
-@dataclass(frozen=True)
-class Strip:
-    """Set of points x with |x . normal| <= half_width; normal is unit."""
-
-    normal: Vec2
-    half_width: float
-
-    def __post_init__(self) -> None:
-        if abs(self.normal.norm() - 1.0) > UNIT_TOL:
-            raise ValueError("strip normal must be a unit vector")
-        if not (math.isfinite(self.half_width) and self.half_width > 0.0):
-            raise ValueError("strip half-width must be positive and finite")
-
-
 def regular_polygon(n: int) -> CentralPolygon:
     """Regular n-gon (n even, n >= 4) with vertex j at angle 2*pi*j/n on
     the unit circle, so vertex 0 is (1, 0)."""
@@ -238,31 +216,18 @@ def boundary_point(polygon: CentralPolygon, t: float) -> Vec2:
     return Vec2(x[i] + f * dx[i], y[i] + f * dy[i])
 
 
-def transversal_ratio(inner: Strip, outer: Strip, line_dir: Vec2) -> tuple[float, float]:
-    """Width ratio of two nested parallel strips next to the ratio of the
-    coordinates at which a transversal line through the origin crosses
-    their positive boundary lines.
-
-    Returns ``(width_ratio, coordinate_ratio)``.  The two numbers agree
-    identically; computing both exercises the identity through separate
-    code paths.  The strips must be parallel with ``inner`` contained in
-    ``outer``, and the line direction must not be parallel to them.
-    """
-    n1, n2 = inner.normal, outer.normal
-    if abs(n1.cross(n2)) > UNIT_TOL:
-        raise ValueError("strips are not parallel")
-    if inner.half_width > outer.half_width + UNIT_TOL:
-        raise ValueError("inner strip is not contained in the outer strip")
-    d = line_dir.normalized()
-    if abs(d.dot(n1)) <= UNIT_TOL:
-        raise ValueError("transversal line is parallel to the strip lines")
-    return strip_ratios(n1.x, n1.y, inner.half_width, outer.half_width, d.x, d.y)
-
-
 def strip_ratios(nx, ny, inner_hw, outer_hw, dx, dy):
-    """``transversal_ratio``'s two ratios from components, with no checks:
-    the strips' unit normal (nx, ny), their half-widths, and the unit
-    direction (dx, dy) of the transversal."""
+    """Width ratio of the nested parallel strips |x . n| <= h next to the
+    ratio of the coordinates at which a transversal line through the
+    origin crosses their positive boundary lines, as
+    ``(width_ratio, coordinate_ratio)``.  The lemma's identity is that the
+    two agree: the line along the unit direction d meets x . n = h at the
+    coordinate h / (d . n).
+
+    Nothing is checked.  ``suite_lemma`` draws its instances so that
+    (nx, ny) is the one unit normal of both strips, 0 < inner_hw <=
+    outer_hw, and the unit direction (dx, dy) is not parallel to the
+    strips (|d . n| > 1e-6)."""
     proj = dx * nx + dy * ny
     width_ratio = (2.0 * outer_hw) / (2.0 * inner_hw)
 

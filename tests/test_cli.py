@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,7 @@ from bmgon.hexagon import HEXAGON, hex_critical_b, hex_optimal_positions
 from bmgon.pgram import Parallelogram
 
 SQRT2 = math.sqrt(2.0)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # label, claimed, tolerance, verdict and note of every `verify all --seed 0` row
@@ -249,9 +254,30 @@ class TestDistance:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_closed_stdout_exits_141_quietly(self, unbuffered):
+        # the pipe's read end is closed before the child starts, so every
+        # write it makes fails with EPIPE: in the handler when unbuffered,
+        # at the final flush when buffered
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "bmgon.cli", "distance", "P6"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write_end)
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
 
 # SHA-256 of the `verify all --seed 0` text, without its runtime_ms line,
-# and of its --json output, without the runtime_ms field
+# and of its --json output, without the runtime_ms and suite_runtime_ms fields
 VERIFY_ALL_SHA256 = {
     "text": "9e8c2385fb43ffbbb5d5bd97e97a60e3abd4920a307d457d97d1df11c65c07a4",
     "json": "0c810197764c7eed5b41744b3ec18ff602ab38549c89d8c0290f07b1286b5243",
@@ -268,9 +294,27 @@ class TestVerify:
         assert hashlib.sha256(text).hexdigest() == VERIFY_ALL_SHA256["text"]
         code, out, _ = run(capsys, "verify", "all", "--seed", "0", "--json")
         assert code == 0
-        out, found = re.subn(r', "runtime_ms": \d+', "", out)
-        assert found == 1
+        for timing in (r'"runtime_ms": \d+', r'"suite_runtime_ms": \{[^}]*\}'):
+            out, found = re.subn(", " + timing, "", out)
+            assert found == 1
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256["json"]
+
+    @pytest.mark.parametrize(
+        "suite, names",
+        [
+            ("all", ["theorem1", "remark", "theorem2", "beta", "lemma", "affine"]),
+            ("families", ["families"]),
+        ],
+    )
+    def test_json_summary_times_each_suite(self, capsys, suite, names):
+        code, out, _ = run(capsys, "verify", suite, "--json")
+        assert code == 0
+        summary = json.loads(out.splitlines()[-1])
+        times = summary["suite_runtime_ms"]
+        assert sorted(times) == sorted(names)
+        assert all(isinstance(ms, int) and ms >= 0 for ms in times.values())
+        # each suite's time is a step between rounded running totals
+        assert sum(times.values()) == summary["runtime_ms"]
 
     def test_lemma_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma")

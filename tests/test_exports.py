@@ -1,8 +1,8 @@
 """Every name listed in ``__all__`` exists, in the package root and in
 each module; tools that walk ``__all__`` (the benchmark's span tracer
 among them) would otherwise fail on a stale entry.  Every such name is
-also used: by the package or its scripts, by the benchmark's tracer, or
-as the reference a named test compares the package against."""
+also used: by the package or its scripts, or by the benchmark's
+tracer."""
 
 import ast
 import importlib
@@ -15,14 +15,6 @@ import bmgon
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ["bmgon", *(f"bmgon.{info.name}" for info in pkgutil.iter_modules(bmgon.__path__))]
-
-# exports that no code path of the package uses, each with the test that
-# compares the package against it
-_LEMMA_TEST = "tests/test_geom.py::TestTransversalRatio::test_the_lemma_suite_equals_the_scalar_loop"
-TEST_REFERENCES = {
-    "bmgon.geom.Strip": _LEMMA_TEST,
-    "bmgon.geom.transversal_ratio": _LEMMA_TEST,
-}
 
 
 def _defined(statement: ast.stmt) -> set[str]:
@@ -65,16 +57,6 @@ def _uses(path: Path) -> set[str]:
     return used | {renamed[name] for name in used & set(renamed)}
 
 
-def _test_source(reference: str) -> str:
-    """Source of the test class (or module) holding the named test."""
-    path, *scope, test = reference.split("::")
-    tree = ast.parse((ROOT / path).read_text())
-    for name in scope:
-        tree = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == name)
-    assert any(isinstance(node, ast.FunctionDef) and node.name == test for node in tree.body)
-    return ast.unparse(tree)
-
-
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
@@ -105,11 +87,7 @@ def test_every_exported_name_is_used(monkeypatch):
         for entry in importlib.import_module(name).__all__
         if not (entry.startswith("__") and entry.endswith("__"))
         and entry not in used
-        and f"{name}.{entry}" not in traced | set(TEST_REFERENCES)
+        and f"{name}.{entry}" not in traced
     ]
     assert unused == []
 
-
-@pytest.mark.parametrize("export", sorted(TEST_REFERENCES))
-def test_each_test_reference_names_a_test_that_reads_it(export):
-    assert export.rsplit(".", 1)[1] in _test_source(TEST_REFERENCES[export])

@@ -9,7 +9,6 @@ from conftest import random_central_polygon, random_linear_map, star_vertices
 from bmgon.geom import (
     SYMMETRY_TOL,
     CentralPolygon,
-    Strip,
     Vec2,
     apply_linear,
     boundary_crossing,
@@ -22,7 +21,7 @@ from bmgon.geom import (
     polygon_gauge,
     polygon_symmetries,
     regular_polygon,
-    transversal_ratio,
+    strip_ratios,
 )
 from bmgon.cli import suite_lemma
 
@@ -50,12 +49,6 @@ class TestVec2:
             Vec2(math.nan, 0.0)
         with pytest.raises(ValueError):
             Vec2(0.0, math.inf)
-
-    def test_normalized(self):
-        u = Vec2(3.0, -4.0).normalized()
-        assert abs(u.norm() - 1.0) < 1e-15
-        with pytest.raises(ValueError):
-            Vec2(0.0, 0.0).normalized()
 
     @given(finite, finite, finite, finite)
     def test_cross_antisymmetric(self, ax, ay, bx, by):
@@ -239,14 +232,6 @@ class TestConstructorChecks:
         _vertex_polygon(verts)
         with pytest.raises(ValueError, match=f"the boundary winds {k} times around the origin"):
             CentralPolygon(verts)
-
-
-class TestSupportAndStrips:
-    def test_strip_validation(self):
-        with pytest.raises(ValueError):
-            Strip(Vec2(1.0, 1.0), 1.0)
-        with pytest.raises(ValueError):
-            Strip(Vec2(1.0, 0.0), 0.0)
 
 
 # The boundary readers as they read the vertices before the boundary
@@ -449,9 +434,8 @@ class TestBoundary:
 
 class TestTransversalRatio:
     def test_matches_width_ratio(self):
-        inner = Strip(Vec2(0.0, 1.0), 1.0)
-        outer = Strip(Vec2(0.0, 1.0), 2.5)
-        wr, cr = transversal_ratio(inner, outer, Vec2(1.0, 1.0))
+        d = 1.0 / math.hypot(1.0, 1.0)  # the unit direction of (1, 1) is (d, d)
+        wr, cr = strip_ratios(0.0, 1.0, 1.0, 2.5, d, d)
         assert wr == 2.5
         assert abs(cr - 2.5) < 1e-15
 
@@ -471,8 +455,9 @@ class TestTransversalRatio:
                 direction = Vec2(math.cos(phi), math.sin(phi))
                 if abs(direction.dot(normal)) > 1e-6:
                     break
-            wr, cr = transversal_ratio(
-                Strip(normal, inner_hw), Strip(normal, outer_hw), direction
+            norm = direction.norm()
+            wr, cr = strip_ratios(
+                normal.x, normal.y, inner_hw, outer_hw, direction.x / norm, direction.y / norm
             )
             worst = max(worst, abs(wr - cr))
         return worst
@@ -485,15 +470,6 @@ class TestTransversalRatio:
     def test_the_lemma_suite_equals_the_scalar_loop(self, seed):
         (claim,) = suite_lemma(seed)
         assert claim.computed == self._scalar_lemma(seed)
-
-    def test_error_cases(self):
-        flat = Strip(Vec2(0.0, 1.0), 1.0)
-        with pytest.raises(ValueError, match="parallel"):
-            transversal_ratio(flat, Strip(Vec2(1.0, 0.0), 2.0), Vec2(1.0, 1.0))
-        with pytest.raises(ValueError, match="contained"):
-            transversal_ratio(Strip(Vec2(0.0, 1.0), 3.0), flat, Vec2(1.0, 1.0))
-        with pytest.raises(ValueError, match="transversal"):
-            transversal_ratio(flat, Strip(Vec2(0.0, 1.0), 2.0), Vec2(1.0, 0.0))
 
 
 class TestLinearMaps:
