@@ -439,6 +439,14 @@ class TestTransversalRatio:
         assert wr == 2.5
         assert abs(cr - 2.5) < 1e-15
 
+    # the identity holds whichever side of the strips the transversal
+    # leaves by, up to the 1e-6 cutoff from parallel that suite_lemma keeps
+    @pytest.mark.parametrize("phi", [-math.pi / 4, 3 * math.pi / 4 + 0.1, 2e-6, math.pi - 2e-6])
+    def test_matches_width_ratio_at_any_crossing_angle(self, phi):
+        wr, cr = strip_ratios(0.0, 1.0, 1.0, 2.5, math.cos(phi), math.sin(phi))
+        assert wr == 2.5
+        assert abs(cr - 2.5) <= 1e-12
+
     @staticmethod
     def _scalar_lemma(seed):
         """Largest ratio gap over 1000 seeded instances, one instance and
