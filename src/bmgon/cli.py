@@ -121,15 +121,15 @@ def _load_polygon(arg: str) -> tuple[CentralPolygon, str, int]:
     is read as a polygon file), a display name and n: the vertex count if
     the boundary table is the regular n-gon's bit for bit, else 0."""
     if match := _SHORTHAND.fullmatch(arg):
-        gon, name = regular_polygon(int(match.group(1))), f"P{int(match.group(1))}"
-    else:
-        try:
-            text = Path(arg).read_text()
-        except OSError as exc:
-            raise ValueError(f"cannot read polygon file {arg}: {exc}") from exc
-        gon, name = parse_polygon(text), str(Path(arg))
+        n = int(match.group(1))
+        return regular_polygon(n), f"P{n}", n
+    try:
+        text = Path(arg).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read polygon file {arg}: {exc}") from exc
+    gon = parse_polygon(text)
     n = len(gon.vertices)
-    return gon, name, n if gon.edges == regular_polygon(n).edges else 0
+    return gon, str(Path(arg)), n if gon.edges == regular_polygon(n).edges else 0
 
 
 def _family(n: int) -> tuple[CentralPolygon, float, Callable, Callable]:
@@ -420,9 +420,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _distance_record(name: str, n: int, result: BMResult) -> tuple[dict, str]:
-    """Shared structured record for the distance command; the note labels
-    values of conjectured (not proven) families."""
+def _distance_record(name: str, n: int, result: BMResult) -> dict:
+    """Shared structured record for the distance command; its "note"
+    labels values of conjectured (not proven) families."""
     record: dict = {
         "command": "distance",
         "polygon": name,
@@ -435,16 +435,14 @@ def _distance_record(name: str, n: int, result: BMResult) -> tuple[dict, str]:
         "contacts": [[w.x, w.y] for w in result.contacts],
         "starts": [asdict(r) for r in result.starts],
     }
-    note = ""
     if n >= 6:
         family = theorem2_value(n)
         record["claimed"] = family.value
         record["claim_kind"] = family.kind
         record["gap"] = family.value - result.lam
-        note = _NOTES[family.kind]
-        if note:
+        if note := _NOTES[family.kind]:
             record["note"] = note
-    return record, note
+    return record
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
@@ -452,7 +450,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     result = bm_distance(gon, grid=args.grid)
     runtime_ms = int(round(1000.0 * (time.perf_counter() - start)))
-    record, note = _distance_record(name, n, result)
+    record = _distance_record(name, n, result)
     record["runtime_ms"] = runtime_ms
     if args.json:
         print(json.dumps(record, sort_keys=True))
@@ -469,8 +467,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     if "claimed" in record:
         print(f"claimed: {_nine(record['claimed'])} ({record['claim_kind']})")
         print(f"gap: {_nine(record['gap'])}")
-    if note:
-        print(f"note: {note}")
+    if "note" in record:
+        print(f"note: {record['note']}")
     print(f"runtime_ms: {runtime_ms}")
     return 0
 

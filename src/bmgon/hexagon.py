@@ -23,7 +23,6 @@ from .pgram import Parallelogram
 
 __all__ = [
     "HEXAGON",
-    "hex_c",
     "hex_h",
     "hex_h_derivative",
     "hex_critical_b",
@@ -35,35 +34,26 @@ _SQRT3 = math.sqrt(3.0)
 
 HEXAGON: CentralPolygon = regular_polygon(6)
 
-# b ranges over [0, sqrt(3)/3] for the coupling (p from v0 to the side
-# midpoint) and over [0, sqrt(3)/5] for the ratio curve (the regime where
-# the second supporting contact stays on side v4-v5).
-B_COUPLING_MAX = _SQRT3 / 3.0
+# b ranges over [0, sqrt(3)/5], the regime where the second supporting
+# contact stays on side v4-v5.
 B_REGIME_MAX = _SQRT3 / 5.0
 
 
-def _check_domain(b: float, hi: float, what: str) -> None:
-    if not (0.0 <= b <= hi):
-        raise ValueError(f"{what} requires 0 <= b <= {hi:.17g}, got {b}")
-
-
-def hex_c(b: float) -> float:
-    """Coupling c(b) = -2b / (sqrt(3)*b + 3) that balances the two
-    side-strip ratios of the family member at slope b."""
-    _check_domain(b, B_COUPLING_MAX, "hex_c")
-    return -2.0 * b / (_SQRT3 * b + 3.0)
+def _check_domain(b: float, what: str) -> None:
+    if not (0.0 <= b <= B_REGIME_MAX):
+        raise ValueError(f"{what} requires 0 <= b <= {B_REGIME_MAX:.17g}, got {b}")
 
 
 def hex_h(b: float) -> float:
     """Circumscribed ratio of the balanced family member at slope b."""
-    _check_domain(b, B_REGIME_MAX, "hex_h")
+    _check_domain(b, "hex_h")
     return (b * b + 4.0 * _SQRT3 * b + 9.0) / (4.0 * b * b + 2.0 * _SQRT3 * b + 6.0)
 
 
 def hex_h_derivative(b: float) -> float:
     """Quotient-rule derivative of hex_h; its sign is that of the
     quadratic -7*sqrt(3)*b^2 - 30*b + 3*sqrt(3)."""
-    _check_domain(b, B_REGIME_MAX, "hex_h_derivative")
+    _check_domain(b, "hex_h_derivative")
     num = b * b + 4.0 * _SQRT3 * b + 9.0
     dnum = 2.0 * b + 4.0 * _SQRT3
     den = 4.0 * b * b + 2.0 * _SQRT3 * b + 6.0
@@ -79,12 +69,14 @@ def hex_critical_b() -> float:
 
 def hex_build(b: float) -> Parallelogram:
     """The balanced family member at slope b: its generators p and q are
-    the crossings of the defining lines with the fixed hexagon sides."""
-    _check_domain(b, B_REGIME_MAX, "hex_build")
+    the crossings of the defining lines with the fixed hexagon sides, q's
+    line x = c*y taking the coupling c(b) = -2b / (sqrt(3)*b + 3)."""
+    _check_domain(b, "hex_build")
+    c = -2.0 * b / (_SQRT3 * b + 3.0)
     v0, v1, v2 = HEXAGON.vertices[0], HEXAGON.vertices[1], HEXAGON.vertices[2]
     origin = Vec2(0.0, 0.0)
     p = line_intersection(origin, Vec2(1.0, b), v0, v1 - v0)
-    q = line_intersection(origin, Vec2(hex_c(b), 1.0), v1, v2 - v1)
+    q = line_intersection(origin, Vec2(c, 1.0), v1, v2 - v1)
     return Parallelogram(p, q)
 
 

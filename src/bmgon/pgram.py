@@ -35,12 +35,6 @@ class Parallelogram:
                 "swap them or the parallelogram is degenerate"
             )
 
-    @classmethod
-    def from_unordered(cls, a: Vec2, b: Vec2) -> "Parallelogram":
-        """Builds from an unordered generator pair, swapping as needed; the
-        tests build a position's images under ``polygon_symmetries`` so."""
-        return cls(a, b) if a.cross(b) > 0.0 else cls(b, a)
-
     def vertices(self) -> tuple[Vec2, Vec2, Vec2, Vec2]:
         return (self.u, self.v, -self.u, -self.v)
 

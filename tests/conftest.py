@@ -5,7 +5,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from bmgon.cli import _random_map as random_linear_map  # noqa: F401
-from bmgon.geom import CentralPolygon, Vec2, regular_polygon
+from bmgon.geom import CentralPolygon, Vec2, apply_linear, regular_polygon
+from bmgon.pgram import Parallelogram
 
 settings.register_profile(
     "repo",
@@ -83,3 +84,11 @@ def star_vertices(n: int, k: int, scale: float = 1.0) -> list[tuple[float, float
     around the origin."""
     step = 2.0 * math.pi * k / n
     return [(scale * math.cos(step * i), scale * math.sin(step * i)) for i in range(n)]
+
+
+def mapped_parallelogram(mat, p: Parallelogram) -> Parallelogram:
+    """The image of the position p under the linear map mat, its
+    generators swapped when the map reverses their order, so that a
+    reflection's image is a valid ``Parallelogram`` as well."""
+    a, b = apply_linear(mat, p.u), apply_linear(mat, p.v)
+    return Parallelogram(a, b) if a.cross(b) > 0.0 else Parallelogram(b, a)

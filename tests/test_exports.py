@@ -2,12 +2,14 @@
 each module; tools that walk ``__all__`` (the benchmark's span tracer
 among them) would otherwise fail on a stale entry.  Every such name is
 also used: by the package or its scripts, or by the benchmark's
-tracer."""
+tracer; so is every public method and property of an exported class."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -75,11 +77,15 @@ def test_the_benchmark_hooks_resolve(monkeypatch):
     assert metrics["oracle.bm_distance.starts"] == (0.0, "count/op")
 
 
+def _package_uses() -> set[str]:
+    files = [*(ROOT / "src" / "bmgon").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
+    return set().union(*map(_uses, files))
+
+
 def test_every_exported_name_is_used(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     spans = importlib.import_module("spans")
-    files = [*(ROOT / "src" / "bmgon").glob("*.py"), *(ROOT / "scripts").glob("*.py")]
-    used = set().union(*map(_uses, files))
+    used = _package_uses()
     traced = {f"bmgon.{short}.{name}" for short, names in spans.SELECTED.items() for name in names}
     unused = [
         f"{name}.{entry}"
@@ -91,3 +97,22 @@ def test_every_exported_name_is_used(monkeypatch):
     ]
     assert unused == []
 
+
+def test_every_public_method_of_an_exported_class_is_used():
+    # methods and properties are read as attributes, so the benchmark's
+    # tracer counts through its source, not through its traced names
+    used = _package_uses() | _uses(ROOT / "perfbench" / "spans.py")
+    exported = {
+        getattr(module, entry)
+        for module in map(importlib.import_module, MODULES)
+        for entry in module.__all__
+    }
+    unused = [
+        f"{cls.__module__}.{cls.__qualname__}.{attr}"
+        for cls in filter(inspect.isclass, exported)
+        for attr, member in vars(cls).items()
+        if not attr.startswith("_")
+        and isinstance(member, (FunctionType, classmethod, staticmethod, property))
+        and attr not in used
+    ]
+    assert sorted(unused) == []

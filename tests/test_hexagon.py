@@ -2,18 +2,18 @@ import math
 
 import pytest
 
-from bmgon.geom import apply_linear, boundary_projection, polygon_symmetries
+from conftest import mapped_parallelogram
+from bmgon.geom import boundary_projection, polygon_symmetries
 from bmgon.hexagon import (
     B_REGIME_MAX,
     HEXAGON,
     hex_build,
-    hex_c,
     hex_critical_b,
     hex_h,
     hex_h_derivative,
     hex_optimal_positions,
 )
-from bmgon.pgram import Parallelogram, circum_ratio, vertex_hausdorff
+from bmgon.pgram import circum_ratio, vertex_hausdorff
 
 SQRT3 = math.sqrt(3.0)
 
@@ -28,7 +28,7 @@ def _orbit(p):
     within vertex Hausdorff distance 1e-9 of an earlier one removed."""
     orbit = []
     for mat in polygon_symmetries(HEXAGON):
-        image = Parallelogram.from_unordered(apply_linear(mat, p.u), apply_linear(mat, p.v))
+        image = mapped_parallelogram(mat, p)
         if all(vertex_hausdorff(image, seen) > 1e-9 for seen in orbit):
             orbit.append(image)
     return orbit
@@ -44,10 +44,6 @@ class TestCurve:
     def test_endpoint_values(self):
         assert abs(hex_h(0.0) - 1.5) <= 1e-12
         assert abs(hex_h(B_REGIME_MAX) - 1.5) <= 1e-12
-
-    def test_coupling_endpoints(self):
-        assert hex_c(0.0) == 0.0
-        assert hex_c(B_REGIME_MAX) < 0.0
 
     def test_interior_exceeds_endpoints(self):
         assert all(hex_h(b) > 1.5 for b in _samples(10001)[1:-1])

@@ -7,7 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_central_polygon, random_linear_map, spread_central_polygon
+from conftest import (
+    mapped_parallelogram,
+    random_central_polygon,
+    random_linear_map,
+    spread_central_polygon,
+)
 from bmgon.geom import (
     CentralPolygon,
     apply_linear,
@@ -779,10 +784,7 @@ class TestStarts:
             def is_rotated_copy(a, b):
                 p, q = pgram(a), pgram(b)
                 return any(
-                    vertex_hausdorff(
-                        Parallelogram.from_unordered(apply_linear(mat, p.u), apply_linear(mat, p.v)), q
-                    )
-                    <= tol
+                    vertex_hausdorff(mapped_parallelogram(mat, p), q) <= tol
                     for mat in rotations
                 )
 
@@ -1064,17 +1066,13 @@ class TestArgminOrbit:
                     assert (apply_linear(mat, p.v) - q.v).norm() <= 1e-9 * size, (gon, mat)
 
     def test_representatives_are_distinct_classes(self, p6):
-        from bmgon.geom import apply_linear, polygon_symmetries
-        from bmgon.pgram import Parallelogram
+        from bmgon.geom import polygon_symmetries
 
         result = bm_distance(p6, grid=360)
         reps = argmin_orbit(p6, result)
         maps = polygon_symmetries(p6)
         a, b = reps
-        images = [
-            Parallelogram.from_unordered(apply_linear(m, a.u), apply_linear(m, a.v))
-            for m in maps
-        ]
+        images = [mapped_parallelogram(m, a) for m in maps]
         assert all(vertex_hausdorff(b, img) > 1e-5 for img in images)
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bmgon.geom import Vec2
+from bmgon.geom import CentralPolygon, Vec2
 from bmgon.pgram import Parallelogram, circum_ratio, contacts, gauge, vertex_hausdorff
 
 SQRT3 = math.sqrt(3.0)
@@ -12,6 +12,19 @@ SQRT3 = math.sqrt(3.0)
 UNIT_SQUARE = Parallelogram(Vec2(1.0, 0.0), Vec2(0.0, 1.0))
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+
+SCALES = [10.0**k for k in (-8, -6, -4, 0, 4, 8)]
+
+
+def _scales(failing, raises):
+    """``SCALES``, with a strict xfail on the scales where the absolute
+    ``DEGENERATE_TOL`` decides wrongly."""
+    mark = pytest.mark.xfail(
+        raises=raises,
+        reason="ROADMAP item 2: pgram.Parallelogram's DEGENERATE_TOL is absolute, "
+        "not relative to |u|*|v|",
+    )
+    return [pytest.param(s, marks=mark) if s in failing else s for s in SCALES]
 
 
 class TestParallelogram:
@@ -25,9 +38,21 @@ class TestParallelogram:
         with pytest.raises(ValueError):
             Parallelogram(Vec2(0.0, 1.0), Vec2(1.0, 0.0))
 
-    def test_from_unordered_swaps(self):
-        p = Parallelogram.from_unordered(Vec2(0.0, 1.0), Vec2(1.0, 0.0))
-        assert p.u == Vec2(1.0, 0.0) and p.v == Vec2(0.0, 1.0)
+    @pytest.mark.parametrize("s", _scales({1e-8, 1e-6}, ValueError))
+    def test_a_square_is_accepted_at_any_scale(self, s):
+        p = Parallelogram(Vec2(s, 0.0), Vec2(0.0, s))
+        assert gauge(p, Vec2(s, s)) == 2.0
+
+    @pytest.mark.parametrize("s", _scales({1e4, 1e8}, pytest.fail.Exception))
+    def test_a_nearly_collinear_pair_is_rejected_at_any_scale(self, s):
+        angle = 1e-13
+        with pytest.raises(ValueError):
+            Parallelogram(Vec2(s, 0.0), Vec2(s * math.cos(angle), s * math.sin(angle)))
+
+    @pytest.mark.parametrize("s", SCALES)
+    def test_the_polygon_accepts_a_square_at_any_scale(self, s):
+        gon = CentralPolygon([Vec2(s, 0.0), Vec2(0.0, s), Vec2(-s, 0.0), Vec2(0.0, -s)])
+        assert gon.m == 2
 
     def test_vertices(self):
         assert UNIT_SQUARE.vertices() == (
@@ -94,7 +119,7 @@ class TestContainmentPredicates:
 class TestVertexHausdorff:
     def test_zero_iff_equal_as_sets(self):
         p = Parallelogram(Vec2(1.0, 0.0), Vec2(0.0, 1.0))
-        q = Parallelogram.from_unordered(Vec2(0.0, -1.0), Vec2(1.0, 0.0))
+        q = Parallelogram(Vec2(0.0, -1.0), Vec2(1.0, 0.0))
         assert vertex_hausdorff(p, q) == 0.0
 
     def test_measures_displacement(self):
