@@ -13,20 +13,19 @@ indexed by a slope b, with ratio curve
     h(b) = sqrt(2) * (k - b) / (k * (b^2 + 1)),   k = sin(t)/(cos(t) - 1),
 
 where t = pi/(4j) is the vertex angle step and b runs over
-[0, tan(pi/(8j))].  Since -1/k = tan(t/2),
+[0, tan(pi/(8j))].  The excess over sqrt(2) factors as
 
-    h(b) - sqrt(2) = sqrt(2) * b * (tan(pi/(8j)) - b) / (b^2 + 1),
+    h(b) - sqrt(2) = sqrt(2) * b * (-1/k - b) / (b^2 + 1),
 
-so h equals sqrt(2) exactly at both endpoints and exceeds it in between,
-which is why the "beta interior exceeds sqrt(2)" rows hold.
+and -1/k = tan(t/2) = tan(pi/(8j)), so h equals sqrt(2) exactly at both
+endpoints and exceeds it in between.  The "beta interior exceeds
+sqrt(2)" rows of ``bmgon verify`` check that -1/k >= tan(pi/(8j)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .geom import CentralPolygon, Vec2, boundary_crossing, line_intersection
 from .pgram import Parallelogram
@@ -110,17 +109,16 @@ def beta_b_max(j: int) -> float:
     return math.tan(math.pi / (8.0 * j))
 
 
-def _check_b(j: int, b: float | np.ndarray) -> None:
-    """Checks j, then that every slope lies in the family's range."""
+def _check_b(j: int, b: float) -> None:
+    """Checks j, then that the slope lies in the family's range."""
     hi = beta_b_max(j)
-    if not (0.0 <= np.min(b) and np.max(b) <= hi):
+    if not 0.0 <= b <= hi:
         raise ValueError(f"b must lie in [0, tan(pi/{8 * j})] = [0, {hi:.17g}], got {b}")
 
 
-def beta_h(j: int, b: float | np.ndarray) -> float | np.ndarray:
+def beta_h(j: int, b: float) -> float:
     """Circumscribed ratio of the inscribed square of the regular 8j-gon
-    whose diagonal has slope b; elementwise, with the same bits, for an
-    array of slopes."""
+    whose diagonal has slope b."""
     _check_b(j, b)
     k = beta_k(j)
     return _SQRT2 * (k - b) / (k * (b * b + 1.0))

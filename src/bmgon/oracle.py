@@ -56,6 +56,7 @@ up to some 1e-13 above it.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
@@ -92,6 +93,11 @@ DEFAULT_SETTINGS = SearchSettings()
 # keys within KEY_TOL, in boundary parameter units, name one class
 ORBIT_TOL = 1e-9
 KEY_TOL = 1e-6
+
+# largest polygon radius the search takes: the numerator gradients that
+# _vertex_solve multiplies in pairs are up to 2 r^2 in size, so its 2x2
+# determinants reach 8 r^4 and overflow to inf or nan past this radius
+MAX_RADIUS = (sys.float_info.max / 8.0) ** 0.25
 
 # largest grid_scan accepts: a polygon without rotations then scans
 # 2048 x 2048 cells, and F, the only array of that size, takes 34 MB
@@ -459,6 +465,14 @@ def _descend(
     return t1, s, fcur, DEFAULT_SETTINGS.max_sweeps, moves, "max_sweeps"
 
 
+def _check_radius(c: CentralPolygon) -> None:
+    if c.radius > MAX_RADIUS:
+        raise ValueError(
+            f"polygon radius {c.radius:.17g} exceeds {MAX_RADIUS:.17g},"
+            " the largest the search takes"
+        )
+
+
 def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
     """Row and column of the ``count`` lowest cells of F, lowest first;
     equal values go in row-major order, lowest index first.
@@ -500,7 +514,9 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     ``ORBIT_TOL`` of the best value, from the lowest-valued descent with
     that key.  It is deterministic for fixed arguments, and the returned
     ratio is recomputed from it: ``circum_ratio(parallelogram, c) == lam``.
+    Raises ValueError for a polygon of radius above ``MAX_RADIUS``.
     """
+    _check_radius(c)
     t1s, ss, f = grid_scan(c, grid)
     if not f.min() < np.inf:
         raise RuntimeError("no feasible parallelogram cell on the grid")
@@ -555,8 +571,10 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     witness, which makes at least one class even when the best descent of
     ``bm_distance`` started off a local minimum of the grid.  Positions
     whose class keys agree within ``KEY_TOL`` form one class, drawn at
-    its least key; the classes come in key order.
+    its least key; the classes come in key order.  Raises ValueError for
+    a polygon of radius above ``MAX_RADIUS``.
     """
+    _check_radius(c)
     grid = result.grid_resolution
     t1s, ss, f = grid_scan(c, grid)
     key = _class_key_fn(c)

@@ -29,7 +29,7 @@ CRITERIA = {
     5: [f"axis parallelogram value, P{n}" for n in range(8, 22, 2)],
     6: ["P10 probe of conjectured bound", "P14 probe of conjectured bound"],
     7: [*(f"beta endpoints at sqrt(2), j={j}" for j in range(1, 5)),
-        *(f"beta interior exceeds sqrt(2), j={j}" for j in range(1, 5)),
+        *(f"beta interior exceeds sqrt(2): -1/k >= tan(pi/8j), j={j}" for j in range(1, 5)),
         "P8 optimum is a square", "P16 optimum is a square"],
     8: ["strip ratio identity, 1000 seeded instances"],
     9: ["family value at n=6 equals 3/2", "square vs (8j+4)-gon identity, j=1..8"],

@@ -21,12 +21,15 @@ from bmgon.geom import (
     regular_polygon,
 )
 from bmgon.hexagon import HEXAGON, hex_critical_b, hex_optimal_positions
+from bmgon.oracle import MAX_RADIUS
 from bmgon.pgram import Parallelogram
 
 SQRT2 = math.sqrt(2.0)
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+# the interior rows compare the zero -1/k of h(b) - sqrt(2) with tan(pi/8j)
+BETA_INTERIOR = "beta interior exceeds sqrt(2): -1/k >= tan(pi/8j)"
 # label, claimed, tolerance, verdict and note of every `verify all --seed 0` row
 VERIFY_ALL_ROWS = [
     ("P6 distance equals 3/2", 1.5, 1e-13, "PASS", ""),
@@ -58,19 +61,23 @@ VERIFY_ALL_ROWS = [
     ("family value at n=6 equals 3/2", 1.5, 1e-12, "PASS", ""),
     ("square vs (8j+4)-gon identity, j=1..8", 0.0, 1e-12, "PASS", ""),
     ("beta endpoints at sqrt(2), j=1", 0.0, 1e-12, "PASS", ""),
-    ("beta interior exceeds sqrt(2), j=1", 1.4142135623730951, 0.0, "PASS", "strict"),
+    (f"{BETA_INTERIOR}, j=1", 0.41421356237309503, 1e-12, "PASS", "one-sided"),
     ("beta endpoints at sqrt(2), j=2", 0.0, 1e-12, "PASS", ""),
-    ("beta interior exceeds sqrt(2), j=2", 1.4142135623730951, 0.0, "PASS", "strict"),
+    (f"{BETA_INTERIOR}, j=2", 0.198912367379658, 1e-12, "PASS", "one-sided"),
     ("beta endpoints at sqrt(2), j=3", 0.0, 1e-12, "PASS", ""),
-    ("beta interior exceeds sqrt(2), j=3", 1.4142135623730951, 0.0, "PASS", "strict"),
+    (f"{BETA_INTERIOR}, j=3", 0.13165249758739583, 1e-12, "PASS", "one-sided"),
     ("beta endpoints at sqrt(2), j=4", 0.0, 1e-12, "PASS", ""),
-    ("beta interior exceeds sqrt(2), j=4", 1.4142135623730951, 0.0, "PASS", "strict"),
+    (f"{BETA_INTERIOR}, j=4", 0.09849140335716425, 1e-12, "PASS", "one-sided"),
     ("P8 optimum is a square", 0.0, 1e-13, "PASS", ""),
     ("P16 optimum is a square", 0.0, 1e-13, "PASS", ""),
     ("strip ratio identity, 1000 seeded instances", 0.0, 1e-10, "PASS", ""),
     ("affine invariance of P6 distance, 10 maps", 0.0, 1e-12, "PASS", ""),
     ("affine invariance of P8 distance, 10 maps", 0.0, 1e-12, "PASS", ""),
 ]
+# the number of rows of each suite, in the order `verify all` runs them
+VERIFY_ALL_SUITES = {
+    "theorem1": 7, "remark": 6, "theorem2": 15, "beta": 10, "lemma": 1, "affine": 2,
+}
 
 
 def run(capsys, *argv):
@@ -105,6 +112,14 @@ def near_hexagon_file(tmp_path, kind: str) -> str:
         text = "".join(f"{s * v.x!r},{s * v.y!r}\n" for s, v in zip(scales, gon.vertices))
     path = tmp_path / f"{kind}.txt"
     path.write_text(text)
+    return str(path)
+
+
+def scaled_hexagon_file(tmp_path, e: int) -> str:
+    """Path of a polygon file of P6 with every coordinate scaled by 10^e."""
+    path = tmp_path / f"p6e{e}.txt"
+    s = 10.0**e
+    path.write_text("".join(f"{s * v.x!r},{s * v.y!r}\n" for v in regular_polygon(6).vertices))
     return str(path)
 
 
@@ -254,6 +269,32 @@ class TestDistance:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command", ["distance", "render"])
+    @pytest.mark.parametrize("e", [77, 155])
+    def test_a_polygon_beyond_the_search_radius_exits_with_the_bound(
+        self, capsys, tmp_path, command, e
+    ):
+        # past the bound the vertex solves overflow: at 1e77 the search
+        # lost one of P6's two classes, at 1e155 it found no cell at all
+        svg = tmp_path / "x.svg"
+        argv = [command, scaled_hexagon_file(tmp_path, e)]
+        code, out, err = run(capsys, *argv, *([str(svg)] if command == "render" else []))
+        assert (code, out) == (2, "")
+        assert f"exceeds {MAX_RADIUS:.17g}" in err
+        assert "Traceback" not in err
+        assert not svg.exists()
+
+    def test_a_polygon_inside_the_search_radius_keeps_its_value_and_classes(
+        self, capsys, tmp_path
+    ):
+        path = scaled_hexagon_file(tmp_path, 76)
+        code, out, _ = run(capsys, "distance", path, "--json")
+        assert code == 0
+        assert abs(json.loads(out)["lambda"] - 1.5) <= 1e-15
+        code, out, _ = run(capsys, "render", path, str(tmp_path / "x.svg"))
+        assert code == 0
+        assert value_of(out, "configurations") == "2"
+
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_a_closed_stdout_exits_141_quietly(self, unbuffered):
         # the pipe's read end is closed before the child starts, so every
@@ -279,8 +320,8 @@ class TestDistance:
 # SHA-256 of the `verify all --seed 0` text, without its runtime_ms line,
 # and of its --json output, without the runtime_ms and suite_runtime_ms fields
 VERIFY_ALL_SHA256 = {
-    "text": "9e8c2385fb43ffbbb5d5bd97e97a60e3abd4920a307d457d97d1df11c65c07a4",
-    "json": "0c810197764c7eed5b41744b3ec18ff602ab38549c89d8c0290f07b1286b5243",
+    "text": "5dccd8db57f84283034245b790e82d04f41faf01fd468622202637ef7a2fcad0",
+    "json": "267a46ab45a0c26618f69d0f936b8555e44b03dc922d85d74466298ec50dc209",
 }
 
 
@@ -316,21 +357,36 @@ class TestVerify:
         # each suite's time is a step between rounded running totals
         assert sum(times.values()) == summary["runtime_ms"]
 
-    def test_lemma_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "lemma")
-        assert code == 0
-        assert "result: PASS" in out
-
-    def test_theorem1_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "theorem1")
+    @pytest.mark.parametrize("suite", list(VERIFY_ALL_SUITES))
+    def test_every_suite_of_all_runs_by_name(self, capsys, suite):
+        # each suite prints its own rows of `verify all`, in the same order
+        names = list(VERIFY_ALL_SUITES)
+        first = sum(VERIFY_ALL_SUITES[name] for name in names[: names.index(suite)])
+        expected = VERIFY_ALL_ROWS[first : first + VERIFY_ALL_SUITES[suite]]
+        code, out, _ = run(capsys, "verify", suite, "--seed", "0")
         assert code == 0
         assert "FAIL" not in out
-        assert "P6 distance equals 3/2" in out
+        checks = [line for line in out.splitlines() if line.startswith("check: ")]
+        assert len(checks) == len(expected)
+        for line, (label, _, _, verdict, note) in zip(checks, expected):
+            assert line.startswith(f"check: {label} | "), line
+            assert line.endswith(f"| {verdict}" + (f" | {note}" if note else "")), line
+        assert value_of(out, "result") == f"PASS ({len(expected)}/{len(expected)} checks)"
+        if suite == "theorem2":
+            assert "conjecture support" in out
 
-    def test_theorem2_rows_include_conjecture_notes(self, capsys):
-        code, out, _ = run(capsys, "verify", "theorem2")
-        assert code == 0
-        assert "conjecture support" in out
+    @pytest.mark.parametrize("suite", ["all", "theorem1"])
+    def test_a_negative_seed_is_rejected_before_any_suite_runs(self, capsys, monkeypatch, suite):
+        def fail(*args, **kwargs):
+            raise AssertionError("no suite may run")
+
+        monkeypatch.setitem(cli._HANDLERS, "verify", fail)
+        with pytest.raises(SystemExit) as stopped:
+            main(["verify", suite, "--seed", "-1"])
+        assert stopped.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be a non-negative integer, got -1" in captured.err
 
     def test_json_rows_parse(self, capsys):
         code, out, _ = run(capsys, "verify", "lemma", "--json")
@@ -340,12 +396,6 @@ class TestVerify:
         assert rows[-1]["passed"] is True
         assert all(row["passed"] for row in rows[:-1])
         assert all("tolerance" in row for row in rows[:-1])
-
-    def test_affine_suite_is_accepted(self, capsys):
-        code, out, _ = run(capsys, "verify", "affine", "--seed", "0")
-        assert code == 0
-        checks = [line for line in out.splitlines() if line.startswith("check:")]
-        assert len(checks) == 2 and all(line.endswith("| PASS") for line in checks)
 
     def test_all_rows_keep_their_claims_and_verdicts(self, capsys):
         code, out, _ = run(capsys, "verify", "all", "--seed", "0", "--json")

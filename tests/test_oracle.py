@@ -1,5 +1,6 @@
 import heapq
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -655,6 +656,24 @@ class TestBMDistance:
         assert a.lam == b.lam
         assert a.parallelogram == b.parallelogram
 
+    def test_the_radius_bound_is_the_largest_scale_searched(self, p6):
+        # up to the bound the vertex solves stay finite, so lambda and the
+        # class count are those of the unit hexagon; past it both entry
+        # points refuse the polygon
+        result = bm_distance(p6, grid=90)
+        scale = oracle.MAX_RADIUS * (1.0 - 4e-16) / p6.radius
+        inside = CentralPolygon([scale * v for v in p6.vertices])
+        assert inside.radius <= oracle.MAX_RADIUS
+        found = bm_distance(inside, grid=90)
+        assert abs(found.lam - result.lam) <= 1e-15
+        assert len(argmin_orbit(inside, found)) == len(argmin_orbit(p6, result)) == 2
+        beyond = CentralPolygon([2.0 * v for v in inside.vertices])
+        bound = re.escape(f"exceeds {oracle.MAX_RADIUS:.17g}")
+        with pytest.raises(ValueError, match=bound):
+            bm_distance(beyond, grid=90)
+        with pytest.raises(ValueError, match=bound):
+            argmin_orbit(beyond, result)
+
     def test_refinement_washes_out_grid_resolution(self, p6):
         refined = [bm_distance(p6, grid=g).lam for g in (45, 90, 180, 360)]
         assert all(abs(lam - 1.5) <= 1e-9 for lam in refined)
@@ -1269,5 +1288,6 @@ class TestVerifyClaim:
         assert Claim("P6", 1.5, 1.5 - 0.5 * tol, tol, "upper_bound").passed
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            Claim("P6", 1.5, 1.5, 1e-6, "lower_bound")
+        for kind in ("lower_bound", "above"):
+            with pytest.raises(ValueError):
+                Claim("P6", 1.5, 1.5, 1e-6, kind)
