@@ -97,8 +97,9 @@ class CentralPolygon:
     exact negation so that antipodal identities hold bit for bit.  From
     those vertices it builds the boundary table ``edges`` once, which
     every reader of the boundary uses.  The convexity, origin and winding
-    checks run on the table's floats, (dx, dy) being exactly b - a, and Vec2s
-    are made only for the stored ``vertices``.
+    checks run on the table's floats, the first two divided by a power of
+    two so that they hold at every scale, and Vec2s are made only for the
+    stored ``vertices``.
     """
 
     __slots__ = ("vertices", "edges", "radius", "_rotation_step")
@@ -132,12 +133,20 @@ class CentralPolygon:
         y = py[:m] + [-a for a in py[:m]]
         dx = [b - a for a, b in zip(x, x[1:] + x[:1])]
         dy = [b - a for a, b in zip(y, y[1:] + y[:1])]
+        # the turn and origin tests read the coordinates divided by the
+        # power of two just above the largest |coordinate|: the division is
+        # exact, so they decide as on the coordinates themselves, but no
+        # product overflows or underflows at any scale, and a nan fails them
+        _, (sx, sy) = _scaled(x, y)
+        sdx = [b - a for a, b in zip(sx, sx[1:] + sx[:1])]
+        sdy = [b - a for a, b in zip(sy, sy[1:] + sy[:1])]
         for i in range(n):
             j = (i + 1) % n
-            turn = dx[i] * dy[j] - dy[i] * dx[j]
-            if not math.isfinite(turn):  # an edge delta can overflow: Vec2 rejects it
+            # an edge delta can overflow: the sum is then not finite, and
+            # Vec2 rejects the delta (a finite sum that overflows passes)
+            if not math.isfinite(dx[i] + dy[i] + dx[j] + dy[j]):
                 Vec2(dx[i], dy[i]), Vec2(dx[j], dy[j])
-            if turn <= 0.0:
+            if not sdx[i] * sdy[j] - sdy[i] * sdx[j] > 0.0:
                 raise ValueError(
                     f"vertices are not in strictly convex counterclockwise "
                     f"position (turn at vertex {j} is not left)"
@@ -145,7 +154,7 @@ class CentralPolygon:
         winding = 0
         for i in range(n):
             j = (i + 1) % n
-            if x[i] * y[j] - y[i] * x[j] <= 0.0:
+            if not sx[i] * sy[j] - sy[i] * sx[j] > 0.0:
                 raise ValueError("origin is not strictly interior")
             winding += y[i] < 0.0 <= y[j]
         # with the origin strictly left of every edge the polar angle rises
@@ -187,6 +196,14 @@ class CentralPolygon:
 
     def __repr__(self) -> str:
         return f"CentralPolygon({len(self.vertices)} vertices)"
+
+
+def _scaled(*rows: Sequence[float]) -> tuple[int, list[list[float]]]:
+    """(e, the rows divided by 2**e), where 2**(e - 1) <= max |value| < 2**e,
+    so every value lands in (-1, 1); the division is exact for every
+    value above 2**-1021 times the largest."""
+    e = math.frexp(max(abs(v) for row in rows for v in row))[1]
+    return e, [[math.ldexp(v, -e) for v in row] for row in rows]
 
 
 def regular_polygon(n: int) -> CentralPolygon:
@@ -291,8 +308,13 @@ def linear_image(polygon: CentralPolygon, mat: Mat2 | Sequence[Sequence[float]])
     """Image of the polygon under a nonsingular linear map, reordering the
     vertices when the map reverses orientation."""
     (a, b), (c, d) = mat
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise ValueError(f"linear map has a non-finite entry: {mat}")
+    # the test reads the entries divided by a power of two, as
+    # CentralPolygon's checks read the coordinates
+    _, ((a, b), (c, d)) = _scaled((a, b), (c, d))
     det = a * d - b * c
-    if abs(det) <= UNIT_TOL * (a * a + b * b + c * c + d * d):
+    if not abs(det) > UNIT_TOL * (a * a + b * b + c * c + d * d):
         raise ValueError("linear map is singular")
     verts = [apply_linear(mat, v) for v in polygon.vertices]
     if det < 0.0:
@@ -307,21 +329,23 @@ def symmetry_map(polygon: CentralPolygon, k: int, step: int) -> Mat2 | None:
     The map is fixed by the images of vertices 0 and 1.  Every vertex
     image must match its target within ``SYMMETRY_TOL`` times the
     largest vertex norm, so the check does not depend on the scale of the
-    polygon; the first vertex that misses ends it.
+    polygon; the first vertex that misses ends it.  Both read the
+    coordinates divided by a power of two, as ``CentralPolygon``'s checks
+    do, so the map and the decision are those of the coordinates
+    themselves, with no product underflowing at small scales.
     """
-    verts = polygon.vertices
-    n = len(verts)
-    v0, v1 = verts[0], verts[1]
-    det0 = v0.cross(v1)  # nonzero because the origin is strictly interior
-    w0, w1 = verts[k % n], verts[(k + step) % n]
-    a = (w0.x * v1.y - w1.x * v0.y) / det0
-    b = (w1.x * v0.x - w0.x * v1.x) / det0
-    c = (w0.y * v1.y - w1.y * v0.y) / det0
-    d = (w1.y * v0.x - w0.y * v1.x) / det0
-    bound = SYMMETRY_TOL * polygon.radius
+    e, (x, y) = _scaled(*polygon.edges[:2])
+    n = len(x)
+    det0 = x[0] * y[1] - y[0] * x[1]  # nonzero because the origin is strictly interior
+    p, q = k % n, (k + step) % n
+    a = (x[p] * y[1] - x[q] * y[0]) / det0
+    b = (x[q] * x[0] - x[p] * x[1]) / det0
+    c = (y[p] * y[1] - y[q] * y[0]) / det0
+    d = (y[q] * x[0] - y[p] * x[1]) / det0
+    bound = math.ldexp(SYMMETRY_TOL * polygon.radius, -e)
     if all(
-        abs(a * verts[i].x + b * verts[i].y - verts[(k + step * i) % n].x) <= bound
-        and abs(c * verts[i].x + d * verts[i].y - verts[(k + step * i) % n].y) <= bound
+        abs(a * x[i] + b * y[i] - x[(k + step * i) % n]) <= bound
+        and abs(c * x[i] + d * y[i] - y[(k + step * i) % n]) <= bound
         for i in range(n)
     ):
         return ((a, b), (c, d))

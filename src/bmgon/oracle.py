@@ -13,13 +13,13 @@ point reflection.  The objective is therefore scanned on one rotation
 period t1 in [0, k), s in (0, m/2]: a quarter of the parameter torus
 for a polygon without rotations, and m/k times less for one with them.
 The objective, the maximal parallelogram gauge over the polygon's
-vertices, is evaluated on a grid of that domain and then polished by a
-compass descent: one step of length r along each of two orthogonal
-directions and their opposites, the first that improves taken, r
-doubled after a move and halved after a stall.  The first stall that
-takes r below ``KEY_TOL`` ends the descent, at the vertex of its active
-set when one is found.  The descent itself may leave the domain; its
-result labels the same parallelogram either way.
+vertices, is evaluated on a lattice of that domain (``grid_scan``) and
+then polished by a compass descent: one step of length r along each of
+two orthogonal directions and their opposites, the first that improves
+taken, r doubled after a move and halved after a stall.  The first stall
+that takes r below ``KEY_TOL`` ends the descent, at the vertex of its
+active set when one is found.  The descent itself may leave the domain;
+its result labels the same parallelogram either way.
 
 The objective is a maximum of smooth per-vertex sheets, so its valleys
 are creases where two sheets tie; fixed axis-aligned steps stall on a
@@ -94,20 +94,21 @@ DEFAULT_SETTINGS = SearchSettings()
 ORBIT_TOL = 1e-9
 KEY_TOL = 1e-6
 
-# largest polygon radius the search takes: the numerator gradients that
+# the polygon radii the search takes: the numerator gradients that
 # _vertex_solve multiplies in pairs are up to 2 r^2 in size, so its 2x2
-# determinants reach 8 r^4 and overflow to inf or nan past this radius
-MAX_RADIUS = (sys.float_info.max / 8.0) ** 0.25
+# determinants reach 8 r^4 and overflow to inf or nan past MAX_RADIUS,
+# and below MIN_RADIUS every cross(u, v) <= r^2 fails evaluate's den > 1e-300
+MIN_RADIUS, MAX_RADIUS = 1e-150, (sys.float_info.max / 8.0) ** 0.25
 
 # largest grid_scan accepts: a polygon without rotations then scans
 # 2048 x 2048 cells, and F, the only array of that size, takes 34 MB
 MAX_GRID = 4096
-# cells per row block of grid_scan: the block's eight buffers, 1 MiB in
-# all, stay in a core's L2 cache while every sheet passes over them.
+# cells per row block of grid_scan: the block's three buffers, 384 KiB
+# in all, stay in a core's L2 cache while every sheet passes over them.
 # Each thread keeps its buffers in _WORKSPACE from its first scan on:
-# made afresh per call, the 1 MiB came back from the allocator as up to
-# 256 new pages, whose minor faults made the median grid-720 search of
-# perfbench's distance_fine workload about 12% slower.
+# made afresh per call, the earlier eight (1 MiB) came back as new pages,
+# whose minor faults made the median grid-720 search of perfbench's
+# distance_fine workload about 12% slower.
 # Since ceil(MAX_GRID / 2) <= BLOCK_CELLS, every scan's blocks fit them.
 BLOCK_CELLS = 16384
 _WORKSPACE = threading.local()
@@ -172,96 +173,93 @@ def _same_class(a: tuple[float, float], b: tuple[float, float]) -> bool:
 
 
 def _block_buffers() -> tuple[np.ndarray, ...]:
-    """The calling thread's eight ``grid_scan`` block buffers of
-    ``BLOCK_CELLS`` cells, one intp and seven float64, made on its first
-    call."""
+    """The calling thread's three ``grid_scan`` block buffers, made on its first call."""
     buffers = getattr(_WORKSPACE, "buffers", None)
     if buffers is None:
-        buffers = (np.empty(BLOCK_CELLS, dtype=np.intp), *np.empty((7, BLOCK_CELLS)))
+        buffers = tuple(np.empty((3, BLOCK_CELLS)))
         _WORKSPACE.buffers = buffers
     return buffers
+
+
+def _hankel(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """View of contiguous a's last axis as ``shape``, [..., i, j] = a[..., 2i + j]
+    (numpy's as_strided kept ~1 KiB per array it viewed; the constructor keeps none)."""
+    *outer, inner = a.strides
+    return np.ndarray((*a.shape[:-1], *shape), a.dtype, a, 0, (*outer, 2 * inner, inner))
+
+
+def _lattice_step(m, grid):
+    """m / grid rounded down to 36 significant bits, elementwise, so that
+    each (l + 1/2) times it with 2l + 1 < 2**17 is a float."""
+    mantissa, exponent = np.frexp(m / grid)
+    return np.ldexp(np.floor(np.ldexp(mantissa, 36)), exponent - 36)
 
 
 def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Objective on one rotation period t1 in [0, k), s in (0, m/2], where
     k is the polygon's rotation step (m for a polygon without rotations).
 
-    The cell width is that of a grid x grid mesh of t1 in [0, 2m) and
-    s in [margin, m - margin], margin = ``DEFAULT_SETTINGS.margin``; the
-    scan keeps the ceil(k * grid / 2m) rows with t1 = i * 2m / grid < k
-    and the first ceil(grid/2) values of that s mesh, which are the ones
-    up to m/2 (an odd grid's middle value is m/2 up to rounding).  Every other parameter pair labels the
-    same parallelogram as one of these, or a rotated copy of it, since
+    The cells lie on the lattice t1 = 2ih, s = (j + 1/2)h of step
+    h = ``_lattice_step(m, grid)``: the ceil(k * grid / 2m) rows with
+    t1 < k and the first ceil(grid/2) values of s, the last within h/2 of
+    m/2.  Every other parameter pair labels the same parallelogram as one
+    of these, or a rotated copy of it, since
     F(t1, s) = F(t1 + k, s) = F(t1 + m, s) = F(t1 + s, m - s).
 
-    Returns (t1 values, s values, F) with shapes (r,), (h,) and (r, h),
-    r = ceil(k * grid / 2m) and h = ceil(grid/2), where F[i, j] is the
+    Returns (t1 values, s values, F) with shapes (r,), (c,) and (r, c),
+    r = ceil(k * grid / 2m) and c = ceil(grid/2), where F[i, j] is the
     maximal vertex gauge of the parallelogram with generators at
     boundary parameters t1[i] and t1[i] + s[j]; infeasible cells hold
     +inf.  Raises ValueError unless 8 <= grid <= ``MAX_GRID``.
 
-    The generators are read from the polygon's boundary table
-    ``CentralPolygon.edges``, wrapped in arrays, with the formula of
-    ``geom.boundary_point``.  F is the only array of the grid's size, and
-    a new one on each call.  The cells are evaluated one block of rows at
-    a time, about ``BLOCK_CELLS`` cells each, in buffers that stay in a
-    core's cache through the pass over all m sheets; the term
-    |cross(u, w)| of each sheet is computed once per row.  Every cell
-    takes the same operations as a whole-grid evaluation would, so F does
-    not depend on the block size.  The buffers (1 MiB in all) are kept per thread and
-    reused by its later scans, which spares the page faults of fresh
-    memory; each block writes every buffer element it reads, so no value
-    passes from one scan to the next, and threads scanning at once share
-    none.
+    Each sum t1[i] + s[j] = (2i + j + 1/2)h is exact, since every cell's
+    2(2i + j) + 1 < 2**17 up to ``MAX_GRID``, so v depends on the lattice
+    index 2i + j alone.  u per row, v per lattice point and the sheet
+    terms |cross(u, w)| per row and |cross(w, v)| per lattice point (per
+    row block) are 1-D arrays, read from ``CentralPolygon.edges`` as
+    ``geom.boundary_point`` reads it; a cell reads them at 2i + j through
+    Hankel views and takes the operations ``evaluate`` takes, so F[i, j]
+    equals ``evaluate(t1[i], s[j])`` bit for bit, whatever the block
+    size.  F, the only array of the grid's size, is new on each call; the
+    blocks of rows, about ``BLOCK_CELLS`` cells each, are evaluated in
+    three per-thread buffers that stay in a core's cache through the pass
+    over all m sheets, and a block writes every buffer element it reads,
+    so no value passes from one scan to the next or between threads.
     """
     if grid < 8:
         raise ValueError(f"grid must be at least 8, got {grid}")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
-    margin = DEFAULT_SETTINGS.margin
     x, y, dx, dy = (np.array(column) for column in c.edges)
     m = len(x) // 2
     rows = -(-c.rotation_step * grid // (2 * m))
     half = (grid + 1) // 2
-    t1 = np.arange(rows) * (2.0 * m / grid)
-    s = margin + np.arange(half) * ((m - 2.0 * margin) / (grid - 1))
-    a = t1.astype(np.intp)
-    fu = t1 - a
-    ux = (x[a] + fu * dx[a])[:, None]
-    uy = (y[a] + fu * dy[a])[:, None]
+    h = _lattice_step(m, grid)
+    t1 = np.arange(rows) * (2.0 * h)
+    s = (np.arange(half) + 0.5) * h
+    # u per row and v per lattice point; t < 1.5 m < n needs no reducing
+    params = ((t, t.astype(np.intp)) for t in (t1, (np.arange(2 * rows + half - 2) + 0.5) * h))
+    ux, uy, vx, vy = (a[e] + (t - e) * d[e] for t, e in params for a, d in ((x, dx), (y, dy)))
     # |cross(u, w)| per sheet and row; antipodal vertices have equal gauge
-    cu = np.abs(ux * y[:m, None, None] - uy * x[:m, None, None])
+    cu = np.abs(ux[:, None] * y[:m, None, None] - uy[:, None] * x[:m, None, None])
     f = np.empty((rows, half))
     step = BLOCK_CELLS // half
-    size = min(step, rows) * half
-    buffers = tuple(buf[:size].reshape(-1, half) for buf in _block_buffers())
+    buffers = tuple(buf[: min(step, rows) * half].reshape(-1, half) for buf in _block_buffers())
     with np.errstate(divide="ignore", invalid="ignore"):
         for r0 in range(0, rows, step):
             block = slice(r0, r0 + step)
-            e, t, vx, vy, den, g, tmp, best = (buf[: min(step, rows - r0)] for buf in buffers)
-            # v at t = t1 + s < 1.5 m < n, so no parameter needs reducing
-            # modulo n: its edge e, then its fraction t - e along the edge
-            # (the gathers' index wrap, cheaper than a bounds check, never acts)
-            np.add(t1[block, None], s, out=t)
-            np.trunc(t, out=tmp)
-            np.copyto(e, tmp, casting="unsafe")
-            t -= tmp
-            np.take(dx, e, out=vx, mode="wrap")
-            vx *= t
-            vx += np.take(x, e, out=tmp, mode="wrap")
-            np.take(dy, e, out=vy, mode="wrap")
-            vy *= t
-            vy += np.take(y, e, out=tmp, mode="wrap")
-            np.multiply(ux[block], vy, out=den)
-            np.multiply(uy[block], vx, out=tmp)
-            den -= tmp
-            best.fill(0.0)
-            for wx, wy, cw in zip(c.edges[0][:m], c.edges[1][:m], cu):
-                np.multiply(vy, wx, out=g)
-                np.multiply(vx, wy, out=tmp)
-                g -= tmp
-                np.abs(g, out=g)
-                g += cw[block]
+            den, g, best = (buf[: min(step, rows - r0)] for buf in buffers)
+            lattice = slice(2 * r0, 2 * r0 + 2 * len(den) + half - 2)
+            np.multiply(ux[block, None], _hankel(vy[lattice], den.shape), out=den)
+            np.multiply(uy[block, None], _hankel(vx[lattice], den.shape), out=g)
+            den -= g
+            # |cross(w, v)| per sheet and lattice point of the block
+            cv = vy[lattice] * x[:m, None]
+            cv -= vx[lattice] * y[:m, None]
+            sheets = zip(_hankel(np.abs(cv, out=cv), den.shape), cu[:, block])
+            np.add(*next(sheets), out=best)
+            for cw, uw in sheets:
+                np.add(cw, uw, out=g)
                 np.maximum(best, g, out=best)
             fb = np.divide(best, den, out=f[block])
             fb[~(np.isfinite(fb) & (den > 0.0))] = np.inf
@@ -471,6 +469,8 @@ def _check_radius(c: CentralPolygon) -> None:
             f"polygon radius {c.radius:.17g} exceeds {MAX_RADIUS:.17g},"
             " the largest the search takes"
         )
+    if c.radius < MIN_RADIUS:
+        raise ValueError(f"polygon radius {c.radius:.17g} is below {MIN_RADIUS}, the least taken")
 
 
 def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -514,7 +514,7 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     ``ORBIT_TOL`` of the best value, from the lowest-valued descent with
     that key.  It is deterministic for fixed arguments, and the returned
     ratio is recomputed from it: ``circum_ratio(parallelogram, c) == lam``.
-    Raises ValueError for a polygon of radius above ``MAX_RADIUS``.
+    Raises ValueError for a radius outside [``MIN_RADIUS``, ``MAX_RADIUS``].
     """
     _check_radius(c)
     t1s, ss, f = grid_scan(c, grid)
@@ -545,10 +545,10 @@ def _local_minima_mask(f: np.ndarray) -> np.ndarray:
     below the minimum of the 8 shifted views of the padded F, taken in
     place.
 
-    The t1 axis wraps with the rotation period k, as F does.  The wrap
-    is exact when k * grid / 2m is whole; otherwise the last row's
-    successor lies less than a cell past t1 = k, and the first row
-    stands in for it.  The s axis is padded with +inf at both ends;
+    The t1 axis wraps with the rotation period k, as F does: the first
+    row stands in for the last row's successor, which lies less than a
+    cell past t1 = k or, the lattice step being m/grid rounded down, at
+    most 2**-35 k below it.  The s axis is padded with +inf at both ends;
     across the s = m/2 seam the true neighbors lie in other rows
     (F(t1, s) = F(t1 + s, m - s)), so the padding can only add
     candidates, never drop a minimum."""
@@ -572,7 +572,7 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     ``bm_distance`` started off a local minimum of the grid.  Positions
     whose class keys agree within ``KEY_TOL`` form one class, drawn at
     its least key; the classes come in key order.  Raises ValueError for
-    a polygon of radius above ``MAX_RADIUS``.
+    a radius outside [``MIN_RADIUS``, ``MAX_RADIUS``].
     """
     _check_radius(c)
     grid = result.grid_resolution

@@ -21,7 +21,7 @@ from bmgon.geom import (
     regular_polygon,
 )
 from bmgon.hexagon import HEXAGON, hex_critical_b, hex_optimal_positions
-from bmgon.oracle import MAX_RADIUS
+from bmgon.oracle import MAX_RADIUS, MIN_RADIUS
 from bmgon.pgram import Parallelogram
 
 SQRT2 = math.sqrt(2.0)
@@ -284,6 +284,24 @@ class TestDistance:
         assert "Traceback" not in err
         assert not svg.exists()
 
+    @pytest.mark.parametrize("e", [-151, -170])
+    def test_a_polygon_below_the_search_radius_exits_with_the_bound(self, capsys, tmp_path, e):
+        # the constructor accepts P6 at these scales; the search refuses it
+        code, out, err = run(capsys, "distance", scaled_hexagon_file(tmp_path, e))
+        assert (code, out) == (2, "")
+        assert f"is below {MIN_RADIUS}" in err
+        assert "Traceback" not in err
+
+    def test_collinear_huge_vertices_exit_with_the_convexity_message(self, capsys, tmp_path):
+        # the vertices +-(1e200, 1e200), +-(2e200, 2e200) turn by
+        # inf - inf = nan unscaled, which no comparison rejects
+        path = tmp_path / "flat.txt"
+        path.write_text("1e200,1e200\n2e200,2e200\n-1e200,-1e200\n-2e200,-2e200\n")
+        code, out, err = run(capsys, "distance", str(path))
+        assert (code, out) == (2, "")
+        assert "not in strictly convex counterclockwise position" in err
+        assert "Traceback" not in err
+
     def test_a_polygon_inside_the_search_radius_keeps_its_value_and_classes(
         self, capsys, tmp_path
     ):
@@ -320,8 +338,8 @@ class TestDistance:
 # SHA-256 of the `verify all --seed 0` text, without its runtime_ms line,
 # and of its --json output, without the runtime_ms and suite_runtime_ms fields
 VERIFY_ALL_SHA256 = {
-    "text": "5dccd8db57f84283034245b790e82d04f41faf01fd468622202637ef7a2fcad0",
-    "json": "267a46ab45a0c26618f69d0f936b8555e44b03dc922d85d74466298ec50dc209",
+    "text": "232703e74741f0b587052b377372a151f81c9cad6a07ff6355697009001f5447",
+    "json": "8e3056fde12dd09e5a220e98aa16722fd7d87e655b64f702e2cde9be595be535",
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from bmgon.geom import (
     strip_ratios,
 )
 from bmgon.cli import suite_lemma
+from bmgon.oracle import MAX_RADIUS, bm_distance
 
 SQRT3 = math.sqrt(3.0)
 
@@ -222,6 +224,21 @@ class TestConstructorChecks:
             expected = _outcome(_vertex_polygon, verts)
             assert expected[1].startswith(message), (expected, verts)
             assert _outcome(_polygon_fields, verts) == expected, verts
+
+    @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e200])
+    def test_rejects_collinear_vertices_at_every_scale(self, scale):
+        # at 1e200 every turn is inf - inf = nan unscaled, and at 1e-170
+        # every product underflows to 0
+        verts = [(scale * a, scale * a) for a in (1.0, 2.0, -1.0, -2.0)]
+        with pytest.raises(ValueError, match="not in strictly convex counterclockwise position"):
+            CentralPolygon(verts)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-162, 1e154, 1e200])
+    def test_accepts_a_regular_polygon_at_every_scale(self, scale):
+        # unscaled, the turns of P6 underflow to 0 below about 1e-162
+        for n in (4, 6, 12):
+            verts = [v * scale for v in regular_polygon(n).vertices]
+            assert CentralPolygon(verts).vertices == tuple(verts)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     @pytest.mark.parametrize("n, k", [(10, 3), (14, 3), (14, 5), (18, 5)])
@@ -502,12 +519,27 @@ class TestLinearMaps:
         with pytest.raises(ValueError):
             linear_image(p6, [[1.0, 2.0], [2.0, 4.0]])
 
-    @pytest.mark.parametrize("scale", [1e-7, 1e8])
+    @pytest.mark.parametrize("scale", [1e-7, 1e8, 1e-170, 1e154, 1e200])
     def test_linear_image_accepts_a_uniform_scaling(self, p6, scale):
         # the singularity test is relative to the map's entries, so a
-        # tiny or huge multiple of the identity is not singular
+        # tiny or huge multiple of the identity is not singular; both
+        # tests read the entries or coordinates divided by a power of two,
+        # so neither overflows nor underflows at these scales
         image = linear_image(p6, [[scale, 0.0], [0.0, scale]])
         assert image.vertices == CentralPolygon([v * scale for v in p6.vertices]).vertices
+        if scale > MAX_RADIUS:
+            with pytest.raises(ValueError, match=re.escape(f"exceeds {MAX_RADIUS:.17g}, the largest")):
+                bm_distance(image)
+
+    def test_linear_image_rejects_a_singular_map_of_huge_entries(self, p6):
+        # det = 1e200 * 2e200 - 2e200 * 1e200 is inf - inf = nan unscaled
+        with pytest.raises(ValueError, match="linear map is singular"):
+            linear_image(p6, [[1e200, 2e200], [1e200, 2e200]])
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_linear_image_rejects_a_non_finite_entry(self, p6, entry):
+        with pytest.raises(ValueError, match="linear map has a non-finite entry"):
+            linear_image(p6, [[1.0, 0.0], [entry, 1.0]])
 
     def test_symmetry_group_sizes(self, p6, p8):
         assert len(polygon_symmetries(p6)) == 12

@@ -85,11 +85,11 @@ class TestGridScan:
     def test_hexagon_floor(self, p6):
         for grid in (60, 180, 360):
             _, _, f = grid_scan(p6, grid)
-            assert float(np.min(f[np.isfinite(f)])) >= 1.5 - 1e-6
+            assert float(np.min(f[np.isfinite(f)])) >= 1.5 - 1e-12
 
     def test_square_floor(self, p4):
         _, _, f = grid_scan(p4, 120)
-        assert float(np.min(f[np.isfinite(f)])) >= 1.0 - 1e-9
+        assert float(np.min(f[np.isfinite(f)])) >= 1.0 - 1e-12
 
     def test_rejects_tiny_grid(self, p6):
         with pytest.raises(ValueError):
@@ -99,26 +99,53 @@ class TestGridScan:
         with pytest.raises(ValueError, match=f"grid must be at most {oracle.MAX_GRID}"):
             grid_scan(p6, oracle.MAX_GRID + 1)
 
-    @pytest.mark.parametrize("grid", [64, 45])
+    @pytest.mark.parametrize("grid", [64, 45, 8, 9])
     def test_fundamental_domain_matches_the_scalar_objective(self, grid):
+        # every cell, for m = 2, 3, 5 and 12 with rotation step k = 1
+        # (regular) and k = m (random); every parallelogram turns by one
+        # vertex, so m = 2 has k = 1 only
         half = (grid + 1) // 2
         rng = np.random.default_rng(grid)
-        # (polygon, rotation step): regular polygons turn by one vertex,
-        # a random polygon only by the point reflection
-        cases = [(regular_polygon(6), 1), (regular_polygon(10), 1), (random_central_polygon(rng, m=5), 5)]
+        cases = [(regular_polygon(2 * m), 1) for m in (2, 3, 5, 12)]
+        cases += [(random_central_polygon(rng, m=m), 1 if m == 2 else m) for m in (2, 3, 5, 12)]
         for gon, k in cases:
             m = len(gon.vertices) // 2
             assert gon.rotation_step == k
             rows = (k * grid + 2 * m - 1) // (2 * m)
             t1, s, f = grid_scan(gon, grid)
             assert t1.shape == (rows,) and s.shape == (half,) and f.shape == (rows, half)
-            assert (t1 < k).all()
-            # an odd grid's middle s value is m/2 up to one rounding
-            assert (s <= np.nextafter(m / 2.0, np.inf)).all()
+            assert (t1 < k).all() and (s > 0.0).all() and (s <= m / 2.0).all()
             evaluate = _make_objective(gon)
-            for i, j in zip(rng.integers(0, rows, 50), rng.integers(0, half, 50)):
-                expected, _ = evaluate(float(t1[i]), float(s[j]))
-                assert f[i, j] == expected, (i, j)
+            expected = [[evaluate(float(a), float(b))[0] for b in s] for a in t1]
+            assert f.tolist() == expected, (m, k)
+
+    def test_every_cell_sum_is_exact_on_the_lattice(self):
+        # t1[i] + s[j] must be (2i + j + 1/2) h exactly, so that v at a
+        # cell is the lattice point 2i + j.  For every grid and every m up
+        # to 500 the step h has at most 36 significant bits, and the
+        # largest odd multiple of h/2 that a cell takes, 4(r - 1) +
+        # 2(half - 1) + 1 with r <= half rows, is below 2**17: every
+        # multiple of h/2 up to it is then a float
+        ms = np.arange(2, 501)
+        for grid in range(8, oracle.MAX_GRID + 1):
+            h = oracle._lattice_step(ms, grid)
+            assert (h <= ms / grid).all() and (ms / grid - h < 2.0**-35 * h).all(), grid
+            mantissa, _ = np.frexp(h)
+            assert (np.ldexp(mantissa, 36) % 1.0 == 0.0).all(), grid
+            assert 6 * ((grid + 1) // 2) - 5 < 2**17, grid
+        # and on scans with the most rows, the largest grids and m = 500,
+        # every sum is compared with its multiple of h/2 in exact integers
+        rng = np.random.default_rng(4096)
+        cases = [(regular_polygon(4), 4096), (random_central_polygon(rng, 3), 4095)]
+        cases += [(random_central_polygon(rng, 7), 720), (regular_polygon(1000), 4096)]
+        for gon, grid in cases:
+            t1, s, _ = grid_scan(gon, grid)
+            numerator, denominator = float(oracle._lattice_step(gon.m, grid)).as_integer_ratio()
+            # the sums times 2 * denominator, a power of two, are whole
+            # floats below 2**53, so they convert to int64 exactly
+            sums = ((t1[:, None] + s) * (2 * denominator)).astype(np.int64)
+            i, j = np.indices(sums.shape)
+            assert np.array_equal(sums, (4 * i + 2 * j + 1) * numerator), (gon.m, grid)
 
     def test_rows_on_both_sides_of_each_block_seam_match_the_scalar_objective(self):
         # a polygon without rotations at an odd grid: 3 full row blocks
@@ -674,6 +701,18 @@ class TestBMDistance:
         with pytest.raises(ValueError, match=bound):
             argmin_orbit(beyond, result)
 
+    @pytest.mark.parametrize("scale", [1e-151, 1e-170, 1e-300])
+    def test_below_the_least_radius_both_entry_points_refuse_the_polygon(self, p6, scale):
+        # every cross(u, v) there is below the objective's 1e-300, so no
+        # cell is feasible; the constructor accepts these polygons
+        result = bm_distance(p6, grid=90)
+        tiny = CentralPolygon([scale * v for v in p6.vertices])
+        bound = re.escape(f"is below {oracle.MIN_RADIUS}")
+        with pytest.raises(ValueError, match=bound):
+            bm_distance(tiny, grid=90)
+        with pytest.raises(ValueError, match=bound):
+            argmin_orbit(tiny, result)
+
     def test_refinement_washes_out_grid_resolution(self, p6):
         refined = [bm_distance(p6, grid=g).lam for g in (45, 90, 180, 360)]
         assert all(abs(lam - 1.5) <= 1e-9 for lam in refined)
@@ -903,21 +942,21 @@ class TestGoldenTrajectories:
     # (t1, s, value.hex(), sweeps, moves, stop) of every descent
     STARTS = {
         ("P6", 360): [
-            (0.3333333333333333, 1.3370474623955433, "0x1.7fffffffffffep+0", 53, 19, "vertex"),
-            (0.5, 1.495821729805014, "0x1.8000000000000p+0", 47, 16, "vertex"),
+            (0.3333333333284827, 1.3374999999805368, "0x1.8000000000002p+0", 45, 15, "vertex"),
+            (0.49999999999272404, 1.495833333311566, "0x1.8000000000001p+0", 47, 16, "vertex"),
         ],
         ("P10", 360): [
-            (0.7777777777777777, 2.437325930362117, "0x1.6d5336963eefcp+0", 41, 13, "vertex"),
+            (0.7777777777664596, 2.4374999999645297, "0x1.6d5336963eefdp+0", 47, 16, "vertex"),
         ],
         ("P14", 360): [
-            (0.4666666666666667, 3.4902506991643456, "0x1.6ce8d1b11535ap+0", 64, 24, "vertex"),
+            (0.4666666666598758, 3.4902777777269876, "0x1.6ce8d1b11535ap+0", 58, 21, "vertex"),
         ],
         ("random", 720): [
-            (3.1333333333333333, 2.8289291251738526, "0x1.44848d30ab3e9p+0", 31, 8, "vertex"),
-            (3.15, 2.8289291251738526, "0x1.44848d30ab3eap+0", 53, 19, "vertex"),
-            (3.1333333333333333, 2.8372740458970793, "0x1.44848d30ab3eap+0", 53, 19, "vertex"),
-            (3.1166666666666667, 2.8289291251738526, "0x1.44848d30ab3eap+0", 41, 13, "vertex"),
-            (3.1666666666666665, 2.8205842044506255, "0x1.44848d30ab3e9p+0", 49, 17, "vertex"),
+            (3.1333333332877373, 2.829166666625497, "0x1.44848d30ab3e9p+0", 33, 9, "vertex"),
+            (3.1499999999541615, 2.829166666625497, "0x1.44848d30ab3eap+0", 45, 15, "vertex"),
+            (3.1333333332877373, 2.837499999958709, "0x1.44848d30ab3eap+0", 45, 15, "vertex"),
+            (3.1666666666205856, 2.820833333292285, "0x1.44848d30ab3eap+0", 39, 12, "vertex"),
+            (3.116666666621313, 2.829166666625497, "0x1.44848d30ab3e9p+0", 51, 18, "vertex"),
         ],
     }
 
@@ -926,8 +965,8 @@ class TestGoldenTrajectories:
         6: [
             ("0x1.0000000000000p+0", "0x0.0p+0",
              "0x1.c000000000000p-52", "0x1.bb67ae8584caap-1"),
-            ("0x1.aaaaaaaaaaaacp-1", "0x1.279a74590331ap-2",
-             "-0x1.5555555555550p-3", "0x1.bb67ae8584cabp-1"),
+            ("0x1.aaaaaaaaaaaacp-1", "0x1.279a745903317p-2",
+             "-0x1.5555555555548p-3", "0x1.bb67ae8584cabp-1"),
         ],
         8: [
             ("0x1.0000000000000p+0", "0x0.0p+0",
