@@ -98,17 +98,19 @@ class CentralPolygon:
     those vertices it builds the boundary table ``edges`` once, which
     every reader of the boundary uses.  The convexity, origin and winding
     checks run on the table's floats, the first two divided by a power of
-    two so that they hold at every scale, and Vec2s are made only for the
-    stored ``vertices``.
+    two so that they hold at every scale; the polygon keeps that power and
+    the divided coordinates for ``symmetry_map``.  Vec2s are made only for
+    the stored ``vertices``.
     """
 
-    __slots__ = ("vertices", "edges", "radius", "_rotation_step")
+    __slots__ = ("vertices", "edges", "radius", "_unit", "_rotation_step")
 
     vertices: tuple[Vec2, ...]
     # the boundary table (x, y, dx, dy) of Python floats: vertex i is
     # (x[i], y[i]) and (dx[i], dy[i]) is the delta from it to vertex i + 1
     edges: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
     radius: float  # the largest vertex norm
+    _unit: tuple[int, tuple[float, ...], tuple[float, ...]]  # _scaled(x, y), as tuples
 
     def __init__(self, vertices: Iterable[Vec2 | tuple[float, float]]):
         px, py = [], []
@@ -137,7 +139,7 @@ class CentralPolygon:
         # power of two just above the largest |coordinate|: the division is
         # exact, so they decide as on the coordinates themselves, but no
         # product overflows or underflows at any scale, and a nan fails them
-        _, (sx, sy) = _scaled(x, y)
+        e, (sx, sy) = _scaled(x, y)
         sdx = [b - a for a, b in zip(sx, sx[1:] + sx[:1])]
         sdy = [b - a for a, b in zip(sy, sy[1:] + sy[:1])]
         for i in range(n):
@@ -168,6 +170,7 @@ class CentralPolygon:
         object.__setattr__(self, "vertices", tuple([Vec2(a, b) for a, b in zip(x, y)]))
         object.__setattr__(self, "edges", (tuple(x), tuple(y), tuple(dx), tuple(dy)))
         object.__setattr__(self, "radius", max(map(math.hypot, x[:m], y[:m])))  # antipodes match
+        object.__setattr__(self, "_unit", (e, tuple(sx), tuple(sy)))
         object.__setattr__(self, "_rotation_step", 0)  # found on first use
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -330,11 +333,11 @@ def symmetry_map(polygon: CentralPolygon, k: int, step: int) -> Mat2 | None:
     image must match its target within ``SYMMETRY_TOL`` times the
     largest vertex norm, so the check does not depend on the scale of the
     polygon; the first vertex that misses ends it.  Both read the
-    coordinates divided by a power of two, as ``CentralPolygon``'s checks
-    do, so the map and the decision are those of the coordinates
-    themselves, with no product underflowing at small scales.
+    coordinates divided by a power of two that the polygon kept from its
+    construction checks, so the map and the decision are those of the
+    coordinates themselves, with no product underflowing at small scales.
     """
-    e, (x, y) = _scaled(*polygon.edges[:2])
+    e, x, y = polygon._unit
     n = len(x)
     det0 = x[0] * y[1] - y[0] * x[1]  # nonzero because the origin is strictly interior
     p, q = k % n, (k + step) % n

@@ -94,10 +94,14 @@ DEFAULT_SETTINGS = SearchSettings()
 ORBIT_TOL = 1e-9
 KEY_TOL = 1e-6
 
+# a parallelogram is feasible only where den = cross(u, v) > FEASIBLE_DEN;
+# evaluate and grid_scan give every other point +inf
+FEASIBLE_DEN = 1e-300
+
 # the polygon radii the search takes: the numerator gradients that
 # _vertex_solve multiplies in pairs are up to 2 r^2 in size, so its 2x2
 # determinants reach 8 r^4 and overflow to inf or nan past MAX_RADIUS,
-# and below MIN_RADIUS every cross(u, v) <= r^2 fails evaluate's den > 1e-300
+# and below MIN_RADIUS every cross(u, v) <= r^2 is at most FEASIBLE_DEN
 MIN_RADIUS, MAX_RADIUS = 1e-150, (sys.float_info.max / 8.0) ** 0.25
 
 # largest grid_scan accepts: a polygon without rotations then scans
@@ -209,8 +213,10 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
     Returns (t1 values, s values, F) with shapes (r,), (c,) and (r, c),
     r = ceil(k * grid / 2m) and c = ceil(grid/2), where F[i, j] is the
     maximal vertex gauge of the parallelogram with generators at
-    boundary parameters t1[i] and t1[i] + s[j]; infeasible cells hold
-    +inf.  Raises ValueError unless 8 <= grid <= ``MAX_GRID``.
+    boundary parameters t1[i] and t1[i] + s[j]; cells with
+    cross(u, v) <= ``FEASIBLE_DEN`` hold +inf.  Raises ValueError for a
+    radius outside [``MIN_RADIUS``, ``MAX_RADIUS``] and unless
+    8 <= grid <= ``MAX_GRID``.
 
     Each sum t1[i] + s[j] = (2i + j + 1/2)h is exact, since every cell's
     2(2i + j) + 1 < 2**17 up to ``MAX_GRID``, so v depends on the lattice
@@ -220,12 +226,14 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
     ``geom.boundary_point`` reads it; a cell reads them at 2i + j through
     Hankel views and takes the operations ``evaluate`` takes, so F[i, j]
     equals ``evaluate(t1[i], s[j])`` bit for bit, whatever the block
-    size.  F, the only array of the grid's size, is new on each call; the
-    blocks of rows, about ``BLOCK_CELLS`` cells each, are evaluated in
-    three per-thread buffers that stay in a core's cache through the pass
-    over all m sheets, and a block writes every buffer element it reads,
-    so no value passes from one scan to the next or between threads.
+    size; below ``MAX_RADIUS`` no product overflows.  F, the only array
+    of the grid's size, is new on each call; the blocks of rows, about
+    ``BLOCK_CELLS`` cells each, are evaluated in three per-thread buffers
+    that stay in a core's cache through the pass over all m sheets, and a
+    block writes every buffer element it reads, so no value passes from
+    one scan to the next or between threads.
     """
+    _check_radius(c)
     if grid < 8:
         raise ValueError(f"grid must be at least 8, got {grid}")
     if grid > MAX_GRID:
@@ -262,7 +270,7 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
                 np.add(cw, uw, out=g)
                 np.maximum(best, g, out=best)
             fb = np.divide(best, den, out=f[block])
-            fb[~(np.isfinite(fb) & (den > 0.0))] = np.inf
+            fb[den <= FEASIBLE_DEN] = np.inf
     return t1, s, f
 
 
@@ -275,7 +283,8 @@ def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
     the parameters modulo n as it does, since a descent may leave [0, n);
     s is first clamped to the margin.  Sheet w is N_w / den, with
     numerator N_w = |cross(w, v)| + |cross(u, w)| and the common
-    denominator den = cross(u, v).  The sheets of the indices in ``lead``
+    denominator den = cross(u, v); the value is +inf where
+    den <= ``FEASIBLE_DEN``.  The sheets of the indices in ``lead``
     come first, and the first of them that is at least ``bound`` is the
     value: the maximum is then at least ``bound`` too, so the value
     answers ``F(t1, s) < bound`` exactly.  Otherwise one pass over every
@@ -320,7 +329,7 @@ def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
         fv = t - b
         vx, vy = xs[b] + fv * dxs[b], ys[b] + fv * dys[b]
         den = ux * vy - uy * vx
-        if not den > 1e-300:
+        if not den > FEASIBLE_DEN:
             return math.inf, ()
         for w in lead:
             wx, wy = half[w]
@@ -514,14 +523,17 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     ``ORBIT_TOL`` of the best value, from the lowest-valued descent with
     that key.  It is deterministic for fixed arguments, and the returned
     ratio is recomputed from it: ``circum_ratio(parallelogram, c) == lam``.
-    Raises ValueError for a radius outside [``MIN_RADIUS``, ``MAX_RADIUS``].
+    Raises ValueError for a radius outside [``MIN_RADIUS``, ``MAX_RADIUS``]
+    and when no cell of the scan is feasible.
     """
-    _check_radius(c)
     t1s, ss, f = grid_scan(c, grid)
-    if not f.min() < np.inf:
-        raise RuntimeError("no feasible parallelogram cell on the grid")
     copies = c.m // c.rotation_step  # rotated copies of each scanned cell
     cells = _lowest_cells(f, -(-DEFAULT_SETTINGS.starts // copies))
+    if not f[cells[0]] < np.inf:
+        raise ValueError(
+            f"no cell of the grid-{grid} scan has cross(u, v) above {FEASIBLE_DEN},"
+            " the search's feasibility threshold"
+        )
     ends = _descents(c, _class_key_fn(c), t1s, ss, cells, grid)
     best = min(record.value for _, record in ends)
     keyed = sorted((key, record.value) for key, record in ends if record.value <= best + ORBIT_TOL)
@@ -574,7 +586,6 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     its least key; the classes come in key order.  Raises ValueError for
     a radius outside [``MIN_RADIUS``, ``MAX_RADIUS``].
     """
-    _check_radius(c)
     grid = result.grid_resolution
     t1s, ss, f = grid_scan(c, grid)
     key = _class_key_fn(c)

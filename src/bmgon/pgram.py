@@ -53,8 +53,10 @@ def gauge(p: Parallelogram, w: Vec2) -> float:
 
 def circum_ratio(p: Parallelogram, c: CentralPolygon) -> float:
     """Smallest lambda with the polygon contained in lambda times the
-    parallelogram; the maximum is attained at a vertex of the polygon."""
-    return max(gauge(p, w) for w in c.vertices)
+    parallelogram; the maximum is attained at a vertex of the polygon.
+    Antipodal vertices are exact negations and have equal gauge bit for
+    bit, so the first m vertices decide it."""
+    return max(gauge(p, w) for w in c.vertices[: c.m])
 
 
 def contacts(p: Parallelogram, c: CentralPolygon, lam: float) -> tuple[Vec2, ...]:

@@ -21,7 +21,7 @@ from bmgon.geom import (
     regular_polygon,
 )
 from bmgon.hexagon import HEXAGON, hex_critical_b, hex_optimal_positions
-from bmgon.oracle import MAX_RADIUS, MIN_RADIUS
+from bmgon.oracle import FEASIBLE_DEN, MAX_RADIUS, MIN_RADIUS
 from bmgon.pgram import Parallelogram
 
 SQRT2 = math.sqrt(2.0)
@@ -290,6 +290,16 @@ class TestDistance:
         code, out, err = run(capsys, "distance", scaled_hexagon_file(tmp_path, e))
         assert (code, out) == (2, "")
         assert f"is below {MIN_RADIUS}" in err
+        assert "Traceback" not in err
+
+    def test_a_polygon_without_a_feasible_cell_exits_with_the_threshold(self, capsys, tmp_path):
+        # the thin rhombus lies above MIN_RADIUS, but every cross(u, v)
+        # is at most 4e-301
+        path = tmp_path / "thin.txt"
+        path.write_text("2e-150,0\n0,2e-151\n-2e-150,0\n0,-2e-151\n")
+        code, out, err = run(capsys, "distance", str(path))
+        assert (code, out) == (2, "")
+        assert f"above {FEASIBLE_DEN}, the search's feasibility threshold" in err
         assert "Traceback" not in err
 
     def test_collinear_huge_vertices_exit_with_the_convexity_message(self, capsys, tmp_path):

@@ -23,6 +23,7 @@ from bmgon.geom import (
     regular_polygon,
     symmetry_map,
 )
+from bmgon import geom
 from bmgon.cli import Claim
 from bmgon.evengon import theorem2_value
 from bmgon.hexagon import hex_optimal_positions
@@ -99,15 +100,18 @@ class TestGridScan:
         with pytest.raises(ValueError, match=f"grid must be at most {oracle.MAX_GRID}"):
             grid_scan(p6, oracle.MAX_GRID + 1)
 
-    @pytest.mark.parametrize("grid", [64, 45, 8, 9])
+    @pytest.mark.parametrize("grid", [64, 45, 8, 9, 90])
     def test_fundamental_domain_matches_the_scalar_objective(self, grid):
         # every cell, for m = 2, 3, 5 and 12 with rotation step k = 1
         # (regular) and k = m (random); every parallelogram turns by one
-        # vertex, so m = 2 has k = 1 only
+        # vertex, so m = 2 has k = 1 only.  P6 scaled by 2e-150, just
+        # above MIN_RADIUS, has cells with 0 < cross(u, v) <= FEASIBLE_DEN
+        # (135 of its 675 at grid 90), which both must call infeasible
         half = (grid + 1) // 2
         rng = np.random.default_rng(grid)
         cases = [(regular_polygon(2 * m), 1) for m in (2, 3, 5, 12)]
         cases += [(random_central_polygon(rng, m=m), 1 if m == 2 else m) for m in (2, 3, 5, 12)]
+        cases += [(CentralPolygon([2e-150 * v for v in regular_polygon(6).vertices]), 1)]
         for gon, k in cases:
             m = len(gon.vertices) // 2
             assert gon.rotation_step == k
@@ -686,7 +690,7 @@ class TestBMDistance:
     def test_the_radius_bound_is_the_largest_scale_searched(self, p6):
         # up to the bound the vertex solves stay finite, so lambda and the
         # class count are those of the unit hexagon; past it both entry
-        # points refuse the polygon
+        # points and the scan they share refuse the polygon
         result = bm_distance(p6, grid=90)
         scale = oracle.MAX_RADIUS * (1.0 - 4e-16) / p6.radius
         inside = CentralPolygon([scale * v for v in p6.vertices])
@@ -700,11 +704,14 @@ class TestBMDistance:
             bm_distance(beyond, grid=90)
         with pytest.raises(ValueError, match=bound):
             argmin_orbit(beyond, result)
+        with pytest.raises(ValueError, match=bound):
+            grid_scan(beyond, 90)
 
     @pytest.mark.parametrize("scale", [1e-151, 1e-170, 1e-300])
     def test_below_the_least_radius_both_entry_points_refuse_the_polygon(self, p6, scale):
-        # every cross(u, v) there is below the objective's 1e-300, so no
-        # cell is feasible; the constructor accepts these polygons
+        # every cross(u, v) there is below FEASIBLE_DEN, so no cell is
+        # feasible; the constructor accepts these polygons, and both entry
+        # points and the scan they share refuse them
         result = bm_distance(p6, grid=90)
         tiny = CentralPolygon([scale * v for v in p6.vertices])
         bound = re.escape(f"is below {oracle.MIN_RADIUS}")
@@ -712,6 +719,18 @@ class TestBMDistance:
             bm_distance(tiny, grid=90)
         with pytest.raises(ValueError, match=bound):
             argmin_orbit(tiny, result)
+        with pytest.raises(ValueError, match=bound):
+            grid_scan(tiny, 90)
+
+    def test_a_polygon_without_a_feasible_cell_is_refused_by_the_threshold(self):
+        # the thin rhombus +-(2e-150, 0), +-(0, 2e-151) lies above
+        # MIN_RADIUS, but every cross(u, v) is at most 4e-301
+        thin = CentralPolygon([(2e-150, 0.0), (0.0, 2e-151), (-2e-150, 0.0), (0.0, -2e-151)])
+        assert thin.radius >= oracle.MIN_RADIUS
+        _, _, f = grid_scan(thin, 90)
+        assert f.size == 1035 and (f == np.inf).all()
+        with pytest.raises(ValueError, match=re.escape(f"above {oracle.FEASIBLE_DEN},")):
+            bm_distance(thin, grid=90)
 
     def test_refinement_washes_out_grid_resolution(self, p6):
         refined = [bm_distance(p6, grid=g).lam for g in (45, 90, 180, 360)]
@@ -1234,9 +1253,51 @@ class TestRotationStep:
             assert len(polygon_symmetries(scaled)) == count
             assert scaled.rotation_step == 1
 
-    def test_step_is_found_once_and_kept(self, monkeypatch):
-        from bmgon import geom
+    @staticmethod
+    def _rescaling_symmetry_map(gon, k, step):
+        """``symmetry_map`` that divides every coordinate by the power of
+        two just above the largest |coordinate| on each call."""
+        x, y = gon.edges[:2]
+        e = math.frexp(max(map(abs, x + y)))[1]
+        x, y = [math.ldexp(a, -e) for a in x], [math.ldexp(a, -e) for a in y]
+        n = len(x)
+        det0 = x[0] * y[1] - y[0] * x[1]
+        p, q = k % n, (k + step) % n
+        a = (x[p] * y[1] - x[q] * y[0]) / det0
+        b = (x[q] * x[0] - x[p] * x[1]) / det0
+        c = (y[p] * y[1] - y[q] * y[0]) / det0
+        d = (y[q] * x[0] - y[p] * x[1]) / det0
+        bound = math.ldexp(geom.SYMMETRY_TOL * gon.radius, -e)
+        for i in range(n):
+            j = (k + step * i) % n
+            if abs(a * x[i] + b * y[i] - x[j]) > bound or abs(c * x[i] + d * y[i] - y[j]) > bound:
+                return None
+        return ((a, b), (c, d))
 
+    def test_kept_unit_scale_gives_the_maps_of_rescaled_coordinates(self):
+        rng = np.random.default_rng(32)
+        regular = [regular_polygon(n) for n in range(4, 33, 2)]
+        cases = regular + [linear_image(gon, random_linear_map(rng)) for gon in regular]
+        cases.append(random_central_polygon(rng, 32))
+        cases += [self._scaled(regular[1], f) for f in (1e-170, 1e154, 1e200)]
+        for gon in cases:
+            for k in range(len(gon.vertices)):
+                for step in (1, -1):
+                    expected = self._rescaling_symmetry_map(gon, k, step)
+                    assert symmetry_map(gon, k, step) == expected, (gon, k, step)
+
+    def test_the_unit_scale_is_found_once_per_polygon(self, monkeypatch):
+        calls = []
+        real = geom._scaled
+        monkeypatch.setattr(geom, "_scaled", lambda *rows: calls.append(rows) or real(*rows))
+        for gon in (regular_polygon(12), random_central_polygon(np.random.default_rng(3), 32)):
+            calls.clear()
+            gon = CentralPolygon(gon.vertices)
+            gon.rotation_step
+            _class_key_fn(gon)
+            assert len(calls) == 1
+
+    def test_step_is_found_once_and_kept(self, monkeypatch):
         gon = regular_polygon(12)
         probes = []
         real = geom.symmetry_map

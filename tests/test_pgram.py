@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bmgon.geom import CentralPolygon, Vec2
+from conftest import random_central_polygon, random_linear_map
+from bmgon.geom import CentralPolygon, Vec2, boundary_point, linear_image, regular_polygon
 from bmgon.pgram import Parallelogram, circum_ratio, contacts, gauge, vertex_hausdorff
 
 SQRT3 = math.sqrt(3.0)
@@ -104,6 +106,27 @@ class TestCircumRatio:
         p = Parallelogram(Vec2(1.0, 0.0), Vec2(0.0, SQRT3 / 2.0))
         doubled = Parallelogram(2.0 * p.u, 2.0 * p.v)
         assert abs(circum_ratio(doubled, p6) - 0.75) < 1e-15
+
+
+    @staticmethod
+    def _cases():
+        """P4-P32, P50, P100 and P200, a linear image of each and random
+        polygons, each with three parallelograms inscribed in it."""
+        rng = np.random.default_rng(200)
+        gons = [regular_polygon(n) for n in [*range(4, 33, 2), 50, 100, 200]]
+        gons += [linear_image(gon, random_linear_map(rng)) for gon in gons]
+        gons += [random_central_polygon(rng, m) for m in range(2, 13)]
+        for gon in gons:
+            m = gon.m
+            for t, s in zip(rng.uniform(0.0, 2 * m, 3), rng.uniform(m / 3, 2 * m / 3, 3)):
+                yield gon, Parallelogram(boundary_point(gon, t), boundary_point(gon, t + s))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-100, 1e-5, 1.0, 1e5, 1e100, 1e154, 1e200])
+    def test_half_of_the_vertices_give_the_maximum_over_all(self, scale):
+        # the polygon is scaled and the parallelogram is not
+        for gon, p in self._cases():
+            scaled = CentralPolygon([scale * v for v in gon.vertices])
+            assert circum_ratio(p, scaled) == max(gauge(p, w) for w in scaled.vertices)
 
 
 class TestContainmentPredicates:
