@@ -13,44 +13,33 @@ point reflection.  The objective is therefore scanned on one rotation
 period t1 in [0, k), s in (0, m/2]: a quarter of the parameter torus
 for a polygon without rotations, and m/k times less for one with them.
 The objective, the maximal parallelogram gauge over the polygon's
-vertices, is evaluated on a lattice of that domain (``grid_scan``) and
-then polished by a compass descent: one step of length r along each of
-two orthogonal directions and their opposites, the first that improves
-taken, r doubled after a move and halved after a stall.  The first stall
-that takes r below ``KEY_TOL`` ends the descent, at the vertex of its
-active set when one is found.  The descent itself may leave the domain;
-its result labels the same parallelogram either way.
+vertices, is evaluated on a lattice of that domain (``grid_scan``), and
+each start cell the scan picks is then refined by an exact box walk.
 
-The objective is a maximum of smooth per-vertex sheets, so its valleys
-are creases where two sheets tie; fixed axis-aligned steps stall on a
-diagonal crease, because every one of them climbs out of the valley.
-The descent therefore aligns its frame with the tie line of the two
-leading sheets.  Their numerators are affine in (t1, s) inside an
-edge-pair cell, so that line is straight and its direction comes from
-the exact gradient of their difference at the point, with no step
-length in it.
+Inside an edge-pair cell, with u = A + f dA on edge a and v = B + g dB on
+edge b, every sheet numerator N_w = |cross(w, v)| + |cross(u, w)| is
+affine in the edge fractions (f, g): the line through the origin and a
+vertex w meets the boundary only at +-w, so neither cross product
+changes sign on an open edge.  The common denominator D = cross(u, v) is
+bilinear.  So the least value of max_w N_w / D over a box of a cell is
+the least value among finitely many candidates (``_box_min``): the box
+corners, the points of the box sides where two sheets tie, the points
+where three sheets tie, and the critical points of the ratio along the
+tie line of two sheets.  Along either side direction, f or g alone
+moving, N_w / D is affine over affine and so monotone: a minimum where
+one sheet leads is matched at a side or a tie, and where two lead it
+lies on their tie line, where N_w is affine and D quadratic.  A sheet
+whose largest value over the box is below the largest least value of
+some sheet is below that sheet everywhere in the box, so it is pruned
+exactly before the candidates are listed.
 
-One evaluation gives a point's value and, when that is below a bound,
-its sheet record: the leading pair, the three leading sheets with
-their gradients, the edge fractions and the point.  The evaluation
-that accepts a move thus sets the next frame, and a stall keeps it.  A
-trial step evaluates the pair's sheets first and is rejected as soon
-as one of them reaches the current value: correctly rounded division
-by the positive common denominator is monotone, so the maximum reaches
-it too.  Otherwise one pass over every sheet gives the maximum and the
-record: at the start, at each accepted step, and at each rejected step
-whose pair stayed below the current value.  Every choice is the same
-bit for bit as with full evaluations.
-
-Every optimum measured so far sits at a vertex of its active set:
-where three sheets tie, where two tie with a generator at a polygon
-vertex, or where both generators are at polygon vertices.  Inside an
-edge-pair cell every numerator is affine in the generators' edge
-fractions and the denominator is common, so each such vertex solves
-one 2x2 linear system, read from the record the descent holds for its
-point.  The solve reaches the value to rounding, where halving r on
-toward 1e-13 would spend over half of a descent's evaluations and stop
-up to some 1e-13 above it.
+The walk (``_make_walk``) moves from each start cell of the scan to the
+least candidate of a square of one scan cell around its point, split
+along the cell lines into boxes, until that candidate lies strictly
+inside the square: a local minimum.  It thus ends at a candidate, such
+as those where the paper's values are attained: a generator at a
+polygon vertex, or three sheets tied.  The walk may leave the scanned
+domain; its end labels the same parallelogram either way.
 """
 
 from __future__ import annotations
@@ -80,11 +69,10 @@ class SearchSettings:
     """The search's constants, in one record; the search reads them from
     ``DEFAULT_SETTINGS`` at call time."""
 
-    # descents over t1 in [0, m); one rotation period of a polygon with
-    # r rotations descends from its ceil(starts / r) lowest cells
+    # walks over t1 in [0, m); one rotation period of a polygon with
+    # r rotations walks from its ceil(starts / r) lowest cells
     starts: int = 5
-    margin: float = 1e-6       # keeps s = t2 - t1 inside (margin, m - margin)
-    max_sweeps: int = 3000
+    max_steps: int = 1000  # steps of one walk
 
 
 DEFAULT_SETTINGS = SearchSettings()
@@ -98,10 +86,12 @@ KEY_TOL = 1e-6
 # evaluate and grid_scan give every other point +inf
 FEASIBLE_DEN = 1e-300
 
-# the polygon radii the search takes: the numerator gradients that
-# _vertex_solve multiplies in pairs are up to 2 r^2 in size, so its 2x2
-# determinants reach 8 r^4 and overflow to inf or nan past MAX_RADIUS,
-# and below MIN_RADIUS every cross(u, v) <= r^2 is at most FEASIBLE_DEN
+# the polygon radii the search takes: below MIN_RADIUS every
+# cross(u, v) <= r^2 is at most FEASIBLE_DEN.  MAX_RADIUS, about 6.9e76,
+# is the range the search is tested in: the box walk solves on the unit
+# coordinates CentralPolygon._unit, the same at every radius, and the
+# raw products of grid_scan and evaluate are at most 2 r^2, finite up to
+# about 9.5e153, so ROADMAP item 2 may raise it
 MIN_RADIUS, MAX_RADIUS = 1e-150, (sys.float_info.max / 8.0) ** 0.25
 
 # largest grid_scan accepts: a polygon without rotations then scans
@@ -120,17 +110,18 @@ _WORKSPACE = threading.local()
 
 @dataclass(frozen=True)
 class StartRecord:
-    """One descent: its start cell (t1, s), final objective value, sweeps
-    run, accepted steps among them (the other sweeps stalled) and stop
-    reason: ``vertex`` (it ended at the solved vertex of its active set),
-    ``stall`` (its step fell below ``KEY_TOL`` and no vertex at or below
-    its value was found) or ``max_sweeps``."""
+    """One box walk: its start cell (t1, s), final objective value, the
+    cell boxes it solved, the candidate points it listed in them, and its
+    stop reason: ``minimum`` (its last move ended strictly inside the
+    square, at a local minimum), ``rounding`` (the least point of a
+    square was not below the current value by more than rounding) or
+    ``max_steps``."""
 
     t1: float
     s: float
     value: float
-    sweeps: int
-    moves: int
+    boxes: int
+    candidates: int
     stop: str
 
 
@@ -138,7 +129,7 @@ class StartRecord:
 class BMResult:
     """Minimal ratio found, its witness parallelogram and boundary
     parameters, the polygon vertices realizing the ratio, and a record of
-    each descent; t_u and t_v - t_u are the witness's class key."""
+    each walk; t_u and t_v - t_u are the witness's class key."""
 
     lam: float
     parallelogram: Parallelogram
@@ -151,7 +142,7 @@ class BMResult:
 
 def _class_key_fn(c: CentralPolygon) -> Callable[[float, float], tuple[float, float]]:
     """Class key of the polygon's positions (t1, s): one canonical image
-    per class, so the image reported does not hang on the descents'
+    per class, so the image reported does not hang on the walks'
     rounding.  A symmetry v_i -> v_(k + step*i) sends t to k + step*t,
     and is a rotation by a multiple of the rotation step k after the
     identity or the reflection t -> r - t of least r, below k, which
@@ -274,48 +265,18 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
     return t1, s, f
 
 
-def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
-    """``evaluate(t1, s, bound=inf, lead=())``: the scalar objective on raw
-    floats and the sheet record of the point, as ``(value, record)``.
-
-    The generators are read from the polygon's boundary table
-    ``CentralPolygon.edges`` as ``geom.boundary_point`` reads it, reducing
-    the parameters modulo n as it does, since a descent may leave [0, n);
-    s is first clamped to the margin.  Sheet w is N_w / den, with
-    numerator N_w = |cross(w, v)| + |cross(u, w)| and the common
-    denominator den = cross(u, v); the value is +inf where
-    den <= ``FEASIBLE_DEN``.  The sheets of the indices in ``lead``
-    come first, and the first of them that is at least ``bound`` is the
-    value: the maximum is then at least ``bound`` too, so the value
-    answers ``F(t1, s) < bound`` exactly.  Otherwise one pass over every
-    sheet gives the largest numerator, and the value is it divided by den,
-    which is the largest sheet bit for bit since correctly rounded
-    division by a positive number is monotone.
-
-    When the value is below ``bound`` the record is
-    ``(pair, sheets, (f, g), (t1, s))``; otherwise it is ().  The pair
-    (i, j) holds the indices of the two largest numerators, the lower index
-    first among equals as ``heapq.nlargest`` orders them.  The sheets are
-    the three largest numerators (two when m = 2), largest first, each
-    with its gradient (dN_w/df, dN_w/dg) in the fractions f of u along
-    its edge delta du and g of v along dv:
-    dN_w/df = sign(cross(u, w)) cross(du, w) and
-    dN_w/dg = sign(cross(w, v)) cross(w, dv).  Last come the fractions
-    (f, g) and the point as evaluated, t1 as passed and s clamped.
-    Inside an edge-pair cell with fixed signs every numerator is affine
-    in (f, g).
-    """
+def _make_objective(c: CentralPolygon) -> Callable[[float, float], float]:
+    """``evaluate(t1, s)``: the scalar objective on raw floats, which
+    ``grid_scan`` matches bit for bit and every walk records.  It reads
+    the generators from ``CentralPolygon.edges`` as ``geom.boundary_point``
+    does, and is +inf where den = cross(u, v) <= ``FEASIBLE_DEN``;
+    otherwise it is the largest numerator over den, the largest sheet bit
+    for bit, since rounded division by a positive number is monotone."""
     xs, ys, dxs, dys = c.edges
     n = len(xs)
-    m = n // 2
-    lo, hi = DEFAULT_SETTINGS.margin, m - DEFAULT_SETTINGS.margin
-    half = list(zip(xs[:m], ys[:m]))  # antipodal vertices have equal gauge
-    leading = min(m, 3)
+    half = list(zip(xs[: n // 2], ys[: n // 2]))  # antipodal vertices have equal gauge
 
-    def evaluate(
-        t1: float, s: float, bound: float = math.inf, lead: tuple[int, ...] = ()
-    ) -> tuple[float, tuple]:
-        s = lo if s < lo else hi if s > hi else s
+    def evaluate(t1: float, s: float) -> float:
         t = t1 % n
         if t >= n:  # float mod can round up to the period itself
             t = 0.0
@@ -330,146 +291,184 @@ def _make_objective(c: CentralPolygon) -> Callable[..., tuple[float, tuple]]:
         vx, vy = xs[b] + fv * dxs[b], ys[b] + fv * dys[b]
         den = ux * vy - uy * vx
         if not den > FEASIBLE_DEN:
-            return math.inf, ()
-        for w in lead:
-            wx, wy = half[w]
-            g = (abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)) / den
-            if g >= bound:
-                return g, ()
-        top = second = third = -1.0
-        i = j = k = 0
-        for w, (wx, wy) in enumerate(half):
-            g = abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx)
-            if g > top:
-                third, k, second, j, top, i = second, j, top, i, g, w
-            elif g > second:
-                third, k, second, j = second, j, g, w
-            elif g > third:
-                third, k = g, w
-        value = top / den
-        if not value < bound:
-            return value, ()
-        sheets = []
-        for w, g in ((i, top), (j, second), (k, third))[:leading]:
-            wx, wy = half[w]
-            cu, cv = ux * wy - uy * wx, wx * vy - wy * vx
-            df = ((cu > 0.0) - (cu < 0.0)) * (dxs[a] * wy - dys[a] * wx)
-            dg = ((cv > 0.0) - (cv < 0.0)) * (wx * dys[b] - wy * dxs[b])
-            sheets.append((g, (df, dg)))
-        return value, ((i, j), sheets, (fu, fv), (t1, s))
+            return math.inf
+        return max(abs(wx * vy - wy * vx) + abs(ux * wy - uy * wx) for wx, wy in half) / den
 
     return evaluate
 
 
-def _crease_frame(record: tuple) -> tuple[tuple[int, ...], tuple[tuple[float, float], ...]]:
-    """The leading pair of a sheet record and the frame e1, e2, -e1, -e2:
-    e1 along the pair's tie line and e2 down the gradient of their
-    difference, or the axes where there is no record or no gradient.
-
-    Moving t1 moves both generators along their edges and moving s only
-    v, so the gradient of N_w in (t1, s) is (dN_w/df + dN_w/dg, dN_w/dg).
-    Inside an edge-pair cell with fixed signs N_i - N_j is affine, so the
-    tie line of the pair runs through the point normal to the gradient
-    of N_i - N_j."""
-    pair, gx, gy = (), 0.0, 0.0
-    if record:
-        pair, ((_, (fi, gi)), (_, (fj, gj)), *_), _, _ = record
-        gx, gy = fi + gi - (fj + gj), gi - gj
-    norm = math.hypot(gx, gy)
-    ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
-    return pair, ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex))
-
-
-def _vertex_solve(
-    evaluate: Callable[..., tuple[float, tuple]], record: tuple, bound: float
-) -> tuple[float, float, float] | None:
-    """The vertex of the active set at the point of a sheet record, as
-    ``(t1, s, value)`` with value at most ``bound``, or None.
-
-    In the closed edge-pair cell of the point the numerators are affine
-    in the edge fractions (f, g) of u and v, so each candidate is one
-    2x2 linear system in the moves (df, dg): where the three leading
-    sheets tie, where the leading pair ties with u at the nearer edge of
-    its cell, the same with v, and the cell corner nearest the point.
-    Candidates outside the cell are dropped.  Of the others with value
-    at most ``bound``, those within ``KEY_TOL`` of the nearest one are
-    one vertex, solved from different active sets, and the lowest of
-    them is returned at its evaluated point: a farther candidate can be
-    another optimal position of equal value, which the descent must not
-    jump to."""
-    _, ((top, (fi, gi)), (second, (fj, gj)), *third), (fu, fv), (t1, s) = record
-    # the pair's tie p df + q dg = gap, and the nearer edges of the cell
-    p, q, gap = fi - fj, gi - gj, second - top
-    eu = -fu if fu <= 0.5 else 1.0 - fu
-    ev = -fv if fv <= 0.5 else 1.0 - fv
-    moves = []
-    for nk, (fk, gk) in third:
-        pk, qk, gapk = fi - fk, gi - gk, nk - top
-        det = p * qk - q * pk
-        if det:
-            moves.append(((gap * qk - q * gapk) / det, (p * gapk - gap * pk) / det))
-    if q:
-        moves.append((eu, (gap - p * eu) / q))
-    if p:
-        moves.append(((gap - q * ev) / p, ev))
-    moves.append((eu, ev))
-    ends = []
-    for df, dg in moves:
-        if 0.0 <= fu + df <= 1.0 and 0.0 <= fv + dg <= 1.0:
-            value, found = evaluate(t1 + df, s + dg - df)
-            if value <= bound:
-                ends.append((value, df, dg, found[-1]))
-    if not ends:
-        return None
-    _, df0, dg0, _ = min(ends, key=lambda end: max(abs(end[1]), abs(end[2])))
-    near = (end for end in ends if max(abs(end[1] - df0), abs(end[2] - dg0)) <= KEY_TOL)
-    value, _, _, (t1, s) = min(near, key=lambda end: end[0])
-    return t1, s, value
+def _cell_forms(c: CentralPolygon, a: int, b: int) -> tuple[list, tuple]:
+    """``(sheets, den)`` of the cell with u on edge a and v on edge b, on
+    the unit coordinates ``CentralPolygon._unit``: N_w = n0 + nf f + ng g
+    for ``sheets[w] = (n0, nf, ng)``, and cross(u, v) = d0 + df f + dg g
+    + dfg f g for ``den = (d0, df, dg, dfg)``.  cross(u, w) is positive
+    on the open edge a exactly for w = a + 1 ... a + m, the vertices
+    counterclockwise of u within a half turn, and cross(w, v) negative
+    exactly for w = b + 1 ... b + m."""
+    _, xs, ys = c._unit
+    n = len(xs)
+    m = n // 2
+    xa, ya, xb, yb = xs[a], ys[a], xs[b], ys[b]
+    dxa, dya = xs[(a + 1) % n] - xa, ys[(a + 1) % n] - ya
+    dxb, dyb = xs[(b + 1) % n] - xb, ys[(b + 1) % n] - yb
+    sheets = []
+    for w in range(m):
+        wx, wy = xs[w], ys[w]
+        su = 1.0 if (w - a - 1) % n < m else -1.0
+        sv = -1.0 if (w - b - 1) % n < m else 1.0
+        nu, nv = su * (xa * wy - ya * wx), sv * (wx * yb - wy * xb)
+        sheets.append((nu + nv, su * (dxa * wy - dya * wx), sv * (wx * dyb - wy * dxb)))
+    den = (xa * yb - ya * xb, dxa * yb - dya * xb, xa * dyb - ya * dxb, dxa * dyb - dya * dxb)
+    return sheets, den
 
 
-def _descend(
-    evaluate: Callable[..., tuple[float, tuple]], t1: float, s: float, radius: float
-) -> tuple[float, float, float, int, int, str]:
-    """Compass descent from (t1, s) in the crease frame.  Each sweep tries
-    one step of length r along e1, e2, -e1 and -e2 and takes the first
-    that lowers the objective; r doubles after a move and halves after a
-    stall.  The first stall that takes r below ``KEY_TOL`` ends the
-    descent: at the vertex of the point's active set (``_vertex_solve``)
-    when one is found at most the current value, and at the point
-    otherwise.  Returns the final point and value, the sweeps run, the
-    moves among them, and the stop reason: ``vertex``, ``stall``, or
-    ``max_sweeps`` when the sweeps ran out first.
+def _prune(sheets: list, box: tuple[float, float, float, float], keep) -> list[int]:
+    """The sheets of ``keep`` whose largest value over the box
+    (f0, f1, g0, g1) is at least the largest least value of any of them;
+    each affine N_w ranges over centre +- (|nf| wf + |ng| wg)."""
+    f0, f1, g0, g1 = box
+    fc, gc, wf, wg = 0.5 * (f0 + f1), 0.5 * (g0 + g1), 0.5 * (f1 - f0), 0.5 * (g1 - g0)
+    bounds = []
+    for w in keep:
+        n0, nf, ng = sheets[w]
+        mid, spread = n0 + nf * fc + ng * gc, abs(nf) * wf + abs(ng) * wg
+        bounds.append((mid + spread, mid - spread, w))
+    least = max(lo for _, lo, _ in bounds)
+    return [w for hi, _, w in bounds if hi >= least]
 
-    Each point is the one its sheet record was evaluated at, and the
-    record of the start, then of the evaluation that accepted each move,
-    sets the frame; a trial step is evaluated with the current value as
-    its bound and the leading pair as its lead.  A start of infinite
-    value has no record: it steps along the axes, and stalls there
-    without a vertex solve."""
-    fcur, record = evaluate(t1, s)
-    if record:
-        t1, s = record[-1]
-    pair, frame = _crease_frame(record)
-    r = radius
-    moves = 0
-    for sweep in range(1, DEFAULT_SETTINGS.max_sweeps + 1):
-        for dx, dy in frame:
-            fab, found = evaluate(t1 + r * dx, s + r * dy, fcur, pair)
-            if fab < fcur:
-                fcur, record = fab, found
-                t1, s = record[-1]
-                pair, frame = _crease_frame(record)
-                r *= 2.0
-                moves += 1
+
+def _box_min(forms: tuple, box: tuple[float, float, float, float], keep: list[int], tiny: float):
+    """The least candidate of the module docstring in the box
+    (f0, f1, g0, g1) of a cell with ``_cell_forms`` ``forms``, over the
+    sheets ``keep``, as ``(value, f, g, candidates listed)``; +inf when
+    none has D > ``tiny``.  A tie candidate's full maximum is taken only
+    when its tied sheet alone is below the best value so far."""
+    sheets, (d0, d1, d2, d3) = forms
+    rows = [sheets[w] for w in keep]
+    f0, f1, g0, g1 = box
+    best, bf, bg, count = math.inf, f0, g0, 0
+
+    def consider(f: float, g: float, tied: tuple | None = None) -> None:
+        nonlocal best, bf, bg, count
+        count += 1
+        den = d0 + d1 * f + (d2 + d3 * f) * g
+        if not den > tiny or tied and (tied[0] + tied[1] * f + tied[2] * g) / den >= best:
+            return
+        value = max(n0 + nf * f + ng * g for n0, nf, ng in rows) / den
+        if value < best:
+            best, bf, bg = value, f, g
+
+    for f, g in ((f0, g0), (f0, g1), (f1, g0), (f1, g1)):
+        consider(f, g)
+    for i, (a0, af, ag) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            # the tie line p f + q g = r of sheets i and j
+            b0, bf_, bg_ = rows[j]
+            p, q, r = af - bf_, ag - bg_, b0 - a0
+            ties = [(f, (r - p * f) / q) for f in (f0, f1)] if q else []
+            ties += [((r - q * g) / p, g) for g in (g0, g1)] if p else []
+            # critical points of N_i / D along it, from its foot (fa, ga)
+            # along the unit direction (ex, ey): N_i is alpha + beta t and
+            # D is e0 + e1 t + e2 t^2, so (N_i / D)' = 0 is a quadratic
+            norm2 = p * p + q * q
+            if norm2:
+                fa, ga, scale = p * r / norm2, q * r / norm2, 1.0 / math.sqrt(norm2)
+                ex, ey = -q * scale, p * scale
+                alpha, beta = a0 + af * fa + ag * ga, af * ex + ag * ey
+                e0 = d0 + d1 * fa + (d2 + d3 * fa) * ga
+                e1, e2 = d1 * ex + d2 * ey + d3 * (fa * ey + ga * ex), d3 * ex * ey
+                qa, qb, qc = beta * e2, 2.0 * alpha * e2, alpha * e1 - beta * e0
+                disc = qb * qb - 4.0 * qa * qc
+                if qa and disc >= 0.0:
+                    half = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+                    roots = (half / qa, qc / half) if half else (0.0,)
+                else:
+                    roots = (-qc / qb,) if not qa and qb else ()
+                ties += [(fa + t * ex, ga + t * ey) for t in roots]
+            # three-sheet ties, one 2x2 solve each
+            for k0, kf, kg in rows[j + 1 :]:
+                p2, q2, r2 = af - kf, ag - kg, k0 - a0
+                det = p * q2 - q * p2
+                if det:
+                    ties.append(((r * q2 - q * r2) / det, (p * r2 - r * p2) / det))
+            for f, g in ties:
+                if f0 <= f <= f1 and g0 <= g <= g1:
+                    consider(f, g, rows[i])
+    return best, bf, bg, count
+
+
+def _spans(lo: float, hi: float) -> list[tuple[int, float, float]]:
+    """The cells that [lo, hi] meets, as (cell, least fraction, largest
+    fraction); an end on a cell line belongs to the cell below it."""
+    first, last = math.floor(lo), math.floor(hi)
+    if last > first and hi == last:
+        last -= 1
+    return [(a, max(lo - a, 0.0), min(hi - a, 1.0)) for a in range(first, last + 1)]
+
+
+def _make_walk(c: CentralPolygon, radius: float) -> Callable[[float, float], tuple]:
+    """``walk(t1, s)``: the box walk of the module docstring from (t1, s),
+    as ``(t1, s, value, boxes, candidates, stop)``, with squares of half
+    width r <= ``radius`` in (t1, t1 + s).  While more than eight sheets
+    survive the prune of some box of the square and halving the square
+    lowers that count, the square is halved: the three-sheet ties grow as
+    the cube of the survivors, and a regular polygon's optimum ties four
+    sheets, which no halving prunes.  The least candidate is evaluated,
+    and the walk moves there when that is below its value by more than
+    rounding, or stops with ``rounding``.  A move strictly inside the
+    square stops it with ``minimum``; one to a side doubles r, up to
+    ``radius``.  It stops with ``max_steps`` after
+    ``SearchSettings.max_steps`` steps.  Cell forms are kept per walk
+    function; the boxes read unit coordinates, so a polygon scaled by a
+    power of two walks through the same points."""
+    evaluate = _make_objective(c)
+    n, m = len(c.vertices), c.m
+    tiny = math.ldexp(FEASIBLE_DEN, -2 * c._unit[0])
+    cache: dict[tuple[int, int], tuple] = {}
+
+    def boxes_of(tu: float, tv: float, r: float, keeps: dict) -> dict:
+        out = {}
+        for a, f0, f1 in _spans(tu - r, tu + r):
+            for b, g0, g1 in _spans(tv - r, tv + r):
+                key = (a % n, b % n)
+                cell = cache[key] if key in cache else cache.setdefault(key, _cell_forms(c, *key))
+                box = (f0, f1, g0, g1)
+                out[a, b] = (cell, box, _prune(cell[0], box, keeps.get((a, b), range(m))))
+        return out
+
+    def walk(t1: float, s: float) -> tuple:
+        tu, tv, value, r = t1, t1 + s, math.inf, radius
+        boxes = candidates = 0
+        stop = "max_steps"
+        for _ in range(DEFAULT_SETTINGS.max_steps):
+            found = boxes_of(tu, tv, r, {})
+            most = max(len(keep) for _, _, keep in found.values())
+            while most > 8:
+                halved = boxes_of(tu, tv, 0.5 * r, {k: keep for k, (_, _, keep) in found.items()})
+                fewer = max(len(keep) for _, _, keep in halved.values())
+                if fewer >= most:
+                    break
+                found, most, r = halved, fewer, 0.5 * r
+            low = (math.inf, tu, tv)
+            for (a, b), (cell, box, keep) in found.items():
+                lowest, f, g, count = _box_min(cell, box, keep, tiny)
+                boxes, candidates = boxes + 1, candidates + count
+                if lowest < low[0]:
+                    low = (lowest, a + f, b + g)
+            _, nu, nv = low
+            new = evaluate(nu, nv - nu)
+            if not new < (value - 4.0 * math.ulp(value) if value < math.inf else math.inf):
+                stop = "rounding"
                 break
-        else:
-            r *= 0.5
-            if r < KEY_TOL:
-                vertex = _vertex_solve(evaluate, record, fcur) if record else None
-                if vertex is None:
-                    return t1, s, fcur, sweep, moves, "stall"
-                return (*vertex, sweep, moves, "vertex")
-    return t1, s, fcur, DEFAULT_SETTINGS.max_sweeps, moves, "max_sweeps"
+            # a point within rounding of a side of the square is on it
+            inside = max(abs(nu - tu), abs(nv - tv)) < r * (1.0 - 2.0**-20)
+            tu, tv, value, r = nu, nv, new, min(2.0 * r, radius)
+            if inside:
+                stop = "minimum"
+                break
+        return tu, tv - tu, value if value < math.inf else evaluate(tu, tv - tu), boxes, candidates, stop
+
+    return walk
 
 
 def _check_radius(c: CentralPolygon) -> None:
@@ -499,29 +498,28 @@ def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
     return [divmod(int(j), f.shape[1]) for j in idx]
 
 
-def _descents(
+def _walks(
     c: CentralPolygon, key: Callable, t1s: np.ndarray, ss: np.ndarray, cells, grid: int
 ) -> list[tuple[tuple[float, float], StartRecord]]:
-    """Descends from each cell (i, j) of a scan at resolution ``grid``,
-    with a first step of one cell width, and returns the class key of
-    each end with the descent's record."""
-    evaluate = _make_objective(c)
-    radius = 2.0 * c.m / grid
+    """Walks from each cell (i, j) of a scan at resolution ``grid``, with
+    squares of half width m/grid, and returns the class key of each end
+    with the walk's record."""
+    walk = _make_walk(c, c.m / grid)
     ends = []
     for i, j in cells:
         t1, s = float(t1s[i]), float(ss[j])
-        a, b, *outcome = _descend(evaluate, t1, s, radius)
+        a, b, *outcome = walk(t1, s)
         ends.append((key(a, b), StartRecord(t1, s, *outcome)))
     return ends
 
 
 def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     """Minimal circumscribed ratio over inscribed parallelograms of the
-    polygon, by grid search plus local descents from the lowest cells.
+    polygon, by grid search plus box walks from the lowest cells.
 
-    The witness is drawn at the least class key among the descents within
-    ``ORBIT_TOL`` of the best value, from the lowest-valued descent with
-    that key.  It is deterministic for fixed arguments, and the returned
+    The witness is drawn at the least class key among the walks within
+    ``ORBIT_TOL`` of the best value, from the lowest-valued walk with that
+    key.  It is deterministic for fixed arguments, and the returned
     ratio is recomputed from it: ``circum_ratio(parallelogram, c) == lam``.
     Raises ValueError for a radius outside [``MIN_RADIUS``, ``MAX_RADIUS``]
     and when no cell of the scan is feasible.
@@ -534,7 +532,7 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
             f"no cell of the grid-{grid} scan has cross(u, v) above {FEASIBLE_DEN},"
             " the search's feasibility threshold"
         )
-    ends = _descents(c, _class_key_fn(c), t1s, ss, cells, grid)
+    ends = _walks(c, _class_key_fn(c), t1s, ss, cells, grid)
     best = min(record.value for _, record in ends)
     keyed = sorted((key, record.value) for key, record in ends if record.value <= best + ORBIT_TOL)
     least = keyed[0][0]
@@ -580,7 +578,7 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     Rescans the grid at the result's resolution, refines every local
     minimum cell near the optimum, and keeps the refined positions with
     objective at most ``result.lam + ORBIT_TOL`` and the result's own
-    witness, which makes at least one class even when the best descent of
+    witness, which makes at least one class even when the best walk of
     ``bm_distance`` started off a local minimum of the grid.  Positions
     whose class keys agree within ``KEY_TOL`` form one class, drawn at
     its least key; the classes come in key order.  Raises ValueError for
@@ -595,7 +593,7 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     mask &= f <= result.lam + 6.0 * c.m / grid
 
     keys = [key(result.t_u, result.t_v - result.t_u)]
-    ends = _descents(c, key, t1s, ss, np.argwhere(mask), grid)
+    ends = _walks(c, key, t1s, ss, np.argwhere(mask), grid)
     keys += [end for end, record in ends if record.value <= result.lam + ORBIT_TOL]
 
     classes: list[tuple[float, float]] = []

@@ -204,16 +204,16 @@ class TestDistance:
         assert "refined" not in record
         assert len(record["contacts"]) >= 4
 
-    def test_json_reports_each_descent(self, capsys):
+    def test_json_reports_each_walk(self, capsys):
         code, out, _ = run(capsys, "distance", "P10", "--grid", "720", "--json")
         assert code == 0
         record = json.loads(out)
         # the lowest cells of the regular 10-gon are rotated copies of one
         assert len(record["starts"]) == 1
         (start,) = record["starts"]
-        assert set(start) == {"t1", "s", "value", "sweeps", "moves", "stop"}
-        assert start["stop"] == "vertex" and start["sweeps"] >= 1
-        assert 1 <= start["moves"] < start["sweeps"]
+        assert set(start) == {"t1", "s", "value", "boxes", "candidates", "stop"}
+        assert start["stop"] in ("minimum", "rounding")
+        assert 1 <= start["boxes"] <= start["candidates"]
         assert start["value"] >= record["lambda"] - 1e-12
 
     @pytest.mark.parametrize(
@@ -229,7 +229,7 @@ class TestDistance:
         ],
     )
     def test_invalid_search_settings_exit_before_scanning(self, capsys, monkeypatch, flag, value):
-        # the search's settings are constants and every descent runs, so no
+        # the search's settings are constants and every walk runs, so no
         # option sets or skips any of it
         def fail(*args, **kwargs):
             raise AssertionError("bm_distance must not run")
@@ -274,8 +274,8 @@ class TestDistance:
     def test_a_polygon_beyond_the_search_radius_exits_with_the_bound(
         self, capsys, tmp_path, command, e
     ):
-        # past the bound the vertex solves overflow: at 1e77 the search
-        # lost one of P6's two classes, at 1e155 it found no cell at all
+        # the search refuses radii past its bound, which is the range it
+        # is tested in
         svg = tmp_path / "x.svg"
         argv = [command, scaled_hexagon_file(tmp_path, e)]
         code, out, err = run(capsys, *argv, *([str(svg)] if command == "render" else []))
@@ -348,8 +348,8 @@ class TestDistance:
 # SHA-256 of the `verify all --seed 0` text, without its runtime_ms line,
 # and of its --json output, without the runtime_ms and suite_runtime_ms fields
 VERIFY_ALL_SHA256 = {
-    "text": "232703e74741f0b587052b377372a151f81c9cad6a07ff6355697009001f5447",
-    "json": "8e3056fde12dd09e5a220e98aa16722fd7d87e655b64f702e2cde9be595be535",
+    "text": "e30235c2c70d08f11ad9a154d635e9d77aed5be05e139f4beb9e192a4345f22d",
+    "json": "b828707a03db779f172f24a0956851db9188d864834414de8a8ecfece9ded4d6",
 }
 
 
@@ -611,7 +611,7 @@ class TestRender:
 
     @pytest.mark.parametrize("n", range(4, 26, 2))
     def test_optimal_svg_does_not_depend_on_the_grid(self, capsys, tmp_path, n):
-        # each class is drawn at its key, whichever descent reached it
+        # each class is drawn at its key, whichever walk reached it
         coarse, fine = tmp_path / "360.svg", tmp_path / "720.svg"
         run(capsys, "render", f"P{n}", str(coarse), "--grid", "360")
         run(capsys, "render", f"P{n}", str(fine), "--grid", "720")

@@ -1,5 +1,5 @@
-import heapq
 import math
+import warnings
 import re
 import sys
 import threading
@@ -32,10 +32,14 @@ from bmgon.oracle import (
     DEFAULT_SETTINGS,
     KEY_TOL,
     SearchSettings,
+    _box_min,
+    _cell_forms,
     _class_key_fn,
     _local_minima_mask,
     _lowest_cells,
     _make_objective,
+    _make_walk,
+    _prune,
     _same_class,
     argmin_orbit,
     bm_distance,
@@ -120,7 +124,7 @@ class TestGridScan:
             assert t1.shape == (rows,) and s.shape == (half,) and f.shape == (rows, half)
             assert (t1 < k).all() and (s > 0.0).all() and (s <= m / 2.0).all()
             evaluate = _make_objective(gon)
-            expected = [[evaluate(float(a), float(b))[0] for b in s] for a in t1]
+            expected = [[evaluate(float(a), float(b)) for b in s] for a in t1]
             assert f.tolist() == expected, (m, k)
 
     def test_every_cell_sum_is_exact_on_the_lattice(self):
@@ -163,7 +167,7 @@ class TestGridScan:
         evaluate = _make_objective(gon)
         for seam in range(step, len(t1), step):
             for i in (seam - 1, seam):
-                expected = [evaluate(float(t1[i]), float(b))[0] for b in s]
+                expected = [evaluate(float(t1[i]), float(b)) for b in s]
                 assert f[i].tolist() == expected, i
 
     def test_scan_memory_is_f_and_one_block(self):
@@ -232,11 +236,8 @@ class TestGridScan:
 
 
 def _ends(gon, t1, s):
-    """The generators u, v at (t1, s) as the objective reads them: s
-    clamped to the margin and both parameters reduced modulo n."""
-    m = len(gon.vertices) // 2
-    margin = DEFAULT_SETTINGS.margin
-    s = min(max(s, margin), m - margin)
+    """The generators u, v at (t1, s) as the objective reads them, both
+    parameters reduced modulo n."""
     return boundary_point(gon, t1), boundary_point(gon, t1 + s)
 
 
@@ -260,355 +261,207 @@ def _sheets(gon, t1, s):
 
 
 class TestObjective:
-    @staticmethod
-    def _points(gon, rng):
-        m = len(gon.vertices) // 2
-        t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000)
-        ss = rng.uniform(-0.5, m + 0.5, 2000)
-        return zip(t1s.tolist(), ss.tolist())
-
     def test_fused_objective_is_the_largest_sheet_bit_for_bit(self):
         rng = np.random.default_rng(2000)
-        margin = DEFAULT_SETTINGS.margin
         for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
             m = len(gon.vertices) // 2
             evaluate = _make_objective(gon)
-            # t1 well outside [0, 2m) and s outside [margin, m - margin]
+            # t1 well outside [0, 2m) and s outside (0, m)
             t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000)
             ss = rng.uniform(-0.5, m + 0.5, 2000)
             assert (t1s < 0).any() and (t1s >= 2 * m).any()
-            assert (ss < margin).any() and (ss > m - margin).any()
+            assert (ss < 0.0).any() and (ss > m).any()
             for t1, s in zip(t1s.tolist(), ss.tolist()):
-                assert evaluate(t1, s)[0] == max(_sheets(gon, t1, s)), (t1, s)
+                assert evaluate(t1, s) == max(_sheets(gon, t1, s)), (t1, s)
 
     def test_objective_is_infinite_where_the_generators_coincide(self, p6):
         # at t1 = 1e17 adding s rounds away, so both generators are one
         # point and the denominator is 0
-        evaluate = _make_objective(p6)
         assert _sheets(p6, 1e17, 0.5) == [math.inf] * 3
-        assert evaluate(1e17, 0.5) == (math.inf, ())
-        assert evaluate(1e17, 0.5, 1.0, (0, 1)) == (math.inf, ())
+        assert _make_objective(p6)(1e17, 0.5) == math.inf
 
-    def test_early_exit_decides_like_the_full_maximum(self):
-        # the descent only asks whether a trial value is below the bound,
-        # and uses the value and the crease only when it is
-        rng = np.random.default_rng(2009)
-        for gon in (regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=7)):
-            m = len(gon.vertices) // 2
-            evaluate = _make_objective(gon)
-            points = list(self._points(gon, rng))
-            # descent ends lie on creases, where the leading sheets tie
-            for t1, s in points[:20]:
-                points.append(oracle._descend(evaluate, t1, s, 0.1)[:2])
-            for t1, s in points:
-                value, full = evaluate(t1, s)
-                values = _sheets(gon, t1, s)
-                leading = tuple(heapq.nlargest(2, range(m), key=values.__getitem__))
-                other = tuple(int(x) for x in rng.integers(0, m, 2))
-                bounds = (
-                    value,
-                    math.nextafter(value, math.inf),
-                    math.nextafter(value, -math.inf),
-                    value + 1e-3,
-                    value - 1e-3,
-                    math.inf,
-                )
-                for bound in bounds:
-                    for lead in (leading, leading[::-1], other):
-                        early, crease = evaluate(t1, s, bound, lead)
-                        assert (early < bound) == (value < bound), (t1, s, bound, lead)
-                        if early < bound:
-                            assert (early, crease) == (value, full), (t1, s, bound, lead)
-                        else:
-                            assert crease == (), (t1, s, bound, lead)
 
-    def test_crease_pair_is_the_nlargest_pair_of_the_sheets(self):
-        rng = np.random.default_rng(2012)
-        gons = [regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=2)]
-        gons += [random_central_polygon(rng, m=7), spread_central_polygon(rng, m=60)]
-        for gon in gons:
-            m = len(gon.vertices) // 2
-            evaluate = _make_objective(gon)
-            points = list(self._points(gon, rng))
-            for t1, s in points[:10]:
-                points.append(oracle._descend(evaluate, t1, s, 0.1)[:2])
-            compared = 0
-            for t1, s in points:
-                values = _sheets(gon, t1, s)
-                top = sorted(values, reverse=True)[:3]
-                # where the top sheets tie, rounding decides the order
-                if not math.isfinite(top[0]) or len(set(top)) < len(top):
-                    continue
-                compared += 1
-                _, (pair, sheets, _, _) = evaluate(t1, s)
-                assert pair == tuple(heapq.nlargest(2, range(m), key=values.__getitem__)), (t1, s)
-                # the record's sheets: the three largest numerators
-                numerators = _numerators(gon, *_ends(gon, t1, s))
-                assert [g for g, _ in sheets] == sorted(numerators, reverse=True)[:3], (t1, s)
-            assert compared >= 1000, compared
+def _sample(gon, a, k, box, count=65):
+    """The objective on a count x count lattice of the box (f0, f1, g0, g1)
+    of the cell with u on edge a and v on edge a + k, from the raw
+    coordinates: (values, numerators per sheet, denominators)."""
+    x, y, dx, dy = (np.array(column) for column in gon.edges)
+    n, m = len(x), gon.m
+    b = (a + k) % n
+    f0, f1, g0, g1 = box
+    f, g = np.linspace(f0, f1, count)[:, None], np.linspace(g0, g1, count)[None, :]
+    ux, uy, vx, vy = x[a] + f * dx[a], y[a] + f * dy[a], x[b] + g * dx[b], y[b] + g * dy[b]
+    wx, wy = x[:m, None, None], y[:m, None, None]
+    num = np.abs(wx * vy - wy * vx) + np.abs(ux * wy - uy * wx)
+    den = ux * vy - uy * vx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(den > 1e-300, num.max(axis=0) / den, np.inf)
+    return values, num, den
 
-    def test_tied_sheets_put_the_lower_index_first(self, p4):
-        # generators at the square's vertices v0 and v1: both numerators
-        # are exactly 1, and nlargest keeps equals in index order
-        values = _sheets(p4, 0.0, 1.0)
-        assert values[0] == values[1]
-        _, (pair, *_) = _make_objective(p4)(0.0, 1.0)
-        assert pair == tuple(heapq.nlargest(2, range(2), key=values.__getitem__)) == (0, 1)
 
-    def test_sheet_record_matches_central_differences_inside_a_cell(self):
-        # each numerator is affine in the edge fractions (f, g) of u and v
-        # inside an edge-pair cell with fixed signs: (t1 + h, s - h) moves
-        # f alone, (t1, s + h) moves g alone and (t1 + h, s) moves both,
-        # so central differences that stay in the cell give the gradients
+def _kernel_boxes():
+    """(polygon, a, k, box) of seeded boxes: random ones in random cells,
+    ones around the optimum, a side of each and a point, on P6, P10 and
+    random polygons with m = 3..12."""
+    rng = np.random.default_rng(2029)
+    gons = [regular_polygon(6), regular_polygon(10)]
+    gons += [random_central_polygon(rng, m) for m in range(3, 13)]
+    for gon in gons:
+        n, m = len(gon.vertices), gon.m
+        boxes = []
+        for _ in range(8):
+            a, k = int(rng.integers(0, n)), int(rng.integers(0, m + 1))
+            f0, f1 = sorted(rng.uniform(0.0, 1.0, 2).tolist())
+            g0, g1 = sorted(rng.uniform(0.0, 1.0, 2).tolist())
+            boxes.append((a, k, (f0, f1, g0, g1)))
+        # boxes of sizes 1e-1 to 1e-4 around the optimum, in its cell
+        result = bm_distance(gon, grid=91)
+        a, b = math.floor(result.t_u), math.floor(result.t_v)
+        f, g = result.t_u - a, result.t_v - b
+        for half in (1e-1, 1e-2, 1e-3, 1e-4):
+            lo, hi = rng.uniform(0.2, 1.0, 2).tolist()
+            box = (max(f - lo * half, 0.0), min(f + hi * half, 1.0))
+            box += (max(g - hi * half, 0.0), min(g + lo * half, 1.0))
+            boxes.append((a % n, b - a, box))
+        for a, k, (f0, f1, g0, g1) in boxes[:4] + boxes[-2:]:
+            boxes.append((a, k, (f0, f0, g0, g1)))
+            boxes.append((a, k, (f1, f1, g1, g1)))
+        for a, k, box in boxes:
+            yield gon, a, k, box
+
+
+class TestBoxMin:
+    """The exact kernel: ``_cell_forms``, ``_prune`` and ``_box_min``."""
+
+    def test_cell_forms_are_the_sheets_on_unit_coordinates(self):
         rng = np.random.default_rng(2015)
-        margin = DEFAULT_SETTINGS.margin
-        h = 1e-4
         gons = [regular_polygon(6), regular_polygon(50), random_central_polygon(rng, m=2)]
         gons += [random_central_polygon(rng, m=7), linear_image(regular_polygon(8), random_linear_map(rng))]
         for gon in gons:
-            verts = gon.vertices
-            n = len(verts)
-            m = n // 2
+            n, m = len(gon.vertices), gon.m
+            e, xs, ys = gon._unit
+            unit = [geom.Vec2(x, y) for x, y in zip(xs, ys)]
+            for _ in range(300):
+                a, k = int(rng.integers(0, n)), int(rng.integers(0, m + 1))
+                f, g = rng.uniform(0.0, 1.0, 2).tolist()
+                sheets, (d0, d1, d2, d3) = _cell_forms(gon, a, (a + k) % n)
+                u, v = (boundary_point(gon, t) * math.ldexp(1.0, -e) for t in (a + f, a + k + g))
+                expected = [
+                    abs(w.x * v.y - w.y * v.x) + abs(u.x * w.y - u.y * w.x) for w in unit[:m]
+                ]
+                got = [n0 + nf * f + ng * g for n0, nf, ng in sheets]
+                assert np.allclose(got, expected, rtol=0.0, atol=1e-14), (gon, a, k, f, g)
+                den = d0 + d1 * f + d2 * g + d3 * f * g
+                assert abs(den - u.cross(v)) <= 1e-14, (gon, a, k, f, g)
+
+    def test_the_box_minimum_is_at_or_below_a_fine_sample(self):
+        # within 1e-13 relative: the forms round apart from evaluate where
+        # cross(u, v) nearly cancels, at values far above the optimum
+        checked = 0
+        for gon, a, k, box in _kernel_boxes():
+            n, m = len(gon.vertices), gon.m
+            tiny = math.ldexp(oracle.FEASIBLE_DEN, -2 * gon._unit[0])
+            forms = _cell_forms(gon, a, (a + k) % n)
+            keep = _prune(forms[0], box, range(m))
+            value, f, g, _ = _box_min(forms, box, keep, tiny)
+            values, num, den = _sample(gon, a, k, box)
+            if value == math.inf:
+                assert (values == np.inf).all(), (gon, a, k, box)
+                continue
+            f0, f1, g0, g1 = box
+            assert f0 <= f <= f1 and g0 <= g <= g1, (gon, a, k, box, f, g)
+            at = _make_objective(gon)(a + f, (a + k + g) - (a + f))
+            assert abs(value - at) <= 1e-13 * at, (gon, a, k, box, value, at)
+            assert at <= values.min() * (1.0 + 1e-13), (gon, a, k, box, at, values.min())
+            # no pruned sheet leads anywhere on the sample
+            feasible = den > 1e-300
+            kept = num[keep].max(axis=0)
+            assert (kept[feasible] >= num.max(axis=0)[feasible] * (1.0 - 1e-14)).all(), (gon, box)
+            checked += 1
+        assert checked >= 150, checked
+
+    def test_a_minimum_on_a_tie_line_inside_the_box_is_found(self):
+        # hand-made forms: N = 1 + |f + g - 1| over D = 1 + f g has its
+        # minimum 0.8 at (1/2, 1/2), a critical point of the ratio along
+        # the tie line f + g = 1 of the two sheets, where D is concave;
+        # the best corner or side tie of the box is (0.4, 0.6), at 1/1.24
+        forms = ([(0.0, 1.0, 1.0), (2.0, -1.0, -1.0)], (1.0, 0.0, 0.0, 1.0))
+        box = (0.4, 0.6, 0.4, 0.6)
+        value, f, g, _ = _box_min(forms, box, _prune(forms[0], box, range(2)), 0.0)
+        assert abs(value - 0.8) <= 1e-15 and abs(f - 0.5) <= 1e-15 and abs(g - 0.5) <= 1e-15
+
+    def test_a_point_box_keeps_its_leading_sheet(self):
+        # every sheet's largest and least value are equal on a point, so
+        # the leader is kept by ">=" and the point is its own minimum
+        rng = np.random.default_rng(2030)
+        for gon in (regular_polygon(6), random_central_polygon(rng, 5)):
+            n, m = len(gon.vertices), gon.m
             evaluate = _make_objective(gon)
-            checked = 0
-            t1s = rng.uniform(-3.0 * m, 5.0 * m, 2000).tolist()
-            ss = rng.uniform(margin + 2.0 * h, m - margin - 2.0 * h, 2000).tolist()
-            for t1, s in zip(t1s, ss):
-                numerators = _numerators(gon, *_ends(gon, t1, s))
-                top = sorted(numerators, reverse=True)[:4]
-                if len(set(top)) < len(top):
-                    continue
-                leading = heapq.nlargest(3, range(m), key=numerators.__getitem__)
-
-                def cell(a, b):
-                    u, v = _ends(gon, a, b)
-                    signs = tuple(
-                        np.sign(c) for w in leading for c in (u.cross(verts[w]), verts[w].cross(v))
-                    )
-                    return int(a % n), int((a + b) % n), signs
-
-                def sheet(w, a, b):
-                    return _numerators(gon, *_ends(gon, a, b))[w]
-
-                around = [(t1 + h, s - h), (t1 - h, s + h), (t1 + h, s), (t1 - h, s)]
-                around += [(t1, s + h), (t1, s - h)]
-                if any(cell(a, b) != cell(t1, s) for a, b in around):
-                    continue
-                checked += 1
-                _, record = evaluate(t1, s)
-                pair, sheets, (fu, fv), point = record
-                assert pair == tuple(leading[:2]) and point == (t1, s), (t1, s)
-                for t, f in ((t1, fu), (t1 + s, fv)):
-                    a = int(t % n)
-                    edge_point = verts[a] + (verts[(a + 1) % n] - verts[a]) * f
-                    assert 0.0 <= f < 1.0 and (edge_point - boundary_point(gon, t)).norm() <= 1e-12
-                for w, (g, (df, dg)) in zip(leading, sheets):
-                    assert g == numerators[w], (t1, s)
-                    ef = (sheet(w, t1 + h, s - h) - sheet(w, t1 - h, s + h)) / (2.0 * h)
-                    eg = (sheet(w, t1, s + h) - sheet(w, t1, s - h)) / (2.0 * h)
-                    assert math.hypot(ef - df, eg - dg) <= 1e-6 * math.hypot(df, dg) + 1e-9, (t1, s)
-
-                # the pair's gradient in (t1, s): t1 moves f and g, s only g
-                (_, (fi, gi)), (_, (fj, gj)) = sheets[:2]
-                gx, gy = fi + gi - (fj + gj), gi - gj
-
-                def diff(a, b):
-                    return sheet(pair[0], a, b) - sheet(pair[1], a, b)
-
-                fx = (diff(t1 + h, s) - diff(t1 - h, s)) / (2.0 * h)
-                fy = (diff(t1, s + h) - diff(t1, s - h)) / (2.0 * h)
-                assert math.hypot(fx - gx, fy - gy) <= 1e-6 * math.hypot(gx, gy), (t1, s)
-                # the frame's e2 runs down that gradient, e1 along the tie line
-                frame_pair, (e1, e2, *_) = oracle._crease_frame(record)
-                norm = math.hypot(gx, gy)
-                assert frame_pair == pair and e1 == (e2[1], -e2[0])
-                assert math.hypot(e2[0] + gx / norm, e2[1] + gy / norm) <= 1e-15, (t1, s)
-            assert checked >= 1000, checked
+            for a in range(n):
+                f, g = rng.uniform(0.0, 1.0, 2).tolist()
+                forms = _cell_forms(gon, a, (a + 1) % n)
+                keep = _prune(forms[0], (f, f, g, g), range(m))
+                value, *point, _ = _box_min(forms, (f, f, g, g), keep, 0.0)
+                assert keep and point == [f, g], (gon, a, keep)
+                at = evaluate(a + f, (a + 1 + g) - (a + f))
+                assert abs(value - at) <= 1e-14 * at, (gon, a, value, at)
 
 
-class TestDescend:
-    # the plain reference halves its step down to this after the first
-    # stall below KEY_TOL, where the descent ends
-    STEP_TOL = 1e-13
+def _walk_starts():
+    """(polygon, t1, s, grid) of 144 seeded walks on nine polygons."""
+    rng = np.random.default_rng(2011)
+    gons = [regular_polygon(n) for n in (4, 6, 8, 14, 50)]
+    gons += [random_central_polygon(rng, m) for m in (2, 3, 7, 12)]
+    for gon in gons:
+        m = len(gon.vertices) // 2
+        for t1, s in zip(rng.uniform(0.0, 2.0 * m, 8), rng.uniform(0.05 * m, 0.5 * m, 8)):
+            for grid in (91, 720):
+                yield gon, float(t1), float(s), grid
 
-    @staticmethod
-    def _reference(evaluate, t1, s, radius, m, end="vertex"):
-        """The compass descent with full evaluations: every sweep re-derives
-        the leading pair and the frame, and every trial step takes the
-        full maximum, with no bound.  ``end`` says what the first stall
-        that takes the step below KEY_TOL does.  With ``vertex`` it tries
-        the vertex candidates that keep both edge fractions in [0, 1] and
-        whose value is at most the current one, and ends at the lowest of
-        those within KEY_TOL of the nearest, or with stop ``stall`` when
-        there is none; with ``stall`` it ends there; with ``step_tol`` the
-        step halves on until it drops below STEP_TOL."""
-        lo, hi = DEFAULT_SETTINGS.margin, m - DEFAULT_SETTINGS.margin
-        s = min(max(s, lo), hi)
-        fcur, _ = evaluate(t1, s)
-        r = radius
-        moves = 0
-        for sweep in range(1, DEFAULT_SETTINGS.max_sweeps + 1):
-            _, (_, ((_, (fi, gi)), (_, (fj, gj)), *_), _, _) = evaluate(t1, s)
-            gx, gy = fi + gi - (fj + gj), gi - gj
-            norm = math.hypot(gx, gy)
-            ex, ey = (-gy / norm, gx / norm) if norm > 0.0 else (1.0, 0.0)
-            for dx, dy in ((ex, ey), (-ey, ex), (-ex, -ey), (ey, -ex)):
-                a, b = t1 + r * dx, s + r * dy
-                fab, _ = evaluate(a, b)
-                if fab < fcur:
-                    t1, s, fcur = a, min(max(b, lo), hi), fab
-                    r *= 2.0
-                    moves += 1
-                    break
-            else:
-                r *= 0.5
-                if end == "step_tol" and r < TestDescend.STEP_TOL:
-                    return t1, s, fcur, sweep, moves, "step_tol"
-                if end != "step_tol" and r < KEY_TOL:
-                    ends = []
-                    candidates = TestDescend._vertex_moves(evaluate, t1, s) if end == "vertex" else []
-                    for df, dg in candidates:
-                        a, b = t1 + df, s + dg - df
-                        fab, _ = evaluate(a, b)
-                        if fab <= fcur:
-                            ends.append((df, dg, fab, a, b))
-                    if not ends:
-                        return t1, s, fcur, sweep, moves, "stall"
-                    nearest = min(ends, key=lambda end: max(abs(end[0]), abs(end[1])))
-                    cluster = [
-                        end
-                        for end in ends
-                        if abs(end[0] - nearest[0]) <= KEY_TOL and abs(end[1] - nearest[1]) <= KEY_TOL
-                    ]
-                    _, _, fab, a, b = min(cluster, key=lambda end: end[2])
-                    return a, min(max(b, lo), hi), fab, sweep, moves, "vertex"
-        return t1, s, fcur, DEFAULT_SETTINGS.max_sweeps, moves, "max_sweeps"
 
-    @staticmethod
-    def _vertex_moves(evaluate, t1, s):
-        """Moves (df, dg) of the edge fractions of u and v to the vertex
-        candidates that stay in the closed edge-pair cell: the three-sheet
-        tie, the pair's tie at the nearer u edge and at the nearer v edge,
-        and the nearer corner."""
-        _, (_, sheets, (fu, fv), _) = evaluate(t1, s)
-        (ni, (fi, gi)), (nj, (fj, gj)) = sheets[:2]
-        eu = -fu if fu <= 0.5 else 1.0 - fu
-        ev = -fv if fv <= 0.5 else 1.0 - fv
-        candidates = []
-        for nk, (fk, gk) in sheets[2:]:
-            # Cramer's rule on the ties N_i = N_j and N_i = N_k
-            a11, a12, b1 = fi - fj, gi - gj, nj - ni
-            a21, a22, b2 = fi - fk, gi - gk, nk - ni
-            det = a11 * a22 - a12 * a21
-            if det != 0.0:
-                candidates.append(((b1 * a22 - a12 * b2) / det, (a11 * b2 - b1 * a21) / det))
-        if gi != gj:
-            candidates.append((eu, (nj - ni - (fi - fj) * eu) / (gi - gj)))
-        if fi != fj:
-            candidates.append(((nj - ni - (gi - gj) * ev) / (fi - fj), ev))
-        candidates.append((eu, ev))
-        return [(df, dg) for df, dg in candidates if 0.0 <= fu + df <= 1.0 and 0.0 <= fv + dg <= 1.0]
-
-    @staticmethod
-    def _starts():
-        """``(evaluate, (t1, s, radius), m)`` of 144 descents on nine
-        polygons."""
-        rng = np.random.default_rng(2011)
-        gons = [regular_polygon(n) for n in (4, 6, 8, 14, 50)]
-        gons += [random_central_polygon(rng, m) for m in (2, 3, 7, 12)]
-        for gon in gons:
-            m = len(gon.vertices) // 2
-            evaluate = _make_objective(gon)
-            starts = zip(rng.uniform(0.0, 2.0 * m, 8), rng.uniform(0.05 * m, 0.5 * m, 8))
-            for t1, s in starts:
-                for radius in (2.0 * m / 91, 2.0 * m / 720):
-                    yield evaluate, (float(t1), float(s), radius), m
-
-    def test_matches_the_descent_with_full_evaluations_bit_for_bit(self):
+class TestWalk:
+    def test_walks_end_at_local_minima_below_their_starts(self):
+        # rings of 16 points at 1e-4, 1e-6 and 1e-8 around each end are
+        # nowhere below it beyond rounding
+        angles = [2.0 * math.pi * i / 16 for i in range(16)]
         stops = []
-        for evaluate, args, m in self._starts():
-            expected = self._reference(evaluate, *args, m)
-            assert oracle._descend(evaluate, *args) == expected, args
-            stops.append(expected[-1])
-        assert len(stops) == 144 and set(stops) == {"vertex"}
-
-    @pytest.mark.parametrize("found", [False, True])
-    def test_the_vertex_solve_runs_once_and_ends_the_descent_when_found(self, found, monkeypatch):
-        calls = []
-
-        def stub(evaluate, record, bound):
-            calls.append((*record[-1], bound))
-            return calls[-1] if found else None
-
-        monkeypatch.setattr(oracle, "_vertex_solve", stub)
-        for evaluate, args, m in list(self._starts())[::8]:
-            calls.clear()
-            got = oracle._descend(evaluate, *args)
-            assert len(calls) == 1, args
-            if found:
-                assert got[:3] == calls[0] and got[-1] == "vertex", args
-            else:
-                assert got == self._reference(evaluate, *args, m, end="stall"), args
-
-    def test_without_a_vertex_the_descent_ends_at_its_first_stall_below_key_tol(self, monkeypatch):
-        # the solve is asked once, with the record of the stalled point,
-        # and the descent stops there as the reference does
-        calls = []
-
-        def stub(evaluate, record, bound):
-            calls.append((*record[-1], bound))
-
-        monkeypatch.setattr(oracle, "_vertex_solve", stub)
-        for evaluate, args, m in self._starts():
-            calls.clear()
-            got = oracle._descend(evaluate, *args)
-            assert got == self._reference(evaluate, *args, m, end="stall"), args
-            assert got[-1] == "stall" and calls == [got[:3]], args
-        # a start of infinite value has no record, so no solve: at
-        # t1 = 1e17 every step rounds away and both generators coincide
-        calls.clear()
-        got = oracle._descend(_make_objective(regular_polygon(6)), 1e17, 0.5, 0.1)
-        assert got == (1e17, 0.5, math.inf, 17, 0, "stall") and calls == []
-
-    def test_the_vertex_solve_never_ends_above_the_plain_descent(self):
-        # a vertex solve from a point that is not yet near the optimum of
-        # its basin, as at an early stall, ends well above it
-        for evaluate, args, m in self._starts():
-            plain = self._reference(evaluate, *args, m, end="step_tol")
-            assert plain[-1] == "step_tol", args
-            assert oracle._descend(evaluate, *args)[2] <= plain[2] + 1e-14, args
-
-    def test_vertex_candidates_lie_in_the_closed_cell(self):
-        rng = np.random.default_rng(2014)
-        margin = DEFAULT_SETTINGS.margin
-        for gon in (regular_polygon(6), regular_polygon(14), random_central_polygon(rng, m=7)):
-            n = len(gon.vertices)
-            m = n // 2
+        for gon, t1, s, grid in _walk_starts():
             evaluate = _make_objective(gon)
-            points = list(TestObjective._points(gon, rng))[:200]
-            points += [oracle._descend(evaluate, t1, s, 0.1)[:2] for t1, s in points[:20]]
-            evaluated = 0
-            for t1, s in points:
-                s = min(max(s, margin), m - margin)
-                tried = []
+            a, b, value, boxes, candidates, stop = _make_walk(gon, gon.m / grid)(t1, s)
+            stops.append(stop)
+            assert value == evaluate(a, b) <= evaluate(t1, s), (gon, t1, s, grid)
+            assert 1 <= boxes <= candidates, (gon, t1, s, grid)
+            for r in (1e-4, 1e-6, 1e-8):
+                ring = min(evaluate(a + r * math.cos(x), b + r * math.sin(x)) for x in angles)
+                assert ring >= value * (1.0 - 1e-15), (gon, t1, s, grid, r, value - ring)
+        assert len(stops) == 144 and set(stops) <= {"minimum", "rounding"}
 
-                def recording(a, b, *rest):
-                    value, record = evaluate(a, b, *rest)
-                    if not rest:
-                        tried.append(((a, b), record[-1] if record else None))
-                    return value, record
+    @pytest.mark.parametrize("exponent", [-400, 400])
+    def test_walk_ends_do_not_move_under_power_of_two_scaling(self, exponent):
+        # the boxes read the unit coordinates and evaluate's products
+        # scale exactly, so every step decides as on the unscaled polygon
+        rng = np.random.default_rng(400)
+        factor = math.ldexp(1.0, exponent)
+        for gon in (regular_polygon(6), regular_polygon(8), random_central_polygon(rng, 7)):
+            scaled = CentralPolygon([factor * v for v in gon.vertices])
+            assert scaled._unit[1:] == gon._unit[1:]
+            m = gon.m
+            for t1, s in zip(rng.uniform(0.0, 2.0 * m, 6).tolist(), rng.uniform(0.05 * m, 0.5 * m, 6).tolist()):
+                for grid in (91, 360):
+                    expected = _make_walk(gon, m / grid)(t1, s)
+                    assert _make_walk(scaled, m / grid)(t1, s) == expected, (gon, t1, s, grid)
 
-                current, record = evaluate(t1, s)
-                vertex = oracle._vertex_solve(recording, record, current)
-                if vertex is not None:
-                    assert vertex[2] <= current and vertex[:2] in [p for _, p in tried], (t1, s)
-                for (a, b), _ in tried:
-                    for start, end in ((t1, a), (t1 + s, a + b)):
-                        # the end's offset from the start's edge, in [0, 1]
-                        offset = (end - math.floor(start % n) + 0.5) % n - 0.5
-                        assert -1e-12 <= offset <= 1.0 + 1e-12, (t1, s, a, b)
-                evaluated += len(tried)
-            assert evaluated >= 100, evaluated
+    def test_a_start_of_infinite_value_stops_there(self, p6):
+        # at t1 = 1e17 adding s rounds away and both generators coincide
+        t1, _, value, boxes, _, stop = _make_walk(p6, 0.1)(1e17, 0.5)
+        assert (t1, value, stop) == (1e17, math.inf, "rounding") and boxes >= 1
+
+    def test_running_out_of_steps_is_reported(self, monkeypatch):
+        # from P10's lowest grid-10 cell the walk takes two steps
+        gon = regular_polygon(10)
+        assert [r.stop for r in bm_distance(gon, grid=10).starts] == ["rounding"]
+        monkeypatch.setattr(oracle, "DEFAULT_SETTINGS", SearchSettings(max_steps=1))
+        assert [r.stop for r in bm_distance(gon, grid=10).starts] == ["max_steps"]
 
     def test_a_coarse_grid_reaches_the_fine_optimum(self):
         # with the frame taken from central differences of the pair's
@@ -618,13 +471,10 @@ class TestDescend:
         optimum = bm_distance(gon, grid=2880).lam
         assert bm_distance(gon, grid=45).lam <= optimum + 1e-9
 
-    @pytest.mark.xfail(
-        reason="known miss: every start descends into a basin 6.3e-4 above the optimum"
-    )
-    def test_a_grid_180_descent_reaches_the_fine_optimum(self):
+    def test_a_grid_180_walk_reaches_the_fine_optimum(self):
         # polygon 1045 of a seeded list of random polygons with m = 2..16;
-        # the central-difference frame reached the optimum from grid 180,
-        # the exact crease frame stops 6.3e-4 above it
+        # the compass descent with the exact crease frame stopped 6.3e-4
+        # above the optimum from every start at grid 180
         rng = np.random.default_rng(20261018)
         for k in range(1046):
             gon = random_central_polygon(rng, int(rng.integers(2, 17)))
@@ -688,9 +538,9 @@ class TestBMDistance:
         assert a.parallelogram == b.parallelogram
 
     def test_the_radius_bound_is_the_largest_scale_searched(self, p6):
-        # up to the bound the vertex solves stay finite, so lambda and the
-        # class count are those of the unit hexagon; past it both entry
-        # points and the scan they share refuse the polygon
+        # up to the bound lambda and the class count are those of the unit
+        # hexagon; past it both entry points and the scan they share
+        # refuse the polygon
         result = bm_distance(p6, grid=90)
         scale = oracle.MAX_RADIUS * (1.0 - 4e-16) / p6.radius
         inside = CentralPolygon([scale * v for v in p6.vertices])
@@ -706,6 +556,25 @@ class TestBMDistance:
             argmin_orbit(beyond, result)
         with pytest.raises(ValueError, match=bound):
             grid_scan(beyond, 90)
+
+    @pytest.mark.parametrize("factor", [0.5, 0.99, 1.0 - 4e-16])
+    def test_lambda_and_classes_hold_up_to_the_radius_bound(self, factor):
+        # the box walk solves on unit coordinates, and no product of the
+        # scan or of evaluate overflows, so nothing warns at the bound
+        rng = np.random.default_rng(26)
+        gons = [regular_polygon(n) for n in range(4, 18, 2)]
+        gons += [random_central_polygon(rng, m) for m in (3, 5, 7, 9)]
+        for gon in gons:
+            result = bm_distance(gon, grid=90)
+            big = CentralPolygon([factor * oracle.MAX_RADIUS / gon.radius * v for v in gon.vertices])
+            assert big.radius <= oracle.MAX_RADIUS
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                found = bm_distance(big, grid=90)
+                classes = len(argmin_orbit(big, found))
+            # the scaled vertices are rounded, so lambda may move by ulps
+            assert abs(found.lam - result.lam) <= 1e-15, (gon, found.lam - result.lam)
+            assert classes == len(argmin_orbit(gon, result)), gon
 
     @pytest.mark.parametrize("scale", [1e-151, 1e-170, 1e-300])
     def test_below_the_least_radius_both_entry_points_refuse_the_polygon(self, p6, scale):
@@ -753,7 +622,7 @@ class TestBMDistance:
             assert result.lam <= float(f[np.isfinite(f)].min()) + 1e-12
 
     @pytest.mark.xfail(
-        reason="ROADMAP item 3: the descents reach one of the two optimal classes, "
+        reason="ROADMAP item 3: the walks reach one of the two optimal classes, "
         "which one depends on the grid, so the least key moves with it",
     )
     @pytest.mark.parametrize("n", [14, 22])
@@ -809,7 +678,7 @@ class TestBMDistance:
 
 
 class TestStarts:
-    """The descents start from the ceil(starts / r) lowest cells of one
+    """The walks start from the ceil(starts / r) lowest cells of one
     rotation period, where r = m / k counts the rotated copies of a cell
     over [0, m)."""
 
@@ -817,7 +686,7 @@ class TestStarts:
         "name, expected",
         [("P6", 2), ("P10", 1), ("P14", 1), ("P18", 1), ("P22", 1), ("P26", 1), ("random", 5)],
     )
-    def test_descents_at_grid_720(self, name, expected):
+    def test_walks_at_grid_720(self, name, expected):
         if name == "random":
             gon = random_central_polygon(np.random.default_rng(720), m=6)
         else:
@@ -825,11 +694,12 @@ class TestStarts:
         result = bm_distance(gon, grid=720)
         assert len(result.starts) == expected
         for record in result.starts:
-            assert record.stop == "vertex" and record.sweeps >= 1
+            assert record.stop in ("minimum", "rounding")
+            assert 1 <= record.boxes <= record.candidates
             assert record.value >= result.lam - 1e-12
 
     @pytest.mark.parametrize("grid", [45, 91, 360, 720])
-    def test_descents_start_from_the_lowest_cells_of_one_period(self, grid):
+    def test_walks_start_from_the_lowest_cells_of_one_period(self, grid):
         rng = np.random.default_rng(grid)
         # (polygon, rotation step k)
         cases = [(regular_polygon(6), 1), (regular_polygon(10), 1), (regular_polygon(12), 1)]
@@ -842,9 +712,9 @@ class TestStarts:
             t1s, ss, f = grid_scan(gon, grid)
             result = bm_distance(gon, grid=grid)
             rows, cols = t1s.tolist(), ss.tolist()
-            descended = [(rows.index(r.t1), cols.index(r.s)) for r in result.starts]
+            walked = [(rows.index(r.t1), cols.index(r.s)) for r in result.starts]
             # (a) every one of the ceil(starts / r) lowest cells, lowest first
-            assert descended == _lowest_cells(f, -(-starts // (m // k)))
+            assert walked == _lowest_cells(f, -(-starts // (m // k)))
 
             # (b) none of them is a rotated copy of another
             rotations = [
@@ -865,16 +735,16 @@ class TestStarts:
                     for mat in rotations
                 )
 
-            for x, a in enumerate(descended):
-                for b in descended[x + 1 :]:
+            for x, a in enumerate(walked):
+                for b in walked[x + 1 :]:
                     assert not is_rotated_copy(a, b), (a, b)
 
             # (c) the identity the cut to t1 in [0, k) relies on
             evaluate = _make_objective(gon)
             t1s = rng.uniform(0.0, 2.0 * m, 200).tolist()
             for t1, s in zip(t1s, rng.uniform(0.02 * m, 0.98 * m, 200).tolist()):
-                base, _ = evaluate(t1, s)
-                assert math.isclose(evaluate(t1 + k, s)[0], base, rel_tol=1e-12), (t1, s)
+                base = evaluate(t1, s)
+                assert math.isclose(evaluate(t1 + k, s), base, rel_tol=1e-12), (t1, s)
 
     def test_lambda_matches_the_closed_form(self):
         rng = np.random.default_rng(12)
@@ -885,32 +755,30 @@ class TestStarts:
                 for grid in (90, 360, 720):
                     result = bm_distance(poly, grid=grid)
                     assert abs(result.lam - claimed) <= 1e-15, (n, grid, result.lam - claimed)
-                    assert all(r.stop == "vertex" for r in result.starts), (n, grid)
+                    assert all(r.stop != "max_steps" for r in result.starts), (n, grid)
 
     @pytest.mark.parametrize("seed", [0, 3, 5, 7])
-    def test_no_descent_runs_out_of_sweeps(self, seed, monkeypatch):
-        # a descent that crawls along a crease at a tiny step runs to
-        # max_sweeps; argmin_orbit's descents are in no result, so every
-        # stop is recorded here
+    def test_no_walk_runs_out_of_steps(self, seed, monkeypatch):
+        # argmin_orbit's walks are in no result, so every stop is
+        # recorded here
         stops = []
-        descend = oracle._descend
+        make_walk = oracle._make_walk
 
         def recording(*args):
-            out = descend(*args)
-            stops.append(out[-1])
-            return out
+            walk = make_walk(*args)
 
-        monkeypatch.setattr(oracle, "_descend", recording)
+            def recorded(*point):
+                out = walk(*point)
+                stops.append(out[-1])
+                return out
+
+            return recorded
+
+        monkeypatch.setattr(oracle, "_make_walk", recording)
         rng = np.random.default_rng(seed)
         gon = random_central_polygon(rng, int(rng.integers(3, 13)))
         argmin_orbit(gon, bm_distance(gon, grid=360))
-        assert stops and all(stop == "vertex" for stop in stops), stops
-
-    def test_running_out_of_sweeps_is_reported(self, p6, monkeypatch):
-        monkeypatch.setattr(oracle, "DEFAULT_SETTINGS", SearchSettings(max_sweeps=2))
-        result = bm_distance(p6, grid=90)
-        assert result.starts
-        assert all(r.stop == "max_sweeps" and r.sweeps == 2 for r in result.starts)
+        assert stops and "max_steps" not in stops, stops
 
 
 def _reference_lowest_cells(f, count):
@@ -954,28 +822,38 @@ class TestLowestCells:
 
 
 class TestGoldenTrajectories:
-    """Descent records and class representatives pinned bit for bit, so a
-    change to the search that claims identical results fails here if any
-    path moves."""
+    """Walk ends and class representatives pinned bit for bit, so a change
+    to the search that claims identical results fails here if any walk
+    moves."""
 
-    # (t1, s, value.hex(), sweeps, moves, stop) of every descent
-    STARTS = {
+    # (t1, s) of every start, and its walk's end t1 and s, value, boxes,
+    # candidates and stop
+    WALKS = {
         ("P6", 360): [
-            (0.3333333333284827, 1.3374999999805368, "0x1.8000000000002p+0", 45, 15, "vertex"),
-            (0.49999999999272404, 1.495833333311566, "0x1.8000000000001p+0", 47, 16, "vertex"),
+            (0.3333333333284827, 1.3374999999805368, "0x1.5555555555554p-2",
+             "0x1.5555555555555p+0", "0x1.8000000000002p+0", 1, 11, "minimum"),
+            (0.49999999999272404, 1.495833333311566, "0x1.fffffffffffffp-2",
+             "0x1.8000000000000p+0", "0x1.8000000000001p+0", 2, 12, "minimum"),
         ],
         ("P10", 360): [
-            (0.7777777777664596, 2.4374999999645297, "0x1.6d5336963eefdp+0", 47, 16, "vertex"),
+            (0.7777777777664596, 2.4374999999645297, "0x1.91215bf32e6a6p-1",
+             "0x1.376f520668cacp+1", "0x1.6d5336963eefdp+0", 1, 11, "minimum"),
         ],
         ("P14", 360): [
-            (0.4666666666598758, 3.4902777777269876, "0x1.6ce8d1b11535ap+0", 58, 21, "vertex"),
+            (0.4666666666598758, 3.4902777777269876, "0x1.fffffffffffffp-2",
+             "0x1.c000000000000p+1", "0x1.6ce8d1b115359p+0", 4, 24, "minimum"),
         ],
         ("random", 720): [
-            (3.1333333332877373, 2.829166666625497, "0x1.44848d30ab3e9p+0", 33, 9, "vertex"),
-            (3.1499999999541615, 2.829166666625497, "0x1.44848d30ab3eap+0", 45, 15, "vertex"),
-            (3.1333333332877373, 2.837499999958709, "0x1.44848d30ab3eap+0", 45, 15, "vertex"),
-            (3.1666666666205856, 2.820833333292285, "0x1.44848d30ab3eap+0", 39, 12, "vertex"),
-            (3.116666666621313, 2.829166666625497, "0x1.44848d30ab3e9p+0", 51, 18, "vertex"),
+            (3.1333333332877373, 2.829166666625497, "0x1.9112c27b5d004p+1",
+             "0x1.6a2f74c6c5e54p+1", "0x1.44848d30ab3e9p+0", 1, 11, "minimum"),
+            (3.1499999999541615, 2.829166666625497, "0x1.9112c27b5d004p+1",
+             "0x1.6a2f74c6c5e54p+1", "0x1.44848d30ab3e9p+0", 3, 27, "minimum"),
+            (3.1333333332877373, 2.837499999958709, "0x1.9112c27b5d004p+1",
+             "0x1.6a2f74c6c5e54p+1", "0x1.44848d30ab3e9p+0", 1, 11, "minimum"),
+            (3.1666666666205856, 2.820833333292285, "0x1.9112c27b5d004p+1",
+             "0x1.6a2f74c6c5e54p+1", "0x1.44848d30ab3e9p+0", 4, 35, "minimum"),
+            (3.116666666621313, 2.829166666625497, "0x1.9112c27b5d004p+1",
+             "0x1.6a2f74c6c5e54p+1", "0x1.44848d30ab3e9p+0", 3, 27, "minimum"),
         ],
     }
 
@@ -983,29 +861,31 @@ class TestGoldenTrajectories:
     REPRESENTATIVES = {
         6: [
             ("0x1.0000000000000p+0", "0x0.0p+0",
-             "0x1.c000000000000p-52", "0x1.bb67ae8584caap-1"),
-            ("0x1.aaaaaaaaaaaacp-1", "0x1.279a745903317p-2",
+             "0x1.8000000000000p-53", "0x1.bb67ae8584caap-1"),
+            ("0x1.aaaaaaaaaaaabp-1", "0x1.279a74590331bp-2",
              "-0x1.5555555555548p-3", "0x1.bb67ae8584cabp-1"),
         ],
         8: [
             ("0x1.0000000000000p+0", "0x0.0p+0",
              "0x1.1a62633145c07p-54", "0x1.0000000000000p+0"),
-            ("0x1.b504f333f9de6p-1", "0x1.6a09e667f3bccp-2",
+            ("0x1.b504f333f9de7p-1", "0x1.6a09e667f3bcbp-2",
              "-0x1.6a09e667f3bccp-2", "0x1.b504f333f9de6p-1"),
         ],
     }
 
-    @pytest.mark.parametrize("name, grid", list(STARTS))
-    def test_descent_records(self, name, grid):
+    @pytest.mark.parametrize("name, grid", list(WALKS))
+    def test_walk_ends(self, name, grid):
         if name == "random":
             gon = random_central_polygon(np.random.default_rng(720), 6)
         else:
             gon = regular_polygon(int(name[1:]))
-        records = [
-            (r.t1, r.s, r.value.hex(), r.sweeps, r.moves, r.stop)
-            for r in bm_distance(gon, grid=grid).starts
-        ]
-        assert records == self.STARTS[name, grid]
+        walk = _make_walk(gon, gon.m / grid)
+        records = []
+        for r in bm_distance(gon, grid=grid).starts:
+            t1, s, value, *outcome = walk(r.t1, r.s)
+            assert (value, *outcome) == (r.value, r.boxes, r.candidates, r.stop)
+            records.append((r.t1, r.s, t1.hex(), s.hex(), value.hex(), *outcome))
+        assert records == self.WALKS[name, grid]
 
     @pytest.mark.parametrize("n", list(REPRESENTATIVES))
     def test_class_representatives(self, n):
@@ -1054,7 +934,7 @@ class TestArgminOrbit:
             assert abs(circum_ratio(p, p6) - 1.5) <= 1e-6
 
     @pytest.mark.xfail(
-        reason="ROADMAP item 3: at grid 91 every descent from the scan's local "
+        reason="ROADMAP item 3: at grid 91 every walk from the scan's local "
         "minima ends in the same one of the two optimal classes",
     )
     @pytest.mark.parametrize("n", [14, 18, 32])
@@ -1102,7 +982,7 @@ class TestArgminOrbit:
         [(83, 8, 360), (13, 4, 45), (13, 4, 60), (15, 6, 90), (97, 11, 60), (188, 3, 60)],
     )
     def test_a_start_off_the_local_minima_still_gives_a_class(self, seed, m, grid):
-        # the best descent of bm_distance starts from a cell that is not a
+        # the best walk of bm_distance starts from a cell that is not a
         # local minimum of the grid here
         gon = random_central_polygon(np.random.default_rng(seed), m)
         result = bm_distance(gon, grid=grid)
@@ -1113,7 +993,7 @@ class TestArgminOrbit:
     @pytest.mark.parametrize("seed, low, high, grid", [(3, 3, 13, 360), (116, 2, 11, 90)])
     def test_every_class_is_optimal(self, seed, low, high, grid):
         # local minima a little above the optimum (a kink at a vertex, a
-        # slow descent) are not classes of optimal positions
+        # slow walk) are not classes of optimal positions
         rng = np.random.default_rng(seed)
         gon = random_central_polygon(rng, int(rng.integers(low, high)))
         result = bm_distance(gon, grid=grid)
@@ -1345,13 +1225,13 @@ class TestLargePolygons:
     """Random polygons with many vertices, drawn without rejection."""
 
     @pytest.mark.parametrize("m", [50, 100, 200])
-    def test_descents_converge(self, m):
+    def test_walks_converge(self, m):
         rng = np.random.default_rng(m)
         gon = spread_central_polygon(rng, m)
         assert len(gon.vertices) == 2 * m
         result = bm_distance(gon, grid=360)
         assert len(result.starts) == DEFAULT_SETTINGS.starts
-        assert all(r.stop == "vertex" for r in result.starts)
+        assert all(r.stop != "max_steps" for r in result.starts)
         assert 1.0 <= result.lam <= 1.5 + 1e-9
         image = linear_image(gon, random_linear_map(rng))
         assert abs(bm_distance(image, grid=360).lam - result.lam) <= 1e-9
