@@ -116,7 +116,7 @@ def _vec(v: Vec2) -> str:
 def _load_polygon(arg: str) -> tuple[CentralPolygon, str, int]:
     """Returns the polygon ("Pn" builds the regular n-gon, anything else
     is read as a polygon file), a display name and n: the vertex count if
-    the boundary table is the regular n-gon's bit for bit, else 0."""
+    the vertices are the regular n-gon's bit for bit, else 0."""
     if match := _SHORTHAND.fullmatch(arg):
         n = int(match.group(1))
         return regular_polygon(n), f"P{n}", n
@@ -126,7 +126,7 @@ def _load_polygon(arg: str) -> tuple[CentralPolygon, str, int]:
         raise ValueError(f"cannot read polygon file {arg}: {exc}") from exc
     gon = parse_polygon(text)
     n = len(gon.vertices)
-    return gon, str(Path(arg)), n if gon.edges == regular_polygon(n).edges else 0
+    return gon, str(Path(arg)), n if gon.vertices == regular_polygon(n).vertices else 0
 
 
 def _family(n: int) -> tuple[CentralPolygon, float, Callable, Callable]:

@@ -95,22 +95,22 @@ class CentralPolygon:
     as Python floats, checks the mirror pairs within ``SYMMETRY_TOL``
     times the largest vertex norm, and then rebuilds the second half by
     exact negation so that antipodal identities hold bit for bit.  From
-    those vertices it builds the boundary table ``edges`` once, which
-    every reader of the boundary uses.  The convexity, origin and winding
-    checks run on the table's floats, the first two divided by a power of
-    two so that they hold at every scale; the polygon keeps that power and
-    the divided coordinates for ``symmetry_map``.  Vec2s are made only for
-    the stored ``vertices``.
+    those vertices it builds the boundary table ``boundary`` once, which
+    every reader of the boundary and the convexity and origin checks use.
+    It holds the coordinates divided by the power of two 2**e just above
+    the largest |coordinate|: the division is exact, so the table decides
+    as the coordinates themselves would, yet no product of its values
+    overflows, and 2**k times the polygon has the same table but for e.
+    Vec2s are made only for the stored ``vertices``.
     """
 
-    __slots__ = ("vertices", "edges", "radius", "_unit", "_rotation_step")
+    __slots__ = ("vertices", "boundary", "radius", "_rotation_step")
 
     vertices: tuple[Vec2, ...]
-    # the boundary table (x, y, dx, dy) of Python floats: vertex i is
-    # (x[i], y[i]) and (dx[i], dy[i]) is the delta from it to vertex i + 1
-    edges: tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
+    # (e, x, y, dx, dy), the columns tuples of Python floats: vertex i is
+    # 2**e (x[i], y[i]) and 2**e (dx[i], dy[i]) the delta to vertex i + 1
+    boundary: tuple[int, tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
     radius: float  # the largest vertex norm
-    _unit: tuple[int, tuple[float, ...], tuple[float, ...]]  # _scaled(x, y), as tuples
 
     def __init__(self, vertices: Iterable[Vec2 | tuple[float, float]]):
         px, py = [], []
@@ -133,22 +133,17 @@ class CentralPolygon:
                 )
         x = px[:m] + [-a for a in px[:m]]
         y = py[:m] + [-a for a in py[:m]]
-        dx = [b - a for a, b in zip(x, x[1:] + x[:1])]
-        dy = [b - a for a, b in zip(y, y[1:] + y[:1])]
-        # the turn and origin tests read the coordinates divided by the
-        # power of two just above the largest |coordinate|: the division is
-        # exact, so they decide as on the coordinates themselves, but no
-        # product overflows or underflows at any scale, and a nan fails them
         e, (sx, sy) = _scaled(x, y)
-        sdx = [b - a for a, b in zip(sx, sx[1:] + sx[:1])]
-        sdy = [b - a for a, b in zip(sy, sy[1:] + sy[:1])]
+        dx = [b - a for a, b in zip(sx, sx[1:] + sx[:1])]
+        dy = [b - a for a, b in zip(sy, sy[1:] + sy[:1])]
         for i in range(n):
             j = (i + 1) % n
-            # an edge delta can overflow: the sum is then not finite, and
-            # Vec2 rejects the delta (a finite sum that overflows passes)
-            if not math.isfinite(dx[i] + dy[i] + dx[j] + dy[j]):
-                Vec2(dx[i], dy[i]), Vec2(dx[j], dy[j])
-            if not sdx[i] * sdy[j] - sdy[i] * sdx[j] > 0.0:
+            # an edge delta of the coordinates can overflow only when the
+            # largest |coordinate| is 2**1023 or more; Vec2 then rejects it
+            if e > 1023:
+                for k in (i, j):
+                    Vec2(x[(k + 1) % n] - x[k], y[(k + 1) % n] - y[k])
+            if not dx[i] * dy[j] - dy[i] * dx[j] > 0.0:
                 raise ValueError(
                     f"vertices are not in strictly convex counterclockwise "
                     f"position (turn at vertex {j} is not left)"
@@ -168,9 +163,8 @@ class CentralPolygon:
         # runs in one process, tuple(genexpr) raised the peak RSS by 5%
         # and tuple(map(Vec2, x, y)) by 1%, against lists
         object.__setattr__(self, "vertices", tuple([Vec2(a, b) for a, b in zip(x, y)]))
-        object.__setattr__(self, "edges", (tuple(x), tuple(y), tuple(dx), tuple(dy)))
+        object.__setattr__(self, "boundary", (e, tuple(sx), tuple(sy), tuple(dx), tuple(dy)))
         object.__setattr__(self, "radius", max(map(math.hypot, x[:m], y[:m])))  # antipodes match
-        object.__setattr__(self, "_unit", (e, tuple(sx), tuple(sy)))
         object.__setattr__(self, "_rotation_step", 0)  # found on first use
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -224,16 +218,17 @@ def boundary_point(polygon: CentralPolygon, t: float) -> Vec2:
 
     Because antipodal vertices are exact negations, the antipode law
     boundary_point(t + m) == -boundary_point(t) holds up to the rounding
-    of t + m itself.
+    of t + m itself.  The point is read from the boundary table and
+    scaled by 2**e, exactly; the readers below divide their point by 2**e.
     """
-    x, y, dx, dy = polygon.edges
+    e, x, y, dx, dy = polygon.boundary
     n = len(x)
     t = t % n
     if t >= n:  # float mod can round up to the period itself
         t = 0.0
     i = int(t)
     f = t - i
-    return Vec2(x[i] + f * dx[i], y[i] + f * dy[i])
+    return Vec2(math.ldexp(x[i] + f * dx[i], e), math.ldexp(y[i] + f * dy[i], e))
 
 
 def strip_ratios(nx, ny, inner_hw, outer_hw, dx, dy):
@@ -262,9 +257,10 @@ def strip_ratios(nx, ny, inner_hw, outer_hw, dx, dy):
 def polygon_gauge(polygon: CentralPolygon, point: Vec2) -> float:
     """Minkowski gauge of the polygon at a point: the smallest r >= 0 with
     point inside r times the polygon.  Equals 1 exactly on the boundary."""
-    px, py = point.x, point.y
+    e, *table = polygon.boundary
+    px, py = math.ldexp(point.x, -e), math.ldexp(point.y, -e)
     # the outward normal of edge (dx, dy) is (dy, -dx)
-    return max((ey * px - ex * py) / (ey * ax - ex * ay) for ax, ay, ex, ey in zip(*polygon.edges))
+    return max((ey * px - ex * py) / (ey * ax - ex * ay) for ax, ay, ex, ey in zip(*table))
 
 
 def boundary_crossing(polygon: CentralPolygon, direction: Vec2) -> Vec2:
@@ -282,14 +278,15 @@ def boundary_projection(polygon: CentralPolygon, point: Vec2) -> tuple[float, fl
     its Euclidean distance d from the point.  The first nearest edge in
     vertex order wins a tie."""
     n = len(polygon.vertices)
-    px, py = point.x, point.y
+    e, *table = polygon.boundary
+    px, py = math.ldexp(point.x, -e), math.ldexp(point.y, -e)
     best = (0.0, math.inf)
-    for i, (ax, ay, ex, ey) in enumerate(zip(*polygon.edges)):
+    for i, (ax, ay, ex, ey) in enumerate(zip(*table)):
         f = min(1.0, max(0.0, ((px - ax) * ex + (py - ay) * ey) / (ex * ex + ey * ey)))
         d = math.hypot(px - (ax + ex * f), py - (ay + ey * f))
         if d < best[1]:
             best = ((i + f) % n, d)
-    return best
+    return best[0], math.ldexp(best[1], e)
 
 
 def line_intersection(p: Vec2, dp: Vec2, q: Vec2, dq: Vec2) -> Vec2:
@@ -332,12 +329,11 @@ def symmetry_map(polygon: CentralPolygon, k: int, step: int) -> Mat2 | None:
     The map is fixed by the images of vertices 0 and 1.  Every vertex
     image must match its target within ``SYMMETRY_TOL`` times the
     largest vertex norm, so the check does not depend on the scale of the
-    polygon; the first vertex that misses ends it.  Both read the
-    coordinates divided by a power of two that the polygon kept from its
-    construction checks, so the map and the decision are those of the
-    coordinates themselves, with no product underflowing at small scales.
+    polygon; the first vertex that misses ends it.  Both read the boundary
+    table, so the map and the decision are those of the coordinates
+    themselves, with no product underflowing at small scales.
     """
-    e, x, y = polygon._unit
+    e, x, y, _, _ = polygon.boundary
     n = len(x)
     det0 = x[0] * y[1] - y[0] * x[1]  # nonzero because the origin is strictly interior
     p, q = k % n, (k + step) % n

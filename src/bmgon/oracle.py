@@ -82,17 +82,18 @@ DEFAULT_SETTINGS = SearchSettings()
 ORBIT_TOL = 1e-9
 KEY_TOL = 1e-6
 
-# a parallelogram is feasible only where den = cross(u, v) > FEASIBLE_DEN;
-# evaluate and grid_scan give every other point +inf
+# a parallelogram is feasible only where den = cross(u, v) > FEASIBLE_DEN
+# on the boundary table's coordinates, which are those of the polygon
+# divided by the power of two just above its largest |coordinate|;
+# evaluate, grid_scan and the box walk give every other point +inf
 FEASIBLE_DEN = 1e-300
 
-# the polygon radii the search takes: below MIN_RADIUS every
-# cross(u, v) <= r^2 is at most FEASIBLE_DEN.  MAX_RADIUS, about 6.9e76,
-# is the range the search is tested in: the box walk solves on the unit
-# coordinates CentralPolygon._unit, the same at every radius, and the
-# raw products of grid_scan and evaluate are at most 2 r^2, finite up to
-# about 9.5e153, so ROADMAP item 2 may raise it
-MIN_RADIUS, MAX_RADIUS = 1e-150, (sys.float_info.max / 8.0) ** 0.25
+# the search reads only the boundary table, the same at every scale, but
+# the parallelograms it builds (Parallelogram, circum_ratio, contacts)
+# take cross products of the polygon's own coordinates, each at most r^2
+# for a polygon of radius r; MAX_RADIUS, about 9.5e153, leaves a factor
+# of two for rounding below the largest float
+MAX_RADIUS = (sys.float_info.max / 2.0) ** 0.5
 
 # largest grid_scan accepts: a polygon without rotations then scans
 # 2048 x 2048 cells, and F, the only array of that size, takes 34 MB
@@ -205,31 +206,30 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
     r = ceil(k * grid / 2m) and c = ceil(grid/2), where F[i, j] is the
     maximal vertex gauge of the parallelogram with generators at
     boundary parameters t1[i] and t1[i] + s[j]; cells with
-    cross(u, v) <= ``FEASIBLE_DEN`` hold +inf.  Raises ValueError for a
-    radius outside [``MIN_RADIUS``, ``MAX_RADIUS``] and unless
+    cross(u, v) <= ``FEASIBLE_DEN`` hold +inf.  Raises ValueError unless
     8 <= grid <= ``MAX_GRID``.
 
     Each sum t1[i] + s[j] = (2i + j + 1/2)h is exact, since every cell's
     2(2i + j) + 1 < 2**17 up to ``MAX_GRID``, so v depends on the lattice
     index 2i + j alone.  u per row, v per lattice point and the sheet
     terms |cross(u, w)| per row and |cross(w, v)| per lattice point (per
-    row block) are 1-D arrays, read from ``CentralPolygon.edges`` as
+    row block) are 1-D arrays, read from ``CentralPolygon.boundary`` as
     ``geom.boundary_point`` reads it; a cell reads them at 2i + j through
     Hankel views and takes the operations ``evaluate`` takes, so F[i, j]
     equals ``evaluate(t1[i], s[j])`` bit for bit, whatever the block
-    size; below ``MAX_RADIUS`` no product overflows.  F, the only array
-    of the grid's size, is new on each call; the blocks of rows, about
-    ``BLOCK_CELLS`` cells each, are evaluated in three per-thread buffers
-    that stay in a core's cache through the pass over all m sheets, and a
-    block writes every buffer element it reads, so no value passes from
-    one scan to the next or between threads.
+    size.  The table's coordinates lie in (-1, 1), so no product
+    overflows, and F is the same for the polygon scaled by any power of
+    two.  F, the only array of the grid's size, is new on each call; the
+    blocks of rows, about ``BLOCK_CELLS`` cells each, are evaluated in
+    three per-thread buffers that stay in a core's cache through the pass
+    over all m sheets, and a block writes every buffer element it reads,
+    so no value passes from one scan to the next or between threads.
     """
-    _check_radius(c)
     if grid < 8:
         raise ValueError(f"grid must be at least 8, got {grid}")
     if grid > MAX_GRID:
         raise ValueError(f"grid must be at most {MAX_GRID}, got {grid}")
-    x, y, dx, dy = (np.array(column) for column in c.edges)
+    x, y, dx, dy = (np.array(column) for column in c.boundary[1:])
     m = len(x) // 2
     rows = -(-c.rotation_step * grid // (2 * m))
     half = (grid + 1) // 2
@@ -266,13 +266,13 @@ def grid_scan(c: CentralPolygon, grid: int) -> tuple[np.ndarray, np.ndarray, np.
 
 
 def _make_objective(c: CentralPolygon) -> Callable[[float, float], float]:
-    """``evaluate(t1, s)``: the scalar objective on raw floats, which
-    ``grid_scan`` matches bit for bit and every walk records.  It reads
-    the generators from ``CentralPolygon.edges`` as ``geom.boundary_point``
-    does, and is +inf where den = cross(u, v) <= ``FEASIBLE_DEN``;
-    otherwise it is the largest numerator over den, the largest sheet bit
-    for bit, since rounded division by a positive number is monotone."""
-    xs, ys, dxs, dys = c.edges
+    """``evaluate(t1, s)``: the scalar objective, which ``grid_scan``
+    matches bit for bit and every walk records.  It reads the generators
+    from ``CentralPolygon.boundary`` as ``geom.boundary_point`` does, and
+    is +inf where den = cross(u, v) <= ``FEASIBLE_DEN``; otherwise it is
+    the largest numerator over den, the largest sheet bit for bit, since
+    rounded division by a positive number is monotone."""
+    _, xs, ys, dxs, dys = c.boundary
     n = len(xs)
     half = list(zip(xs[: n // 2], ys[: n // 2]))  # antipodal vertices have equal gauge
 
@@ -299,18 +299,17 @@ def _make_objective(c: CentralPolygon) -> Callable[[float, float], float]:
 
 def _cell_forms(c: CentralPolygon, a: int, b: int) -> tuple[list, tuple]:
     """``(sheets, den)`` of the cell with u on edge a and v on edge b, on
-    the unit coordinates ``CentralPolygon._unit``: N_w = n0 + nf f + ng g
+    the table ``CentralPolygon.boundary``: N_w = n0 + nf f + ng g
     for ``sheets[w] = (n0, nf, ng)``, and cross(u, v) = d0 + df f + dg g
     + dfg f g for ``den = (d0, df, dg, dfg)``.  cross(u, w) is positive
     on the open edge a exactly for w = a + 1 ... a + m, the vertices
     counterclockwise of u within a half turn, and cross(w, v) negative
     exactly for w = b + 1 ... b + m."""
-    _, xs, ys = c._unit
+    _, xs, ys, dxs, dys = c.boundary
     n = len(xs)
     m = n // 2
     xa, ya, xb, yb = xs[a], ys[a], xs[b], ys[b]
-    dxa, dya = xs[(a + 1) % n] - xa, ys[(a + 1) % n] - ya
-    dxb, dyb = xs[(b + 1) % n] - xb, ys[(b + 1) % n] - yb
+    dxa, dya, dxb, dyb = dxs[a], dys[a], dxs[b], dys[b]
     sheets = []
     for w in range(m):
         wx, wy = xs[w], ys[w]
@@ -337,12 +336,12 @@ def _prune(sheets: list, box: tuple[float, float, float, float], keep) -> list[i
     return [w for hi, _, w in bounds if hi >= least]
 
 
-def _box_min(forms: tuple, box: tuple[float, float, float, float], keep: list[int], tiny: float):
+def _box_min(forms: tuple, box: tuple[float, float, float, float], keep: list[int]):
     """The least candidate of the module docstring in the box
     (f0, f1, g0, g1) of a cell with ``_cell_forms`` ``forms``, over the
     sheets ``keep``, as ``(value, f, g, candidates listed)``; +inf when
-    none has D > ``tiny``.  A tie candidate's full maximum is taken only
-    when its tied sheet alone is below the best value so far."""
+    none has D > ``FEASIBLE_DEN``.  A tie candidate's full maximum is
+    taken only when its tied sheet alone is below the best value so far."""
     sheets, (d0, d1, d2, d3) = forms
     rows = [sheets[w] for w in keep]
     f0, f1, g0, g1 = box
@@ -352,7 +351,7 @@ def _box_min(forms: tuple, box: tuple[float, float, float, float], keep: list[in
         nonlocal best, bf, bg, count
         count += 1
         den = d0 + d1 * f + (d2 + d3 * f) * g
-        if not den > tiny or tied and (tied[0] + tied[1] * f + tied[2] * g) / den >= best:
+        if not den > FEASIBLE_DEN or tied and (tied[0] + tied[1] * f + tied[2] * g) / den >= best:
             return
         value = max(n0 + nf * f + ng * g for n0, nf, ng in rows) / den
         if value < best:
@@ -419,11 +418,10 @@ def _make_walk(c: CentralPolygon, radius: float) -> Callable[[float, float], tup
     square stops it with ``minimum``; one to a side doubles r, up to
     ``radius``.  It stops with ``max_steps`` after
     ``SearchSettings.max_steps`` steps.  Cell forms are kept per walk
-    function; the boxes read unit coordinates, so a polygon scaled by a
-    power of two walks through the same points."""
+    function; the boxes and ``evaluate`` read the boundary table, so a
+    polygon scaled by a power of two walks through the same points."""
     evaluate = _make_objective(c)
     n, m = len(c.vertices), c.m
-    tiny = math.ldexp(FEASIBLE_DEN, -2 * c._unit[0])
     cache: dict[tuple[int, int], tuple] = {}
 
     def boxes_of(tu: float, tv: float, r: float, keeps: dict) -> dict:
@@ -451,7 +449,7 @@ def _make_walk(c: CentralPolygon, radius: float) -> Callable[[float, float], tup
                 found, most, r = halved, fewer, 0.5 * r
             low = (math.inf, tu, tv)
             for (a, b), (cell, box, keep) in found.items():
-                lowest, f, g, count = _box_min(cell, box, keep, tiny)
+                lowest, f, g, count = _box_min(cell, box, keep)
                 boxes, candidates = boxes + 1, candidates + count
                 if lowest < low[0]:
                     low = (lowest, a + f, b + g)
@@ -471,14 +469,15 @@ def _make_walk(c: CentralPolygon, radius: float) -> Callable[[float, float], tup
     return walk
 
 
-def _check_radius(c: CentralPolygon) -> None:
+def _parallelogram(c: CentralPolygon, t1: float, s: float) -> Parallelogram:
+    """The parallelogram with generators at boundary parameters t1 and
+    t1 + s.  Raises ValueError for a radius above ``MAX_RADIUS``."""
     if c.radius > MAX_RADIUS:
         raise ValueError(
             f"polygon radius {c.radius:.17g} exceeds {MAX_RADIUS:.17g},"
             " the largest the search takes"
         )
-    if c.radius < MIN_RADIUS:
-        raise ValueError(f"polygon radius {c.radius:.17g} is below {MIN_RADIUS}, the least taken")
+    return Parallelogram(boundary_point(c, t1), boundary_point(c, t1 + s))
 
 
 def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
@@ -521,8 +520,8 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     ``ORBIT_TOL`` of the best value, from the lowest-valued walk with that
     key.  It is deterministic for fixed arguments, and the returned
     ratio is recomputed from it: ``circum_ratio(parallelogram, c) == lam``.
-    Raises ValueError for a radius outside [``MIN_RADIUS``, ``MAX_RADIUS``]
-    and when no cell of the scan is feasible.
+    Raises ValueError for a radius above ``MAX_RADIUS`` and when no cell of
+    the scan is feasible.
     """
     t1s, ss, f = grid_scan(c, grid)
     copies = c.m // c.rotation_step  # rotated copies of each scanned cell
@@ -537,7 +536,7 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     keyed = sorted((key, record.value) for key, record in ends if record.value <= best + ORBIT_TOL)
     least = keyed[0][0]
     (t1, s), _ = min((end for end in keyed if _same_class(end[0], least)), key=lambda end: end[1])
-    witness = Parallelogram(boundary_point(c, t1), boundary_point(c, t1 + s))
+    witness = _parallelogram(c, t1, s)
     lam = circum_ratio(witness, c)
     return BMResult(
         lam=lam,
@@ -582,7 +581,7 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     ``bm_distance`` started off a local minimum of the grid.  Positions
     whose class keys agree within ``KEY_TOL`` form one class, drawn at
     its least key; the classes come in key order.  Raises ValueError for
-    a radius outside [``MIN_RADIUS``, ``MAX_RADIUS``].
+    a radius above ``MAX_RADIUS``.
     """
     grid = result.grid_resolution
     t1s, ss, f = grid_scan(c, grid)
@@ -600,4 +599,4 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     for candidate in sorted(keys):
         if not any(_same_class(candidate, kept) for kept in classes):
             classes.append(candidate)
-    return [Parallelogram(boundary_point(c, t1), boundary_point(c, t1 + s)) for t1, s in classes]
+    return [_parallelogram(c, t1, s) for t1, s in classes]

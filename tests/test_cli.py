@@ -21,7 +21,7 @@ from bmgon.geom import (
     regular_polygon,
 )
 from bmgon.hexagon import HEXAGON, hex_critical_b, hex_optimal_positions
-from bmgon.oracle import FEASIBLE_DEN, MAX_RADIUS, MIN_RADIUS
+from bmgon.oracle import FEASIBLE_DEN, MAX_RADIUS
 from bmgon.pgram import Parallelogram
 
 SQRT2 = math.sqrt(2.0)
@@ -270,12 +270,12 @@ class TestDistance:
         assert "cannot read" in err
 
     @pytest.mark.parametrize("command", ["distance", "render"])
-    @pytest.mark.parametrize("e", [77, 155])
+    @pytest.mark.parametrize("e", [154, 155])
     def test_a_polygon_beyond_the_search_radius_exits_with_the_bound(
         self, capsys, tmp_path, command, e
     ):
-        # the search refuses radii past its bound, which is the range it
-        # is tested in
+        # the search refuses radii past its bound, where the cross
+        # products of its parallelograms could overflow
         svg = tmp_path / "x.svg"
         argv = [command, scaled_hexagon_file(tmp_path, e)]
         code, out, err = run(capsys, *argv, *([str(svg)] if command == "render" else []))
@@ -284,19 +284,11 @@ class TestDistance:
         assert "Traceback" not in err
         assert not svg.exists()
 
-    @pytest.mark.parametrize("e", [-151, -170])
-    def test_a_polygon_below_the_search_radius_exits_with_the_bound(self, capsys, tmp_path, e):
-        # the constructor accepts P6 at these scales; the search refuses it
-        code, out, err = run(capsys, "distance", scaled_hexagon_file(tmp_path, e))
-        assert (code, out) == (2, "")
-        assert f"is below {MIN_RADIUS}" in err
-        assert "Traceback" not in err
-
     def test_a_polygon_without_a_feasible_cell_exits_with_the_threshold(self, capsys, tmp_path):
-        # the thin rhombus lies above MIN_RADIUS, but every cross(u, v)
-        # is at most 4e-301
+        # on the thin rhombus's table, its coordinates halved, every
+        # cross(u, v) is at most 2.5e-302
         path = tmp_path / "thin.txt"
-        path.write_text("2e-150,0\n0,2e-151\n-2e-150,0\n0,-2e-151\n")
+        path.write_text("1,0\n0,1e-301\n-1,0\n0,-1e-301\n")
         code, out, err = run(capsys, "distance", str(path))
         assert (code, out) == (2, "")
         assert f"above {FEASIBLE_DEN}, the search's feasibility threshold" in err
@@ -315,7 +307,7 @@ class TestDistance:
     def test_a_polygon_inside_the_search_radius_keeps_its_value_and_classes(
         self, capsys, tmp_path
     ):
-        path = scaled_hexagon_file(tmp_path, 76)
+        path = scaled_hexagon_file(tmp_path, 153)
         code, out, _ = run(capsys, "distance", path, "--json")
         assert code == 0
         assert abs(json.loads(out)["lambda"] - 1.5) <= 1e-15

@@ -119,7 +119,7 @@ def _vertex_polygon(vertices):
     """``CentralPolygon``'s checks and fields computed on Vec2s, as the
     constructor did before its checks read the float table: the reference
     it must match bit for bit, error messages included.  Returns
-    (vertices, edges, radius)."""
+    (vertices, (x, y, dx, dy), radius)."""
     verts = [Vec2(float(x), float(y)) for x, y in vertices]
     n = len(verts)
     if n < 4 or n % 2 != 0:
@@ -151,18 +151,25 @@ def _vertex_polygon(vertices):
 
 
 def _outcome(build, vertices):
-    """(vertices, edges, radius) in float.hex, or the error raised."""
+    """(vertices, (x, y, dx, dy), radius) in float.hex, or the error raised."""
     try:
-        verts, edges, radius = build(vertices)
+        verts, table, radius = build(vertices)
     except (TypeError, ValueError) as err:
         return type(err), str(err)
     hexed = tuple(_hex(*v) for v in verts)
-    return hexed, tuple(_hex(*column) for column in edges), _hex(radius)
+    return hexed, tuple(_hex(*column) for column in table), _hex(radius)
+
+
+def _coordinate_table(gon):
+    """The boundary table's columns times 2**e, which must be the
+    vertices' coordinates and edge deltas."""
+    e, *columns = gon.boundary
+    return tuple([math.ldexp(a, e) for a in column] for column in columns)
 
 
 def _polygon_fields(vertices):
     gon = CentralPolygon(vertices)
-    return gon.vertices, gon.edges, gon.radius
+    return gon.vertices, _coordinate_table(gon), gon.radius
 
 
 # every turn is left, but the edge from (-1, -0.2) to (1, 1) passes the
@@ -324,17 +331,20 @@ class TestBoundary:
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_the_table_holds_each_vertex_and_its_edge(self, scale):
         for gon, verts in _table_cases(scale):
-            x, y, dx, dy = gon.edges
+            e, *columns = gon.boundary
             n = len(verts)
-            for column in gon.edges:
+            for column in columns:
                 assert len(column) == n and all(type(c) is float for c in column)
+            largest = max(abs(c) for column in columns[:2] for c in column)
+            assert 0.5 <= largest < 1.0, gon
+            x, y, dx, dy = _coordinate_table(gon)
             for i, (v, w) in enumerate(zip(verts, verts[1:] + verts[:1])):
                 assert (x[i], y[i]) == (v.x, v.y)
                 assert (dx[i], dy[i]) == (w.x - v.x, w.y - v.y)
 
     def test_the_table_cannot_be_assigned(self, p6):
         with pytest.raises(AttributeError):
-            p6.edges = p6.edges
+            p6.boundary = p6.boundary
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_the_boundary_readers_match_the_vertex_forms_bit_for_bit(self, scale):
@@ -353,6 +363,28 @@ class TestBoundary:
             assert [_hex(*boundary_projection(gon, p)) for p in points] == [
                 _hex(*tp) for tp in projections
             ]
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(-700, 1000))
+    def test_the_boundary_readers_scale_exactly_by_powers_of_two(self, seed, m, k):
+        # the table of 2**k P is P's but for its exponent, so each reader
+        # gives P's value scaled by 2**k, at scales where the coordinates
+        # themselves would overflow or underflow the readers' products
+        rng = np.random.default_rng(seed)
+        gon = random_central_polygon(rng, m)
+
+        def up(p):
+            return Vec2(math.ldexp(p.x, k), math.ldexp(p.y, k))
+
+        scaled = CentralPolygon([up(v) for v in gon.vertices])
+        assert scaled.boundary[1:] == gon.boundary[1:]
+        n = len(gon.vertices)
+        for t in rng.uniform(-n, 2.0 * n, 20).tolist():
+            assert boundary_point(scaled, t) == up(boundary_point(gon, t)), t
+        for q in map(Vec2, *rng.normal(scale=2.0, size=(2, 20)).tolist()):
+            assert polygon_gauge(scaled, up(q)) == polygon_gauge(gon, q), q
+            assert boundary_crossing(scaled, q) == up(boundary_crossing(gon, q)), q
+            t, d = boundary_projection(gon, q)
+            assert boundary_projection(scaled, up(q)) == (t, math.ldexp(d, k)), q
 
     def test_boundary_point_examples(self, p6):
         assert boundary_point(p6, 0.0) == p6.vertices[0]

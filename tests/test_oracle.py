@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     mapped_parallelogram,
@@ -108,14 +110,15 @@ class TestGridScan:
     def test_fundamental_domain_matches_the_scalar_objective(self, grid):
         # every cell, for m = 2, 3, 5 and 12 with rotation step k = 1
         # (regular) and k = m (random); every parallelogram turns by one
-        # vertex, so m = 2 has k = 1 only.  P6 scaled by 2e-150, just
-        # above MIN_RADIUS, has cells with 0 < cross(u, v) <= FEASIBLE_DEN
-        # (135 of its 675 at grid 90), which both must call infeasible
+        # vertex, so m = 2 has k = 1 only.  The rhombus +-(1, 0),
+        # +-(0, 1e-299) has cells with 0 < cross(u, v) <= FEASIBLE_DEN on
+        # its table, where its coordinates are halved, and cells above it,
+        # which both must tell apart
         half = (grid + 1) // 2
         rng = np.random.default_rng(grid)
         cases = [(regular_polygon(2 * m), 1) for m in (2, 3, 5, 12)]
         cases += [(random_central_polygon(rng, m=m), 1 if m == 2 else m) for m in (2, 3, 5, 12)]
-        cases += [(CentralPolygon([2e-150 * v for v in regular_polygon(6).vertices]), 1)]
+        cases += [(CentralPolygon([(1.0, 0.0), (0.0, 1e-299), (-1.0, 0.0), (0.0, -1e-299)]), 1)]
         for gon, k in cases:
             m = len(gon.vertices) // 2
             assert gon.rotation_step == k
@@ -126,6 +129,7 @@ class TestGridScan:
             evaluate = _make_objective(gon)
             expected = [[evaluate(float(a), float(b)) for b in s] for a in t1]
             assert f.tolist() == expected, (m, k)
+        assert 0 < np.isinf(f).sum() < f.size  # the rhombus, last
 
     def test_every_cell_sum_is_exact_on_the_lattice(self):
         # t1[i] + s[j] must be (2i + j + 1/2) h exactly, so that v at a
@@ -283,9 +287,9 @@ class TestObjective:
 
 def _sample(gon, a, k, box, count=65):
     """The objective on a count x count lattice of the box (f0, f1, g0, g1)
-    of the cell with u on edge a and v on edge a + k, from the raw
-    coordinates: (values, numerators per sheet, denominators)."""
-    x, y, dx, dy = (np.array(column) for column in gon.edges)
+    of the cell with u on edge a and v on edge a + k, from the boundary
+    table: (values, numerators per sheet, denominators)."""
+    x, y, dx, dy = (np.array(column) for column in gon.boundary[1:])
     n, m = len(x), gon.m
     b = (a + k) % n
     f0, f1, g0, g1 = box
@@ -339,7 +343,7 @@ class TestBoxMin:
         gons += [random_central_polygon(rng, m=7), linear_image(regular_polygon(8), random_linear_map(rng))]
         for gon in gons:
             n, m = len(gon.vertices), gon.m
-            e, xs, ys = gon._unit
+            e, xs, ys, _, _ = gon.boundary
             unit = [geom.Vec2(x, y) for x, y in zip(xs, ys)]
             for _ in range(300):
                 a, k = int(rng.integers(0, n)), int(rng.integers(0, m + 1))
@@ -360,10 +364,9 @@ class TestBoxMin:
         checked = 0
         for gon, a, k, box in _kernel_boxes():
             n, m = len(gon.vertices), gon.m
-            tiny = math.ldexp(oracle.FEASIBLE_DEN, -2 * gon._unit[0])
             forms = _cell_forms(gon, a, (a + k) % n)
             keep = _prune(forms[0], box, range(m))
-            value, f, g, _ = _box_min(forms, box, keep, tiny)
+            value, f, g, _ = _box_min(forms, box, keep)
             values, num, den = _sample(gon, a, k, box)
             if value == math.inf:
                 assert (values == np.inf).all(), (gon, a, k, box)
@@ -387,7 +390,7 @@ class TestBoxMin:
         # the best corner or side tie of the box is (0.4, 0.6), at 1/1.24
         forms = ([(0.0, 1.0, 1.0), (2.0, -1.0, -1.0)], (1.0, 0.0, 0.0, 1.0))
         box = (0.4, 0.6, 0.4, 0.6)
-        value, f, g, _ = _box_min(forms, box, _prune(forms[0], box, range(2)), 0.0)
+        value, f, g, _ = _box_min(forms, box, _prune(forms[0], box, range(2)))
         assert abs(value - 0.8) <= 1e-15 and abs(f - 0.5) <= 1e-15 and abs(g - 0.5) <= 1e-15
 
     def test_a_point_box_keeps_its_leading_sheet(self):
@@ -401,7 +404,7 @@ class TestBoxMin:
                 f, g = rng.uniform(0.0, 1.0, 2).tolist()
                 forms = _cell_forms(gon, a, (a + 1) % n)
                 keep = _prune(forms[0], (f, f, g, g), range(m))
-                value, *point, _ = _box_min(forms, (f, f, g, g), keep, 0.0)
+                value, *point, _ = _box_min(forms, (f, f, g, g), keep)
                 assert keep and point == [f, g], (gon, a, keep)
                 at = evaluate(a + f, (a + 1 + g) - (a + f))
                 assert abs(value - at) <= 1e-14 * at, (gon, a, value, at)
@@ -438,18 +441,32 @@ class TestWalk:
 
     @pytest.mark.parametrize("exponent", [-400, 400])
     def test_walk_ends_do_not_move_under_power_of_two_scaling(self, exponent):
-        # the boxes read the unit coordinates and evaluate's products
-        # scale exactly, so every step decides as on the unscaled polygon
+        # the boxes and evaluate read the boundary table, the same for
+        # both, so every step decides as on the unscaled polygon
         rng = np.random.default_rng(400)
         factor = math.ldexp(1.0, exponent)
         for gon in (regular_polygon(6), regular_polygon(8), random_central_polygon(rng, 7)):
             scaled = CentralPolygon([factor * v for v in gon.vertices])
-            assert scaled._unit[1:] == gon._unit[1:]
+            assert scaled.boundary[1:] == gon.boundary[1:]
             m = gon.m
             for t1, s in zip(rng.uniform(0.0, 2.0 * m, 6).tolist(), rng.uniform(0.05 * m, 0.5 * m, 6).tolist()):
                 for grid in (91, 360):
                     expected = _make_walk(gon, m / grid)(t1, s)
                     assert _make_walk(scaled, m / grid)(t1, s) == expected, (gon, t1, s, grid)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(-700, 1000))
+    @settings(max_examples=30)
+    def test_the_scan_and_the_walks_are_the_same_at_every_power_of_two(self, seed, m, k):
+        # far beyond the scales where the polygon's own products would
+        # overflow or underflow
+        rng = np.random.default_rng(seed)
+        gon = random_central_polygon(rng, m)
+        scaled = CentralPolygon([(math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in gon.vertices])
+        for got, expected in zip(grid_scan(scaled, 91), grid_scan(gon, 91)):
+            assert np.array_equal(got, expected)
+        walk, expected = _make_walk(scaled, m / 91), _make_walk(gon, m / 91)
+        for t1, s in zip(rng.uniform(0.0, 2.0 * m, 3).tolist(), rng.uniform(0.05 * m, 0.5 * m, 3).tolist()):
+            assert walk(t1, s) == expected(t1, s), (t1, s)
 
     def test_a_start_of_infinite_value_stops_there(self, p6):
         # at t1 = 1e17 adding s rounds away and both generators coincide
@@ -464,17 +481,17 @@ class TestWalk:
         assert [r.stop for r in bm_distance(gon, grid=10).starts] == ["max_steps"]
 
     def test_a_coarse_grid_reaches_the_fine_optimum(self):
-        # with the frame taken from central differences of the pair's
-        # gap at the step length, the best descent from grid 45 stopped
-        # 2.5e-3 above the optimum here
+        # from grid 45 the best walk reaches the grid-2880 optimum; a
+        # descent along frames from central differences of the pair's gap
+        # stopped 2.5e-3 above it here
         gon = random_central_polygon(np.random.default_rng(31), 6)
         optimum = bm_distance(gon, grid=2880).lam
         assert bm_distance(gon, grid=45).lam <= optimum + 1e-9
 
     def test_a_grid_180_walk_reaches_the_fine_optimum(self):
-        # polygon 1045 of a seeded list of random polygons with m = 2..16;
-        # the compass descent with the exact crease frame stopped 6.3e-4
-        # above the optimum from every start at grid 180
+        # polygon 1045 of a seeded list of random polygons with m = 2..16,
+        # whose walks from grid 180 must reach the optimum; a descent
+        # along the exact crease frame stopped 6.3e-4 above it
         rng = np.random.default_rng(20261018)
         for k in range(1046):
             gon = random_central_polygon(rng, int(rng.integers(2, 17)))
@@ -539,8 +556,8 @@ class TestBMDistance:
 
     def test_the_radius_bound_is_the_largest_scale_searched(self, p6):
         # up to the bound lambda and the class count are those of the unit
-        # hexagon; past it both entry points and the scan they share
-        # refuse the polygon
+        # hexagon; past it the scan still runs, on the same table, but
+        # both entry points refuse to build the polygon's parallelograms
         result = bm_distance(p6, grid=90)
         scale = oracle.MAX_RADIUS * (1.0 - 4e-16) / p6.radius
         inside = CentralPolygon([scale * v for v in p6.vertices])
@@ -549,18 +566,18 @@ class TestBMDistance:
         assert abs(found.lam - result.lam) <= 1e-15
         assert len(argmin_orbit(inside, found)) == len(argmin_orbit(p6, result)) == 2
         beyond = CentralPolygon([2.0 * v for v in inside.vertices])
+        assert np.array_equal(grid_scan(beyond, 90)[2], grid_scan(inside, 90)[2])
         bound = re.escape(f"exceeds {oracle.MAX_RADIUS:.17g}")
         with pytest.raises(ValueError, match=bound):
             bm_distance(beyond, grid=90)
         with pytest.raises(ValueError, match=bound):
             argmin_orbit(beyond, result)
-        with pytest.raises(ValueError, match=bound):
-            grid_scan(beyond, 90)
 
     @pytest.mark.parametrize("factor", [0.5, 0.99, 1.0 - 4e-16])
     def test_lambda_and_classes_hold_up_to_the_radius_bound(self, factor):
-        # the box walk solves on unit coordinates, and no product of the
-        # scan or of evaluate overflows, so nothing warns at the bound
+        # the search reads the boundary table, and no cross product of
+        # the parallelograms built in the input's coordinates overflows,
+        # so nothing warns at the bound
         rng = np.random.default_rng(26)
         gons = [regular_polygon(n) for n in range(4, 18, 2)]
         gons += [random_central_polygon(rng, m) for m in (3, 5, 7, 9)]
@@ -576,26 +593,35 @@ class TestBMDistance:
             assert abs(found.lam - result.lam) <= 1e-15, (gon, found.lam - result.lam)
             assert classes == len(argmin_orbit(gon, result)), gon
 
-    @pytest.mark.parametrize("scale", [1e-151, 1e-170, 1e-300])
-    def test_below_the_least_radius_both_entry_points_refuse_the_polygon(self, p6, scale):
-        # every cross(u, v) there is below FEASIBLE_DEN, so no cell is
-        # feasible; the constructor accepts these polygons, and both entry
-        # points and the scan they share refuse them
-        result = bm_distance(p6, grid=90)
-        tiny = CentralPolygon([scale * v for v in p6.vertices])
-        bound = re.escape(f"is below {oracle.MIN_RADIUS}")
-        with pytest.raises(ValueError, match=bound):
-            bm_distance(tiny, grid=90)
-        with pytest.raises(ValueError, match=bound):
-            argmin_orbit(tiny, result)
-        with pytest.raises(ValueError, match=bound):
-            grid_scan(tiny, 90)
+    @pytest.mark.parametrize("e", [77, 100, 153])
+    def test_the_hexagon_keeps_its_value_and_classes_up_to_the_bound(self, p6, e):
+        gon = CentralPolygon([10.0**e * v for v in p6.vertices])
+        assert gon.radius <= oracle.MAX_RADIUS
+        result = bm_distance(gon, grid=90)
+        assert abs(result.lam - 1.5) <= 1e-15
+        assert len(argmin_orbit(gon, result)) == 2
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(-8, 1000))
+    @settings(max_examples=30)
+    def test_lambda_and_its_witness_scale_exactly_by_powers_of_two(self, seed, m, k):
+        # from 2**-8 up, Parallelogram's absolute tolerance passes the
+        # witnesses of these polygons (ROADMAP item 2); up to the bound
+        # no product of the parallelogram's measures overflows
+        gon = random_central_polygon(np.random.default_rng(seed), m)
+        scaled = CentralPolygon([(math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in gon.vertices])
+        if scaled.radius > oracle.MAX_RADIUS:
+            with pytest.raises(ValueError, match=re.escape(f"exceeds {oracle.MAX_RADIUS:.17g}")):
+                bm_distance(scaled, grid=91)
+            return
+        result, found = bm_distance(gon, grid=91), bm_distance(scaled, grid=91)
+        assert (found.lam, found.t_u, found.t_v) == (result.lam, result.t_u, result.t_v)
+        p, q = result.parallelogram, found.parallelogram
+        assert (q.u.x, q.u.y, q.v.x, q.v.y) == tuple(math.ldexp(a, k) for a in (p.u.x, p.u.y, p.v.x, p.v.y))
 
     def test_a_polygon_without_a_feasible_cell_is_refused_by_the_threshold(self):
-        # the thin rhombus +-(2e-150, 0), +-(0, 2e-151) lies above
-        # MIN_RADIUS, but every cross(u, v) is at most 4e-301
-        thin = CentralPolygon([(2e-150, 0.0), (0.0, 2e-151), (-2e-150, 0.0), (0.0, -2e-151)])
-        assert thin.radius >= oracle.MIN_RADIUS
+        # the table of the rhombus +-(1, 0), +-(0, 1e-301) holds its
+        # coordinates halved, where every cross(u, v) is at most 2.5e-302
+        thin = CentralPolygon([(1.0, 0.0), (0.0, 1e-301), (-1.0, 0.0), (0.0, -1e-301)])
         _, _, f = grid_scan(thin, 90)
         assert f.size == 1035 and (f == np.inf).all()
         with pytest.raises(ValueError, match=re.escape(f"above {oracle.FEASIBLE_DEN},")):
@@ -1137,7 +1163,7 @@ class TestRotationStep:
     def _rescaling_symmetry_map(gon, k, step):
         """``symmetry_map`` that divides every coordinate by the power of
         two just above the largest |coordinate| on each call."""
-        x, y = gon.edges[:2]
+        x, y = [v.x for v in gon.vertices], [v.y for v in gon.vertices]
         e = math.frexp(max(map(abs, x + y)))[1]
         x, y = [math.ldexp(a, -e) for a in x], [math.ldexp(a, -e) for a in y]
         n = len(x)
