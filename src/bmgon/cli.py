@@ -521,8 +521,8 @@ def _svg_num(x: float) -> str:
     return "0" if text in ("", "-0") else text
 
 
-def _svg_points(points, r: float) -> str:
-    return " ".join(f"{_svg_num(p.x / r)},{_svg_num(p.y / r)}" for p in points)
+def _svg_points(points, r: float, lam: float = 1.0) -> str:
+    return " ".join(f"{_svg_num(lam * (p.x / r))},{_svg_num(lam * (p.y / r))}" for p in points)
 
 
 def render_svg(
@@ -531,8 +531,9 @@ def render_svg(
     """Deterministic SVG: per configuration the polygon, the scaled
     circumscribed parallelogram, the inscribed parallelogram, and the
     contact vertices, in that element order, at 6-decimal precision.
-    Every coordinate is divided by the polygon's radius, so each drawing
-    fits its 5 x 5 box at any scale."""
+    Every coordinate is divided by the polygon's radius, before the
+    circumscribed parallelogram's are scaled by lambda, so each drawing
+    fits its 5 x 5 box at any scale and no product overflows."""
     r = c.radius
     count = len(configs)
     width = 5.0 * count
@@ -550,9 +551,8 @@ def render_svg(
             f'    <polygon points="{_svg_points(c.vertices, r)}"'
             ' fill="none" stroke="#202020" stroke-width="0.02"/>'
         )
-        scaled = [lam * v for v in p.vertices()]
         lines.append(
-            f'    <polygon points="{_svg_points(scaled, r)}"'
+            f'    <polygon points="{_svg_points(p.vertices(), r, lam)}"'
             ' fill="none" stroke="#c03030" stroke-width="0.015"'
             ' stroke-dasharray="0.08 0.05"/>'
         )

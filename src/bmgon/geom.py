@@ -110,7 +110,7 @@ class CentralPolygon:
     # (e, x, y, dx, dy), the columns tuples of Python floats: vertex i is
     # 2**e (x[i], y[i]) and 2**e (dx[i], dy[i]) the delta to vertex i + 1
     boundary: tuple[int, tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
-    radius: float  # the largest vertex norm
+    radius: float  # the largest vertex norm, which must be finite
 
     def __init__(self, vertices: Iterable[Vec2 | tuple[float, float]]):
         px, py = [], []
@@ -124,7 +124,11 @@ class CentralPolygon:
         if n < 4 or n % 2 != 0:
             raise ValueError(f"vertex count must be even and at least 4, got {n}")
         m = n // 2
-        bound = SYMMETRY_TOL * max(map(math.hypot, px, py))
+        norms = list(map(math.hypot, px, py))
+        if math.inf in norms:
+            i = norms.index(math.inf)
+            raise ValueError(f"vertex {i} ({px[i]}, {py[i]}) has a norm above the largest float")
+        bound = SYMMETRY_TOL * max(norms)
         for i in range(m):
             if abs(px[i] + px[i + m]) > bound or abs(py[i] + py[i + m]) > bound:
                 raise ValueError(
@@ -164,7 +168,7 @@ class CentralPolygon:
         # and tuple(map(Vec2, x, y)) by 1%, against lists
         object.__setattr__(self, "vertices", tuple([Vec2(a, b) for a, b in zip(x, y)]))
         object.__setattr__(self, "boundary", (e, tuple(sx), tuple(sy), tuple(dx), tuple(dy)))
-        object.__setattr__(self, "radius", max(map(math.hypot, x[:m], y[:m])))  # antipodes match
+        object.__setattr__(self, "radius", max(norms[:m]))  # antipodes match
         object.__setattr__(self, "_rotation_step", 0)  # found on first use
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -222,13 +226,18 @@ def boundary_point(polygon: CentralPolygon, t: float) -> Vec2:
     scaled by 2**e, exactly; the readers below divide their point by 2**e.
     """
     e, x, y, dx, dy = polygon.boundary
-    n = len(x)
+    i, f = _locate(t, len(x))
+    return Vec2(math.ldexp(x[i] + f * dx[i], e), math.ldexp(y[i] + f * dy[i], e))
+
+
+def _locate(t: float, n: int) -> tuple[int, float]:
+    """(edge i, fraction f) of boundary parameter t, with period n: t
+    reduced modulo n is i + f, 0 <= f < 1."""
     t = t % n
     if t >= n:  # float mod can round up to the period itself
         t = 0.0
     i = int(t)
-    f = t - i
-    return Vec2(math.ldexp(x[i] + f * dx[i], e), math.ldexp(y[i] + f * dy[i], e))
+    return i, t - i
 
 
 def strip_ratios(nx, ny, inner_hw, outer_hw, dx, dy):

@@ -45,14 +45,13 @@ domain; its end labels the same parallelogram either way.
 from __future__ import annotations
 
 import math
-import sys
 import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .geom import CentralPolygon, Vec2, boundary_point, symmetry_map
+from .geom import CentralPolygon, Vec2, _locate, boundary_point, symmetry_map
 from .pgram import Parallelogram, circum_ratio, contacts
 
 __all__ = [
@@ -87,13 +86,6 @@ KEY_TOL = 1e-6
 # divided by the power of two just above its largest |coordinate|;
 # evaluate, grid_scan and the box walk give every other point +inf
 FEASIBLE_DEN = 1e-300
-
-# the search reads only the boundary table, the same at every scale, but
-# the parallelograms it builds (Parallelogram, circum_ratio, contacts)
-# take cross products of the polygon's own coordinates, each at most r^2
-# for a polygon of radius r; MAX_RADIUS, about 9.5e153, leaves a factor
-# of two for rounding below the largest float
-MAX_RADIUS = (sys.float_info.max / 2.0) ** 0.5
 
 # largest grid_scan accepts: a polygon without rotations then scans
 # 2048 x 2048 cells, and F, the only array of that size, takes 34 MB
@@ -277,17 +269,9 @@ def _make_objective(c: CentralPolygon) -> Callable[[float, float], float]:
     half = list(zip(xs[: n // 2], ys[: n // 2]))  # antipodal vertices have equal gauge
 
     def evaluate(t1: float, s: float) -> float:
-        t = t1 % n
-        if t >= n:  # float mod can round up to the period itself
-            t = 0.0
-        a = int(t)
-        fu = t - a
+        a, fu = _locate(t1, n)
         ux, uy = xs[a] + fu * dxs[a], ys[a] + fu * dys[a]
-        t = (t1 + s) % n
-        if t >= n:
-            t = 0.0
-        b = int(t)
-        fv = t - b
+        b, fv = _locate(t1 + s, n)
         vx, vy = xs[b] + fv * dxs[b], ys[b] + fv * dys[b]
         den = ux * vy - uy * vx
         if not den > FEASIBLE_DEN:
@@ -469,17 +453,6 @@ def _make_walk(c: CentralPolygon, radius: float) -> Callable[[float, float], tup
     return walk
 
 
-def _parallelogram(c: CentralPolygon, t1: float, s: float) -> Parallelogram:
-    """The parallelogram with generators at boundary parameters t1 and
-    t1 + s.  Raises ValueError for a radius above ``MAX_RADIUS``."""
-    if c.radius > MAX_RADIUS:
-        raise ValueError(
-            f"polygon radius {c.radius:.17g} exceeds {MAX_RADIUS:.17g},"
-            " the largest the search takes"
-        )
-    return Parallelogram(boundary_point(c, t1), boundary_point(c, t1 + s))
-
-
 def _lowest_cells(f: np.ndarray, count: int) -> list[tuple[int, int]]:
     """Row and column of the ``count`` lowest cells of F, lowest first;
     equal values go in row-major order, lowest index first.
@@ -520,8 +493,7 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     ``ORBIT_TOL`` of the best value, from the lowest-valued walk with that
     key.  It is deterministic for fixed arguments, and the returned
     ratio is recomputed from it: ``circum_ratio(parallelogram, c) == lam``.
-    Raises ValueError for a radius above ``MAX_RADIUS`` and when no cell of
-    the scan is feasible.
+    Raises ValueError when no cell of the scan is feasible.
     """
     t1s, ss, f = grid_scan(c, grid)
     copies = c.m // c.rotation_step  # rotated copies of each scanned cell
@@ -536,7 +508,7 @@ def bm_distance(c: CentralPolygon, grid: int = 360) -> BMResult:
     keyed = sorted((key, record.value) for key, record in ends if record.value <= best + ORBIT_TOL)
     least = keyed[0][0]
     (t1, s), _ = min((end for end in keyed if _same_class(end[0], least)), key=lambda end: end[1])
-    witness = _parallelogram(c, t1, s)
+    witness = Parallelogram(boundary_point(c, t1), boundary_point(c, t1 + s))
     lam = circum_ratio(witness, c)
     return BMResult(
         lam=lam,
@@ -580,8 +552,7 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     witness, which makes at least one class even when the best walk of
     ``bm_distance`` started off a local minimum of the grid.  Positions
     whose class keys agree within ``KEY_TOL`` form one class, drawn at
-    its least key; the classes come in key order.  Raises ValueError for
-    a radius above ``MAX_RADIUS``.
+    its least key; the classes come in key order.
     """
     grid = result.grid_resolution
     t1s, ss, f = grid_scan(c, grid)
@@ -599,4 +570,4 @@ def argmin_orbit(c: CentralPolygon, result: BMResult) -> list[Parallelogram]:
     for candidate in sorted(keys):
         if not any(_same_class(candidate, kept) for kept in classes):
             classes.append(candidate)
-    return [_parallelogram(c, t1, s) for t1, s in classes]
+    return [Parallelogram(boundary_point(c, t1), boundary_point(c, t1 + s)) for t1, s in classes]

@@ -5,7 +5,8 @@ parallelograms."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 from .geom import CentralPolygon, Vec2
 
@@ -23,17 +24,30 @@ DEGENERATE_TOL = 1e-12
 @dataclass(frozen=True)
 class Parallelogram:
     """Parallelogram with vertices u, v, -u, -v; cross(u, v) must be
-    positive, so the generators are counterclockwise and independent."""
+    positive, so the generators are counterclockwise and independent.
+
+    ``unit`` is (e, ux, uy, vx, vy, den): the generators divided by the
+    power of two 2**e just above their largest |coordinate|, as in
+    ``CentralPolygon.boundary``, and their cross product, which decides
+    as the input's would, yet never overflows; 2**k times the generators
+    give the same values but for e.  Equality and repr ignore it."""
 
     u: Vec2
     v: Vec2
+    unit: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.u.cross(self.v) > DEGENERATE_TOL:
+        u, v = self.u, self.v
+        e = math.frexp(max(abs(u.x), abs(u.y), abs(v.x), abs(v.y)))[1]
+        ux, uy, vx, vy = [math.ldexp(a, -e) for a in (u.x, u.y, v.x, v.y)]
+        den = ux * vy - uy * vx
+        # den * 4**e > DEGENERATE_TOL, with neither side overflowing
+        if not math.ldexp(den, 2 * min(e, 0)) > math.ldexp(DEGENERATE_TOL, -2 * max(e, 0)):
             raise ValueError(
                 "generators must satisfy cross(u, v) > 0; "
                 "swap them or the parallelogram is degenerate"
             )
+        object.__setattr__(self, "unit", (e, ux, uy, vx, vy, den))
 
     def vertices(self) -> tuple[Vec2, Vec2, Vec2, Vec2]:
         return (self.u, self.v, -self.u, -self.v)
@@ -43,11 +57,14 @@ def gauge(p: Parallelogram, w: Vec2) -> float:
     """Minkowski gauge of the parallelogram at w.
 
     Writing w = alpha*u + beta*v, the gauge is |alpha| + |beta|; it is 1
-    exactly on the boundary of the parallelogram.
+    exactly on the boundary of the parallelogram.  It reads
+    ``Parallelogram.unit``, with w divided by the same power of two, so
+    2**k times both gives the same gauge.
     """
-    den = p.u.cross(p.v)
-    alpha = w.cross(p.v) / den
-    beta = p.u.cross(w) / den
+    e, ux, uy, vx, vy, den = p.unit
+    wx, wy = math.ldexp(w.x, -e), math.ldexp(w.y, -e)
+    alpha = (wx * vy - wy * vx) / den
+    beta = (ux * wy - uy * wx) / den
     return abs(alpha) + abs(beta)
 
 

@@ -21,7 +21,7 @@ from bmgon.geom import (
     regular_polygon,
 )
 from bmgon.hexagon import HEXAGON, hex_critical_b, hex_optimal_positions
-from bmgon.oracle import FEASIBLE_DEN, MAX_RADIUS
+from bmgon.oracle import FEASIBLE_DEN
 from bmgon.pgram import Parallelogram
 
 SQRT2 = math.sqrt(2.0)
@@ -121,6 +121,20 @@ def scaled_hexagon_file(tmp_path, e: int) -> str:
     s = 10.0**e
     path.write_text("".join(f"{s * v.x!r},{s * v.y!r}\n" for v in regular_polygon(6).vertices))
     return str(path)
+
+
+# the first halves of two octagons near the largest float; the first
+# has vertex norms above it although every coordinate is finite
+OVERFLOWING_OCTAGON = [(1.7e308, 0.0), (1.3e308, 1.326e308), (0.0, 1.7e308), (-1.3e308, 1.274e308)]
+NEAR_MAX_OCTAGON = [(1.5e308, 0.0), (1.05e308, 1.071e308), (0.0, 1.5e308), (-1.05e308, 1.029e308)]
+
+
+def format_polygon_rows(half, k: int) -> str:
+    """Polygon file of the vertices ``half`` and their negations, every
+    coordinate scaled by 2^k."""
+    verts = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in half]
+    verts += [(-x, -y) for x, y in verts]
+    return "".join(f"{x!r},{y!r}\n" for x, y in verts)
 
 
 class TestGen:
@@ -270,19 +284,45 @@ class TestDistance:
         assert "cannot read" in err
 
     @pytest.mark.parametrize("command", ["distance", "render"])
-    @pytest.mark.parametrize("e", [154, 155])
-    def test_a_polygon_beyond_the_search_radius_exits_with_the_bound(
-        self, capsys, tmp_path, command, e
-    ):
-        # the search refuses radii past its bound, where the cross
-        # products of its parallelograms could overflow
-        svg = tmp_path / "x.svg"
+    @pytest.mark.parametrize("e", [153, 154, 155, 308])
+    def test_a_huge_polygon_keeps_its_value_and_classes(self, capsys, tmp_path, command, e):
+        # the search and the parallelograms it builds read unit
+        # coordinates, so no product overflows at any scale; render
+        # divides by the radius first and draws P6's picture
+        svg, p6_svg = tmp_path / "x.svg", tmp_path / "p6.svg"
         argv = [command, scaled_hexagon_file(tmp_path, e)]
-        code, out, err = run(capsys, *argv, *([str(svg)] if command == "render" else []))
+        code, out, _ = run(capsys, *argv, *([str(svg)] if command == "render" else []))
+        assert code == 0
+        assert abs(float(value_of(out, "lambda").split(" ; ")[0]) - 1.5) <= 1e-8
+        if command == "render":
+            assert value_of(out, "configurations") == "2"
+            run(capsys, "render", "P6", str(p6_svg))
+            assert svg.read_bytes() == p6_svg.read_bytes()
+
+    def test_a_vertex_norm_past_the_largest_float_exits_with_the_norm(self, capsys, tmp_path):
+        # every coordinate is finite, but |vertex 1| = 1.857e308 is not;
+        # the radius would be inf, and with it every tolerance it scales.
+        # The copy scaled by 2^-1000 has no rotation and one class.
+        wide, small = tmp_path / "wide.txt", tmp_path / "small.txt"
+        wide.write_text(format_polygon_rows(OVERFLOWING_OCTAGON, 0))
+        small.write_text(format_polygon_rows(OVERFLOWING_OCTAGON, -1000))
+        code, out, err = run(capsys, "distance", str(wide))
         assert (code, out) == (2, "")
-        assert f"exceeds {MAX_RADIUS:.17g}" in err
+        assert "vertex 1 (1.3e+308, 1.326e+308) has a norm above the largest float" in err
         assert "Traceback" not in err
-        assert not svg.exists()
+        code, out, _ = run(capsys, "render", str(small), str(tmp_path / "small.svg"))
+        assert (code, value_of(out, "lambda"), value_of(out, "configurations")) == (0, "1.30769231", "1")
+
+    def test_an_octagon_near_the_largest_float_renders(self, capsys, tmp_path):
+        # lambda times a generator would overflow; render scales the
+        # generators by lambda after dividing them by the radius
+        path = tmp_path / "near.txt"
+        path.write_text(format_polygon_rows(NEAR_MAX_OCTAGON, 0))
+        code, out, _ = run(capsys, "distance", str(path))
+        assert (code, value_of(out, "lambda")) == (0, "1.40548482")
+        code, out, err = run(capsys, "render", str(path), str(tmp_path / "near.svg"))
+        assert code == 0, err
+        assert value_of(out, "lambda").split(" ; ")[0] == "1.40548482"
 
     def test_a_polygon_without_a_feasible_cell_exits_with_the_threshold(self, capsys, tmp_path):
         # on the thin rhombus's table, its coordinates halved, every
@@ -303,17 +343,6 @@ class TestDistance:
         assert (code, out) == (2, "")
         assert "not in strictly convex counterclockwise position" in err
         assert "Traceback" not in err
-
-    def test_a_polygon_inside_the_search_radius_keeps_its_value_and_classes(
-        self, capsys, tmp_path
-    ):
-        path = scaled_hexagon_file(tmp_path, 153)
-        code, out, _ = run(capsys, "distance", path, "--json")
-        assert code == 0
-        assert abs(json.loads(out)["lambda"] - 1.5) <= 1e-15
-        code, out, _ = run(capsys, "render", path, str(tmp_path / "x.svg"))
-        assert code == 0
-        assert value_of(out, "configurations") == "2"
 
     @pytest.mark.parametrize("unbuffered", [False, True])
     def test_a_closed_stdout_exits_141_quietly(self, unbuffered):

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -25,7 +24,7 @@ from bmgon.geom import (
     strip_ratios,
 )
 from bmgon.cli import suite_lemma
-from bmgon.oracle import MAX_RADIUS, bm_distance
+from bmgon.oracle import bm_distance
 
 SQRT3 = math.sqrt(3.0)
 
@@ -125,6 +124,9 @@ def _vertex_polygon(vertices):
     if n < 4 or n % 2 != 0:
         raise ValueError(f"vertex count must be even and at least 4, got {n}")
     m = n // 2
+    for i, v in enumerate(verts):
+        if v.norm() == math.inf:
+            raise ValueError(f"vertex {i} ({v.x}, {v.y}) has a norm above the largest float")
     bound = SYMMETRY_TOL * max(map(Vec2.norm, verts))
     for i in range(m):
         a, b = verts[i], verts[i + m]
@@ -186,6 +188,7 @@ def _invalid_vertex_lists():
     hexagon = [tuple(v) for v in regular_polygon(6).vertices]
     residue = [(1.0, 0.0), (0.0, 1.0), (-1.0, 1e-6), (0.0, -1.0)]
     turn = "vertices are not in strictly convex counterclockwise position"
+    wide = [(1.7e308, 0.0), (1.3e308, 1.326e308), (0.0, 1.7e308), (-1.3e308, 1.274e308)]
     return {
         "non-finite coordinates": [
             [(math.nan, 0.0), *square[1:]],
@@ -196,6 +199,11 @@ def _invalid_vertex_lists():
             [(1e308, 0.0), (-1e308, 1e-300), (-1e308, 0.0), (1e308, -1e-300)],
         ],
         "vertex count must be even": [square[:3], hexagon[:5], []],
+        # finite coordinates, but |vertex 1| = 1.857e308, and the mirror
+        # tolerance and symmetry_map's bound would scale an infinite radius
+        "vertex 1 (1.3e+308, 1.326e+308) has a norm above the largest float": [
+            [*wide, *((-x, -y) for x, y in wide)],
+        ],
         "central symmetry violated": [residue, [(x * 1e8, y * 1e8) for x, y in residue]],
         # clockwise, a reflex vertex and a straight angle
         f"{turn} (turn at vertex 1 ": [
@@ -556,12 +564,12 @@ class TestLinearMaps:
         # the singularity test is relative to the map's entries, so a
         # tiny or huge multiple of the identity is not singular; both
         # tests read the entries or coordinates divided by a power of two,
-        # so neither overflows nor underflows at these scales
+        # so neither overflows nor underflows at these scales.  The large
+        # images get P6's value; ROADMAP item 2 covers the small ones.
         image = linear_image(p6, [[scale, 0.0], [0.0, scale]])
         assert image.vertices == CentralPolygon([v * scale for v in p6.vertices]).vertices
-        if scale > MAX_RADIUS:
-            with pytest.raises(ValueError, match=re.escape(f"exceeds {MAX_RADIUS:.17g}, the largest")):
-                bm_distance(image)
+        if scale > 1.0:
+            assert abs(bm_distance(image, grid=90).lam - 1.5) <= 1e-15
 
     def test_linear_image_rejects_a_singular_map_of_huge_entries(self, p6):
         # det = 1e200 * 2e200 - 2e200 * 1e200 is inf - inf = nan unscaled

@@ -18,6 +18,7 @@ from conftest import (
 )
 from bmgon.geom import (
     CentralPolygon,
+    Vec2,
     apply_linear,
     boundary_point,
     linear_image,
@@ -554,37 +555,17 @@ class TestBMDistance:
         assert a.lam == b.lam
         assert a.parallelogram == b.parallelogram
 
-    def test_the_radius_bound_is_the_largest_scale_searched(self, p6):
-        # up to the bound lambda and the class count are those of the unit
-        # hexagon; past it the scan still runs, on the same table, but
-        # both entry points refuse to build the polygon's parallelograms
-        result = bm_distance(p6, grid=90)
-        scale = oracle.MAX_RADIUS * (1.0 - 4e-16) / p6.radius
-        inside = CentralPolygon([scale * v for v in p6.vertices])
-        assert inside.radius <= oracle.MAX_RADIUS
-        found = bm_distance(inside, grid=90)
-        assert abs(found.lam - result.lam) <= 1e-15
-        assert len(argmin_orbit(inside, found)) == len(argmin_orbit(p6, result)) == 2
-        beyond = CentralPolygon([2.0 * v for v in inside.vertices])
-        assert np.array_equal(grid_scan(beyond, 90)[2], grid_scan(inside, 90)[2])
-        bound = re.escape(f"exceeds {oracle.MAX_RADIUS:.17g}")
-        with pytest.raises(ValueError, match=bound):
-            bm_distance(beyond, grid=90)
-        with pytest.raises(ValueError, match=bound):
-            argmin_orbit(beyond, result)
-
     @pytest.mark.parametrize("factor", [0.5, 0.99, 1.0 - 4e-16])
-    def test_lambda_and_classes_hold_up_to_the_radius_bound(self, factor):
-        # the search reads the boundary table, and no cross product of
-        # the parallelograms built in the input's coordinates overflows,
-        # so nothing warns at the bound
+    def test_lambda_and_classes_hold_up_to_the_largest_float(self, factor):
+        # the search and the parallelograms it builds read unit
+        # coordinates, so nothing overflows or warns up to the largest
+        # float, where the polygon's own cross products are inf
         rng = np.random.default_rng(26)
         gons = [regular_polygon(n) for n in range(4, 18, 2)]
         gons += [random_central_polygon(rng, m) for m in (3, 5, 7, 9)]
         for gon in gons:
             result = bm_distance(gon, grid=90)
-            big = CentralPolygon([factor * oracle.MAX_RADIUS / gon.radius * v for v in gon.vertices])
-            assert big.radius <= oracle.MAX_RADIUS
+            big = CentralPolygon([factor * sys.float_info.max / gon.radius * v for v in gon.vertices])
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 found = bm_distance(big, grid=90)
@@ -593,30 +574,27 @@ class TestBMDistance:
             assert abs(found.lam - result.lam) <= 1e-15, (gon, found.lam - result.lam)
             assert classes == len(argmin_orbit(gon, result)), gon
 
-    @pytest.mark.parametrize("e", [77, 100, 153])
-    def test_the_hexagon_keeps_its_value_and_classes_up_to_the_bound(self, p6, e):
+    @pytest.mark.parametrize("e", [77, 153, 154, 200, 308])
+    def test_the_hexagon_keeps_its_value_and_classes_at_every_large_scale(self, p6, e):
         gon = CentralPolygon([10.0**e * v for v in p6.vertices])
-        assert gon.radius <= oracle.MAX_RADIUS
         result = bm_distance(gon, grid=90)
         assert abs(result.lam - 1.5) <= 1e-15
         assert len(argmin_orbit(gon, result)) == 2
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(-8, 1000))
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.integers(-8, 1020))
     @settings(max_examples=30)
     def test_lambda_and_its_witness_scale_exactly_by_powers_of_two(self, seed, m, k):
         # from 2**-8 up, Parallelogram's absolute tolerance passes the
-        # witnesses of these polygons (ROADMAP item 2); up to the bound
-        # no product of the parallelogram's measures overflows
+        # witnesses of these polygons (ROADMAP item 2); the search, the
+        # witness's gauges and its contacts read unit coordinates, so
+        # nothing moves but the witness's exponent, up to 2**1020 P
         gon = random_central_polygon(np.random.default_rng(seed), m)
         scaled = CentralPolygon([(math.ldexp(v.x, k), math.ldexp(v.y, k)) for v in gon.vertices])
-        if scaled.radius > oracle.MAX_RADIUS:
-            with pytest.raises(ValueError, match=re.escape(f"exceeds {oracle.MAX_RADIUS:.17g}")):
-                bm_distance(scaled, grid=91)
-            return
         result, found = bm_distance(gon, grid=91), bm_distance(scaled, grid=91)
         assert (found.lam, found.t_u, found.t_v) == (result.lam, result.t_u, result.t_v)
         p, q = result.parallelogram, found.parallelogram
         assert (q.u.x, q.u.y, q.v.x, q.v.y) == tuple(math.ldexp(a, k) for a in (p.u.x, p.u.y, p.v.x, p.v.y))
+        assert found.contacts == tuple(Vec2(math.ldexp(w.x, k), math.ldexp(w.y, k)) for w in result.contacts)
 
     def test_a_polygon_without_a_feasible_cell_is_refused_by_the_threshold(self):
         # the table of the rhombus +-(1, 0), +-(0, 1e-301) holds its

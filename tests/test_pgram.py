@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,13 +8,23 @@ from hypothesis import strategies as st
 
 from conftest import random_central_polygon, random_linear_map
 from bmgon.geom import CentralPolygon, Vec2, boundary_point, linear_image, regular_polygon
-from bmgon.pgram import Parallelogram, circum_ratio, contacts, gauge, vertex_hausdorff
+from bmgon.pgram import (
+    DEGENERATE_TOL,
+    Parallelogram,
+    circum_ratio,
+    contacts,
+    gauge,
+    vertex_hausdorff,
+)
 
 SQRT3 = math.sqrt(3.0)
 
 UNIT_SQUARE = Parallelogram(Vec2(1.0, 0.0), Vec2(0.0, 1.0))
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
+# multiples of 2**-20 in [-1, 1]: the cross products of such vectors,
+# and of their copies on unit coordinates, are exact in floats
+dyadic = st.integers(-(2**20), 2**20).map(lambda a: math.ldexp(a, -20))
 
 SCALES = [10.0**k for k in (-8, -6, -4, 0, 4, 8)]
 
@@ -63,6 +74,28 @@ class TestParallelogram:
             Vec2(-1.0, 0.0),
             Vec2(0.0, -1.0),
         )
+
+
+class TestUnitCoordinates:
+    @given(dyadic, dyadic, dyadic, dyadic, dyadic, dyadic, st.integers(-600, 1020))
+    def test_the_verdict_is_exact_and_the_gauge_scales_exactly(self, ux, uy, vx, vy, wx, wy, k):
+        # the constructor decides on coordinates divided by a power of two,
+        # yet as the exact cross product does, at scales where the
+        # coordinates' own products underflow or overflow
+        def at(j, x, y):
+            return Vec2(math.ldexp(x, j), math.ldexp(y, j))
+
+        u, v = at(k, ux, uy), at(k, vx, vy)
+        exact = Fraction(u.x) * Fraction(v.y) - Fraction(u.y) * Fraction(v.x)
+        try:
+            p = Parallelogram(u, v)
+        except ValueError:
+            p = None
+        assert (p is not None) == (exact > Fraction(DEGENERATE_TOL))
+        if p is not None:
+            # at 2**20 the cross product is a positive integer
+            reference = Parallelogram(at(20, ux, uy), at(20, vx, vy))
+            assert gauge(p, at(k, wx, wy)) == gauge(reference, at(20, wx, wy))
 
 
 class TestGauge:
