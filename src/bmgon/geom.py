@@ -137,7 +137,7 @@ class CentralPolygon:
                 )
         x = px[:m] + [-a for a in px[:m]]
         y = py[:m] + [-a for a in py[:m]]
-        e, (sx, sy) = _scaled(x, y)
+        e, (sx, sy) = unit_scaled(x, y)
         dx = [b - a for a, b in zip(sx, sx[1:] + sx[:1])]
         dy = [b - a for a, b in zip(sy, sy[1:] + sy[:1])]
         for i in range(n):
@@ -199,10 +199,10 @@ class CentralPolygon:
         return f"CentralPolygon({len(self.vertices)} vertices)"
 
 
-def _scaled(*rows: Sequence[float]) -> tuple[int, list[list[float]]]:
+def unit_scaled(*rows: Sequence[float]) -> tuple[int, list[list[float]]]:
     """(e, the rows divided by 2**e), where 2**(e - 1) <= max |value| < 2**e,
-    so every value lands in (-1, 1); the division is exact for every
-    value above 2**-1021 times the largest."""
+    so every value lands in (-1, 1), exactly for every value above 2**-1021
+    times the largest; geom and ``pgram.Parallelogram`` prescale with it."""
     e = math.frexp(max(abs(v) for row in rows for v in row))[1]
     return e, [[math.ldexp(v, -e) for v in row] for row in rows]
 
@@ -226,13 +226,13 @@ def boundary_point(polygon: CentralPolygon, t: float) -> Vec2:
     scaled by 2**e, exactly; the readers below divide their point by 2**e.
     """
     e, x, y, dx, dy = polygon.boundary
-    i, f = _locate(t, len(x))
+    i, f = locate(t, len(x))
     return Vec2(math.ldexp(x[i] + f * dx[i], e), math.ldexp(y[i] + f * dy[i], e))
 
 
-def _locate(t: float, n: int) -> tuple[int, float]:
-    """(edge i, fraction f) of boundary parameter t, with period n: t
-    reduced modulo n is i + f, 0 <= f < 1."""
+def locate(t: float, n: int) -> tuple[int, float]:
+    """(edge i, fraction f) of boundary parameter t, with period n: t mod n
+    is i + f, 0 <= f < 1; ``boundary_point`` and oracle's objective share it."""
     t = t % n
     if t >= n:  # float mod can round up to the period itself
         t = 0.0
@@ -319,9 +319,8 @@ def linear_image(polygon: CentralPolygon, mat: Mat2 | Sequence[Sequence[float]])
     (a, b), (c, d) = mat
     if not all(map(math.isfinite, (a, b, c, d))):
         raise ValueError(f"linear map has a non-finite entry: {mat}")
-    # the test reads the entries divided by a power of two, as
-    # CentralPolygon's checks read the coordinates
-    _, ((a, b), (c, d)) = _scaled((a, b), (c, d))
+    # the test reads the entries divided by a power of two, as the table does
+    _, ((a, b), (c, d)) = unit_scaled((a, b), (c, d))
     det = a * d - b * c
     if not abs(det) > UNIT_TOL * (a * a + b * b + c * c + d * d):
         raise ValueError("linear map is singular")

@@ -51,7 +51,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geom import CentralPolygon, Vec2, _locate, boundary_point, symmetry_map
+from .geom import CentralPolygon, Vec2, boundary_point, locate, symmetry_map
 from .pgram import Parallelogram, circum_ratio, contacts
 
 __all__ = [
@@ -269,9 +269,9 @@ def _make_objective(c: CentralPolygon) -> Callable[[float, float], float]:
     half = list(zip(xs[: n // 2], ys[: n // 2]))  # antipodal vertices have equal gauge
 
     def evaluate(t1: float, s: float) -> float:
-        a, fu = _locate(t1, n)
+        a, fu = locate(t1, n)
         ux, uy = xs[a] + fu * dxs[a], ys[a] + fu * dys[a]
-        b, fv = _locate(t1 + s, n)
+        b, fv = locate(t1 + s, n)
         vx, vy = xs[b] + fv * dxs[b], ys[b] + fv * dys[b]
         den = ux * vy - uy * vx
         if not den > FEASIBLE_DEN:

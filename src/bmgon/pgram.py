@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .geom import CentralPolygon, Vec2
+from .geom import CentralPolygon, Vec2, unit_scaled
 
 __all__ = [
     "Parallelogram",
@@ -27,8 +27,8 @@ class Parallelogram:
     positive, so the generators are counterclockwise and independent.
 
     ``unit`` is (e, ux, uy, vx, vy, den): the generators divided by the
-    power of two 2**e just above their largest |coordinate|, as in
-    ``CentralPolygon.boundary``, and their cross product, which decides
+    power of two 2**e just above their largest |coordinate|
+    (``geom.unit_scaled``), and their cross product, which decides
     as the input's would, yet never overflows; 2**k times the generators
     give the same values but for e.  Equality and repr ignore it."""
 
@@ -38,8 +38,7 @@ class Parallelogram:
 
     def __post_init__(self) -> None:
         u, v = self.u, self.v
-        e = math.frexp(max(abs(u.x), abs(u.y), abs(v.x), abs(v.y)))[1]
-        ux, uy, vx, vy = [math.ldexp(a, -e) for a in (u.x, u.y, v.x, v.y)]
+        e, [(ux, uy, vx, vy)] = unit_scaled((u.x, u.y, v.x, v.y))
         den = ux * vy - uy * vx
         # den * 4**e > DEGENERATE_TOL, with neither side overflowing
         if not math.ldexp(den, 2 * min(e, 0)) > math.ldexp(DEGENERATE_TOL, -2 * max(e, 0)):

@@ -290,11 +290,15 @@ class TestDistance:
         # coordinates, so no product overflows at any scale; render
         # divides by the radius first and draws P6's picture
         svg, p6_svg = tmp_path / "x.svg", tmp_path / "p6.svg"
-        argv = [command, scaled_hexagon_file(tmp_path, e)]
-        code, out, _ = run(capsys, *argv, *([str(svg)] if command == "render" else []))
-        assert code == 0
-        assert abs(float(value_of(out, "lambda").split(" ; ")[0]) - 1.5) <= 1e-8
-        if command == "render":
+        path = scaled_hexagon_file(tmp_path, e)
+        if command == "distance":
+            code, out, _ = run(capsys, "distance", path, "--json")
+            assert code == 0
+            assert abs(json.loads(out)["lambda"] - 1.5) <= 1e-15
+        else:
+            code, out, _ = run(capsys, "render", path, str(svg))
+            assert code == 0
+            assert value_of(out, "lambda") == "1.5 ; 1.5"
             assert value_of(out, "configurations") == "2"
             run(capsys, "render", "P6", str(p6_svg))
             assert svg.read_bytes() == p6_svg.read_bytes()

@@ -1172,8 +1172,8 @@ class TestRotationStep:
 
     def test_the_unit_scale_is_found_once_per_polygon(self, monkeypatch):
         calls = []
-        real = geom._scaled
-        monkeypatch.setattr(geom, "_scaled", lambda *rows: calls.append(rows) or real(*rows))
+        real = geom.unit_scaled
+        monkeypatch.setattr(geom, "unit_scaled", lambda *rows: calls.append(rows) or real(*rows))
         for gon in (regular_polygon(12), random_central_polygon(np.random.default_rng(3), 32)):
             calls.clear()
             gon = CentralPolygon(gon.vertices)
