@@ -166,11 +166,9 @@ def _bisect_zero(f, lo: float, hi: float) -> float:
 
 def suite_theorem1() -> list[Claim]:
     """Hexagon distance 3/2 and the ratio curve of the balanced family."""
-    rows = []
-    result = bm_distance(HEXAGON, grid=360)
-    rows.append(Claim("P6 distance equals 3/2", 1.5, result.lam, 1e-13))
+    rows = [_search_row("P6 distance equals 3/2", 6, 360)]
     _, _, f = grid_scan(HEXAGON, 360)
-    floor = float(np.min(f[np.isfinite(f)]))
+    floor = float(f.min())  # F holds finite values and +inf
     rows.append(Claim("P6 grid objective never below 3/2", 1.5, floor, 1e-12, "at_least"))
     rows.append(Claim("hex family ratio at b=0", 1.5, hex_h(0.0), 1e-12))
     rows.append(Claim("hex family ratio at b=sqrt(3)/5", 1.5, hex_h(B_REGIME_MAX), 1e-12))
@@ -521,8 +519,12 @@ def _svg_num(x: float) -> str:
     return "0" if text in ("", "-0") else text
 
 
-def _svg_points(points, r: float, lam: float = 1.0) -> str:
-    return " ".join(f"{_svg_num(lam * (p.x / r))},{_svg_num(lam * (p.y / r))}" for p in points)
+def _svg_xy(w: Vec2, e: int, r: float, lam: float = 1.0) -> tuple[str, str]:
+    return _svg_num(lam * (math.ldexp(w.x, -e) / r)), _svg_num(lam * (math.ldexp(w.y, -e) / r))
+
+
+def _svg_points(points, e: int, r: float, lam: float = 1.0) -> str:
+    return " ".join(",".join(_svg_xy(p, e, r, lam)) for p in points)
 
 
 def render_svg(
@@ -531,10 +533,11 @@ def render_svg(
     """Deterministic SVG: per configuration the polygon, the scaled
     circumscribed parallelogram, the inscribed parallelogram, and the
     contact vertices, in that element order, at 6-decimal precision.
-    Every coordinate is divided by the polygon's radius, before the
-    circumscribed parallelogram's are scaled by lambda, so each drawing
-    fits its 5 x 5 box at any scale and no product overflows."""
-    r = c.radius
+    Every coordinate is divided by 2**e and then by the polygon's radius,
+    both on the scale of its boundary table, before the circumscribed
+    parallelogram's are scaled by lambda, so each drawing fits its 5 x 5
+    box at any scale and no product overflows."""
+    e, r = c.boundary[0], c.radius
     count = len(configs)
     width = 5.0 * count
     lines = [
@@ -548,23 +551,21 @@ def render_svg(
     for k, (p, lam, contacts) in enumerate(configs):
         lines.append(f'  <g transform="translate({_svg_num(5.0 * k)},0) scale(1,-1)">')
         lines.append(
-            f'    <polygon points="{_svg_points(c.vertices, r)}"'
+            f'    <polygon points="{_svg_points(c.vertices, e, r)}"'
             ' fill="none" stroke="#202020" stroke-width="0.02"/>'
         )
         lines.append(
-            f'    <polygon points="{_svg_points(p.vertices(), r, lam)}"'
+            f'    <polygon points="{_svg_points(p.vertices(), e, r, lam)}"'
             ' fill="none" stroke="#c03030" stroke-width="0.015"'
             ' stroke-dasharray="0.08 0.05"/>'
         )
         lines.append(
-            f'    <polygon points="{_svg_points(p.vertices(), r)}"'
+            f'    <polygon points="{_svg_points(p.vertices(), e, r)}"'
             ' fill="none" stroke="#3050c0" stroke-width="0.02"/>'
         )
         for w in contacts:
-            lines.append(
-                f'    <circle cx="{_svg_num(w.x / r)}" cy="{_svg_num(w.y / r)}"'
-                ' r="0.06" fill="#c03030"/>'
-            )
+            cx, cy = _svg_xy(w, e, r)
+            lines.append(f'    <circle cx="{cx}" cy="{cy}" r="0.06" fill="#c03030"/>')
         lines.append("  </g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -36,8 +36,8 @@ __all__ = [
 # pair at construction, before exact re-negation, and of a vertex image
 # in symmetry_map
 SYMMETRY_TOL = 1e-9
-# line_intersection's parallelism threshold, and linear_image's
-# singularity threshold on |det| / (a^2 + b^2 + c^2 + d^2)
+# line_intersection's parallelism threshold on unit-scaled directions, and
+# linear_image's singularity threshold on |det| / (a^2 + b^2 + c^2 + d^2)
 UNIT_TOL = 1e-12
 
 Mat2 = tuple[tuple[float, float], tuple[float, float]]
@@ -91,16 +91,15 @@ class CentralPolygon:
     v[i + m] = -v[i] exactly, and the origin strictly inside; the boundary
     winds once around the origin.
 
-    The constructor accepts the full vertex list, takes its coordinates
-    as Python floats, checks the mirror pairs within ``SYMMETRY_TOL``
-    times the largest vertex norm, and then rebuilds the second half by
-    exact negation so that antipodal identities hold bit for bit.  From
-    those vertices it builds the boundary table ``boundary`` once, which
-    every reader of the boundary and the convexity and origin checks use.
-    It holds the coordinates divided by the power of two 2**e just above
-    the largest |coordinate|: the division is exact, so the table decides
-    as the coordinates themselves would, yet no product of its values
-    overflows, and 2**k times the polygon has the same table but for e.
+    The constructor takes the full vertex list, whose coordinates must be
+    finite floats, and runs every check on them divided by the power of
+    two 2**e just above the largest |coordinate| of the first m vertices:
+    the division is exact, so each check decides as the coordinates would,
+    yet no product overflows, and 2**k times the input passes or fails
+    alike.  The mirror pairs must match within ``SYMMETRY_TOL`` times the
+    largest vertex norm; the second half is then rebuilt by exact negation
+    so that antipodal identities hold bit for bit.  The quotients form the
+    boundary table ``boundary``, which every reader of the boundary uses.
     Vec2s are made only for the stored ``vertices``.
     """
 
@@ -110,7 +109,7 @@ class CentralPolygon:
     # (e, x, y, dx, dy), the columns tuples of Python floats: vertex i is
     # 2**e (x[i], y[i]) and 2**e (dx[i], dy[i]) the delta to vertex i + 1
     boundary: tuple[int, tuple[float, ...], tuple[float, ...], tuple[float, ...], tuple[float, ...]]
-    radius: float  # the largest vertex norm, which must be finite
+    radius: float  # the largest vertex norm on the table's scale, 2**-e times the polygon's
 
     def __init__(self, vertices: Iterable[Vec2 | tuple[float, float]]):
         px, py = [], []
@@ -124,29 +123,26 @@ class CentralPolygon:
         if n < 4 or n % 2 != 0:
             raise ValueError(f"vertex count must be even and at least 4, got {n}")
         m = n // 2
-        norms = list(map(math.hypot, px, py))
-        if math.inf in norms:
-            i = norms.index(math.inf)
-            raise ValueError(f"vertex {i} ({px[i]}, {py[i]}) has a norm above the largest float")
+        e, (x, y) = unit_scaled(px[:m], py[:m])
+        # the first half lies in (-1, 1) here: a mirror coordinate of 2 or more
+        # fails its residue, and is refused before its norm can overflow the bound
+        if math.frexp(max(map(abs, px[m:] + py[m:])))[1] > e + 1:
+            raise ValueError(f"central symmetry violated: vertices {m} to {n - 1} are too large")
+        mx, my = ([math.ldexp(a, -e) for a in p[m:]] for p in (px, py))
+        norms = list(map(math.hypot, x + mx, y + my))
         bound = SYMMETRY_TOL * max(norms)
         for i in range(m):
-            if abs(px[i] + px[i + m]) > bound or abs(py[i] + py[i + m]) > bound:
+            if abs(x[i] + mx[i]) > bound or abs(y[i] + my[i]) > bound:
                 raise ValueError(
                     f"central symmetry violated: vertex {i + m} is not the "
                     f"negation of vertex {i} within {SYMMETRY_TOL} of the largest vertex norm"
                 )
-        x = px[:m] + [-a for a in px[:m]]
-        y = py[:m] + [-a for a in py[:m]]
-        e, (sx, sy) = unit_scaled(x, y)
-        dx = [b - a for a, b in zip(sx, sx[1:] + sx[:1])]
-        dy = [b - a for a, b in zip(sy, sy[1:] + sy[:1])]
+        x += [-a for a in x]
+        y += [-a for a in y]
+        dx = [b - a for a, b in zip(x, x[1:] + x[:1])]
+        dy = [b - a for a, b in zip(y, y[1:] + y[:1])]
         for i in range(n):
             j = (i + 1) % n
-            # an edge delta of the coordinates can overflow only when the
-            # largest |coordinate| is 2**1023 or more; Vec2 then rejects it
-            if e > 1023:
-                for k in (i, j):
-                    Vec2(x[(k + 1) % n] - x[k], y[(k + 1) % n] - y[k])
             if not dx[i] * dy[j] - dy[i] * dx[j] > 0.0:
                 raise ValueError(
                     f"vertices are not in strictly convex counterclockwise "
@@ -155,7 +151,7 @@ class CentralPolygon:
         winding = 0
         for i in range(n):
             j = (i + 1) % n
-            if not sx[i] * sy[j] - sy[i] * sx[j] > 0.0:
+            if not x[i] * y[j] - y[i] * x[j] > 0.0:
                 raise ValueError("origin is not strictly interior")
             winding += y[i] < 0.0 <= y[j]
         # with the origin strictly left of every edge the polar angle rises
@@ -166,8 +162,9 @@ class CentralPolygon:
         # lists, not iterators, feed the tuples: over 400 `verify all`
         # runs in one process, tuple(genexpr) raised the peak RSS by 5%
         # and tuple(map(Vec2, x, y)) by 1%, against lists
-        object.__setattr__(self, "vertices", tuple([Vec2(a, b) for a, b in zip(x, y)]))
-        object.__setattr__(self, "boundary", (e, tuple(sx), tuple(sy), tuple(dx), tuple(dy)))
+        half = [Vec2(a, b) for a, b in zip(px[:m], py[:m])]
+        object.__setattr__(self, "vertices", tuple(half + [-v for v in half]))
+        object.__setattr__(self, "boundary", (e, tuple(x), tuple(y), tuple(dx), tuple(dy)))
         object.__setattr__(self, "radius", max(norms[:m]))  # antipodes match
         object.__setattr__(self, "_rotation_step", 0)  # found on first use
 
@@ -284,8 +281,8 @@ def boundary_crossing(polygon: CentralPolygon, direction: Vec2) -> Vec2:
 def boundary_projection(polygon: CentralPolygon, point: Vec2) -> tuple[float, float]:
     """Nearest boundary point to a point, as ``(t, d)``: its boundary
     parameter t in [0, n), so that boundary_point(t) is that point, and
-    its Euclidean distance d from the point.  The first nearest edge in
-    vertex order wins a tie."""
+    its Euclidean distance d from the point, inf when that passes the
+    largest float.  The first nearest edge in vertex order wins a tie."""
     n = len(polygon.vertices)
     e, *table = polygon.boundary
     px, py = math.ldexp(point.x, -e), math.ldexp(point.y, -e)
@@ -295,17 +292,18 @@ def boundary_projection(polygon: CentralPolygon, point: Vec2) -> tuple[float, fl
         d = math.hypot(px - (ax + ex * f), py - (ay + ey * f))
         if d < best[1]:
             best = ((i + f) % n, d)
-    return best[0], math.ldexp(best[1], e)
+    return best[0], (math.ldexp(best[1], e) if math.frexp(best[1])[1] + e <= 1024 else math.inf)
 
 
 def line_intersection(p: Vec2, dp: Vec2, q: Vec2, dq: Vec2) -> Vec2:
     """Intersection of the line through p with direction dp and the line
-    through q with direction dq."""
-    den = dp.cross(dq)
-    if abs(den) <= UNIT_TOL:
+    through q with direction dq; the parallel test reads each direction
+    divided by a power of two, so it does not depend on their lengths."""
+    a, b = (math.frexp(max(abs(d.x), abs(d.y)))[1] for d in (dp, dq))  # unit_scaled's e
+    unit = math.ldexp(dp.x, -a) * math.ldexp(dq.y, -b) - math.ldexp(dp.y, -a) * math.ldexp(dq.x, -b)
+    if abs(unit) <= UNIT_TOL:
         raise ValueError("lines are parallel or degenerate")
-    t = (q - p).cross(dq) / den
-    return p + dp * t
+    return p + dp * ((q - p).cross(dq) / dp.cross(dq))
 
 
 def apply_linear(mat: Mat2 | Sequence[Sequence[float]], v: Vec2) -> Vec2:
@@ -341,7 +339,7 @@ def symmetry_map(polygon: CentralPolygon, k: int, step: int) -> Mat2 | None:
     table, so the map and the decision are those of the coordinates
     themselves, with no product underflowing at small scales.
     """
-    e, x, y, _, _ = polygon.boundary
+    _, x, y, _, _ = polygon.boundary
     n = len(x)
     det0 = x[0] * y[1] - y[0] * x[1]  # nonzero because the origin is strictly interior
     p, q = k % n, (k + step) % n
@@ -349,7 +347,7 @@ def symmetry_map(polygon: CentralPolygon, k: int, step: int) -> Mat2 | None:
     b = (x[q] * x[0] - x[p] * x[1]) / det0
     c = (y[p] * y[1] - y[q] * y[0]) / det0
     d = (y[q] * x[0] - y[p] * x[1]) / det0
-    bound = math.ldexp(SYMMETRY_TOL * polygon.radius, -e)
+    bound = SYMMETRY_TOL * polygon.radius
     if all(
         abs(a * x[i] + b * y[i] - x[(k + step * i) % n]) <= bound
         and abs(c * x[i] + d * y[i] - y[(k + step * i) % n]) <= bound

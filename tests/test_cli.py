@@ -126,6 +126,9 @@ def scaled_hexagon_file(tmp_path, e: int) -> str:
 # the first halves of two octagons near the largest float; the first
 # has vertex norms above it although every coordinate is finite
 OVERFLOWING_OCTAGON = [(1.7e308, 0.0), (1.3e308, 1.326e308), (0.0, 1.7e308), (-1.3e308, 1.274e308)]
+# the first half of a rectangle whose horizontal edges, 2e308 long, are
+# past the largest float
+OVERFLOWING_RECTANGLE = [(1e308, 1e307), (-1e308, 1e307)]
 NEAR_MAX_OCTAGON = [(1.5e308, 0.0), (1.05e308, 1.071e308), (0.0, 1.5e308), (-1.05e308, 1.029e308)]
 
 
@@ -303,19 +306,29 @@ class TestDistance:
             run(capsys, "render", "P6", str(p6_svg))
             assert svg.read_bytes() == p6_svg.read_bytes()
 
-    def test_a_vertex_norm_past_the_largest_float_exits_with_the_norm(self, capsys, tmp_path):
-        # every coordinate is finite, but |vertex 1| = 1.857e308 is not;
-        # the radius would be inf, and with it every tolerance it scales.
-        # The copy scaled by 2^-1000 has no rotation and one class.
-        wide, small = tmp_path / "wide.txt", tmp_path / "small.txt"
-        wide.write_text(format_polygon_rows(OVERFLOWING_OCTAGON, 0))
-        small.write_text(format_polygon_rows(OVERFLOWING_OCTAGON, -1000))
-        code, out, err = run(capsys, "distance", str(wide))
-        assert (code, out) == (2, "")
-        assert "vertex 1 (1.3e+308, 1.326e+308) has a norm above the largest float" in err
-        assert "Traceback" not in err
-        code, out, _ = run(capsys, "render", str(small), str(tmp_path / "small.svg"))
-        assert (code, value_of(out, "lambda"), value_of(out, "configurations")) == (0, "1.30769231", "1")
+    @pytest.mark.parametrize(
+        "half, lam",
+        [(OVERFLOWING_RECTANGLE, "1"), (OVERFLOWING_OCTAGON, "1.30769231")],
+        ids=["rectangle", "octagon"],
+    )
+    def test_a_norm_or_edge_past_the_largest_float_gives_the_small_copys_output(
+        self, capsys, tmp_path, half, lam
+    ):
+        # every coordinate is finite, and every check, the search and
+        # render read coordinates divided by a power of two, so the
+        # polygon gives its 2^-1000 copy's lambda, one class and its SVG
+        outputs = []
+        for k in (0, -1000):
+            path, svg = tmp_path / f"k{k}.txt", tmp_path / f"k{k}.svg"
+            path.write_text(format_polygon_rows(half, k))
+            code, out, err = run(capsys, "distance", str(path), "--json")
+            assert code == 0, err
+            found = json.loads(out)["lambda"]
+            code, out, err = run(capsys, "render", str(path), str(svg))
+            assert code == 0, err
+            assert (value_of(out, "lambda"), value_of(out, "configurations")) == (lam, "1")
+            outputs.append((found, svg.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_an_octagon_near_the_largest_float_renders(self, capsys, tmp_path):
         # lambda times a generator would overflow; render scales the

@@ -124,9 +124,6 @@ def _vertex_polygon(vertices):
     if n < 4 or n % 2 != 0:
         raise ValueError(f"vertex count must be even and at least 4, got {n}")
     m = n // 2
-    for i, v in enumerate(verts):
-        if v.norm() == math.inf:
-            raise ValueError(f"vertex {i} ({v.x}, {v.y}) has a norm above the largest float")
     bound = SYMMETRY_TOL * max(map(Vec2.norm, verts))
     for i in range(m):
         a, b = verts[i], verts[i + m]
@@ -171,7 +168,7 @@ def _coordinate_table(gon):
 
 def _polygon_fields(vertices):
     gon = CentralPolygon(vertices)
-    return gon.vertices, _coordinate_table(gon), gon.radius
+    return gon.vertices, _coordinate_table(gon), math.ldexp(gon.radius, gon.boundary[0])
 
 
 # every turn is left, but the edge from (-1, -0.2) to (1, 1) passes the
@@ -188,22 +185,14 @@ def _invalid_vertex_lists():
     hexagon = [tuple(v) for v in regular_polygon(6).vertices]
     residue = [(1.0, 0.0), (0.0, 1.0), (-1.0, 1e-6), (0.0, -1.0)]
     turn = "vertices are not in strictly convex counterclockwise position"
-    wide = [(1.7e308, 0.0), (1.3e308, 1.326e308), (0.0, 1.7e308), (-1.3e308, 1.274e308)]
     return {
         "non-finite coordinates": [
             [(math.nan, 0.0), *square[1:]],
             [*square[:3], (0.0, -math.inf)],
             # the first bad vertex decides, before the count is known
             [(math.inf, 0.0), ("x", 1.0), (-1.0, 0.0)],
-            # finite vertices whose edge delta overflows
-            [(1e308, 0.0), (-1e308, 1e-300), (-1e308, 0.0), (1e308, -1e-300)],
         ],
         "vertex count must be even": [square[:3], hexagon[:5], []],
-        # finite coordinates, but |vertex 1| = 1.857e308, and the mirror
-        # tolerance and symmetry_map's bound would scale an infinite radius
-        "vertex 1 (1.3e+308, 1.326e+308) has a norm above the largest float": [
-            [*wide, *((-x, -y) for x, y in wide)],
-        ],
         "central symmetry violated": [residue, [(x * 1e8, y * 1e8) for x, y in residue]],
         # clockwise, a reflex vertex and a straight angle
         f"{turn} (turn at vertex 1 ": [
@@ -264,6 +253,105 @@ class TestConstructorChecks:
         _vertex_polygon(verts)
         with pytest.raises(ValueError, match=f"the boundary winds {k} times around the origin"):
             CentralPolygon(verts)
+
+    @pytest.mark.parametrize(
+        "half",
+        [
+            # |vertex 1| = 1.857e308 is past the largest float
+            [(1.7e308, 0.0), (1.3e308, 1.326e308), (0.0, 1.7e308), (-1.3e308, 1.274e308)],
+            # the edge from vertex 0 to vertex 1 is (-2e308, 0)
+            [(1e308, 1e307), (-1e308, 1e307)],
+        ],
+        ids=["octagon", "rectangle"],
+    )
+    def test_a_norm_or_edge_past_the_largest_float_gives_the_tables_of_copies(self, half):
+        # every coordinate is finite and every check reads the table, so
+        # the polygon is accepted as its 2^-1000 copy is
+        verts = half + [(-x, -y) for x, y in half]
+        gon = CentralPolygon(verts)
+        small = CentralPolygon([(math.ldexp(x, -1000), math.ldexp(y, -1000)) for x, y in verts])
+        assert gon.vertices == tuple(Vec2(x, y) for x, y in verts)
+        assert gon.boundary[1:] == small.boundary[1:]
+        assert gon.boundary[0] == small.boundary[0] + 1000
+        assert gon.radius == small.radius
+
+    def test_a_thin_parallelogram_whose_table_underflows_is_flat(self):
+        # its edge deltas are (-2e308, 1e-300) and (0, -1e-300); on the
+        # table's scale, 2^-1024, every y coordinate underflows to 0
+        verts = [(1e308, 0.0), (-1e308, 1e-300), (-1e308, 0.0), (1e308, -1e-300)]
+        with pytest.raises(ValueError, match=r"position \(turn at vertex 1 is not left\)"):
+            CentralPolygon(verts)
+
+    def test_a_mirror_half_past_the_tables_range_is_not_symmetric(self):
+        # the first half lies near 2^-600, so vertex 2 is about
+        # (-1.55e308, -1.55e308) on the table's scale: finite, but its norm
+        # is inf, and an inf bound would pass every residue
+        tiny = math.ldexp(1.0, -600)
+        verts = [(tiny, 0.0), (0.0, tiny), (-1.5e128, -1.5e128), (0.0, -tiny)]
+        with pytest.raises(ValueError, match="symmetry violated: vertices 2 to 3 are too large"):
+            CentralPolygon(verts)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 8),
+        st.sampled_from(
+            ["none", "residue 1e-12", "residue 1e-6", "swap", "reverse"]
+            + ["shift", "star", "origin", "far mirror"]
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_power_of_two_copy_passes_or_fails_alike(self, seed, m, change, draw):
+        # 2**k V for every k that keeps V's coordinates finite and normal:
+        # the same table but for e, or the same error
+        verts = _changed_vertices(seed, m, change)
+        exponents = [math.frexp(c)[1] for v in verts for c in v if c != 0.0]
+        lo, hi = -1021 - min(exponents), 1024 - max(exponents)
+        k = lo + draw % (hi - lo + 1)
+        scaled = [(math.ldexp(x, k), math.ldexp(y, k)) for x, y in verts]
+        expected, found = _verdict(verts), _verdict(scaled)
+        if isinstance(expected, str):
+            assert found == expected
+        else:
+            (e, *table), radius, step = expected
+            assert found == ((e + k, *table), radius, step)
+
+
+def _changed_vertices(seed, m, change):
+    """The vertex list of a seeded random polygon, changed so that it
+    fails one check or, for "none" and "residue 1e-12", none."""
+    rng = np.random.default_rng(seed)
+    verts = [(v.x, v.y) for v in random_central_polygon(rng, m).vertices]
+    n, i = len(verts), int(rng.integers(2 * m))
+    x, y = verts[i]
+    if change.startswith("residue"):
+        verts[i] = (x * (1.0 + float(change.split()[1])), y)
+    elif change == "swap":  # two neighbours and their mirrors
+        for a in (i % m, i % m + m):
+            b = (a + 1) % n
+            verts[a], verts[b] = verts[b], verts[a]
+    elif change == "reverse":
+        verts.reverse()
+    elif change == "shift":
+        verts = [(a + 0.25, b) for a, b in verts]
+    elif change == "star":
+        verts = star_vertices(14, 3 + 2 * (m % 2))
+    elif change == "origin":
+        verts = list(_LEFT_TURNS_ROUND_THE_ORIGIN)
+    elif change == "far mirror":
+        verts = [
+            (math.ldexp(a, k), math.ldexp(b, k))
+            for k, (a, b) in zip([-600] * m + [500] * m, verts)
+        ]
+    return verts
+
+
+def _verdict(vertices):
+    """(boundary, radius, rotation step) of the polygon, or its error."""
+    try:
+        gon = CentralPolygon(vertices)
+    except ValueError as err:
+        return str(err)
+    return gon.boundary, gon.radius, gon.rotation_step
 
 
 # The boundary readers as they read the vertices before the boundary
@@ -362,7 +450,7 @@ class TestBoundary:
             ts = [*rng.uniform(-n, 2.0 * n, size=200).tolist(), *map(float, range(-1, n + 2))]
             bx, by = _vertex_boundary_points(verts, ts)
             assert [_hex(*boundary_point(gon, t)) for t in ts] == list(map(_hex, bx, by))
-            spread = rng.normal(scale=2.0 * gon.radius, size=(100, 2))
+            spread = rng.normal(scale=2.0 * math.ldexp(gon.radius, gon.boundary[0]), size=(100, 2))
             px, py = np.concatenate([bx[:100], spread[:, 0]]), np.concatenate([by[:100], spread[:, 1]])
             points = list(map(Vec2, px.tolist(), py.tolist()))
             gauges = _vertex_gauges(verts, px, py).tolist()
@@ -423,6 +511,12 @@ class TestBoundary:
     def test_boundary_distance(self, p4):
         assert boundary_projection(p4, Vec2(1.0, 0.0))[1] == 0.0
         assert abs(boundary_projection(p4, Vec2(0.0, 0.0))[1] - math.sqrt(0.5)) < 1e-15
+
+    def test_a_distance_past_the_largest_float_is_inf(self):
+        half = [(1e308, 1e307), (-1e308, 1e307)]
+        rectangle = CentralPolygon(half + [(-x, -y) for x, y in half])
+        assert boundary_projection(rectangle, Vec2(1.79e308, 1.79e308)) == (0.0, math.inf)
+        assert boundary_projection(rectangle, Vec2(1e308, 0.0)) == (3.5, 0.0)
 
     def test_boundary_projection_examples(self, p6):
         assert boundary_projection(p6, Vec2(2.0, 0.0)) == (0.0, 1.0)
@@ -543,6 +637,20 @@ class TestLinearMaps:
         assert p == Vec2(2.0, 2.0)
         with pytest.raises(ValueError):
             line_intersection(Vec2(0.0, 0.0), Vec2(1.0, 0.0), Vec2(0.0, 1.0), Vec2(2.0, 0.0))
+
+    @pytest.mark.parametrize("k", [-500, 500])
+    def test_line_intersection_does_not_depend_on_the_directions_lengths(self, k):
+        # the parallel test reads each direction divided by a power of two
+        p, dp, q, dq = Vec2(0.1, -0.3), Vec2(1.0, 0.7), Vec2(2.0, 0.5), Vec2(-0.4, 1.3)
+        point = line_intersection(p, dp, q, dq)
+        for a, b in ((k, k), (k, 0), (0, k), (k, -k)):
+            du, dv = (Vec2(math.ldexp(d.x, j), math.ldexp(d.y, j)) for d, j in ((dp, a), (dq, b)))
+            assert line_intersection(p, du, q, dv) == point, (a, b)
+        # a nearly parallel pair still raises, at any length
+        for j in (-500, 0, 500):
+            du, dv = Vec2(math.ldexp(1.0, j), math.ldexp(1.0, j)), Vec2(1.0, 1.0 + 1e-13)
+            with pytest.raises(ValueError, match="parallel"):
+                line_intersection(p, du, q, dv)
 
     def test_apply_linear(self):
         assert apply_linear([[0.0, -1.0], [1.0, 0.0]], Vec2(1.0, 2.0)) == Vec2(-2.0, 1.0)
