@@ -28,10 +28,14 @@ where three sheets tie, and the critical points of the ratio along the
 tie line of two sheets.  Along either side direction, f or g alone
 moving, N_w / D is affine over affine and so monotone: a minimum where
 one sheet leads is matched at a side or a tie, and where two lead it
-lies on their tie line, where N_w is affine and D quadratic.  A sheet
+lies on their tie line, where N_w is affine and D quadratic.  Only the
+sheets that lead somewhere in the box list candidates (``_prune``): one
 whose largest value over the box is below the largest least value of
-some sheet is below that sheet everywhere in the box, so it is pruned
-exactly before the candidates are listed.
+some sheet is below it everywhere there, and past four such survivors
+(below that, clipping costs more than it saves) each is kept only if
+the box, clipped by N_w >= N_v - 2**-40 for every survivor v, is not
+empty, a slack far above the clip's rounding on the table's forms of
+order one.
 
 The walk (``_make_walk``) moves from each start cell of the scan to the
 least candidate of a square of one scan cell around its point, split
@@ -305,19 +309,40 @@ def _cell_forms(c: CentralPolygon, a: int, b: int) -> tuple[list, tuple]:
     return sheets, den
 
 
-def _prune(sheets: list, box: tuple[float, float, float, float], keep) -> list[int]:
-    """The sheets of ``keep`` whose largest value over the box
-    (f0, f1, g0, g1) is at least the largest least value of any of them;
-    each affine N_w ranges over centre +- (|nf| wf + |ng| wg)."""
+def _prune(sheets: list, box: tuple[float, float, float, float]) -> list[int]:
+    """The sheets that lead somewhere in the box (f0, f1, g0, g1), as in the module
+    docstring, the highest clipping first; N_w spans centre +- (|nf| wf + |ng| wg)."""
     f0, f1, g0, g1 = box
     fc, gc, wf, wg = 0.5 * (f0 + f1), 0.5 * (g0 + g1), 0.5 * (f1 - f0), 0.5 * (g1 - g0)
-    bounds = []
+    bounds = [(n0 + nf * fc + ng * gc, abs(nf) * wf + abs(ng) * wg) for n0, nf, ng in sheets]
+    least = max(mid - spread for mid, spread in bounds)
+    keep = [w for w, (mid, spread) in enumerate(bounds) if mid + spread >= least]
+    if len(keep) <= 4:
+        return keep
+    rivals = [sheets[w] for w in sorted(keep, key=bounds.__getitem__, reverse=True)]
+    leaders = []
     for w in keep:
-        n0, nf, ng = sheets[w]
-        mid, spread = n0 + nf * fc + ng * gc, abs(nf) * wf + abs(ng) * wg
-        bounds.append((mid + spread, mid - spread, w))
-    least = max(lo for _, lo, _ in bounds)
-    return [w for hi, _, w in bounds if hi >= least]
+        a0, af, ag = sheets[w]
+        corners = [(f0, g0), (f1, g0), (f1, g1), (f0, g1)]
+        for b0, bf, bg in rivals:
+            # Sutherland-Hodgman: the part of the polygon where N_w - N_v >= -2**-40
+            h = [a0 - b0 + 2.0**-40 + (af - bf) * f + (ag - bg) * g for f, g in corners]
+            if min(h) >= 0.0:
+                continue
+            clipped = []
+            for i, (p, hp) in enumerate(zip(corners, h)):
+                q, hq = corners[i - 1], h[i - 1]
+                if (hq >= 0.0) != (hp >= 0.0):
+                    t = hq / (hq - hp)
+                    clipped.append((q[0] + t * (p[0] - q[0]), q[1] + t * (p[1] - q[1])))
+                if hp >= 0.0:
+                    clipped.append(p)
+            corners = clipped
+            if not corners:
+                break
+        else:
+            leaders.append(w)
+    return leaders
 
 
 def _box_min(forms: tuple, box: tuple[float, float, float, float], keep: list[int]):
@@ -392,59 +417,39 @@ def _spans(lo: float, hi: float) -> list[tuple[int, float, float]]:
 def _make_walk(c: CentralPolygon, radius: float) -> Callable[[float, float], tuple]:
     """``walk(t1, s)``: the box walk of the module docstring from (t1, s),
     as ``(t1, s, value, boxes, candidates, stop)``, with squares of half
-    width r <= ``radius`` in (t1, t1 + s).  While more than eight sheets
-    survive the prune of some box of the square and halving the square
-    lowers that count, the square is halved: the three-sheet ties grow as
-    the cube of the survivors, and a regular polygon's optimum ties four
-    sheets, which no halving prunes.  The least candidate is evaluated,
+    width ``radius`` in (t1, t1 + s).  The least candidate is evaluated,
     and the walk moves there when that is below its value by more than
     rounding, or stops with ``rounding``.  A move strictly inside the
-    square stops it with ``minimum``; one to a side doubles r, up to
-    ``radius``.  It stops with ``max_steps`` after
+    square stops it with ``minimum``.  It stops with ``max_steps`` after
     ``SearchSettings.max_steps`` steps.  Cell forms are kept per walk
     function; the boxes and ``evaluate`` read the boundary table, so a
     polygon scaled by a power of two walks through the same points."""
     evaluate = _make_objective(c)
-    n, m = len(c.vertices), c.m
+    n = len(c.vertices)
     cache: dict[tuple[int, int], tuple] = {}
 
-    def boxes_of(tu: float, tv: float, r: float, keeps: dict) -> dict:
-        out = {}
-        for a, f0, f1 in _spans(tu - r, tu + r):
-            for b, g0, g1 in _spans(tv - r, tv + r):
-                key = (a % n, b % n)
-                cell = cache[key] if key in cache else cache.setdefault(key, _cell_forms(c, *key))
-                box = (f0, f1, g0, g1)
-                out[a, b] = (cell, box, _prune(cell[0], box, keeps.get((a, b), range(m))))
-        return out
-
     def walk(t1: float, s: float) -> tuple:
-        tu, tv, value, r = t1, t1 + s, math.inf, radius
-        boxes = candidates = 0
+        tu, tv, value, boxes, candidates = t1, t1 + s, math.inf, 0, 0
         stop = "max_steps"
         for _ in range(DEFAULT_SETTINGS.max_steps):
-            found = boxes_of(tu, tv, r, {})
-            most = max(len(keep) for _, _, keep in found.values())
-            while most > 8:
-                halved = boxes_of(tu, tv, 0.5 * r, {k: keep for k, (_, _, keep) in found.items()})
-                fewer = max(len(keep) for _, _, keep in halved.values())
-                if fewer >= most:
-                    break
-                found, most, r = halved, fewer, 0.5 * r
             low = (math.inf, tu, tv)
-            for (a, b), (cell, box, keep) in found.items():
-                lowest, f, g, count = _box_min(cell, box, keep)
-                boxes, candidates = boxes + 1, candidates + count
-                if lowest < low[0]:
-                    low = (lowest, a + f, b + g)
+            for a, f0, f1 in _spans(tu - radius, tu + radius):
+                for b, g0, g1 in _spans(tv - radius, tv + radius):
+                    key = (a % n, b % n)
+                    cell = cache[key] if key in cache else cache.setdefault(key, _cell_forms(c, *key))
+                    box = (f0, f1, g0, g1)
+                    lowest, f, g, count = _box_min(cell, box, _prune(cell[0], box))
+                    boxes, candidates = boxes + 1, candidates + count
+                    if lowest < low[0]:
+                        low = (lowest, a + f, b + g)
             _, nu, nv = low
             new = evaluate(nu, nv - nu)
             if not new < (value - 4.0 * math.ulp(value) if value < math.inf else math.inf):
                 stop = "rounding"
                 break
             # a point within rounding of a side of the square is on it
-            inside = max(abs(nu - tu), abs(nv - tv)) < r * (1.0 - 2.0**-20)
-            tu, tv, value, r = nu, nv, new, min(2.0 * r, radius)
+            inside = max(abs(nu - tu), abs(nv - tv)) < radius * (1.0 - 2.0**-20)
+            tu, tv, value = nu, nv, new
             if inside:
                 stop = "minimum"
                 break

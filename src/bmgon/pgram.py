@@ -83,11 +83,16 @@ def contacts(p: Parallelogram, c: CentralPolygon, lam: float) -> tuple[Vec2, ...
 
 def vertex_hausdorff(p: Parallelogram, q: Parallelogram) -> float:
     """Hausdorff distance between the two vertex quadruples; zero exactly
-    when the parallelograms coincide as unordered generator sets.  The
-    tests match the search's classes with it; the benchmark traces it."""
-    pv, qv = p.vertices(), q.vertices()
+    when the parallelograms coincide as unordered generator sets.  Both
+    are measured divided by one power of two 2**e (``geom.unit_scaled``
+    over both), so no difference overflows, and the distance is scaled
+    back, inf when it passes the largest float.  The tests match the
+    search's classes with it; the benchmark traces it."""
+    e, (pu, qu) = unit_scaled((p.u.x, p.u.y, p.v.x, p.v.y), (q.u.x, q.u.y, q.v.x, q.v.y))
+    pv, qv = ([(x, y), (z, w), (-x, -y), (-z, -w)] for x, y, z, w in (pu, qu))
 
-    def one_sided(xs: tuple[Vec2, ...], ys: tuple[Vec2, ...]) -> float:
-        return max(min((x - y).norm() for y in ys) for x in xs)
+    def one_sided(xs: list, ys: list) -> float:
+        return max(min(math.hypot(a - c, b - d) for c, d in ys) for a, b in xs)
 
-    return max(one_sided(pv, qv), one_sided(qv, pv))
+    d = max(one_sided(pv, qv), one_sided(qv, pv))
+    return math.ldexp(d, e) if math.frexp(d)[1] + e <= 1024 else math.inf

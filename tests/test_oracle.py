@@ -408,7 +408,7 @@ class TestBoxMin:
         for gon, a, k, box in _kernel_boxes():
             n, m = len(gon.vertices), gon.m
             forms = _cell_forms(gon, a, (a + k) % n)
-            keep = _prune(forms[0], box, range(m))
+            keep = _prune(forms[0], box)
             value, f, g, _ = _box_min(forms, box, keep)
             values, num, den = _sample(gon, a, k, box)
             if value == math.inf:
@@ -433,7 +433,7 @@ class TestBoxMin:
         # the best corner or side tie of the box is (0.4, 0.6), at 1/1.24
         forms = ([(0.0, 1.0, 1.0), (2.0, -1.0, -1.0)], (1.0, 0.0, 0.0, 1.0))
         box = (0.4, 0.6, 0.4, 0.6)
-        value, f, g, _ = _box_min(forms, box, _prune(forms[0], box, range(2)))
+        value, f, g, _ = _box_min(forms, box, _prune(forms[0], box))
         assert abs(value - 0.8) <= 1e-15 and abs(f - 0.5) <= 1e-15 and abs(g - 0.5) <= 1e-15
 
     def test_a_point_box_keeps_its_leading_sheet(self):
@@ -446,11 +446,74 @@ class TestBoxMin:
             for a in range(n):
                 f, g = rng.uniform(0.0, 1.0, 2).tolist()
                 forms = _cell_forms(gon, a, (a + 1) % n)
-                keep = _prune(forms[0], (f, f, g, g), range(m))
+                keep = _prune(forms[0], (f, f, g, g))
                 value, *point, _ = _box_min(forms, (f, f, g, g), keep)
                 assert keep and point == [f, g], (gon, a, keep)
                 at = evaluate(a + f, (a + 1 + g) - (a + f))
                 assert abs(value - at) <= 1e-14 * at, (gon, a, value, at)
+
+
+    def test_a_sheet_another_dominates_is_dropped(self):
+        # hand-made forms on the unit box: sheets 0-3 are 1 + f, 2 - f,
+        # 1 + g and 2 - g, whose envelope is at least 1.5; sheet 5 is
+        # 1.3 + f/2 and leads near (1/2, 1/2), and sheet 4 lies 0.1 below
+        # it everywhere, yet its largest value 1.7 passes the bound pass,
+        # whose largest least value is sheet 5's 1.3
+        sheets = [(1.0, 1.0, 0.0), (2.0, -1.0, 0.0), (1.0, 0.0, 1.0), (2.0, 0.0, -1.0)]
+        sheets += [(1.2, 0.5, 0.0), (1.3, 0.5, 0.0)]
+        box = (0.0, 1.0, 0.0, 1.0)
+        keep = _prune(sheets, box)
+        assert keep == [0, 1, 2, 3, 5]
+        forms = (sheets, (1.0, 0.0, 0.0, 0.0))
+        assert _box_min(forms, box, keep)[:3] == _box_min(forms, box, range(6))[:3]
+
+    def test_sheets_tied_at_a_point_are_all_kept(self):
+        # six sheets through the value 1 at (f, g), apart only by the
+        # rounding of their forms: the clip keeps every one the bound
+        # pass keeps on the point box, though a clip without its slack
+        # drops some of them in most of these cases
+        rng = np.random.default_rng(2035)
+        clipped = 0
+        for _ in range(200):
+            f, g = rng.uniform(0.0, 1.0, 2).tolist()
+            slopes = rng.uniform(-1.0, 1.0, (6, 2)).tolist()
+            sheets = [(1.0 - nf * f - ng * g, nf, ng) for nf, ng in slopes]
+            values = [n0 + nf * f + ng * g for n0, nf, ng in sheets]
+            tied = [w for w, value in enumerate(values) if value >= max(values)]
+            assert _prune(sheets, (f, f, g, g)) == tied, (f, g, sheets)
+            clipped += len(tied) > 4
+        assert clipped >= 50, clipped
+
+    def test_every_sheet_that_leads_somewhere_in_the_box_is_kept(self):
+        # the leader at each point of a 33 x 33 sample of seeded boxes of
+        # half widths 1e-4 to 1, every other one around the optimum, on
+        # polygons with 8 to 64 sheets, is kept; and the clip drops sheets
+        # from many of the boxes the bound pass leaves with more than four
+        rng = np.random.default_rng(2034)
+        filtered = 0
+        for m in (8, 16, 32, 64):
+            gon = spread_central_polygon(rng, m)
+            n = len(gon.vertices)
+            result = bm_distance(gon, grid=91)
+            for i in range(60):
+                if i % 2:
+                    a, k = int(rng.integers(0, n)), int(rng.integers(1, m + 1))
+                    f, g = rng.uniform(0.0, 1.0, 2).tolist()
+                else:
+                    a, b = math.floor(result.t_u), math.floor(result.t_v)
+                    f, g, k, a = result.t_u - a, result.t_v - b, b - a, a % n
+                half = 10.0 ** rng.uniform(-4.0, 0.0)
+                box = (max(f - half, 0.0), min(f + half, 1.0), max(g - half, 0.0), min(g + half, 1.0))
+                sheets = _cell_forms(gon, a, (a + k) % n)[0]
+                keep = _prune(sheets, box)
+                ff, gg = np.meshgrid(np.linspace(*box[:2], 33), np.linspace(*box[2:], 33))
+                num = np.array([n0 + nf * ff + ng * gg for n0, nf, ng in sheets])
+                assert set(np.argmax(num, axis=0).ravel().tolist()) <= set(keep), (m, a, k, box)
+                # the bound pass alone, as a reference
+                lows = num.min(axis=(1, 2)).max()
+                passed = [w for w in range(m) if num[w].max() >= lows]
+                filtered += len(passed) > 4 and len(keep) < len(passed)
+        assert filtered >= 40, filtered
 
 
 def _walk_starts():
@@ -1294,6 +1357,24 @@ class TestLargePolygons:
         assert 1.0 <= result.lam <= 1.5 + 1e-9
         image = linear_image(gon, random_linear_map(rng))
         assert abs(bm_distance(image, grid=360).lam - result.lam) <= 1e-9
+
+
+    def test_spread_32_reaches_its_grid_720_optimum_and_classes_from_coarse_grids(self):
+        # walks whose square was halved while more than eight sheets
+        # survived crawled and stopped 5.1e-4 above the optimum at grid 45,
+        # and found one of the two classes at grid 91
+        gon = spread_central_polygon(np.random.default_rng(32), 32)
+        optimum = bm_distance(gon, grid=720).lam
+        assert abs(bm_distance(gon, grid=45).lam - optimum) <= 1e-15
+        assert len(argmin_orbit(gon, bm_distance(gon, grid=91))) == 2
+
+    @pytest.mark.parametrize("m, halving", [(60, 47), (100, 55), (200, 413)])
+    def test_walks_solve_at_most_half_the_boxes_of_the_halving_walk(self, m, halving):
+        # halving: the boxes the walks solved at grid 720 when the square
+        # was halved while more than eight sheets survived its prune
+        gon = spread_central_polygon(np.random.default_rng(m), m)
+        result = bm_distance(gon, grid=720)
+        assert sum(r.boxes for r in result.starts) <= halving // 2
 
 
 class TestVerifyClaim:

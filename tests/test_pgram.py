@@ -182,3 +182,35 @@ class TestVertexHausdorff:
         p = Parallelogram(Vec2(1.0, 0.0), Vec2(0.0, 1.0))
         q = Parallelogram(Vec2(1.1, 0.0), Vec2(0.0, 1.0))
         assert abs(vertex_hausdorff(p, q) - 0.1) < 1e-12
+
+    @pytest.mark.parametrize("k", [-8, -1, 1, 200, 1000, 1019, 1020])
+    def test_powers_of_two_scale_the_distance_exactly(self, k):
+        rng = np.random.default_rng(1020)
+
+        def draw():
+            u, v = (Vec2(*rng.uniform(-4.0, 4.0, 2)) for _ in "uv")
+            return Parallelogram(u, v) if u.cross(v) > 0.0 else Parallelogram(v, u)
+
+        for _ in range(20):
+            p, q = draw(), draw()
+            sp, sq = (Parallelogram(math.ldexp(1.0, k) * r.u, math.ldexp(1.0, k) * r.v) for r in (p, q))
+            assert vertex_hausdorff(sp, sq) == math.ldexp(vertex_hausdorff(p, q), k), (p, q)
+
+    def test_a_distance_past_the_largest_float_is_inf(self):
+        # 30.8 times 2**1020 is past the largest float, every coordinate not
+        p = Parallelogram(Vec2(15.0, 15.0), Vec2(-15.0, 15.0))
+        q = Parallelogram(Vec2(15.9, -15.9), Vec2(15.9, -15.8))
+        assert 30.0 < vertex_hausdorff(p, q) < 31.0
+        sp, sq = (Parallelogram(2.0**1020 * r.u, 2.0**1020 * r.v) for r in (p, q))
+        assert vertex_hausdorff(sp, sq) == math.inf
+
+    def test_the_octagon_past_the_largest_float_is_measured(self):
+        # vertex norms past the largest float: subtracting its vertices
+        # overflowed; relabelled generators are the same parallelogram
+        half = [(1.7e308, 0.0), (1.3e308, 1.326e308), (0.0, 1.7e308), (-1.3e308, 1.274e308)]
+        gon = CentralPolygon([Vec2(x, y) for x, y in half] + [Vec2(-x, -y) for x, y in half])
+        w = Parallelogram(boundary_point(gon, 0.0), boundary_point(gon, 2.0))
+        assert vertex_hausdorff(w, Parallelogram(w.v, -w.u)) == 0.0
+        # v moved to the midpoint (0.65e308, 1.513e308) of the edge before it
+        d = vertex_hausdorff(w, Parallelogram(w.u, boundary_point(gon, 1.5)))
+        assert math.isclose(d, math.hypot(0.65e308, 0.187e308), rel_tol=1e-14), d
